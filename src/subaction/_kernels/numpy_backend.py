@@ -2,34 +2,49 @@
 
 All kernels enumerate the nonempty subsets of an indexed family of bit
 masks (each mask a set over at most 64 points) in ascending subset-bitmask
-order. Union populations are built by doubling, so the full table costs
-O(2^n) words; per-query passes stream over cached uint8 arrays in chunks.
+order.
+
+Build. The unions of the low (at most ``_LOW_BITS``) masks are built once
+by doubling. Each block of subsets that shares its high bits then ORs that
+block's union into them and writes only the union populations (``pops``)
+and cardinalities (``cards``), one byte per subset each, so no 2^n-word
+union table ever exists.
+
+Queries. Both queries depend on a subset S only through the pair
+(|union(S)|, |S|), and at most 65 x 27 such pairs exist. The first query
+counts the subsets in each (pop, card) bin; the exact minimum, fragment
+count, atom size and atom count then come from the bins alone. One
+ascending scan in ``_CHUNK``-sized blocks then lists the subsets of the
+winning bins, stopping as soon as it holds every subset it must return.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 import numpy as np
 
 MAX_N = 26
 MAX_COEFF = 1 << 40  # keeps den*pop - num*card inside int64
-_CHUNK = 1 << 20
+_LOW_BITS = 20  # masks whose unions are built once per fold
+_CHUNK = 1 << 20  # subsets per block of a query scan
 
 BACKEND_NAME = "numpy"
 
 
-def _bits_tuple(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        b = (mask & -mask).bit_length() - 1
-        out.append(b)
-        mask &= mask - 1
-    return tuple(out)
-
-
-def _lex_min(cands: list[int]) -> int:
-    return min(cands, key=_bits_tuple)
+def _lex_min(subsets: np.ndarray) -> int:
+    """The subset mask whose sorted index tuple is lexicographically least,
+    among distinct masks of one cardinality: from the lowest bit up, keep
+    the masks holding the bit whenever some mask holds it."""
+    b = 0
+    while subsets.size > 1:
+        holding = (subsets >> b) & 1 == 1
+        if holding.any():
+            subsets = subsets[holding]
+        b += 1
+    return int(subsets[0])
 
 
 class SubsetFold:
@@ -43,20 +58,61 @@ class SubsetFold:
             raise ValueError("masks must fit in 64 bits")
         self.n = n
         self.masks = [int(m) for m in masks]
-        size = 1 << n
-        unions = np.zeros(size, dtype=np.uint64)
+        low = min(n, _LOW_BITS)
+        block = 1 << low
         marr = np.asarray(self.masks, dtype=np.uint64)
-        for b in range(n):
+        unions = np.zeros(block, dtype=np.uint64)
+        self.pops = np.empty(1 << n, dtype=np.uint8)
+        self.cards = np.zeros(1 << n, dtype=np.uint8)
+        cards = self.cards[:block]
+        for b in range(low):
             half = 1 << b
-            unions[half:2 * half] = unions[:half] | marr[b]
-        self.pops = np.bitwise_count(unions).astype(np.uint8)
-        del unions
-        idx = np.arange(size, dtype=np.uint32)
-        self.cards = np.bitwise_count(idx).astype(np.uint8)
-        del idx
+            np.bitwise_or(unions[:half], marr[b], out=unions[half:2 * half])
+            np.add(cards[:half], 1, out=cards[half:2 * half])
+        np.bitwise_count(unions, out=self.pops[:block])
+        high_unions = [0]
+        for m in self.masks[low:]:
+            high_unions += [u | m for u in high_unions]
+        scratch = np.empty_like(unions) if n > low else None
+        for high in range(1, len(high_unions)):
+            lo = high << low
+            np.bitwise_or(unions, np.uint64(high_unions[high]), out=scratch)
+            np.bitwise_count(scratch, out=self.pops[lo:lo + block])
+            np.add(cards, high.bit_count(), out=self.cards[lo:lo + block])
+        self._bins = None
 
     def union_pop(self, subset_mask: int) -> int:
         return int(self.pops[subset_mask])
+
+    def _histogram(self):
+        """(pop, card, count) int64 arrays over the occupied bins of the
+        nonempty subsets; counted on the first query, then kept."""
+        if self._bins is None:
+            width = self.n + 1
+            everything = functools.reduce(operator.or_, self.masks)
+            hist = np.zeros((everything.bit_count() + 1) * width,
+                            dtype=np.int64)
+            for lo in range(0, 1 << self.n, _CHUNK):
+                key = np.multiply(self.pops[lo:lo + _CHUNK], width,
+                                  dtype=np.uint16)
+                key += self.cards[lo:lo + _CHUNK]
+                hist += np.bincount(key, minlength=hist.size)
+            hist[0] -= 1  # the empty set
+            occupied = np.flatnonzero(hist)
+            self._bins = (occupied // width, occupied % width,
+                          hist[occupied])
+        return self._bins
+
+    def _hits(self, lo: int, bins) -> np.ndarray:
+        """Offsets, within the block at ``lo``, of the subsets in any of
+        ``bins``, a short list of (pop, card) pairs."""
+        pops = self.pops[lo:lo + _CHUNK]
+        cards = self.cards[lo:lo + _CHUNK]
+        (p, c), *more = bins
+        hit = (pops == p) & (cards == c)
+        for p, c in more:
+            hit |= (pops == p) & (cards == c)
+        return np.flatnonzero(hit)
 
     def min_affine(self, num: int, den: int, list_cap: int):
         """Minimise den*|union(S)| - num*|S| over nonempty S.
@@ -67,41 +123,30 @@ class SubsetFold:
         """
         if abs(num) >= MAX_COEFF or abs(den) >= MAX_COEFF:
             raise ValueError("coefficients too large for the int64 kernel")
-        size = 1 << self.n
-        best = None
-        for lo in range(1, size, _CHUNK):
-            hi = min(lo + _CHUNK, size)
-            vals = (self.pops[lo:hi].astype(np.int64) * den
-                    - self.cards[lo:hi].astype(np.int64) * num)
-            m = int(vals.min())
-            if best is None or m < best:
-                best = m
-        count = 0
+        pops, cards, counts = self._histogram()
+        vals = den * pops - num * cards
+        best = int(vals.min())
+        on = vals == best
+        count = int(counts[on].sum())
+        atom_size = int(cards[on].min())
+        atom_on = on & (cards == atom_size)
+        atom_count = int(counts[atom_on].sum())
+        frag_bins = list(zip(pops[on].tolist(), cards[on].tolist()))
+        atom_bin = [(int(pops[atom_on][0]), atom_size)]
+        need = min(max(list_cap, 0), count)
         frags: list[int] = []
-        atom_size = self.n + 1
-        for lo in range(1, size, _CHUNK):
-            hi = min(lo + _CHUNK, size)
-            vals = (self.pops[lo:hi].astype(np.int64) * den
-                    - self.cards[lo:hi].astype(np.int64) * num)
-            hits = np.flatnonzero(vals == best)
-            if hits.size == 0:
-                continue
-            count += int(hits.size)
-            if len(frags) < list_cap:
-                take = hits[: list_cap - len(frags)]
-                frags.extend((take + lo).tolist())
-            c = int(self.cards[lo:hi][hits].min())
-            if c < atom_size:
-                atom_size = c
         atoms: list[int] = []
-        for lo in range(1, size, _CHUNK):
-            hi = min(lo + _CHUNK, size)
-            vals = (self.pops[lo:hi].astype(np.int64) * den
-                    - self.cards[lo:hi].astype(np.int64) * num)
-            hits = np.flatnonzero((vals == best) & (self.cards[lo:hi] == atom_size))
+        for lo in range(0, 1 << self.n, _CHUNK):
+            if len(frags) < need:
+                hits = self._hits(lo, frag_bins)
+                frags.extend((hits[:need - len(frags)] + lo).tolist())
+                hits = hits[self.cards[lo + hits] == atom_size]
+            elif len(atoms) < atom_count:
+                hits = self._hits(lo, atom_bin)
+            else:
+                break
             atoms.extend((hits + lo).tolist())
-        truncated = count > len(frags)
-        return int(best), count, frags, truncated, atoms, atom_size
+        return best, count, frags, count > len(frags), atoms, atom_size
 
     def min_ratio(self):
         """Minimise |union(S)| / |S| over nonempty S.
@@ -109,37 +154,23 @@ class SubsetFold:
         Returns (num, den, witness_mask) with the ratio in lowest terms and
         the witness tie-broken by cardinality then lexicographic order.
         """
+        pops, cards, counts = self._histogram()
         scale = math.lcm(*range(1, self.n + 1))
-        size = 1 << self.n
-        kmin = None
-        for lo in range(1, size, _CHUNK):
-            hi = min(lo + _CHUNK, size)
-            keys = (self.pops[lo:hi].astype(np.int64)
-                    * (scale // self.cards[lo:hi].astype(np.int64)))
-            k = int(keys.min())
-            if kmin is None or k < kmin:
-                kmin = k
-        best_card = None
-        for lo in range(1, size, _CHUNK):
-            hi = min(lo + _CHUNK, size)
-            keys = (self.pops[lo:hi].astype(np.int64)
-                    * (scale // self.cards[lo:hi].astype(np.int64)))
-            hits = np.flatnonzero(keys == kmin)
-            if hits.size == 0:
-                continue
-            c = int(self.cards[lo:hi][hits].min())
-            if best_card is None or c < best_card:
-                best_card = c
-        cands: list[int] = []
-        for lo in range(1, size, _CHUNK):
-            hi = min(lo + _CHUNK, size)
-            keys = (self.pops[lo:hi].astype(np.int64)
-                    * (scale // self.cards[lo:hi].astype(np.int64)))
-            hits = np.flatnonzero((keys == kmin) & (self.cards[lo:hi] == best_card))
-            cands.extend((hits + lo).tolist())
-        witness = _lex_min(cands)
-        g = math.gcd(kmin, scale)
-        return kmin // g, scale // g, witness
+        keys = pops * (scale // cards)
+        on = keys == keys.min()
+        card = int(cards[on].min())
+        best = np.flatnonzero(on & (cards == card))[0]
+        pop, remaining = int(pops[best]), int(counts[best])
+        winners = []
+        for lo in range(0, 1 << self.n, _CHUNK):
+            if not remaining:
+                break
+            hits = self._hits(lo, [(pop, card)])
+            if hits.size:
+                remaining -= hits.size
+                winners.append(_lex_min(hits + lo))
+        g = math.gcd(pop, card)
+        return pop // g, card // g, _lex_min(np.array(winners))
 
 
 def check_pair_ratio(masks_lhs: list[int], masks_rhs: list[int],

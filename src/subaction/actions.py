@@ -40,6 +40,8 @@ class GroupAction:
         self.name = name or f"action<{group.name} on {domain_size}>"
         self.point_labels = list(point_labels) if point_labels is not None else None
         self._orbits: OrbitDecomposition | None = None
+        # min_image_ratio results, keyed by target set and route caps
+        self._mu_results: dict = {}
         if not _verified:
             self._verify()
 

@@ -623,7 +623,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           choices=sorted(PREDICATES))
     p_search.add_argument("--budget", required=True, type=int,
                           help="instance count")
-    p_search.add_argument("--seed", type=int, default=0xD1CE)
+    p_search.add_argument("--seed", type=int,
+                          default=config.cap("DEFAULT_SEED"))
     p_search.add_argument("--cursor", type=int, default=0,
                           help="resume position")
     p_search.add_argument("--out", help="write the report here")

@@ -199,18 +199,27 @@ def _scaled_table(f: SetFunction) -> tuple[np.ndarray, int]:
                      - fold.cards.astype(np.int64) * num)
             return table, den
     if f.kind == "cut":
-        bits = ((np.arange(size, dtype=np.int64)[:, None] >> np.arange(n)) & 1)
-        inside = bits.astype(np.int64)
-        # sum_{u in S, v not in S} W[u, v]
-        table = np.einsum("iu,uv,iv->i", inside, f.cut_weights, 1 - inside)
+        # by doubling: cut(S + b) = cut(S) + rowsum[b] - W[b, b]
+        #   - sum over w in S of (W[w, b] + W[b, w])
+        W = f.cut_weights
+        table = np.zeros(size, dtype=np.int64)
+        for b in range(n):
+            half = 1 << b
+            both = W[:b, b] + W[b, :b]
+            inner = np.zeros(half, dtype=np.int64)
+            for w in range(b):
+                inner[1 << w:2 << w] = inner[:1 << w] + both[w]
+            grown = np.subtract(table[:half], inner, out=table[half:2 * half])
+            grown += int(W[b].sum()) - int(W[b, b])
         return table, 1
     vals = [f.value_mask(m) for m in range(size)]
     den = 1
     for v in vals:
         den = den * v.denominator // math.gcd(den, v.denominator)
     if den >= MAX_COEFF:
-        raise CapacityError("MAX_COEFF", MAX_COEFF, den,
-                            hint="common denominator too large for int64 table")
+        raise DomainError(
+            f"common denominator {den} of the values is too large for the "
+            f"int64 table (limit {MAX_COEFF})")
     table = np.fromiter((int(v * den) for v in vals), dtype=np.int64, count=size)
     return table, den
 
@@ -291,7 +300,8 @@ def check_submodular(f: SetFunction, *, samples: int | None = None,
     n = f.ground_size
     if n <= config.cap("MAX_SUBMODULAR_EXHAUSTIVE"):
         return _check_submodular_exhaustive(f)
-    rng = random.Random(config.cap("DEFAULT_SEED") if seed is None else seed)
+    seed = config.cap("DEFAULT_SEED") if seed is None else seed
+    rng = random.Random(seed)
     count = config.cap("SAMPLE_COUNT") if samples is None else samples
     for _ in range(count):
         a2 = rng.getrandbits(n)
@@ -392,7 +402,8 @@ def check_invariance(f: SetFunction, action: GroupAction, *,
                         "translated_value": f.value_mask(int(remap[m])),
                     })
         return InvarianceReport(True, Exhaustiveness("exhaustive"))
-    rng = random.Random(config.cap("DEFAULT_SEED") if seed is None else seed)
+    seed = config.cap("DEFAULT_SEED") if seed is None else seed
+    rng = random.Random(seed)
     count = config.cap("SAMPLE_COUNT") if samples is None else samples
     for _ in range(count):
         m = rng.getrandbits(n)
@@ -468,15 +479,18 @@ def core_set(f: SetFunction, *, require_disjoint: bool = True) -> CoreResult:
     return CoreResult(atoms=res.atoms, union=frozenset(union), disjoint=disjoint)
 
 
-def identity_atom(f: SetFunction, group: FiniteGroup) -> Subgroup:
+def identity_atom(f: SetFunction, group: FiniteGroup,
+                  minimized: MinimizationResult | None = None) -> Subgroup:
     """The atom containing the identity, verified to be a subgroup.
 
     Defined for translation-invariant submodular functions on subsets of
     the group; the minimiser structure forces this atom to be a subgroup.
+    ``minimized`` is f's ``minimize_nonempty`` result when the caller
+    already has it.
     """
     if f.ground_size != group.order:
         raise StructuralError("function must live on subsets of the group")
-    res = minimize_nonempty(f)
+    res = minimized or minimize_nonempty(f, fragment_cap=0)
     containing = [a for a in res.atoms if 0 in a]
     if not containing:
         raise InvariantError(
@@ -494,26 +508,33 @@ def min_image_ratio(action: GroupAction, Y: Iterable[int]) -> MuResult:
     Three routes: exhaustive subset enumeration (small groups), minimum
     over subgroups, and a Dinkelbach iteration on the growth function.
     All computed routes must agree; the returned witness attains the ratio.
+    The result is kept on the action, keyed by Y and the caps that pick
+    the routes, so a repeated call costs nothing.
     """
     G = action.group
     y = action._point_indices(Y)
     if y.size == 0:
         raise DomainError("target set must be nonempty")
     n = G.order
+    ground_cap = config.cap("MAX_EXHAUSTIVE_GROUND")
+    subgroup_cap = config.cap("MAX_SUBGROUP_ENUM_ORDER")
+    key = (tuple(y.tolist()), ground_cap, subgroup_cap)
+    if key in action._mu_results:
+        return action._mu_results[key]
     methods: dict[str, dict] = {}
 
-    exhaustive_ok = (n <= config.cap("MAX_EXHAUSTIVE_GROUND") and n <= MAX_N
+    exhaustive_ok = (n <= ground_cap and n <= MAX_N
                      and action.domain_size <= _MASK_LIMIT)
-    subgroup_ok = n <= config.cap("MAX_SUBGROUP_ENUM_ORDER")
+    subgroup_ok = n <= subgroup_cap
     if not exhaustive_ok and not subgroup_ok:
-        raise CapacityError("MAX_SUBGROUP_ENUM_ORDER",
-                            config.cap("MAX_SUBGROUP_ENUM_ORDER"), n,
+        raise CapacityError("MAX_SUBGROUP_ENUM_ORDER", subgroup_cap, n,
                             hint="group too large for any ratio method")
 
-    masks = None
+    fold = None
     if exhaustive_ok:
-        masks = [_mask_of(action.table[g][y].tolist()) for g in range(n)]
-        p, q, witness_mask = SubsetFold(masks).min_ratio()
+        fold = SubsetFold([_mask_of(action.table[g][y].tolist())
+                           for g in range(n)])
+        p, q, witness_mask = fold.min_ratio()
         methods["exhaustive"] = {
             "value": Fraction(p, q), "witness": _set_of(witness_mask)}
 
@@ -533,7 +554,7 @@ def min_image_ratio(action: GroupAction, Y: Iterable[int]) -> MuResult:
 
     iterations = 0
     if exhaustive_ok or subgroup_ok:
-        value, witness, iterations = _dinkelbach(action, y, masks, sub_images)
+        value, witness, iterations = _dinkelbach(action, y, fold, sub_images)
         methods["dinkelbach"] = {"value": value, "witness": witness}
 
     values = {m["value"] for m in methods.values()}
@@ -543,15 +564,20 @@ def min_image_ratio(action: GroupAction, Y: Iterable[int]) -> MuResult:
             f"ratio methods disagree: "
             f"{ {k: format_fraction(v['value']) for k, v in methods.items()} }")
     primary = methods.get("exhaustive") or methods["subgroups"]
-    return MuResult(mu=primary["value"], witness=primary["witness"],
-                    methods=methods, agreed=agreed,
-                    dinkelbach_iterations=iterations)
+    result = MuResult(mu=primary["value"], witness=primary["witness"],
+                      methods=methods, agreed=agreed,
+                      dinkelbach_iterations=iterations)
+    action._mu_results[key] = result
+    return result
 
 
-def _dinkelbach(action: GroupAction, y: np.ndarray, masks, sub_images):
-    """Parametric minimisation: lam converges to the minimum ratio from above."""
+def _dinkelbach(action: GroupAction, y: np.ndarray, fold, sub_images):
+    """Parametric minimisation: lam converges to the minimum ratio from above.
+
+    ``fold`` is the exhaustive route's fold of the actor masks, or None to
+    minimise over the subgroups in ``sub_images`` instead.
+    """
     G = action.group
-    fold = SubsetFold(masks) if masks is not None else None
 
     def oracle(lam: Fraction):
         if fold is not None:

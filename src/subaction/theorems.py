@@ -456,10 +456,15 @@ def _hamidoune_set(action: GroupAction, Y, lam, A0, *, samples, seed
     n = G.order
     exhaustive_ok = (n <= min(config.cap("MAX_EXHAUSTIVE_GROUND"), MAX_N)
                      and action.domain_size <= _MASK_LIMIT)
+    if exhaustive_ok:
+        # one minimisation gives the identity atom, the minimum growth and
+        # its first fragment
+        f = actor_growth(action, Y, lam)
+        res = minimize_nonempty(f, fragment_cap=1)
     if lam == 0:
         H = GY
     elif exhaustive_ok:
-        H = identity_atom(actor_growth(action, Y, lam), G)
+        H = identity_atom(f, G, res)
     else:
         # the identity atom is the least-order subgroup containing G_Y
         # among those of minimal growth, so subgroup enumeration is exact
@@ -477,16 +482,11 @@ def _hamidoune_set(action: GroupAction, Y, lam, A0, *, samples, seed
               "floor_bound": cH >= len(Y) - lam * H.order}
     counterexample = None
 
-    y = list(Y)
     if exhaustive_ok:
-        masks = [_mask_of(action.table[g][y].tolist()) for g in range(n)]
-        scaled, _cnt, frags, _t, _a, _s = SubsetFold(masks).min_affine(
-            lam.numerator, lam.denominator, 1)
-        min_growth = Fraction(scaled, lam.denominator)
-        checks["minimum_at_subgroup"] = min_growth >= cH
+        checks["minimum_at_subgroup"] = res.min_value >= cH
         if not checks["minimum_at_subgroup"]:
-            counterexample = {"A": _set_of(frags[0]),
-                              "growth": min_growth, "subgroup_growth": cH}
+            counterexample = {"A": res.fragments[0],
+                              "growth": res.min_value, "subgroup_growth": cH}
         exh = _EXHAUSTIVE
     else:
         s, rng = _seeded(seed)
@@ -640,8 +640,9 @@ def find_petridis_witness(obj: GroupAction | Representation, A, Y, alpha,
         return _failed("petridis", {"product_size": len(AY),
                                     "actor_size": len(A),
                                     "bound": alpha * len(A)})
-    if len(A) > MAX_N or action.domain_size > _MASK_LIMIT:
-        raise CapacityError("MAX_EXHAUSTIVE_GROUND", MAX_N, len(A),
+    limit = min(config.cap("MAX_EXHAUSTIVE_GROUND"), MAX_N)
+    if len(A) > limit or action.domain_size > _MASK_LIMIT:
+        raise CapacityError("MAX_EXHAUSTIVE_GROUND", limit, len(A),
                             hint="witness search enumerates subsets of A")
     y = list(Y)
     masks = [_mask_of(action.table[a][y].tolist()) for a in A]
@@ -820,8 +821,9 @@ def find_taod_witness(obj: GroupAction | Representation, A, Y, alpha,
         return _failed("taod", {"product_size": len(AY),
                                 "target_size": len(Y),
                                 "bound": alpha * len(Y)})
-    if len(Y) > MAX_N or action.domain_size > _MASK_LIMIT:
-        raise CapacityError("MAX_EXHAUSTIVE_GROUND", MAX_N, len(Y),
+    limit = min(config.cap("MAX_EXHAUSTIVE_GROUND"), MAX_N)
+    if len(Y) > limit or action.domain_size > _MASK_LIMIT:
+        raise CapacityError("MAX_EXHAUSTIVE_GROUND", limit, len(Y),
                             hint="witness search enumerates subsets of Y")
     masks = [_mask_of(action.act_set(A, (pt,))) for pt in Y]
     p, q, wmask = SubsetFold(masks).min_ratio()

@@ -274,6 +274,15 @@ def test_cli_search_and_report_csv(tmp_path, capsys):
     assert len(lines) == 1 + doc["stats"]["findings"]
 
 
+def test_search_seed_defaults_to_the_seed_cap(tmp_path, monkeypatch):
+    out = tmp_path / "srch.json"
+    monkeypatch.setenv("SUBACTION_DEFAULT_SEED", "11")
+    assert main(["search", "--family", "cyclic_translation",
+                 "--predicate", "kneser", "--budget", "5",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["search"]["seed"] == 11
+
+
 def test_cli_report_roundtrip(tmp_path, capsys):
     path = _write(tmp_path, _minimal())
     out = tmp_path / "report.json"

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subaction._kernels import MAX_N, backend_name, get_backend
 
@@ -130,6 +132,49 @@ def test_check_pair_ratio_matches_brute(backend):
             assert not ok and first == brute_bad[0]
         else:
             assert ok and first is None and checked == (1 << n) - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_numpy_histogram_queries_match_brute_across_blocks(data):
+    # masks drawn from a pool of at most three values force ties; zero
+    # masks give nonempty subsets with an empty union, so a nonpositive
+    # num tests that the empty set stays out; small block constants make
+    # the build and the scans cross block boundaries
+    mod = get_backend("numpy")
+    n = data.draw(st.integers(1, 10), label="n")
+    top = (1 << data.draw(st.sampled_from([1, 2, 3, 5, 64]))) - 1
+    pool = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=3))
+    masks = data.draw(st.lists(st.sampled_from(pool), min_size=n,
+                               max_size=n), label="masks")
+    queries = data.draw(st.lists(
+        st.tuples(st.integers(-3, 6), st.integers(1, 4),
+                  st.sampled_from([1, 3, 1 << 11])),
+        min_size=1, max_size=3), label="queries")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mod, "_LOW_BITS", data.draw(st.integers(1, 4)))
+        mp.setattr(mod, "_CHUNK", 1 << data.draw(st.integers(1, 5)))
+        fold = mod.SubsetFold(masks)
+        ratio = fold.min_ratio()
+        got = [fold.min_affine(num, den, cap) for num, den, cap in queries]
+    for (num, den, cap), result in zip(queries, got):
+        best, hits, atoms, atom_size = _brute_min_affine(masks, num, den)
+        assert result == (best, len(hits), hits[:cap], len(hits) > cap,
+                          atoms, atom_size)
+    best, winner = _brute_min_ratio(masks)
+    p, q, wit = ratio
+    assert (Fraction(p, q), math.gcd(p, q), wit) == (best, 1, winner)
+
+
+def test_numpy_fragment_list_fills_across_blocks(monkeypatch):
+    # blocks of 4 subsets: the first block holds two fragments (1, 2), the
+    # second two more (4, 5), and a cap of 3 must stop after the third
+    mod = get_backend("numpy")
+    monkeypatch.setattr(mod, "_CHUNK", 4)
+    masks = [0b01, 0b10, 0b01, 0b01]
+    got = mod.SubsetFold(masks).min_affine(0, 1, 3)
+    best, hits, atoms, atom_size = _brute_min_affine(masks, 0, 1)
+    assert got == (best, len(hits), hits[:3], True, atoms, atom_size)
 
 
 def test_backends_agree_on_larger_instances():

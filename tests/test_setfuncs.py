@@ -1,12 +1,15 @@
 """Invariant submodular set functions: checks, minimisation, fragments, mu."""
 
 import itertools
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subaction import _kernels, config
 from subaction.actions import (conjugation_action, left_translation_action,
                                natural_action)
 from subaction.errors import (CapacityError, DomainError, InvariantError,
@@ -18,6 +21,8 @@ from subaction.setfuncs import (SetFunction, actor_growth, check_invariance,
                                 cut_function, identity_atom, min_image_ratio,
                                 minimize_nonempty, subtract_modular,
                                 target_growth)
+from subaction.setfuncs import _scaled_table
+from subaction.theorems import check_hamidoune
 
 
 def _brute_min(f):
@@ -119,6 +124,25 @@ def test_target_growth_invariance_needs_abelian_or_normal():
     assert rep.counterexample is not None
 
 
+def test_sampled_checks_report_the_seed_they_used():
+    # ground 17 is above MAX_SUBMODULAR_EXHAUSTIVE, so both checks sample;
+    # rerunning with the reported seed and count replays the same verdict
+    f = SetFunction(17, "square-size",
+                    fn=lambda m: Fraction(bin(m).count("1") ** 2))
+    rep = check_submodular(f, samples=50)
+    assert rep.checked.seed == config.cap("DEFAULT_SEED")
+    assert not rep.holds
+    assert check_submodular(f, samples=rep.checked.samples,
+                            seed=rep.checked.seed) == rep
+    action = left_translation_action(cyclic(17))
+    g = SetFunction(17, "low-bit", fn=lambda m: Fraction(m & 1))
+    rep = check_invariance(g, action, samples=50)
+    assert rep.checked.seed == config.cap("DEFAULT_SEED")
+    assert not rep.holds
+    assert check_invariance(g, action, samples=rep.checked.samples,
+                            seed=rep.checked.seed) == rep
+
+
 def test_submodularity_counterexample_reported():
     table = [0, 1, 1, 0, 1, 0, 0, 1]  # parity-flavoured: not submodular
     f = SetFunction(3, "xor-size", fn=lambda m: Fraction(table[m]))
@@ -216,6 +240,24 @@ def test_atoms_are_minimal_and_disjoint():
         assert not (a1 & a2)
 
 
+def test_cut_table_matches_value_mask():
+    rng = random.Random(3)
+    for n in range(1, 11):
+        # random weights with a random diagonal: self-loops never cross
+        W = np.array([[rng.randint(0, 5) for _ in range(n)]
+                      for _ in range(n)], dtype=np.int64)
+        f = SetFunction(n, "random-cut", kind="cut", cut_weights=W)
+        table, den = _scaled_table(f)
+        assert den == 1
+        assert table.tolist() == [f.value_mask(m) for m in range(1 << n)]
+
+
+def test_table_denominator_too_large_is_a_domain_error():
+    f = SetFunction(2, "tiny", fn=lambda m: Fraction(m, 1 << 41))
+    with pytest.raises(DomainError):
+        minimize_nonempty(f)
+
+
 def test_minimize_capacity():
     action = natural_action(symmetric(5))
     f = actor_growth(action, (0,), "1/2")  # ground |G| = 120
@@ -301,3 +343,44 @@ def test_dinkelbach_iteration_bound():
     action = natural_action(symmetric(4))
     res = min_image_ratio(action, (0, 1))
     assert 0 < res.dinkelbach_iterations <= 24 * 4 + 3
+
+
+def _count_fold_builds(monkeypatch) -> list:
+    builds = []
+    init = _kernels.SubsetFold.__init__
+
+    def counted(self, masks):
+        builds.append(len(masks))
+        init(self, masks)
+
+    monkeypatch.setattr(_kernels.SubsetFold, "__init__", counted)
+    return builds
+
+
+def test_mu_and_hamidoune_build_each_fold_once(monkeypatch):
+    G = dihedral(5)
+    Y = (0, 1)
+    mu = min_image_ratio(natural_action(G), Y).mu
+    builds = _count_fold_builds(monkeypatch)
+    action = natural_action(G)
+    min_image_ratio(action, Y)
+    assert builds == [10]  # exhaustive and Dinkelbach share one fold
+    min_image_ratio(action, Y)
+    assert builds == [10]  # kept on the action
+    builds.clear()
+    rep = check_hamidoune(natural_action(G), Y, mu / 2)
+    assert rep.conclusion_holds
+    assert len(builds) <= 2  # mu, then one minimisation of c_Y
+
+
+def test_mu_routes_follow_cap_override_on_one_action(monkeypatch):
+    monkeypatch.delenv("SUBACTION_MAX_EXHAUSTIVE_GROUND", raising=False)
+    action = natural_action(dihedral(5))  # order 10
+    first = min_image_ratio(action, (0,))
+    assert set(first.methods) == {"exhaustive", "subgroups", "dinkelbach"}
+    monkeypatch.setenv("SUBACTION_MAX_EXHAUSTIVE_GROUND", "9")
+    second = min_image_ratio(action, (0,))
+    assert set(second.methods) == {"subgroups", "dinkelbach"}
+    assert second.mu == first.mu
+    monkeypatch.delenv("SUBACTION_MAX_EXHAUSTIVE_GROUND")
+    assert min_image_ratio(action, (0,)) is first

@@ -440,7 +440,33 @@ def test_tao_doubling_epsilon_positive():
         check_tao_small_doubling(action, (0,), (0,), "0")
 
 
+def test_petridis_witness_search_names_the_ground_cap(monkeypatch):
+    monkeypatch.delenv("SUBACTION_MAX_EXHAUSTIVE_GROUND", raising=False)
+    action = natural_action(symmetric(5))
+    with pytest.raises(CapacityError) as ei:
+        find_petridis_witness(action, tuple(range(25)), (0,), "1")
+    assert (ei.value.cap_name, ei.value.cap_value) == \
+        ("MAX_EXHAUSTIVE_GROUND", 24)
+    monkeypatch.setenv("SUBACTION_MAX_EXHAUSTIVE_GROUND", "3")
+    with pytest.raises(CapacityError) as ei:
+        find_petridis_witness(action, (0, 1, 2, 3), (0,), "1")
+    assert ei.value.cap_value == 3
+
+
 # -- taod ------------------------------------------------------------------------
+
+
+def test_taod_witness_search_names_the_ground_cap(monkeypatch):
+    monkeypatch.delenv("SUBACTION_MAX_EXHAUSTIVE_GROUND", raising=False)
+    action = left_translation_action(cyclic(30))
+    with pytest.raises(CapacityError) as ei:
+        find_taod_witness(action, (0,), tuple(range(25)), "1")
+    assert (ei.value.cap_name, ei.value.cap_value) == \
+        ("MAX_EXHAUSTIVE_GROUND", 24)
+    monkeypatch.setenv("SUBACTION_MAX_EXHAUSTIVE_GROUND", "3")
+    with pytest.raises(CapacityError) as ei:
+        find_taod_witness(action, (0,), (0, 1, 2, 3), "1")
+    assert ei.value.cap_value == 3
 
 
 def test_taod_requires_abelian():
