@@ -1,45 +1,21 @@
-"""Kernel backend selection.
+"""The subset-fold kernel, implemented once in ``numpy_backend``.
 
-The compiled extension is preferred when importable; set
-``SUBACTION_KERNEL=numpy`` or ``SUBACTION_KERNEL=cython`` to force one.
+``backend_name`` and ``get_backend`` name that implementation for benchmark
+and trace records.
 """
 
 from __future__ import annotations
 
-import os
-
 from . import numpy_backend
-
-_choice = os.environ.get("SUBACTION_KERNEL", "auto")
-if _choice not in ("auto", "numpy", "cython"):
-    raise ValueError(f"SUBACTION_KERNEL must be auto|numpy|cython, got {_choice!r}")
-
-_impl = None
-if _choice in ("auto", "cython"):
-    try:
-        from . import _fastcore as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        if _choice == "cython":
-            raise
-        _impl = None
-if _impl is None:
-    _impl = numpy_backend
-
-SubsetFold = _impl.SubsetFold
-check_pair_ratio = _impl.check_pair_ratio
-MAX_N = _impl.MAX_N
-MAX_COEFF = _impl.MAX_COEFF
+from .numpy_backend import MAX_COEFF, MAX_N, SubsetFold, check_pair_ratio
 
 
 def backend_name() -> str:
-    return _impl.BACKEND_NAME
+    return numpy_backend.BACKEND_NAME
 
 
 def get_backend(name: str):
-    """Explicit backend module, for benchmarks and equivalence tests."""
-    if name == "numpy":
-        return numpy_backend
-    if name == "cython":
-        from . import _fastcore  # type: ignore[attr-defined]
-        return _fastcore
-    raise ValueError(f"unknown backend {name!r}")
+    """The kernel module called ``name``; only ``"numpy"`` exists."""
+    if name != "numpy":
+        raise ImportError(f"no kernel backend named {name!r}")
+    return numpy_backend

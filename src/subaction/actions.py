@@ -21,14 +21,18 @@ from .groups import CosetDecomposition, FiniteGroup, Subgroup, affine_gl1, direc
 from .rationals import exact_fraction as _exact_ratio
 
 
+def _check_table_cap(group: FiniteGroup, domain_size: int) -> None:
+    entries = group.order * domain_size
+    limit = config.cap("MAX_ACT_TABLE_ENTRIES")
+    if entries > limit:
+        raise CapacityError("MAX_ACT_TABLE_ENTRIES", limit, entries)
+
+
 class GroupAction:
     def __init__(self, group: FiniteGroup, domain_size: int, table: np.ndarray,
                  *, name: str | None = None, point_labels: Sequence[str] | None = None,
                  _verified: bool = False):
-        entries = group.order * domain_size
-        limit = config.cap("MAX_ACT_TABLE_ENTRIES")
-        if entries > limit:
-            raise CapacityError("MAX_ACT_TABLE_ENTRIES", limit, entries)
+        _check_table_cap(group, domain_size)
         table = np.ascontiguousarray(table, dtype=np.int32)
         if table.shape != (group.order, domain_size):
             raise StructuralError(
@@ -287,6 +291,7 @@ def natural_action(G: FiniteGroup) -> GroupAction:
 
 
 def left_translation_action(G: FiniteGroup) -> GroupAction:
+    _check_table_cap(G, G.order)
     rows = np.vstack([G.mul_row(g) for g in range(G.order)])
     labels = [str(p) for p in G.elements]
     return GroupAction(G, G.order, rows, name=f"left<{G.name}>",
@@ -294,6 +299,7 @@ def left_translation_action(G: FiniteGroup) -> GroupAction:
 
 
 def conjugation_action(G: FiniteGroup) -> GroupAction:
+    _check_table_cap(G, G.order)
     rows = np.empty((G.order, G.order), dtype=np.int32)
     inv = G.inv_table
     for g in range(G.order):

@@ -194,7 +194,7 @@ def _scaled_table(f: SetFunction) -> tuple[np.ndarray, int]:
         num, den = f.lam.numerator, f.lam.denominator
         if max(abs(num), den) < MAX_COEFF and n <= MAX_N and \
                 max(f.union_masks, default=0) < (1 << _MASK_LIMIT):
-            fold = _numpy_fold(f.union_masks)
+            fold = SubsetFold(f.union_masks)
             table = (fold.pops.astype(np.int64) * den
                      - fold.cards.astype(np.int64) * num)
             return table, den
@@ -222,11 +222,6 @@ def _scaled_table(f: SetFunction) -> tuple[np.ndarray, int]:
             f"int64 table (limit {MAX_COEFF})")
     table = np.fromiter((int(v * den) for v in vals), dtype=np.int64, count=size)
     return table, den
-
-
-def _numpy_fold(masks: list[int]):
-    from ._kernels import numpy_backend
-    return numpy_backend.SubsetFold(masks)
 
 
 # -- reports -------------------------------------------------------------------

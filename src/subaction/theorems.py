@@ -630,7 +630,7 @@ def find_petridis_witness(obj: GroupAction | Representation, A, Y, alpha,
     if alpha < 0:
         raise DomainError("alpha must be nonnegative")
     if isinstance(obj, Representation):
-        return _petridis_linear(obj, A, Y, alpha)
+        return _petridis_linear(obj, A, Y, alpha, samples=samples, seed=seed)
     action = obj
     G = action.group
     A = _group_subset(G, A)
@@ -692,7 +692,8 @@ def find_petridis_witness(obj: GroupAction | Representation, A, Y, alpha,
                  "witness_size": len(B)})
 
 
-def _petridis_linear(rep: Representation, A, W: Subspace, alpha: Fraction
+def _petridis_linear(rep: Representation, A, W: Subspace, alpha: Fraction,
+                     *, samples: int | None, seed: int | None
                      ) -> CheckReport:
     G = rep.group
     A = _group_subset(G, A)
@@ -723,8 +724,8 @@ def _petridis_linear(rep: Representation, A, W: Subspace, alpha: Fraction
         subsets = (_set_of(m) for m in range(1, 1 << n))
         exh = _EXHAUSTIVE
     else:
-        s, rng = _seeded(None)
-        count = _sample_count(None)
+        s, rng = _seeded(seed)
+        count = _sample_count(samples)
         subsets = (_set_of(_random_nonempty_mask(rng, n))
                    for _ in range(count))
         exh = Exhaustiveness(kind="sampled", samples=count, seed=s)
@@ -807,7 +808,8 @@ def find_taod_witness(obj: GroupAction | Representation, A, Y, alpha,
     if alpha < 0:
         raise DomainError("alpha must be nonnegative")
     if isinstance(obj, Representation):
-        return _taod_linear(obj, A, Y, alpha, n_max)
+        return _taod_linear(obj, A, Y, alpha, n_max, samples=samples,
+                            seed=seed)
     action = obj
     G = action.group
     if not G.is_abelian():
@@ -879,7 +881,8 @@ def find_taod_witness(obj: GroupAction | Representation, A, Y, alpha,
 
 
 def _taod_linear(rep: Representation, A, W: Subspace, alpha: Fraction,
-                 n_max: int) -> CheckReport:
+                 n_max: int, *, samples: int | None, seed: int | None
+                 ) -> CheckReport:
     G = rep.group
     if not G.is_abelian():
         raise DomainError(
@@ -908,8 +911,8 @@ def _taod_linear(rep: Representation, A, W: Subspace, alpha: Fraction,
         subsets = (_set_of(m) for m in range(1, 1 << n))
         exh = _EXHAUSTIVE
     else:
-        s, rng = _seeded(None)
-        count = _sample_count(None)
+        s, rng = _seeded(seed)
+        count = _sample_count(samples)
         subsets = (_set_of(_random_nonempty_mask(rng, n))
                    for _ in range(count))
         exh = Exhaustiveness(kind="sampled", samples=count, seed=s)

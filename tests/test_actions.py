@@ -10,8 +10,8 @@ from subaction.actions import (GroupAction, action_from_table,
                                coset_action, left_translation_action,
                                natural_action, orbit_reduction_bounds,
                                product_action)
-from subaction.errors import DomainError, InvariantError
-from subaction.groups import cyclic, dihedral, symmetric
+from subaction.errors import CapacityError, DomainError, InvariantError
+from subaction.groups import FiniteGroup, cyclic, dihedral, symmetric
 from subaction.perms import from_cycles
 
 
@@ -227,3 +227,20 @@ def test_orbit_reduction_sandwich():
     assert red.exact == action.image_size(A, Y)
     assert red.lower <= red.exact <= red.upper
     assert red.holds
+
+
+@pytest.mark.parametrize("build", [left_translation_action,
+                                   conjugation_action])
+def test_order_squared_tables_refused_before_they_are_built(build,
+                                                            monkeypatch):
+    G = symmetric(4)  # a 24 x 24 table: 576 entries
+    monkeypatch.setenv("SUBACTION_MAX_ACT_TABLE_ENTRIES", "500")
+    rows = []
+    monkeypatch.setattr(FiniteGroup, "mul_row",
+                        lambda self, g: rows.append(g))
+    with pytest.raises(CapacityError) as ei:
+        build(G)
+    err = ei.value
+    assert (err.cap_name, err.cap_value, err.measured) == \
+        ("MAX_ACT_TABLE_ENTRIES", 500, 576)
+    assert rows == []

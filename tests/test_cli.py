@@ -157,6 +157,22 @@ def test_run_scenario_params_fallback():
     assert report["results"][0]["report"]["hypotheses_hold"]
 
 
+def test_linear_petridis_task_reports_the_scenario_seed():
+    # order 15 is above PETRIDIS_EXHAUSTIVE_MAX_ORDER, so the check samples
+    sc = _parse({"group": {"kind": "cyclic", "n": 15},
+                 "action": {"kind": "left_translation"},
+                 "representation": {"kind": "permutation", "p": 2},
+                 "sets": {"A": [0, 1]},
+                 "subspaces": {"W": [[1] + [0] * 14]},
+                 "caps": {"SAMPLE_COUNT": 40},
+                 "seed": 12345,
+                 "tasks": [{"task": "petridis", "A": "A", "W": "W",
+                            "alpha": "3"}]})
+    exh = to_jsonable(run_scenario(sc)["results"][0]["report"])[
+        "exhaustiveness"]
+    assert exh == {"kind": "sampled", "samples": 40, "seed": 12345}
+
+
 def test_run_scenario_missing_param():
     sc = _parse({"group": {"kind": "cyclic", "n": 6},
                  "action": {"kind": "left_translation"},

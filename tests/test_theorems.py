@@ -13,8 +13,9 @@ from subaction.actions import (conjugation_action, left_translation_action,
                                natural_action)
 from subaction.errors import CapacityError, DomainError, StructuralError
 from subaction.groups import (cyclic, dihedral, direct_product, symmetric)
-from subaction.linalg import (Subspace,
+from subaction.linalg import (Subspace, permutation_representation,
                               representation_from_generator_matrices)
+from subaction.setfuncs import Exhaustiveness
 from subaction.theorems import (STATEMENT_IDS, check_fragment_bounds,
                                 check_freiman, check_hamidoune, check_kneser,
                                 check_murphy, check_ruzsa_triple,
@@ -408,6 +409,17 @@ def test_petridis_linear():
     assert rep.hypotheses_hold and rep.conclusion_holds
 
 
+def test_petridis_linear_sampled_uses_the_given_seed_and_samples():
+    # order 15 > PETRIDIS_EXHAUSTIVE_MAX_ORDER, so the for-all-C check samples
+    rep_obj = permutation_representation(
+        left_translation_action(cyclic(15)), 2)
+    W = Subspace.from_vectors(2, 15, [[1] + [0] * 14])
+    rep = find_petridis_witness(rep_obj, (0, 1), W, "3", samples=40,
+                                seed=12345)
+    assert rep.hypotheses_hold and rep.conclusion_holds
+    assert rep.exhaustiveness == Exhaustiveness("sampled", 40, 12345)
+
+
 # -- tao doubling ----------------------------------------------------------------
 
 
@@ -509,6 +521,18 @@ def test_taod_linear():
     assert rep.hypotheses_hold and rep.conclusion_holds
     Z = rep.witnesses["Z"]
     assert Z.dim >= 1 and Z <= D
+
+
+def test_taod_linear_sampled_uses_the_given_seed_and_samples():
+    # Abelian of order 16 > PETRIDIS_EXHAUSTIVE_MAX_ORDER on F_2^2, whose
+    # five subspaces keep the witness enumeration small
+    rep_obj = representation_from_generator_matrices(
+        cyclic(16), 2, [np.array([[1, 1], [0, 1]])])
+    W = Subspace.from_vectors(2, 2, [[1, 0]])
+    rep = find_taod_witness(rep_obj, (0, 1), W, "1", n_max=2, samples=40,
+                            seed=12345)
+    assert rep.hypotheses_hold and rep.conclusion_holds
+    assert rep.exhaustiveness == Exhaustiveness("sampled", 40, 12345)
 
 
 # -- fragment bounds -------------------------------------------------------------
