@@ -313,6 +313,7 @@ def conjugation_action(G: FiniteGroup) -> GroupAction:
 
 
 def coset_action(G: FiniteGroup, H: Subgroup) -> GroupAction:
+    _check_table_cap(G, G.order // H.order)
     cd = G.left_cosets(H)
     reps = np.fromiter(cd.representatives, dtype=np.int64)
     rows = np.empty((G.order, len(reps)), dtype=np.int32)
@@ -335,6 +336,7 @@ def product_action(a1: GroupAction, a2: GroupAction) -> GroupAction:
     G1, G2 = a1.group, a2.group
     G = direct_product(G1, G2)
     d1, d2 = a1.domain_size, a2.domain_size
+    _check_table_cap(G, d1 * d2)
     deg1 = G1.degree
     rows = np.empty((G.order, d1 * d2), dtype=np.int32)
     grid1, grid2 = np.divmod(np.arange(d1 * d2, dtype=np.int32), d2)

@@ -18,34 +18,28 @@ import argparse
 import csv
 import io
 import json
-import math
-import os
 import sys
 import time
-from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
 
 from . import config, theorems
-from .actions import ActionProfile, GroupAction, OrbitDecomposition
+from .actions import ActionProfile, OrbitDecomposition
 from .errors import (CapacityError, DomainError, InvariantError,
-                     StructuralError)
+                     ScenarioError, StructuralError)
 from .groups import Subgroup
 from .linalg import Subspace
 from .rationals import exact_fraction, format_fraction
-from .search import (FAMILIES, PREDICATES, SearchResult, build_action,
-                     build_group, build_representation, search)
+from .search import (FAMILIES, PREDICATES, SET_FUNCTIONS, TASKS, Bindings,
+                     SearchResult, build_action, build_group,
+                     build_representation, resolve_sets, search)
 from .setfuncs import (CoreResult, Exhaustiveness, MinimizationResult,
-                       MuResult, actor_growth, core_set, cut_function,
-                       min_image_ratio, minimize_nonempty, target_growth)
+                       MuResult)
+# perfbench/test_bench.py checks that tracing rebinds cli.min_image_ratio
+from .setfuncs import min_image_ratio  # noqa: F401
 
 VERSION = "0.1.0"
-
-
-class ScenarioError(ValueError):
-    """Scenario text failed validation; maps to exit code 2."""
-
 
 # -- json serialization ---------------------------------------------------------
 
@@ -126,23 +120,6 @@ _ACTION_KEYS = {"natural": set(), "left_translation": set(),
 _REP_KEYS = {"permutation": {"p"}, "matrices": {"p", "generators"},
              "swap": {"p"}}
 _PARAM_KEYS = {"lambda", "alpha", "epsilon", "mu_param", "n_max"}
-_TASK_KEYS: dict[str, set[str]] = {
-    "kneser": {"A", "Y", "example"},
-    "murphy": {"A", "Y", "W"},
-    "small_growth": {"A", "Y", "W", "alpha"},
-    "freiman": {"A", "Y", "W", "alpha"},
-    "ruzsa": {"A", "B", "Y"},
-    "hamidoune": {"Y", "W", "lambda", "A0"},
-    "petridis": {"A", "Y", "W", "alpha"},
-    "tao_doubling": {"A", "Y", "epsilon"},
-    "taod": {"A", "Y", "W", "alpha", "n_max"},
-    "fragment_bounds": {"A", "lambda", "mu_param"},
-    "mu": {"Y"},
-    "minimize": {"function", "A", "Y", "lambda"},
-    "core": {"function", "A", "Y", "lambda"},
-    "orbits": set(),
-    "profile": set(),
-}
 _RATIONAL_TASK_KEYS = {"alpha", "lambda", "epsilon", "mu_param"}
 
 
@@ -272,10 +249,10 @@ def parse_scenario(text: str) -> dict:
             raise ScenarioError(f"{where}: expected an object with a "
                                 f"\"task\" key")
         name = task["task"]
-        if name not in _TASK_KEYS:
+        if name not in TASKS:
             raise ScenarioError(f"{where}: unknown task {name!r} "
-                                f"(known: {', '.join(sorted(_TASK_KEYS))})")
-        _check_keys(where, task, _TASK_KEYS[name] | {"task"})
+                                f"(known: {', '.join(sorted(TASKS))})")
+        _check_keys(where, task, TASKS[name].keys | {"task"})
         for key, val in task.items():
             if key in _RATIONAL_TASK_KEYS:
                 _check_rational(f"{where}.{key}", val)
@@ -303,231 +280,61 @@ def parse_scenario(text: str) -> dict:
                         raise ScenarioError(f"{where}.example.{p}: expected "
                                             f"a positive integer")
             elif key == "function":
-                if val not in ("cut", "actor_growth", "target_growth"):
+                if not isinstance(val, str) or val not in SET_FUNCTIONS:
                     raise ScenarioError(f"{where}.function: unknown function "
                                         f"{val!r}")
         _check_task_required(where, task)
     return sc
 
 
-_TASK_REQUIRED = {
-    "ruzsa": ("A", "B", "Y"), "tao_doubling": ("A", "Y"),
-    "fragment_bounds": ("A",), "mu": ("Y",),
-    "minimize": ("function",), "core": ("function",),
-}
-_TARGET_TASKS = ("murphy", "small_growth", "freiman", "hamidoune",
-                 "petridis", "taod")
-
-
 def _check_task_required(where: str, task: dict) -> None:
-    name = task["task"]
-    for key in _TASK_REQUIRED.get(name, ()):
-        if key not in task:
-            raise ScenarioError(f"{where}: missing required key {key!r}")
     if "W" in task and "Y" in task:
         raise ScenarioError(f"{where}: give either Y (set variant) or "
                             f"W (linear variant), not both")
-    if name == "kneser":
-        if ("example" in task) == ("A" in task and "Y" in task):
-            raise ScenarioError(f"{where}: give either A and Y, or example")
-    elif name in _TARGET_TASKS:
-        if name != "hamidoune" and "A" not in task:
-            raise ScenarioError(f"{where}: missing required key 'A'")
-        if "Y" not in task and "W" not in task:
-            raise ScenarioError(f"{where}: needs a target Y or a subspace W")
-    elif name in ("minimize", "core"):
-        needed = {"actor_growth": "Y", "target_growth": "A"}.get(
-            task["function"])
-        if needed and needed not in task:
-            raise ScenarioError(f"{where}: function "
-                                f"{task['function']!r} needs {needed!r}")
+    spec = TASKS[task["task"]]
+    for key in spec.required:
+        if key not in task:
+            raise ScenarioError(f"{where}: missing required key {key!r}")
+    if spec.either:
+        options, message = spec.either
+        given = [opt for opt in options if any(k in task for k in opt)]
+        if len(given) != 1 or not all(k in task for k in given[0]):
+            raise ScenarioError(f"{where}: {message}")
+    needed = SET_FUNCTIONS.get(task.get("function"))
+    if needed and needed not in task:
+        raise ScenarioError(f"{where}: function {task['function']!r} "
+                            f"needs {needed!r}")
 
 
 # -- scenario execution -----------------------------------------------------------
 
 
-@contextmanager
-def _cap_overrides(caps: dict):
-    saved = {}
-    try:
-        for name, val in caps.items():
-            env = f"SUBACTION_{name}"
-            saved[env] = os.environ.get(env)
-            os.environ[env] = str(val)
-        yield
-    finally:
-        for env, old in saved.items():
-            if old is None:
-                os.environ.pop(env, None)
-            else:
-                os.environ[env] = old
-
-
-def _param(task: dict, params: dict, key: str, required: bool = True):
-    if key in task:
-        return task[key]
-    if key in params:
-        return params[key]
-    if required:
-        raise ScenarioError(f"task {task['task']!r}: missing parameter "
-                            f"{key!r} (set it on the task or in params)")
-    return None
-
-
-def _resolve_sets(G, sets_spec: dict) -> dict:
-    out = {}
-    for name, val in sets_spec.items():
-        if isinstance(val, dict):
-            out[name] = tuple(sorted(G.generated_set(
-                [int(g) for g in val["generate"]])))
-        else:
-            out[name] = tuple(sorted(set(int(x) for x in val)))
-    return out
-
-
-def _kneser_example_task(action: GroupAction, task: dict) -> dict:
-    n = action.domain_size
-    if action.group.order != math.factorial(n):
-        raise ScenarioError("kneser example needs the natural action of "
-                            "the full symmetric group")
-    k, ell = task["example"]["k"], task["example"]["ell"]
-    if not 1 <= k <= ell < n:
-        raise ScenarioError("kneser example needs 1 <= k <= ell < n")
-    ex_action, A, Y, expected = theorems.kneser_example_instance(n, k, ell)
-    report = theorems.check_kneser(ex_action, A, Y)
-    matches = {key: report.details[key] == expected[key] for key in expected}
-    return {"report": to_jsonable(report),
-            "expected": to_jsonable(expected),
-            "matches_expected": matches}
-
-
-def _exec_task(task: dict, *, action, rep, sets, subspaces, params, seed
-               ) -> dict:
+def _exec_task(task: dict, bindings: Bindings) -> dict:
     name = task["task"]
-    out: dict = {"task": name}
-
-    def actor(key="A"):
-        return sets[task[key]]
-
-    def target():
-        return sets[task["Y"]]
-
-    def subspace():
-        return subspaces[task["W"]]
-
-    def need_action():
-        if action is None:
-            raise ScenarioError(f"task {name!r} needs an action")
-        return action
-
-    def need_rep():
-        if rep is None:
-            raise ScenarioError(f"task {name!r} needs a representation")
-        return rep
-
-    linear = "W" in task
-
-    if name == "kneser":
-        if "example" in task:
-            if "A" in task or "Y" in task:
-                raise ScenarioError("kneser task: give either example "
-                                    "or A/Y, not both")
-            out.update(_kneser_example_task(need_action(), task))
-            return out
-        rep_out = theorems.check_kneser(need_action(), actor(), target())
-    elif name == "murphy":
-        obj = need_rep() if linear else need_action()
-        rep_out = theorems.check_murphy(
-            obj, actor(), subspace() if linear else target())
-    elif name == "small_growth":
-        obj = need_rep() if linear else need_action()
-        rep_out = theorems.check_small_growth(
-            obj, actor(), subspace() if linear else target(),
-            _param(task, params, "alpha"))
-    elif name == "freiman":
-        obj = need_rep() if linear else need_action()
-        rep_out = theorems.check_freiman(
-            obj, actor(), subspace() if linear else target(),
-            _param(task, params, "alpha"))
-    elif name == "ruzsa":
-        rep_out = theorems.check_ruzsa_triple(need_action(), actor("A"),
-                                              actor("B"), target())
-    elif name == "hamidoune":
-        A0 = sets[task["A0"]] if "A0" in task else None
-        obj = need_rep() if linear else need_action()
-        rep_out = theorems.check_hamidoune(
-            obj, subspace() if linear else target(),
-            _param(task, params, "lambda"), A0, seed=seed)
-    elif name == "petridis":
-        obj = need_rep() if linear else need_action()
-        rep_out = theorems.find_petridis_witness(
-            obj, actor(), subspace() if linear else target(),
-            _param(task, params, "alpha"), seed=seed)
-    elif name == "tao_doubling":
-        rep_out = theorems.check_tao_small_doubling(
-            need_action(), actor(), target(),
-            _param(task, params, "epsilon"))
-    elif name == "taod":
-        n_max = _param(task, params, "n_max", required=False) or 5
-        obj = need_rep() if linear else need_action()
-        rep_out = theorems.find_taod_witness(
-            obj, actor(), subspace() if linear else target(),
-            _param(task, params, "alpha"), n_max=n_max, seed=seed)
-    elif name == "fragment_bounds":
-        rep_out = theorems.check_fragment_bounds(
-            need_action(), actor(), _param(task, params, "lambda"),
-            _param(task, params, "mu_param", required=False))
-    elif name == "mu":
-        out["result"] = to_jsonable(min_image_ratio(need_action(), target()))
-        return out
-    elif name in ("minimize", "core"):
-        fn_name = task["function"]
-        act = need_action()
-        if fn_name == "cut":
-            f = cut_function(act)
-        elif fn_name == "actor_growth":
-            f = actor_growth(act, target(), _param(task, params, "lambda"))
-        else:
-            f = target_growth(act, actor(), _param(task, params, "lambda"))
-        if name == "minimize":
-            out["result"] = to_jsonable(minimize_nonempty(f))
-        else:
-            out["result"] = to_jsonable(core_set(f))
-        return out
-    elif name == "orbits":
-        out["result"] = to_jsonable(need_action().orbit_decomposition())
-        return out
-    elif name == "profile":
-        out["result"] = to_jsonable(need_action().profile())
-        return out
-    else:  # pragma: no cover - parse_scenario blocks unknown tasks
-        raise ScenarioError(f"unknown task {name!r}")
-
-    out["report"] = to_jsonable(rep_out)
-    out["violated"] = rep_out.violated and name != "kneser"
-    return out
+    result = TASKS[name].run(bindings, task)
+    if isinstance(result, theorems.CheckReport):
+        return {"task": name, "report": to_jsonable(result),
+                "violated": result.violated and name != "kneser"}
+    if isinstance(result, dict):  # the kneser example and its expectations
+        return {"task": name, **to_jsonable(result)}
+    return {"task": name, "result": to_jsonable(result)}
 
 
 def run_scenario(sc: dict) -> dict:
     """Execute a validated scenario and assemble the report dict."""
     started = time.time()
-    with _cap_overrides(sc.get("caps", {})):
+    with config.overrides(sc.get("caps", {})):
         G = build_group(sc["group"])
         action = build_action(G, sc["action"]) if "action" in sc else None
         rep = None
         if "representation" in sc:
             rep = build_representation(G, action, sc["representation"])
-        sets = _resolve_sets(G, sc.get("sets", {}))
-        subspaces = {}
-        for sub_name, rows in sc.get("subspaces", {}).items():
-            subspaces[sub_name] = Subspace.from_vectors(rep.p, rep.dim, rows)
-        params = sc.get("params", {})
-        seed = sc.get("seed")
-        results = [
-            _exec_task(task, action=action, rep=rep, sets=sets,
-                       subspaces=subspaces, params=params, seed=seed)
-            for task in sc["tasks"]
-        ]
+        sets = resolve_sets(G, sc.get("sets", {}))
+        subspaces = {name: Subspace.from_vectors(rep.p, rep.dim, rows)
+                     for name, rows in sc.get("subspaces", {}).items()}
+        bindings = Bindings(action, rep, sets, subspaces,
+                            sc.get("params", {}), sc.get("seed"))
+        results = [_exec_task(task, bindings) for task in sc["tasks"]]
         caps = config.snapshot()
     return {"version": VERSION, "scenario": sc, "results": results,
             "caps": caps,

@@ -3,11 +3,16 @@
 Every cap can be overridden through an environment variable named
 ``SUBACTION_<CAP>``. ``cap()`` re-reads the environment on each call, so an
 override set any time before the capped operation runs takes effect.
+Inside ``with overrides(caps):`` the given values win over the
+environment; the overlay lives in a context variable, so it touches no
+process-global state and ends with the block.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 _DEFAULTS: dict[str, int] = {
     "MAX_GROUP_ORDER": 20160,
@@ -27,9 +32,25 @@ _DEFAULTS: dict[str, int] = {
 }
 
 
+_OVERRIDES: ContextVar[dict[str, int]] = ContextVar("cap_overrides",
+                                                    default={})
+
+
+@contextmanager
+def overrides(caps: dict[str, int]):
+    """Cap values that win over the environment inside the block."""
+    token = _OVERRIDES.set({**_OVERRIDES.get(), **caps})
+    try:
+        yield
+    finally:
+        _OVERRIDES.reset(token)
+
+
 def cap(name: str) -> int:
     if name not in _DEFAULTS:
         raise KeyError(f"unknown cap {name!r}")
+    if name in _OVERRIDES.get():
+        return _OVERRIDES.get()[name]
     raw = os.environ.get(f"SUBACTION_{name}")
     if raw is None:
         return _DEFAULTS[name]

@@ -11,6 +11,10 @@ class DomainError(ValueError):
     """Inputs are well formed but outside an operation's domain."""
 
 
+class ScenarioError(ValueError):
+    """Scenario text failed validation; maps to exit code 2."""
+
+
 class InvariantError(ValueError):
     """A claimed algebraic property fails (not a subgroup, not a homomorphism, ...)."""
 

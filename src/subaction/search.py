@@ -1,27 +1,33 @@
-"""Instance builders and counterexample search.
+"""Instance builders, the task table and counterexample search.
 
-Holds the constructors that turn scenario spec dicts into live objects
-(shared with the CLI runner) and the seeded instance families the search
-subcommand streams through. Search is resumable: instance i is drawn from
-a generator seeded with (seed, i) alone, so a (seed, cursor) pair pins
-down the whole stream.
+Holds the constructors that turn scenario spec dicts into live objects,
+the table of scenario tasks (what each accepts and requires, and the
+runner that executes it), both shared with the CLI runner, and the seeded
+instance families the search subcommand streams through. Search is
+resumable: instance i is drawn from a generator seeded with (seed, i)
+alone, so a (seed, cursor) pair pins down the whole stream. Every drawn
+instance runs as the task of its replay scenario, through the same runner
+that `run` uses.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import theorems
 from .actions import (GroupAction, conjugation_action, coset_action,
                       left_translation_action, natural_action)
-from .errors import DomainError, StructuralError
+from .errors import DomainError, ScenarioError, StructuralError
 from .groups import (FiniteGroup, affine_gl1, alternating, cyclic, dihedral,
                      direct_product, symmetric)
 from .linalg import Representation, permutation_representation, \
     representation_from_generator_matrices
 from .rationals import exact_fraction
+from .setfuncs import (actor_growth, core_set, cut_function, min_image_ratio,
+                       minimize_nonempty, target_growth)
 
 # -- builders ------------------------------------------------------------------
 
@@ -78,6 +84,171 @@ def build_representation(group: FiniteGroup, action: GroupAction | None,
     raise StructuralError(f"unknown representation kind {kind!r}")
 
 
+def resolve_sets(G: FiniteGroup, sets_spec: dict) -> dict:
+    """Sorted tuples by name: listed members, or the subgroup generated."""
+    out = {}
+    for name, val in sets_spec.items():
+        if isinstance(val, dict):
+            out[name] = tuple(sorted(G.generated_set(
+                [int(g) for g in val["generate"]])))
+        else:
+            out[name] = tuple(sorted(set(int(x) for x in val)))
+    return out
+
+
+# -- the task table ------------------------------------------------------------
+
+
+@dataclass
+class Bindings:
+    """What a scenario's tasks run against: the built action and
+    representation, sets and subspaces by name, params and the seed."""
+
+    action: GroupAction | None
+    rep: Representation | None = None
+    sets: dict = field(default_factory=dict)
+    subspaces: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)
+    seed: int | None = None
+
+    def on(self, task: dict) -> GroupAction | Representation:
+        """The representation for a linear variant (the task gives W),
+        else the action."""
+        if "W" in task:
+            if self.rep is None:
+                raise ScenarioError(f"task {task['task']!r} needs a "
+                                    f"representation")
+            return self.rep
+        if self.action is None:
+            raise ScenarioError(f"task {task['task']!r} needs an action")
+        return self.action
+
+    def set(self, task: dict, key: str) -> tuple[int, ...]:
+        return self.sets[task[key]]
+
+    def target(self, task: dict):
+        """Subspace W for a linear variant, else the set Y."""
+        return self.subspaces[task["W"]] if "W" in task \
+            else self.sets[task["Y"]]
+
+    def param(self, task: dict, key: str, required: bool = True):
+        """The task's value for `key`, else the scenario's params value."""
+        value = task.get(key, self.params.get(key))
+        if value is None and required:
+            raise ScenarioError(f"task {task['task']!r}: missing parameter "
+                                f"{key!r} (set it on the task or in params)")
+        return value
+
+
+class TaskSpec(NamedTuple):
+    """A scenario task. `keys` are the keys it accepts besides "task";
+    every key of `required` must be given; `either` is (alternatives,
+    message): exactly one alternative group of keys must be given, in
+    full. `run(bindings, task)` returns the CheckReport, or the raw result
+    of a computation. Runners call the checkers as module attributes
+    (`theorems.check_kneser`), so a wrapper put on the attribute sees the
+    call."""
+
+    keys: frozenset[str]
+    required: tuple[str, ...]
+    either: tuple[tuple[tuple[str, ...], ...], str] | None
+    run: Callable[[Bindings, dict], object]
+
+
+_Y_OR_W = ((("Y",), ("W",)), "needs a target Y or a subspace W")
+_EXAMPLE_OR_AY = ((("A", "Y"), ("example",)),
+                  "give either A and Y, or example")
+
+# the set functions a minimize or core task names, with the set each reads
+SET_FUNCTIONS = {"cut": None, "actor_growth": "Y", "target_growth": "A"}
+
+
+def _kneser(b: Bindings, t: dict):
+    if "example" not in t:
+        return theorems.check_kneser(b.on(t), b.set(t, "A"), b.set(t, "Y"))
+    action = b.on(t)
+    n = action.domain_size
+    if action.group.order != math.factorial(n):
+        raise ScenarioError("kneser example needs the natural action of "
+                            "the full symmetric group")
+    k, ell = t["example"]["k"], t["example"]["ell"]
+    if not 1 <= k <= ell < n:
+        raise ScenarioError("kneser example needs 1 <= k <= ell < n")
+    ex_action, A, Y, expected = theorems.kneser_example_instance(n, k, ell)
+    report = theorems.check_kneser(ex_action, A, Y)
+    return {"report": report, "expected": expected,
+            "matches_expected": {key: report.details[key] == expected[key]
+                                 for key in expected}}
+
+
+def _set_function(b: Bindings, t: dict):
+    fn = t["function"]
+    action = b.on(t)
+    if fn == "cut":
+        return cut_function(action)
+    if fn == "actor_growth":
+        return actor_growth(action, b.set(t, "Y"), b.param(t, "lambda"))
+    return target_growth(action, b.set(t, "A"), b.param(t, "lambda"))
+
+
+TASKS: dict[str, TaskSpec] = {
+    "kneser": TaskSpec(frozenset({"A", "Y", "example"}), (),
+                       _EXAMPLE_OR_AY, _kneser),
+    "murphy": TaskSpec(
+        frozenset({"A", "Y", "W"}), ("A",), _Y_OR_W,
+        lambda b, t: theorems.check_murphy(b.on(t), b.set(t, "A"),
+                                           b.target(t))),
+    "small_growth": TaskSpec(
+        frozenset({"A", "Y", "W", "alpha"}), ("A",), _Y_OR_W,
+        lambda b, t: theorems.check_small_growth(
+            b.on(t), b.set(t, "A"), b.target(t), b.param(t, "alpha"))),
+    "freiman": TaskSpec(
+        frozenset({"A", "Y", "W", "alpha"}), ("A",), _Y_OR_W,
+        lambda b, t: theorems.check_freiman(
+            b.on(t), b.set(t, "A"), b.target(t), b.param(t, "alpha"))),
+    "ruzsa": TaskSpec(
+        frozenset({"A", "B", "Y"}), ("A", "B", "Y"), None,
+        lambda b, t: theorems.check_ruzsa_triple(
+            b.on(t), b.set(t, "A"), b.set(t, "B"), b.set(t, "Y"))),
+    "hamidoune": TaskSpec(
+        frozenset({"Y", "W", "lambda", "A0"}), (), _Y_OR_W,
+        lambda b, t: theorems.check_hamidoune(
+            b.on(t), b.target(t), b.param(t, "lambda"),
+            b.set(t, "A0") if "A0" in t else None, seed=b.seed)),
+    "petridis": TaskSpec(
+        frozenset({"A", "Y", "W", "alpha"}), ("A",), _Y_OR_W,
+        lambda b, t: theorems.find_petridis_witness(
+            b.on(t), b.set(t, "A"), b.target(t), b.param(t, "alpha"),
+            seed=b.seed)),
+    "tao_doubling": TaskSpec(
+        frozenset({"A", "Y", "epsilon"}), ("A", "Y"), None,
+        lambda b, t: theorems.check_tao_small_doubling(
+            b.on(t), b.set(t, "A"), b.set(t, "Y"), b.param(t, "epsilon"))),
+    "taod": TaskSpec(
+        frozenset({"A", "Y", "W", "alpha", "n_max"}), ("A",), _Y_OR_W,
+        lambda b, t: theorems.find_taod_witness(
+            b.on(t), b.set(t, "A"), b.target(t), b.param(t, "alpha"),
+            n_max=b.param(t, "n_max", required=False) or 5, seed=b.seed)),
+    "fragment_bounds": TaskSpec(
+        frozenset({"A", "lambda", "mu_param"}), ("A",), None,
+        lambda b, t: theorems.check_fragment_bounds(
+            b.on(t), b.set(t, "A"), b.param(t, "lambda"),
+            b.param(t, "mu_param", required=False))),
+    "mu": TaskSpec(frozenset({"Y"}), ("Y",), None,
+                   lambda b, t: min_image_ratio(b.on(t), b.set(t, "Y"))),
+    "minimize": TaskSpec(
+        frozenset({"function", "A", "Y", "lambda"}), ("function",), None,
+        lambda b, t: minimize_nonempty(_set_function(b, t))),
+    "core": TaskSpec(
+        frozenset({"function", "A", "Y", "lambda"}), ("function",), None,
+        lambda b, t: core_set(_set_function(b, t))),
+    "orbits": TaskSpec(frozenset(), (), None,
+                       lambda b, t: b.on(t).orbit_decomposition()),
+    "profile": TaskSpec(frozenset(), (), None,
+                        lambda b, t: b.on(t).profile()),
+}
+
+
 # -- families ------------------------------------------------------------------
 
 # name -> list of (group spec, action spec); instances draw a pool entry
@@ -113,6 +284,7 @@ FAMILIES: dict[str, list[tuple[dict, dict]]] = {
 PREDICATES = tuple(theorems.STATEMENT_IDS) + ("kneser_trivial_stabilizer",)
 
 _ALPHA_GRID = ("1/4", "1/2", "3/4", "1")
+_TAOD_ALPHA_GRID = ("1", "3/2", "2")
 _EPS_GRID = ("1/4", "1/2", "1", "3/2")
 _LAM_FACTORS = ("0", "1/4", "1/2", "3/4", "1")
 
@@ -188,103 +360,60 @@ def _orbit_union(rng: random.Random, action: GroupAction,
 
 
 def _draw(rng: random.Random, pool: _Pool, predicate: str
-          ) -> tuple[GroupAction, dict, dict]:
-    """One instance: the action plus the checker arguments, replayable."""
+          ) -> tuple[GroupAction, dict]:
+    """One instance: the action plus the scenario that replays it, whose
+    one task holds the checker arguments under the scenario's keys."""
     action, gspec, aspec = pool.entries[rng.randrange(len(pool.entries))]
     G = action.group
-    args: dict = {}
+    params: dict = {}
     if predicate in ("kneser", "kneser_trivial_stabilizer"):
-        args = {"A": _subset(rng, G.order, 8),
+        sets = {"A": _subset(rng, G.order, 8),
                 "Y": _subset(rng, action.domain_size, 6)}
     elif predicate == "murphy":
         A = _biased_actor(rng, action)
         Y = _orbit_union(rng, action, A) if rng.random() < 0.5 \
             else _subset(rng, action.domain_size, 6)
-        args = {"A": A, "Y": Y}
-    elif predicate in ("small_growth", "freiman", "petridis"):
-        args = {"A": _biased_actor(rng, action),
-                "Y": _subset(rng, action.domain_size, 6),
-                "alpha": rng.choice(_ALPHA_GRID)}
-    elif predicate == "taod":
-        args = {"A": _biased_actor(rng, action),
-                "Y": _subset(rng, action.domain_size, 6),
-                "alpha": rng.choice(("1", "3/2", "2"))}
+        sets = {"A": A, "Y": Y}
+    elif predicate in ("small_growth", "freiman", "petridis", "taod"):
+        sets = {"A": _biased_actor(rng, action),
+                "Y": _subset(rng, action.domain_size, 6)}
+        params = {"alpha": rng.choice(
+            _TAOD_ALPHA_GRID if predicate == "taod" else _ALPHA_GRID)}
     elif predicate == "ruzsa":
-        args = {"A": _subset(rng, G.order, 6),
+        sets = {"A": _subset(rng, G.order, 6),
                 "B": _subset(rng, G.order, 6),
                 "Y": _subset(rng, action.domain_size, 6)}
     elif predicate == "hamidoune":
-        from .setfuncs import min_image_ratio
         Y = _subset(rng, action.domain_size, 6)
-        mu = min_image_ratio(action, Y).mu
-        lam = mu * exact_fraction(rng.choice(_LAM_FACTORS))
-        args = {"Y": Y, "lam": lam}
+        lam = min_image_ratio(action, Y).mu \
+            * exact_fraction(rng.choice(_LAM_FACTORS))
+        sets, params = {"Y": Y}, {"lambda": str(lam)}
         if rng.random() < 0.5:
-            args["A0"] = _subset(rng, G.order, 6)
+            sets["A0"] = _subset(rng, G.order, 6)
     elif predicate == "tao_doubling":
         A = _biased_actor(rng, action)
         Y = _orbit_union(rng, action, A) if rng.random() < 0.5 \
             else _subset(rng, action.domain_size, 4)
-        args = {"A": A, "Y": Y, "eps": rng.choice(_EPS_GRID)}
+        sets = {"A": A, "Y": Y}
+        params = {"epsilon": rng.choice(_EPS_GRID)}
     elif predicate == "fragment_bounds":
-        args = {"A": _subset(rng, G.order, 6),
-                "lam": rng.choice(("0", "1/8", "1/4", "1/2", "3/4", "1")),
-                "mu_param": rng.choice(("1/2", "3/4", "1"))}
+        sets = {"A": _subset(rng, G.order, 6)}
+        params = {"lambda": rng.choice(("0", "1/8", "1/4", "1/2", "3/4", "1")),
+                  "mu_param": rng.choice(("1/2", "3/4", "1"))}
     else:
         raise StructuralError(f"unknown predicate {predicate!r}")
-    scenario = _replay_scenario(gspec, aspec, predicate, args)
-    return action, args, scenario
+    task = {"task": "kneser" if predicate == "kneser_trivial_stabilizer"
+            else predicate, **{key: key for key in sets}, **params}
+    return action, {"group": gspec, "action": aspec,
+                    "sets": {key: list(val) for key, val in sets.items()},
+                    "tasks": [task]}
 
 
-def _replay_scenario(gspec: dict, aspec: dict, predicate: str, args: dict
-                     ) -> dict:
-    """A scenario dict that reruns exactly this instance via `run`."""
-    sets = {}
-    task: dict = {"task": "kneser" if predicate == "kneser_trivial_stabilizer"
-                  else predicate}
-    for key in ("A", "B", "Y", "A0"):
-        if key in args:
-            sets[key] = list(args[key])
-            task[key] = key
-    for key, alias in (("alpha", "alpha"), ("eps", "epsilon"),
-                       ("lam", "lambda"), ("mu_param", "mu_param")):
-        if key in args:
-            v = args[key]
-            task[alias] = str(v) if isinstance(v, Fraction) else v
-    return {"group": gspec, "action": aspec, "sets": sets, "tasks": [task]}
-
-
-def _run_predicate(action: GroupAction, predicate: str, args: dict
-                   ) -> theorems.CheckReport:
-    if predicate in ("kneser", "kneser_trivial_stabilizer"):
-        return theorems.check_kneser(action, args["A"], args["Y"])
-    if predicate == "murphy":
-        return theorems.check_murphy(action, args["A"], args["Y"])
-    if predicate == "small_growth":
-        return theorems.check_small_growth(action, args["A"], args["Y"],
-                                           args["alpha"])
-    if predicate == "freiman":
-        return theorems.check_freiman(action, args["A"], args["Y"],
-                                      args["alpha"])
-    if predicate == "petridis":
-        return theorems.find_petridis_witness(action, args["A"], args["Y"],
-                                              args["alpha"])
-    if predicate == "taod":
-        return theorems.find_taod_witness(action, args["A"], args["Y"],
-                                          args["alpha"])
-    if predicate == "ruzsa":
-        return theorems.check_ruzsa_triple(action, args["A"], args["B"],
-                                           args["Y"])
-    if predicate == "hamidoune":
-        return theorems.check_hamidoune(action, args["Y"], args["lam"],
-                                        args.get("A0"))
-    if predicate == "tao_doubling":
-        return theorems.check_tao_small_doubling(action, args["A"],
-                                                 args["Y"], args["eps"])
-    if predicate == "fragment_bounds":
-        return theorems.check_fragment_bounds(action, args["A"], args["lam"],
-                                              args["mu_param"])
-    raise StructuralError(f"unknown predicate {predicate!r}")
+def _run_drawn(action: GroupAction, scenario: dict) -> theorems.CheckReport:
+    """Run a drawn instance's task as `run` runs its replay scenario."""
+    (task,) = scenario["tasks"]
+    sets = resolve_sets(action.group, scenario["sets"])
+    return TASKS[task["task"]].run(Bindings(action, sets=sets), task)
 
 
 def search(family: str, predicate: str, budget: int, seed: int,
@@ -307,11 +436,11 @@ def search(family: str, predicate: str, budget: int, seed: int,
                           instances=0, hypotheses_held=0)
     for cursor in range(start_cursor, start_cursor + budget):
         rng = random.Random(f"{seed}:{cursor}")
-        action, args, scenario = _draw(rng, pool, predicate)
+        action, scenario = _draw(rng, pool, predicate)
         if predicate == "taod" and not action.group.is_abelian():
             continue
         result.instances += 1
-        report = _run_predicate(action, predicate, args)
+        report = _run_drawn(action, scenario)
         if not report.hypotheses_hold:
             continue
         result.hypotheses_held += 1

@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -84,15 +84,6 @@ def _point_subset(action: GroupAction, Y: Iterable[int], name: str = "Y"
     if items[0] < 0 or items[-1] >= action.domain_size:
         raise DomainError(f"{name} contains a point out of range")
     return tuple(items)
-
-
-def _seeded(seed: int | None) -> tuple[int, random.Random]:
-    s = config.cap("DEFAULT_SEED") if seed is None else int(seed)
-    return s, random.Random(s)
-
-
-def _sample_count(samples: int | None) -> int:
-    return config.cap("SAMPLE_COUNT") if samples is None else int(samples)
 
 
 def _random_nonempty_mask(rng: random.Random, n: int) -> int:
@@ -489,8 +480,7 @@ def _hamidoune_set(action: GroupAction, Y, lam, A0, *, samples, seed
                               "growth": res.min_value, "subgroup_growth": cH}
         exh = _EXHAUSTIVE
     else:
-        s, rng = _seeded(seed)
-        count = _sample_count(samples)
+        subsets, exh = _sampled_sets(n, samples, seed)
         ok = True
         if n <= config.cap("MAX_SUBGROUP_ENUM_ORDER"):
             for sub in G.subgroups():
@@ -501,16 +491,13 @@ def _hamidoune_set(action: GroupAction, Y, lam, A0, *, samples, seed
                                       "subgroup_growth": cH}
                     break
         if ok:
-            for _ in range(count):
-                m = _random_nonempty_mask(rng, n)
-                A = _set_of(m)
+            for A in subsets:
                 if growth(A) < cH:
                     ok = False
                     counterexample = {"A": A, "growth": growth(A),
                                       "subgroup_growth": cH}
                     break
         checks["minimum_at_subgroup"] = ok
-        exh = Exhaustiveness(kind="sampled", samples=count, seed=s)
 
     details: dict = {"mu": mu, "lambda": lam, "subgroup_growth": cH,
                      "subgroup_order": H.order}
@@ -536,19 +523,41 @@ def _hamidoune_set(action: GroupAction, Y, lam, A0, *, samples, seed
         exhaustiveness=exh, details=details)
 
 
-def _module_span_dims(rep: Representation, W: Subspace) -> list[int]:
-    """dim<A.W> for every actor mask, by doubling on the lowest bit."""
-    n = rep.group.order
+def _module_spans(rep: Representation, elements: Sequence[int],
+                  W: Subspace, hint: str) -> list[Subspace]:
+    """<C.W> for every mask C over `elements`, by doubling on the lowest
+    bit; at most LINEAR_EXHAUSTIVE_MAX_ORDER elements."""
+    k = len(elements)
     cap = config.cap("LINEAR_EXHAUSTIVE_MAX_ORDER")
-    if n > cap:
-        raise CapacityError("LINEAR_EXHAUSTIVE_MAX_ORDER", cap, n,
-                            hint="linear variant enumerates all actor sets")
-    images = [rep.act_subspace(g, W) for g in range(n)]
-    spans = [Subspace.zero(rep.p, W.ambient_dim)] * (1 << n)
-    for m in range(1, 1 << n):
+    if k > cap:
+        raise CapacityError("LINEAR_EXHAUSTIVE_MAX_ORDER", cap, k, hint=hint)
+    images = [rep.act_subspace(g, W) for g in elements]
+    spans = [Subspace.zero(rep.p, W.ambient_dim)] * (1 << k)
+    for m in range(1, 1 << k):
         b = (m & -m).bit_length() - 1
         spans[m] = spans[m ^ (1 << b)].sum(images[b])
-    return [s.dim for s in spans]
+    return spans
+
+
+def _sampled_sets(n: int, samples: int | None, seed: int | None
+                  ) -> tuple[Iterator[tuple[int, ...]], Exhaustiveness]:
+    """Seeded random nonempty subsets of range(n), drawn as iterated;
+    `samples` and `seed` default to the SAMPLE_COUNT and DEFAULT_SEED
+    caps."""
+    s = config.cap("DEFAULT_SEED") if seed is None else int(seed)
+    count = config.cap("SAMPLE_COUNT") if samples is None else int(samples)
+    rng = random.Random(s)
+    return ((_set_of(_random_nonempty_mask(rng, n)) for _ in range(count)),
+            Exhaustiveness(kind="sampled", samples=count, seed=s))
+
+
+def _actor_sets(n: int, samples: int | None, seed: int | None
+                ) -> tuple[Iterator[tuple[int, ...]], Exhaustiveness]:
+    """The nonempty actor sets C a linear for-all-C check runs over: all
+    of them up to PETRIDIS_EXHAUSTIVE_MAX_ORDER, else seeded samples."""
+    if n <= config.cap("PETRIDIS_EXHAUSTIVE_MAX_ORDER"):
+        return (_set_of(m) for m in range(1, 1 << n)), _EXHAUSTIVE
+    return _sampled_sets(n, samples, seed)
 
 
 def _hamidoune_linear(rep: Representation, W: Subspace, lam, A0
@@ -556,7 +565,8 @@ def _hamidoune_linear(rep: Representation, W: Subspace, lam, A0
     G = rep.group
     lam = exact_fraction(lam)
     n = G.order
-    dims = _module_span_dims(rep, W)
+    dims = [s.dim for s in _module_spans(
+        rep, range(n), W, "linear variant enumerates all actor sets")]
     mu = min(Fraction(dims[m], int(m).bit_count())
              for m in range(1, 1 << n))
     if not 0 <= lam <= mu:
@@ -667,11 +677,9 @@ def find_petridis_witness(obj: GroupAction | Representation, A, Y, alpha,
                 "rhs": alpha * len(G.product_set(C, B))}
         exh = _EXHAUSTIVE
     else:
-        s, rng = _seeded(seed)
-        count = _sample_count(samples)
+        subsets, exh = _sampled_sets(n, samples, seed)
         ok = True
-        for _ in range(count):
-            C = _set_of(_random_nonempty_mask(rng, n))
+        for C in subsets:
             CB = G.product_set(C, B)
             if Fraction(action.image_size(CB, Y)) > alpha * len(CB):
                 ok = False
@@ -679,7 +687,6 @@ def find_petridis_witness(obj: GroupAction | Representation, A, Y, alpha,
                                   "lhs": action.image_size(CB, Y),
                                   "rhs": alpha * len(CB)}
                 break
-        exh = Exhaustiveness(kind="sampled", samples=count, seed=s)
 
     holds = ok and ratio <= alpha
     return CheckReport(
@@ -702,33 +709,15 @@ def _petridis_linear(rep: Representation, A, W: Subspace, alpha: Fraction,
         return _failed("petridis", {"span_dim": span.dim,
                                     "actor_size": len(A),
                                     "bound": alpha * len(A)})
-    k = len(A)
-    cap = config.cap("LINEAR_EXHAUSTIVE_MAX_ORDER")
-    if k > cap:
-        raise CapacityError("LINEAR_EXHAUSTIVE_MAX_ORDER", cap, k,
-                            hint="witness search enumerates subsets of A")
-    images = [rep.act_subspace(a, W) for a in A]
-    spans = [Subspace.zero(rep.p, W.ambient_dim)] * (1 << k)
-    for m in range(1, 1 << k):
-        b = (m & -m).bit_length() - 1
-        spans[m] = spans[m ^ (1 << b)].sum(images[b])
+    spans = _module_spans(rep, A, W, "witness search enumerates subsets of A")
     wmask = _ratio_argmin([(spans[m].dim, int(m).bit_count())
-                           for m in range(1, 1 << k)])
-    B = tuple(A[i] for i in range(k) if (wmask >> i) & 1)
+                           for m in range(1, len(spans))])
+    B = tuple(a for i, a in enumerate(A) if (wmask >> i) & 1)
     ratio = Fraction(spans[wmask].dim, len(B))
 
-    n = G.order
     counterexample = None
     ok = True
-    if n <= config.cap("PETRIDIS_EXHAUSTIVE_MAX_ORDER"):
-        subsets = (_set_of(m) for m in range(1, 1 << n))
-        exh = _EXHAUSTIVE
-    else:
-        s, rng = _seeded(seed)
-        count = _sample_count(samples)
-        subsets = (_set_of(_random_nonempty_mask(rng, n))
-                   for _ in range(count))
-        exh = Exhaustiveness(kind="sampled", samples=count, seed=s)
+    subsets, exh = _actor_sets(G.order, samples, seed)
     for C in subsets:
         CB = G.product_set(C, B)
         d = rep.module_span(CB, W).dim
@@ -849,11 +838,9 @@ def find_taod_witness(obj: GroupAction | Representation, A, Y, alpha,
                               "rhs": alpha * len(CZ)}
         exh = _EXHAUSTIVE
     else:
-        s, rng = _seeded(seed)
-        count = _sample_count(samples)
+        subsets, exh = _sampled_sets(n, samples, seed)
         ok = True
-        for _ in range(count):
-            C = _set_of(_random_nonempty_mask(rng, n))
+        for C in subsets:
             CZ = action.act_set(C, Z)
             if Fraction(action.image_size(A, CZ)) > alpha * len(CZ):
                 ok = False
@@ -861,7 +848,6 @@ def find_taod_witness(obj: GroupAction | Representation, A, Y, alpha,
                                   "lhs": action.image_size(A, CZ),
                                   "rhs": alpha * len(CZ)}
                 break
-        exh = Exhaustiveness(kind="sampled", samples=count, seed=s)
 
     powers = {}
     for k in range(1, n_max + 1):
@@ -904,18 +890,9 @@ def _taod_linear(rep: Representation, A, W: Subspace, alpha: Fraction,
         if best is None or r < best:
             best, Z = r, S
 
-    n = G.order
     ok = True
     counterexample = None
-    if n <= config.cap("PETRIDIS_EXHAUSTIVE_MAX_ORDER"):
-        subsets = (_set_of(m) for m in range(1, 1 << n))
-        exh = _EXHAUSTIVE
-    else:
-        s, rng = _seeded(seed)
-        count = _sample_count(samples)
-        subsets = (_set_of(_random_nonempty_mask(rng, n))
-                   for _ in range(count))
-        exh = Exhaustiveness(kind="sampled", samples=count, seed=s)
+    subsets, exh = _actor_sets(G.order, samples, seed)
     for C in subsets:
         CZ = rep.module_span(C, Z)
         AC = G.product_set(A, C)

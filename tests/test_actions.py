@@ -229,18 +229,39 @@ def test_orbit_reduction_sandwich():
     assert red.holds
 
 
-@pytest.mark.parametrize("build", [left_translation_action,
-                                   conjugation_action])
-def test_order_squared_tables_refused_before_they_are_built(build,
+def _table_builds() -> dict:
+    """Each builder with its cap, its table entries and the group method a
+    row build calls; the groups are built before that method is patched."""
+    S4 = symmetric(4)
+    H = S4.generated_subgroup([S4.element_index(from_cycles(4, [(0, 1)]))])
+    S3, C3 = natural_action(symmetric(3)), natural_action(cyclic(3))
+    return {
+        # 24 x 24 tables: 576 entries
+        "left_translation_action": (lambda: left_translation_action(S4),
+                                    500, 576, "mul_row"),
+        "conjugation_action": (lambda: conjugation_action(S4),
+                               500, 576, "mul_row"),
+        # S4 on the 12 cosets of an order-2 subgroup: 288 entries
+        "coset_action": (lambda: coset_action(S4, H), 100, 288, "mul_row"),
+        # S3 x C3 on 3 x 3 points: 162 entries
+        "product_action": (lambda: product_action(S3, C3),
+                           100, 162, "element_index"),
+    }
+
+
+@pytest.mark.parametrize("name", ["left_translation_action",
+                                  "conjugation_action", "coset_action",
+                                  "product_action"])
+def test_order_squared_tables_refused_before_they_are_built(name,
                                                             monkeypatch):
-    G = symmetric(4)  # a 24 x 24 table: 576 entries
-    monkeypatch.setenv("SUBACTION_MAX_ACT_TABLE_ENTRIES", "500")
-    rows = []
-    monkeypatch.setattr(FiniteGroup, "mul_row",
-                        lambda self, g: rows.append(g))
+    build, limit, entries, method = _table_builds()[name]
+    monkeypatch.setenv("SUBACTION_MAX_ACT_TABLE_ENTRIES", str(limit))
+    calls = []
+    monkeypatch.setattr(FiniteGroup, method,
+                        lambda self, g: calls.append(g))
     with pytest.raises(CapacityError) as ei:
-        build(G)
+        build()
     err = ei.value
     assert (err.cap_name, err.cap_value, err.measured) == \
-        ("MAX_ACT_TABLE_ENTRIES", 500, 576)
-    assert rows == []
+        ("MAX_ACT_TABLE_ENTRIES", limit, entries)
+    assert calls == []

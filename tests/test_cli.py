@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from subaction import cli, theorems
+from subaction import cli, config, theorems
 from subaction.cli import (ScenarioError, main, parse_scenario, run_scenario,
                            to_jsonable)
 from subaction.groups import symmetric
@@ -184,10 +184,22 @@ def test_run_scenario_missing_param():
 
 
 def test_caps_override_scoped_to_run(monkeypatch):
-    monkeypatch.delenv("SUBACTION_MAX_GROUP_ORDER", raising=False)
+    for name in list(os.environ):
+        if name.startswith("SUBACTION_"):
+            monkeypatch.delenv(name)
+    real = theorems.check_kneser
+    seen = []
+
+    def recording(*args):
+        seen.append(([k for k in os.environ if k.startswith("SUBACTION_")],
+                     config.cap("MAX_GROUP_ORDER")))
+        return real(*args)
+
+    monkeypatch.setattr(theorems, "check_kneser", recording)
     sc = _parse(_minimal(caps={"MAX_GROUP_ORDER": 5000}))
     report = run_scenario(sc)
     assert report["caps"]["MAX_GROUP_ORDER"] == 5000
+    assert seen == [([], 5000)]  # the cap applies, the environment is clean
     assert "SUBACTION_MAX_GROUP_ORDER" not in os.environ
 
 

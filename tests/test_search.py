@@ -1,10 +1,14 @@
 """Seeded instance streams: determinism, resumability, classification."""
 
+import json
+import random
+
 import pytest
 
-from subaction.cli import parse_scenario, run_scenario
+from subaction.cli import parse_scenario, run_scenario, to_jsonable
 from subaction.errors import StructuralError
-from subaction.search import (FAMILIES, PREDICATES, build_action, build_group,
+from subaction.search import (FAMILIES, PREDICATES, _draw, _Pool, _run_drawn,
+                              build_action, build_group,
                               build_representation, search)
 
 
@@ -65,16 +69,12 @@ def test_search_deterministic():
 
 
 def test_search_seed_changes_stream():
-    import random
-
-    from subaction.search import _draw, _Pool
-
     def stream(seed):
         pool = _Pool("symmetric_natural")
         out = []
         for cursor in range(10):
             rng = random.Random(f"{seed}:{cursor}")
-            _action, _args, scenario = _draw(rng, pool, "kneser")
+            _action, scenario = _draw(rng, pool, "kneser")
             out.append(scenario)
         return out
 
@@ -128,15 +128,25 @@ def test_trivial_stabilizer_filter_empty_on_affine():
 
 
 def test_findings_replay_through_cli():
+    # the first kneser findings, then cursor 0 of every family x predicate:
+    # the report the search route computed equals, in full, the report
+    # `run` gives for the instance's replay scenario
     res = search("symmetric_natural", "kneser", 150, seed=7)
     assert res.findings
-    import json
-    for rec in res.findings[:3]:
-        sc = parse_scenario(json.dumps(rec.scenario))
-        report = run_scenario(sc)
-        inner = report["results"][0]["report"]
-        assert inner["statement_id"] == rec.report.statement_id
-        assert inner["conclusion_holds"] == rec.report.conclusion_holds
+    drawn = []
+    for family in sorted(FAMILIES):
+        pool = _Pool(family)
+        for predicate in PREDICATES:
+            action, scenario = _draw(random.Random("7:0"), pool, predicate)
+            if predicate == "taod" and not action.group.is_abelian():
+                continue  # search skips these draws
+            drawn.append((scenario, _run_drawn(action, scenario)))
+    assert len(drawn) == 73
+    drawn += [(rec.scenario, rec.report) for rec in res.findings[:3]]
+    for scenario, report in drawn:
+        replayed = run_scenario(parse_scenario(json.dumps(scenario)))
+        assert replayed["results"][0]["report"] == to_jsonable(report), \
+            scenario
 
 
 def test_unknown_family_and_predicate():
