@@ -15,24 +15,25 @@ proved result and signals a bug somewhere.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from functools import reduce
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import config
-from ._kernels import MAX_N, SubsetFold, check_pair_ratio
+from ._kernels import MAX_COEFF, MAX_N, SubsetFold, check_pair_ratio
 from .actions import GroupAction, natural_action
 from .errors import CapacityError, DomainError, StructuralError
 from .groups import FiniteGroup, symmetric
 from .linalg import Representation, Subspace, enumerate_subspaces
 from .rationals import exact_fraction, format_fraction
-from .setfuncs import (Exhaustiveness, _mask_of, _scaled_table, _set_of,
-                       actor_growth, identity_atom, min_image_ratio,
+from .setfuncs import (Exhaustiveness, SetFunction, _mask_of, _scaled_table,
+                       _set_of, actor_growth, identity_atom, min_image_ratio,
                        minimize_nonempty, target_growth)
-from .linalg import actor_growth_linear
 
 STATEMENT_IDS = ("kneser", "murphy", "small_growth", "freiman", "ruzsa",
                  "hamidoune", "petridis", "tao_doubling", "taod",
@@ -91,6 +92,83 @@ def _random_nonempty_mask(rng: random.Random, n: int) -> int:
     if m == 0:
         m = 1 << rng.randrange(n)
     return m
+
+
+def _sampled_sets(n: int, samples: int | None, seed: int | None
+                  ) -> tuple[Iterator[frozenset[int]], Exhaustiveness]:
+    """Seeded random nonempty subsets of range(n), drawn as iterated;
+    `samples` and `seed` default to the SAMPLE_COUNT and DEFAULT_SEED
+    caps."""
+    s = config.cap("DEFAULT_SEED") if seed is None else int(seed)
+    count = config.cap("SAMPLE_COUNT") if samples is None else int(samples)
+    rng = random.Random(s)
+    return ((_set_of(_random_nonempty_mask(rng, n)) for _ in range(count)),
+            Exhaustiveness(kind="sampled", samples=count, seed=s))
+
+
+def _doubling(table: Sequence, empty, join: Callable) -> Iterator:
+    """The join of table[b] over the bits b of m, for m = 0, 1, 2, ... in
+    ascending order, each from m without its lowest bit."""
+    joins = [empty]
+    yield empty
+    for m in range(1, 1 << len(table)):
+        low = m & -m
+        joins.append(join(joins[m ^ low], table[low.bit_length() - 1]))
+        yield joins[m]
+
+
+def _side(table: list) -> tuple:
+    """(empty, join, size) for one side of a for-all-C bound: int masks
+    join by OR and measure by popcount, subspaces by sum and dim."""
+    if isinstance(table[0], Subspace):
+        return (Subspace.zero(table[0].p, table[0].ambient_dim),
+                Subspace.sum, operator.attrgetter("dim"))
+    return 0, operator.or_, int.bit_count
+
+
+def _forall_actor_sets(left: list, right: list, alpha: Fraction,
+                       samples: int | None, seed: int | None
+                       ) -> tuple[dict | None, Exhaustiveness]:
+    """The first nonempty C with size(join of left[c], c in C) >
+    alpha * size(join of right[c], c in C), one table entry per group
+    element, as a counterexample {"C", "lhs", "rhs"} or None, with the
+    route's exhaustiveness.
+
+    Up to PETRIDIS_EXHAUSTIVE_MAX_ORDER elements every C is tried in
+    ascending mask order: by the pair-ratio kernel when both sides are
+    masks under 64 bits, else by doubling. Above it the seeded
+    `_sampled_sets` stream is tried in draw order.
+    """
+    n = len(left)
+    (lempty, ljoin, lsize), (rempty, rjoin, rsize) = _side(left), _side(right)
+    num, den = alpha.numerator, alpha.denominator
+
+    def sizes(C) -> tuple[int, int]:
+        return (lsize(reduce(ljoin, (left[c] for c in C), lempty)),
+                rsize(reduce(rjoin, (right[c] for c in C), rempty)))
+
+    def exceeds(lhs: int, rhs: int) -> bool:
+        return den * lhs > num * rhs
+
+    if n > config.cap("PETRIDIS_EXHAUSTIVE_MAX_ORDER"):
+        subsets, exh = _sampled_sets(n, samples, seed)
+        C = next((C for C in subsets if exceeds(*sizes(C))), None)
+    else:
+        exh = _EXHAUSTIVE
+        if ljoin is rjoin is operator.or_ and n <= MAX_N \
+                and max(num, den) < MAX_COEFF \
+                and max(left + right) >> _MASK_LIMIT == 0:
+            _ok, first, _checked = check_pair_ratio(left, right, num, den)
+        else:
+            joins = zip(_doubling(left, lempty, ljoin),
+                        _doubling(right, rempty, rjoin))
+            first = next((m for m, (lj, rj) in enumerate(joins)
+                          if exceeds(lsize(lj), rsize(rj))), None)
+        C = None if first is None else _set_of(first)
+    if C is None:
+        return None, exh
+    lhs, rhs = sizes(C)
+    return {"C": C, "lhs": lhs, "rhs": alpha * rhs}, exh
 
 
 def _failed(statement_id: str, details: dict) -> CheckReport:
@@ -424,7 +502,10 @@ def check_hamidoune(obj: GroupAction | Representation, Y, lam, A0=None,
     """For lam in [0, mu] there is a subgroup H containing the stabilizer of Y
     with c_Y(A) >= c_Y(H) >= |Y| - lam|H| for every nonempty A."""
     if isinstance(obj, Representation):
-        return _hamidoune_linear(obj, Y, lam, A0)
+        if A0 is not None:
+            raise DomainError("A0 is not supported on representations: the "
+                              "corollary is stated for actions only")
+        return _hamidoune_linear(obj, Y, lam)
     return _hamidoune_set(obj, Y, lam, A0, samples=samples, seed=seed)
 
 
@@ -532,36 +613,11 @@ def _module_spans(rep: Representation, elements: Sequence[int],
     if k > cap:
         raise CapacityError("LINEAR_EXHAUSTIVE_MAX_ORDER", cap, k, hint=hint)
     images = [rep.act_subspace(g, W) for g in elements]
-    spans = [Subspace.zero(rep.p, W.ambient_dim)] * (1 << k)
-    for m in range(1, 1 << k):
-        b = (m & -m).bit_length() - 1
-        spans[m] = spans[m ^ (1 << b)].sum(images[b])
-    return spans
+    return list(_doubling(images, Subspace.zero(rep.p, W.ambient_dim),
+                          Subspace.sum))
 
 
-def _sampled_sets(n: int, samples: int | None, seed: int | None
-                  ) -> tuple[Iterator[tuple[int, ...]], Exhaustiveness]:
-    """Seeded random nonempty subsets of range(n), drawn as iterated;
-    `samples` and `seed` default to the SAMPLE_COUNT and DEFAULT_SEED
-    caps."""
-    s = config.cap("DEFAULT_SEED") if seed is None else int(seed)
-    count = config.cap("SAMPLE_COUNT") if samples is None else int(samples)
-    rng = random.Random(s)
-    return ((_set_of(_random_nonempty_mask(rng, n)) for _ in range(count)),
-            Exhaustiveness(kind="sampled", samples=count, seed=s))
-
-
-def _actor_sets(n: int, samples: int | None, seed: int | None
-                ) -> tuple[Iterator[tuple[int, ...]], Exhaustiveness]:
-    """The nonempty actor sets C a linear for-all-C check runs over: all
-    of them up to PETRIDIS_EXHAUSTIVE_MAX_ORDER, else seeded samples."""
-    if n <= config.cap("PETRIDIS_EXHAUSTIVE_MAX_ORDER"):
-        return (_set_of(m) for m in range(1, 1 << n)), _EXHAUSTIVE
-    return _sampled_sets(n, samples, seed)
-
-
-def _hamidoune_linear(rep: Representation, W: Subspace, lam, A0
-                      ) -> CheckReport:
+def _hamidoune_linear(rep: Representation, W: Subspace, lam) -> CheckReport:
     G = rep.group
     lam = exact_fraction(lam)
     n = G.order
@@ -574,20 +630,14 @@ def _hamidoune_linear(rep: Representation, W: Subspace, lam, A0
             f"lambda must lie in [0, mu] = [0, {format_fraction(mu)}]; "
             f"got {format_fraction(lam)}")
     GW = rep.subspace_stabilizer(W)
-    if lam == 0:
-        H = GW
-    else:
-        H = identity_atom(actor_growth_linear(rep, W, lam), G)
-    hmask = _mask_of(H.member_tuple)
-
-    def gamma(m: int) -> Fraction:
-        return dims[m] - lam * int(m).bit_count()
-
-    cH = gamma(hmask)
-    min_gamma = min(gamma(m) for m in range(1, 1 << n))
+    gamma = SetFunction(n, f"actor_growth_linear[{rep.name}]",
+                        fn=lambda m: dims[m] - lam * m.bit_count())
+    res = minimize_nonempty(gamma, fragment_cap=0)
+    H = identity_atom(gamma, G, res) if lam else GW
+    cH = gamma.value(H.member_tuple)
     checks = {"stabilizer_in_subgroup": GW.members <= H.members,
               "floor_bound": cH >= W.dim - lam * H.order,
-              "minimum_at_subgroup": min_gamma >= cH}
+              "minimum_at_subgroup": res.min_value >= cH}
     holds = all(checks.values())
     return CheckReport(
         statement_id="hamidoune", hypotheses_hold=True,
@@ -660,35 +710,12 @@ def find_petridis_witness(obj: GroupAction | Representation, A, Y, alpha,
     B = tuple(A[i] for i in range(len(A)) if (wmask >> i) & 1)
     ratio = Fraction(p, q)
     BY = action.act_set(B, Y)
+    counterexample, exh = _forall_actor_sets(
+        [_mask_of(row) for row in action.table[:, sorted(BY)].tolist()],
+        [_mask_of(G.translate_set(c, B)) for c in range(G.order)],
+        alpha, samples, seed)
 
-    n = G.order
-    counterexample = None
-    if n <= config.cap("PETRIDIS_EXHAUSTIVE_MAX_ORDER") \
-            and action.domain_size <= _MASK_LIMIT and n <= _MASK_LIMIT:
-        lhs = [_mask_of(action.act_set((c,), BY)) for c in range(n)]
-        rhs = [_mask_of(G.translate_set(c, B)) for c in range(n)]
-        ok, viol, _checked = check_pair_ratio(
-            lhs, rhs, alpha.numerator, alpha.denominator)
-        if not ok:
-            C = _set_of(viol)
-            counterexample = {
-                "C": C,
-                "lhs": action.image_size(G.product_set(C, B), Y),
-                "rhs": alpha * len(G.product_set(C, B))}
-        exh = _EXHAUSTIVE
-    else:
-        subsets, exh = _sampled_sets(n, samples, seed)
-        ok = True
-        for C in subsets:
-            CB = G.product_set(C, B)
-            if Fraction(action.image_size(CB, Y)) > alpha * len(CB):
-                ok = False
-                counterexample = {"C": C,
-                                  "lhs": action.image_size(CB, Y),
-                                  "rhs": alpha * len(CB)}
-                break
-
-    holds = ok and ratio <= alpha
+    holds = counterexample is None and ratio <= alpha
     return CheckReport(
         statement_id="petridis", hypotheses_hold=True,
         conclusion_holds=holds,
@@ -714,19 +741,12 @@ def _petridis_linear(rep: Representation, A, W: Subspace, alpha: Fraction,
                            for m in range(1, len(spans))])
     B = tuple(a for i, a in enumerate(A) if (wmask >> i) & 1)
     ratio = Fraction(spans[wmask].dim, len(B))
+    counterexample, exh = _forall_actor_sets(
+        [rep.act_subspace(c, spans[wmask]) for c in range(G.order)],
+        [_mask_of(G.translate_set(c, B)) for c in range(G.order)],
+        alpha, samples, seed)
 
-    counterexample = None
-    ok = True
-    subsets, exh = _actor_sets(G.order, samples, seed)
-    for C in subsets:
-        CB = G.product_set(C, B)
-        d = rep.module_span(CB, W).dim
-        if Fraction(d) > alpha * len(CB):
-            ok = False
-            counterexample = {"C": C, "lhs": d, "rhs": alpha * len(CB)}
-            break
-
-    holds = ok and ratio <= alpha
+    holds = counterexample is None and ratio <= alpha
     return CheckReport(
         statement_id="petridis", hypotheses_hold=True,
         conclusion_holds=holds,
@@ -820,40 +840,16 @@ def find_taod_witness(obj: GroupAction | Representation, A, Y, alpha,
     p, q, wmask = SubsetFold(masks).min_ratio()
     Z = tuple(Y[i] for i in range(len(Y)) if (wmask >> i) & 1)
     ratio = Fraction(p, q)
-
-    n = G.order
-    counterexample = None
-    if n <= config.cap("PETRIDIS_EXHAUSTIVE_MAX_ORDER") \
-            and action.domain_size <= _MASK_LIMIT:
-        lhs = [_mask_of(action.act_set(A, action.act_point_set(c, Z)))
-               for c in range(n)]
-        rhs = [_mask_of(action.act_point_set(c, Z)) for c in range(n)]
-        ok, viol, _checked = check_pair_ratio(
-            lhs, rhs, alpha.numerator, alpha.denominator)
-        if not ok:
-            C = _set_of(viol)
-            CZ = action.act_set(C, Z)
-            counterexample = {"C": C,
-                              "lhs": action.image_size(A, CZ),
-                              "rhs": alpha * len(CZ)}
-        exh = _EXHAUSTIVE
-    else:
-        subsets, exh = _sampled_sets(n, samples, seed)
-        ok = True
-        for C in subsets:
-            CZ = action.act_set(C, Z)
-            if Fraction(action.image_size(A, CZ)) > alpha * len(CZ):
-                ok = False
-                counterexample = {"C": C,
-                                  "lhs": action.image_size(A, CZ),
-                                  "rhs": alpha * len(CZ)}
-                break
+    CZ = action.table[:, list(Z)].tolist()
+    counterexample, exh = _forall_actor_sets(
+        [_mask_of(action.act_set(A, cz)) for cz in CZ],
+        [_mask_of(cz) for cz in CZ], alpha, samples, seed)
 
     powers = {}
     for k in range(1, n_max + 1):
         Ak = G.product_power(A, k)
         powers[k] = Fraction(action.image_size(Ak, Z)) <= alpha ** k * len(Z)
-    holds = ok and all(powers.values())
+    holds = counterexample is None and all(powers.values())
     if holds is False and counterexample is None:
         counterexample = {"failed_powers":
                           sorted(k for k, v in powers.items() if not v)}
@@ -890,24 +886,16 @@ def _taod_linear(rep: Representation, A, W: Subspace, alpha: Fraction,
         if best is None or r < best:
             best, Z = r, S
 
-    ok = True
-    counterexample = None
-    subsets, exh = _actor_sets(G.order, samples, seed)
-    for C in subsets:
-        CZ = rep.module_span(C, Z)
-        AC = G.product_set(A, C)
-        d = rep.module_span(AC, Z).dim
-        if Fraction(d) > alpha * CZ.dim:
-            ok = False
-            counterexample = {"C": C, "lhs": d, "rhs": alpha * CZ.dim}
-            break
+    CZ = [rep.act_subspace(c, Z) for c in range(G.order)]
+    counterexample, exh = _forall_actor_sets(
+        [rep.module_span(A, cz) for cz in CZ], CZ, alpha, samples, seed)
 
     powers = {}
     for k in range(1, n_max + 1):
         Ak = G.product_power(A, k)
         powers[k] = Fraction(rep.module_span(Ak, Z).dim) \
             <= alpha ** k * Z.dim
-    holds = ok and all(powers.values())
+    holds = counterexample is None and all(powers.values())
     if holds is False and counterexample is None:
         counterexample = {"failed_powers":
                           sorted(k for k, v in powers.items() if not v)}

@@ -269,6 +269,31 @@ def test_exit_2_on_domain_error(tmp_path, capsys):
     assert "lambda must lie in" in capsys.readouterr().err
 
 
+def test_linear_hamidoune_refuses_a0(tmp_path, capsys):
+    # the corollary on A0 is stated for actions; a representation must not
+    # skip it silently
+    path = _write(tmp_path, {
+        "group": {"kind": "cyclic", "n": 4},
+        "action": {"kind": "left_translation"},
+        "representation": {"kind": "permutation", "p": 2},
+        "sets": {"A0": [0, 1]},
+        "subspaces": {"W": [[1, 0, 0, 0]]},
+        "tasks": [{"task": "hamidoune", "W": "W", "A0": "A0",
+                   "lambda": "1/4"}]})
+    assert main(["run", path]) == 2
+    assert "A0" in capsys.readouterr().err
+
+
+def test_readme_caps_table_lists_every_cap():
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
+                               "README.md"), encoding="utf-8").read()
+    section = readme.split("## Capacity caps", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines()
+            if line.startswith("| `")]
+    assert {name.strip(" `"): int(value)
+            for name, value in rows} == config._DEFAULTS
+
+
 def test_exit_3_on_capacity(tmp_path, capsys):
     path = _write(tmp_path, {
         "group": {"kind": "symmetric", "n": 4},

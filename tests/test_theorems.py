@@ -1,21 +1,26 @@
 """One test block per growth statement checker, set and linear variants."""
 
+import functools
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subaction import theorems
+from subaction import config, theorems
 from subaction.actions import (conjugation_action, left_translation_action,
                                natural_action)
 from subaction.errors import CapacityError, DomainError, StructuralError
 from subaction.groups import (cyclic, dihedral, direct_product, symmetric)
-from subaction.linalg import (Subspace, permutation_representation,
+from subaction.linalg import (Representation, Subspace, actor_growth_linear,
+                              permutation_representation,
                               representation_from_generator_matrices)
-from subaction.setfuncs import Exhaustiveness
+from subaction.setfuncs import Exhaustiveness, identity_atom
 from subaction.theorems import (STATEMENT_IDS, check_fragment_bounds,
                                 check_freiman, check_hamidoune, check_kneser,
                                 check_murphy, check_ruzsa_triple,
@@ -341,6 +346,29 @@ def test_hamidoune_linear():
     assert rep.hypotheses_hold and rep.conclusion_holds
 
 
+def test_hamidoune_linear_builds_each_span_once(monkeypatch):
+    # every actor set's span comes from the one doubling table; none is
+    # rebuilt from scratch for the minimisation
+    rep_obj = permutation_representation(left_translation_action(cyclic(8)),
+                                         2)
+    W = Subspace.from_vectors(2, 8, [[1, 1] + [0] * 6])
+    real = Representation.module_span
+    calls = []
+
+    def counting(self, A, S):
+        calls.append(1)
+        return real(self, A, S)
+
+    for lam in ("1/4", "7/8"):  # mu = 7/8: atoms {e} and G
+        monkeypatch.setattr(Representation, "module_span", counting)
+        rep = check_hamidoune(rep_obj, W, lam)
+        monkeypatch.undo()
+        assert calls == []
+        assert rep.conclusion_holds
+        H = identity_atom(actor_growth_linear(rep_obj, W, lam), rep_obj.group)
+        assert rep.witnesses["subgroup"].members == H.members
+
+
 def test_hamidoune_sampled_on_larger_group():
     G = symmetric(5)
     action = natural_action(G)  # order 120 > exhaustive caps
@@ -391,6 +419,16 @@ def test_petridis_alpha_nonnegative():
     action = natural_action(symmetric(3))
     with pytest.raises(DomainError):
         find_petridis_witness(action, (0,), (0,), "-1")
+
+
+def test_petridis_alpha_too_wide_for_the_int64_kernel():
+    # the pair-ratio kernel multiplies in int64; such an alpha is checked
+    # exhaustively by doubling instead
+    action = left_translation_action(cyclic(5))
+    alpha = Fraction(2 ** 70 + 1, 2 ** 70)
+    rep = find_petridis_witness(action, range(5), (0,), alpha)
+    assert rep.conclusion_holds
+    assert rep.exhaustiveness.kind == "exhaustive"
 
 
 def test_petridis_sampled_above_order_cap():
@@ -569,3 +607,68 @@ def test_violated_property():
     assert check_kneser(action, A, Y).violated
     ok = check_kneser(action, (0,), (0,))
     assert not ok.violated
+
+
+# -- the for-all-C verifier ------------------------------------------------------
+
+
+def _verifier_table(data, n):
+    """One side of a for-all-C bound: masks under 64 bits, masks across
+    the 64-bit boundary, or subspaces of F_2^3 or F_3^3."""
+    kind = data.draw(st.sampled_from(("masks", "wide", 2, 3)))
+    if kind in ("masks", "wide"):
+        shift = 0 if kind == "masks" else 61
+        return data.draw(st.lists(st.integers(0, 31).map(
+            lambda m: m << shift), min_size=n, max_size=n))
+    vectors = st.lists(st.integers(0, kind - 1), min_size=3, max_size=3)
+    return [Subspace.from_vectors(kind, 3, data.draw(
+        st.lists(vectors, max_size=2))) for _ in range(n)]
+
+
+def _brute_size(table, C):
+    if isinstance(table[0], Subspace):
+        return Subspace.from_vectors(table[0].p, 3, [
+            row for c in C for row in table[c].rows]).dim
+    return bin(functools.reduce(operator.or_, (table[c] for c in C), 0)
+               ).count("1")
+
+
+def _brute_first_violation(left, right, alpha, candidates):
+    for C in candidates:
+        lhs, rhs = _brute_size(left, C), _brute_size(right, C)
+        if lhs > alpha * rhs:
+            return {"C": frozenset(C), "lhs": lhs, "rhs": alpha * rhs}
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_forall_actor_sets_matches_brute_force(data):
+    n = data.draw(st.integers(1, 6))
+    left, right = _verifier_table(data, n), _verifier_table(data, n)
+    alpha = Fraction(data.draw(st.integers(0, 6)), data.draw(st.integers(1, 3)))
+    ascending = [[c for c in range(n) if m >> c & 1] for m in range(1, 1 << n)]
+    expected = _brute_first_violation(left, right, alpha, ascending)
+
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        real = theorems.check_pair_ratio
+        mp.setattr(theorems, "check_pair_ratio",
+                   lambda *args: calls.append(1) or real(*args))
+        got = theorems._forall_actor_sets(left, right, alpha, None, None)
+        assert got == (expected, Exhaustiveness("exhaustive"))
+        kernel = all(isinstance(m, int) and m < 1 << 64 for m in left + right)
+        assert calls == ([1] if kernel else [])
+        if kernel and any(left + right):
+            # the same sets 64 bits up: the doubling route must agree
+            wide = theorems._forall_actor_sets(
+                [m << 64 for m in left], [m << 64 for m in right], alpha,
+                None, None)
+            assert len(calls) == 1 and wide == got
+
+    samples, seed = data.draw(st.integers(1, 40)), data.draw(st.integers(0, 99))
+    with config.overrides({"PETRIDIS_EXHAUSTIVE_MAX_ORDER": 0}):
+        got = theorems._forall_actor_sets(left, right, alpha, samples, seed)
+    stream, exh = theorems._sampled_sets(n, samples, seed)
+    assert exh == Exhaustiveness("sampled", samples, seed)
+    assert got == (_brute_first_violation(left, right, alpha, stream), exh)
