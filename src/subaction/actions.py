@@ -21,8 +21,8 @@ from .groups import CosetDecomposition, FiniteGroup, Subgroup, affine_gl1, direc
 from .rationals import exact_fraction as _exact_ratio
 
 
-def _check_table_cap(group: FiniteGroup, domain_size: int) -> None:
-    entries = group.order * domain_size
+def _check_table_cap(order: int, domain_size: int) -> None:
+    entries = order * domain_size
     limit = config.cap("MAX_ACT_TABLE_ENTRIES")
     if entries > limit:
         raise CapacityError("MAX_ACT_TABLE_ENTRIES", limit, entries)
@@ -32,7 +32,7 @@ class GroupAction:
     def __init__(self, group: FiniteGroup, domain_size: int, table: np.ndarray,
                  *, name: str | None = None, point_labels: Sequence[str] | None = None,
                  _verified: bool = False):
-        _check_table_cap(group, domain_size)
+        _check_table_cap(group.order, domain_size)
         table = np.ascontiguousarray(table, dtype=np.int32)
         if table.shape != (group.order, domain_size):
             raise StructuralError(
@@ -291,36 +291,32 @@ def natural_action(G: FiniteGroup) -> GroupAction:
 
 
 def left_translation_action(G: FiniteGroup) -> GroupAction:
-    _check_table_cap(G, G.order)
-    rows = np.vstack([G.mul_row(g) for g in range(G.order)])
+    _check_table_cap(G.order, G.order)
+    ar = np.arange(G.order)
+    rows = G._products(ar, ar)
     labels = [str(p) for p in G.elements]
     return GroupAction(G, G.order, rows, name=f"left<{G.name}>",
                        point_labels=labels)
 
 
 def conjugation_action(G: FiniteGroup) -> GroupAction:
-    _check_table_cap(G, G.order)
-    rows = np.empty((G.order, G.order), dtype=np.int32)
-    inv = G.inv_table
-    for g in range(G.order):
-        gx = G.mul_row(g)
-        rows[g] = np.fromiter((G.mul(int(t), int(inv[g])) for t in gx),
-                              dtype=np.int32, count=G.order) \
-            if G.mul_table is None else G.mul_table[gx, inv[g]]
+    _check_table_cap(G.order, G.order)
+    # row g holds g * (x * g^-1) for every x
+    right = G._products(np.arange(G.order), G.inv_table)
+    rows = np.vstack([G._products([g], right[:, g])[0]
+                      for g in range(G.order)])
     labels = [str(p) for p in G.elements]
     return GroupAction(G, G.order, rows, name=f"conj<{G.name}>",
                        point_labels=labels)
 
 
 def coset_action(G: FiniteGroup, H: Subgroup) -> GroupAction:
-    _check_table_cap(G, G.order // H.order)
+    _check_table_cap(G.order, G.order // H.order)
     cd = G.left_cosets(H)
-    reps = np.fromiter(cd.representatives, dtype=np.int64)
-    rows = np.empty((G.order, len(reps)), dtype=np.int32)
-    for g in range(G.order):
-        rows[g] = cd.rep_position[G.mul_row(g)[reps]]
+    rows = cd.rep_position[G._products(np.arange(G.order),
+                                       cd.representatives)]
     labels = [f"{G.elements[r]}H" for r in cd.representatives]
-    return GroupAction(G, len(reps), rows, name=f"cosets<{G.name}/{H.order}>",
+    return GroupAction(G, cd.index, rows, name=f"cosets<{G.name}/{H.order}>",
                        point_labels=labels)
 
 
@@ -334,17 +330,14 @@ def affine_line_action(p: int) -> GroupAction:
 def product_action(a1: GroupAction, a2: GroupAction) -> GroupAction:
     """Componentwise action of the direct product on the cartesian domain."""
     G1, G2 = a1.group, a2.group
-    G = direct_product(G1, G2)
     d1, d2 = a1.domain_size, a2.domain_size
-    _check_table_cap(G, d1 * d2)
+    _check_table_cap(G1.order * G2.order, d1 * d2)
+    G = direct_product(G1, G2)
     deg1 = G1.degree
-    rows = np.empty((G.order, d1 * d2), dtype=np.int32)
-    grid1, grid2 = np.divmod(np.arange(d1 * d2, dtype=np.int32), d2)
-    for g, perm in enumerate(G.elements):
-        g1 = G1.element_index(type(perm)(tuple(perm.images[:deg1])))
-        g2 = G2.element_index(type(perm)(
-            tuple(x - deg1 for x in perm.images[deg1:])))
-        rows[g] = a1.table[g1][grid1] * d2 + a2.table[g2][grid2]
+    g1 = G1._lookup(G.images[:, :deg1])
+    g2 = G2._lookup(G.images[:, deg1:] - deg1)
+    grid1, grid2 = np.divmod(np.arange(d1 * d2), d2)
+    rows = a1.table[g1][:, grid1] * d2 + a2.table[g2][:, grid2]
     labels = None
     if a1.point_labels or a2.point_labels:
         l1 = a1.point_labels or [str(x) for x in range(d1)]

@@ -276,7 +276,8 @@ def parse_scenario(text: str) -> dict:
                     raise ScenarioError(f"{where}.example: expected an object")
                 _check_keys(f"{where}.example", val, {"k", "ell"})
                 for p in ("k", "ell"):
-                    if not isinstance(val.get(p), int) or val[p] < 1:
+                    if not isinstance(val.get(p), int) \
+                            or isinstance(val[p], bool) or val[p] < 1:
                         raise ScenarioError(f"{where}.example.{p}: expected "
                                             f"a positive integer")
             elif key == "function":
@@ -431,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--budget", required=True, type=int,
                           help="instance count")
     p_search.add_argument("--seed", type=int,
-                          default=config.cap("DEFAULT_SEED"))
+                          help="default: the DEFAULT_SEED cap")
     p_search.add_argument("--cursor", type=int, default=0,
                           help="resume position")
     p_search.add_argument("--out", help="write the report here")
@@ -461,8 +462,10 @@ def main(argv: list[str] | None = None) -> int:
             return 1 if violated else 0
         if args.command == "search":
             started = time.time()
+            seed = config.cap("DEFAULT_SEED") if args.seed is None \
+                else args.seed
             res = search(args.family, args.predicate, args.budget,
-                         args.seed, args.cursor)
+                         seed, args.cursor)
             _emit(_dump(_search_report(res, time.time() - started)),
                   args.out)
             return 1 if res.violations else 0

@@ -14,6 +14,8 @@ import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 
+from .errors import StructuralError
+
 _DEFAULTS: dict[str, int] = {
     "MAX_GROUP_ORDER": 20160,
     "MAX_SUBGROUP_ENUM_ORDER": 1000,
@@ -54,7 +56,11 @@ def cap(name: str) -> int:
     raw = os.environ.get(f"SUBACTION_{name}")
     if raw is None:
         return _DEFAULTS[name]
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise StructuralError(f"SUBACTION_{name}={raw!r} is not an "
+                              f"integer") from None
 
 
 def snapshot() -> dict[str, int]:

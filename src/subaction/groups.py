@@ -2,13 +2,16 @@
 
 Elements are indexed by breadth-first closure order from the input
 generators, so index 0 is always the identity and every element ``g`` has a
-recorded factorisation ``g = gen * earlier_element``. Multiplication tables
-are materialised only up to a size cap; larger groups compose on demand.
+recorded factorisation ``g = gen * earlier_element``. Every element is found
+from its image row: the rows, viewed as fixed-width byte strings, are sorted
+once and searched with ``np.searchsorted``. Multiplication tables are
+materialised only up to a size cap; larger groups compose image rows and
+look the products up in blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -16,6 +19,8 @@ import numpy as np
 from . import config
 from .errors import CapacityError, DomainError, InvariantError, StructuralError
 from .perms import Permutation, from_cycles, identity
+
+_PRODUCT_BLOCK = 1 << 20  # composed image entries per lookup block
 
 
 class FiniteGroup:
@@ -30,48 +35,47 @@ class FiniteGroup:
             order_cap = config.cap("MAX_GROUP_ORDER")
         self.degree = degree
         self.name = name or "gen<" + ", ".join(str(g) for g in generators) + ">"
+        key = np.dtype((np.void, 4 * degree))  # an image row as bytes
 
-        # breadth-first closure; deterministic element order
-        e = identity(degree)
-        elements: list[Permutation] = [e]
-        index: dict[tuple[int, ...], int] = {e.images: 0}
-        gens: list[Permutation] = []
-        for g in generators:
-            if g.images not in {h.images for h in gens}:
-                gens.append(g)
-        gen_of = [-1]
-        parent_of = [-1]
-        frontier = [0]
-        while frontier:
-            nxt: list[int] = []
-            for f in frontier:
-                fp = elements[f]
-                for si, s in enumerate(gens):
-                    prod = tuple(s.images[y] for y in fp.images)
-                    if prod not in index:
-                        if len(elements) >= order_cap:
-                            raise CapacityError("MAX_GROUP_ORDER", order_cap,
-                                                len(elements) + 1,
-                                                hint="closure still growing")
-                        index[prod] = len(elements)
-                        elements.append(Permutation(prod))
-                        gen_of.append(si)
-                        parent_of.append(f)
-                        nxt.append(index[prod])
-            frontier = nxt
+        # breadth-first closure, one frontier level at a time; a level's
+        # new elements are its products s * f in (f, s) order, first
+        # occurrences only, so the element order is that of a scalar BFS
+        gens = np.array(list(dict.fromkeys(g.images for g in generators)),
+                        dtype=np.int32)
+        m = len(gens)
+        frontier = np.arange(degree, dtype=np.int32)[None]
+        seen = {frontier.tobytes()}
+        levels, gen_of, parent_of = [frontier], [-1], [-1]
+        first, order = 0, 1  # the index of frontier[0], the elements so far
+        while len(frontier):
+            prods = np.ascontiguousarray(
+                gens[:, frontier].swapaxes(0, 1)).reshape(-1, degree)
+            at = []
+            for i, k in enumerate(prods.view(key)[:, 0].tolist()):
+                if k not in seen:
+                    seen.add(k)
+                    at.append(i)
+                    gen_of.append(i % m)
+                    parent_of.append(i // m + first)
+            if order + len(at) > order_cap:
+                raise CapacityError("MAX_GROUP_ORDER", order_cap, order_cap + 1,
+                                    hint="closure still growing")
+            first, order = order, order + len(at)
+            frontier = prods[at]
+            levels.append(frontier)
+        del seen  # freed before the element list is built
 
-        self.elements = elements
-        self.order = len(elements)
-        self._index = index
-        self.generator_indices = tuple(index[g.images] for g in gens)
+        self.images = np.concatenate(levels)
+        self.order = order
+        keys = self.images.view(key)[:, 0]
+        self._key_order = np.argsort(keys).astype(np.int32)
+        self._keys = keys[self._key_order]
+        self.generator_indices = tuple(self._lookup(gens).tolist())
         self._gen_of = np.asarray(gen_of, dtype=np.int32)
         self._parent_of = np.asarray(parent_of, dtype=np.int32)
-        self.images = np.array([p.images for p in elements], dtype=np.int32)
-
-        inv = np.empty(self.order, dtype=np.int32)
-        for i, p in enumerate(elements):
-            inv[i] = index[p.inverse().images]
-        self.inv_table = inv
+        self.inv_table = self._lookup(np.argsort(self.images, axis=1))
+        self.elements = [Permutation(tuple(r))
+                         for level in levels for r in level.tolist()]
 
         self.mul_table: np.ndarray | None = None
         if self.order * self.order <= config.cap("MAX_MUL_TABLE_ENTRIES"):
@@ -79,20 +83,41 @@ class FiniteGroup:
         self._row_cache: dict[int, np.ndarray] = {}
         self._subgroups: list["Subgroup"] | None = None
 
+    def _lookup(self, rows) -> np.ndarray:
+        """Element indices of image rows; DomainError names a non-element."""
+        rows = np.ascontiguousarray(rows, dtype=np.int32)
+        if rows.shape[-1] == self.degree:
+            keys = rows.view(self._keys.dtype)[..., 0]
+            pos = np.minimum(np.searchsorted(self._keys, keys), self.order - 1)
+            found = self._keys[pos] == keys
+            if found.all():
+                return self._key_order[pos]
+            rows = rows[~found]
+        bad = Permutation(tuple(rows.reshape(-1, rows.shape[-1])[0].tolist()))
+        raise DomainError(f"{bad} is not an element of {self.name}")
+
+    def _products(self, a, b) -> np.ndarray:
+        """The |a| x |b| array of element indices ``a[i] * b[j]``."""
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        if self.mul_table is not None:
+            return self.mul_table[a[:, None], b]
+        out = np.empty((a.size, b.size), dtype=np.int32)
+        right = self.images[b]
+        step = max(1, _PRODUCT_BLOCK // max(1, right.size))
+        for lo in range(0, a.size, step):
+            out[lo:lo + step] = self._lookup(
+                np.take(self.images[a[lo:lo + step]], right, axis=1))
+        return out
+
     def _build_mul_table(self) -> None:
         n = self.order
         table = np.empty((n, n), dtype=np.int32)
         table[0] = np.arange(n, dtype=np.int32)
         # generator rows by direct lookup, the rest by left-translation
         # composition along the closure factorisation g = s * parent
-        gen_rows: dict[int, np.ndarray] = {}
-        for si, gi in enumerate(self.generator_indices):
-            row = np.empty(n, dtype=np.int32)
-            s_imgs = self.images[gi]
-            comp = s_imgs[self.images]
-            for h in range(n):
-                row[h] = self._index[tuple(comp[h])]
-            gen_rows[si] = row
+        gen_rows = [self._lookup(self.images[gi][self.images])
+                    for gi in self.generator_indices]
         for g in range(1, n):
             s_row = gen_rows[self._gen_of[g]]
             table[g] = s_row[table[self._parent_of[g]]]
@@ -103,7 +128,7 @@ class FiniteGroup:
     def mul(self, i: int, j: int) -> int:
         if self.mul_table is not None:
             return int(self.mul_table[i, j])
-        return int(self.mul_row(i)[j])
+        return int(self._products([i], [j])[0, 0])
 
     def inv(self, i: int) -> int:
         return int(self.inv_table[i])
@@ -114,17 +139,11 @@ class FiniteGroup:
             return self.mul_table[g]
         row = self._row_cache.get(g)
         if row is None:
-            comp = self.images[g][self.images]
-            row = np.fromiter(
-                (self._index[tuple(r)] for r in comp), dtype=np.int32, count=self.order
-            )
-            self._row_cache[g] = row
+            row = self._row_cache[g] = self._lookup(self.images[g][self.images])
         return row
 
     def element_index(self, p: Permutation) -> int:
-        if p.images not in self._index:
-            raise DomainError(f"{p} is not an element of {self.name}")
-        return self._index[p.images]
+        return int(self._lookup([p.images])[0])
 
     def conjugate(self, g: int, x: int) -> int:
         return self.mul(self.mul(g, x), self.inv(g))
@@ -155,9 +174,7 @@ class FiniteGroup:
         a, b = self._as_indices(A), self._as_indices(B)
         if a.size == 0 or b.size == 0:
             return frozenset()
-        if self.mul_table is not None:
-            return frozenset(np.unique(self.mul_table[np.ix_(a, b)]).tolist())
-        return frozenset(self.mul(int(x), int(y)) for x in a for y in b)
+        return frozenset(np.unique(self._products(a, b)).tolist())
 
     def inverse_set(self, A: Iterable[int]) -> frozenset[int]:
         return frozenset(self.inv_table[self._as_indices(A)].tolist())
@@ -173,8 +190,7 @@ class FiniteGroup:
         return out
 
     def translate_set(self, g: int, A: Iterable[int]) -> frozenset[int]:
-        a = self._as_indices(A)
-        return frozenset(self.mul_row(g)[a].tolist())
+        return frozenset(self._products([g], self._as_indices(A))[0].tolist())
 
     def conjugate_set(self, g: int, A: Iterable[int]) -> frozenset[int]:
         return frozenset(self.conjugate(g, int(x)) for x in self._as_indices(A))
@@ -192,12 +208,7 @@ class FiniteGroup:
             return frozenset({0})
         frontier = np.array([0], dtype=np.int64)
         while frontier.size:
-            if self.mul_table is not None:
-                prods = np.unique(self.mul_table[np.ix_(frontier, gens)])
-            else:
-                prods = np.unique(np.fromiter(
-                    (self.mul(int(f), int(s)) for f in frontier for s in gens),
-                    dtype=np.int64))
+            prods = np.unique(self._products(frontier, gens))
             new = prods[~member[prods]]
             member[new] = True
             frontier = new
@@ -228,9 +239,8 @@ class FiniteGroup:
             for g in range(n):
                 if covered[g]:
                     continue
-                gH = self.mul_row(g)[harr]
-                for h in harr:
-                    covered[self.mul_row(int(h))[gH]] = True
+                gH = self._products([g], harr)[0]
+                covered[self._products(harr, gH)] = True  # the double coset HgH
                 K = self.generated_set(list(H) + [g])
                 if K not in seen:
                     seen.add(K)
@@ -251,7 +261,7 @@ class FiniteGroup:
         for g in range(n):
             if rep_of[g] >= 0:
                 continue
-            coset = self.mul_row(g)[harr]
+            coset = self._products([g], harr)[0]
             rep_of[coset] = len(reps)
             reps.append(g)
             cosets.append(frozenset(coset.tolist()))
@@ -296,11 +306,7 @@ def _verify_subgroup(G: FiniteGroup, members: frozenset[int]) -> None:
         raise DomainError("member index out of range")
     if not set(G.inv_table[arr].tolist()) <= members:
         raise InvariantError("set is not inverse-closed")
-    if G.mul_table is not None:
-        prods = set(np.unique(G.mul_table[np.ix_(arr, arr)]).tolist())
-    else:
-        prods = {G.mul(int(a), int(b)) for a in arr for b in arr}
-    if not prods <= members:
+    if not set(np.unique(G._products(arr, arr)).tolist()) <= members:
         raise InvariantError("set is not product-closed")
 
 

@@ -230,22 +230,23 @@ def test_orbit_reduction_sandwich():
 
 
 def _table_builds() -> dict:
-    """Each builder with its cap, its table entries and the group method a
-    row build calls; the groups are built before that method is patched."""
+    """Each builder with its cap, its table entries and the group method its
+    table build calls; the groups are built before that method is patched."""
     S4 = symmetric(4)
     H = S4.generated_subgroup([S4.element_index(from_cycles(4, [(0, 1)]))])
     S3, C3 = natural_action(symmetric(3)), natural_action(cyclic(3))
     return {
         # 24 x 24 tables: 576 entries
         "left_translation_action": (lambda: left_translation_action(S4),
-                                    500, 576, "mul_row"),
+                                    500, 576, "_products"),
         "conjugation_action": (lambda: conjugation_action(S4),
-                               500, 576, "mul_row"),
+                               500, 576, "_products"),
         # S4 on the 12 cosets of an order-2 subgroup: 288 entries
-        "coset_action": (lambda: coset_action(S4, H), 100, 288, "mul_row"),
-        # S3 x C3 on 3 x 3 points: 162 entries
+        "coset_action": (lambda: coset_action(S4, H), 100, 288, "_products"),
+        # S3 x C3 on 3 x 3 points: 162 entries; the product group is not
+        # closed either, since its closure looks up inverses
         "product_action": (lambda: product_action(S3, C3),
-                           100, 162, "element_index"),
+                           100, 162, "_lookup"),
     }
 
 
@@ -258,7 +259,7 @@ def test_order_squared_tables_refused_before_they_are_built(name,
     monkeypatch.setenv("SUBACTION_MAX_ACT_TABLE_ENTRIES", str(limit))
     calls = []
     monkeypatch.setattr(FiniteGroup, method,
-                        lambda self, g: calls.append(g))
+                        lambda self, *args: calls.append(args))
     with pytest.raises(CapacityError) as ei:
         build()
     err = ei.value

@@ -58,6 +58,9 @@ def test_minimal_scenario_parses():
     (lambda sc: sc.update(caps={"MAX_GROUP_ORDER": 0}),
      "positive integers"),
     (lambda sc: sc.update(seed="zero"), "expected an integer"),
+    (lambda sc: sc.update(tasks=[{"task": "kneser",
+                                  "example": {"k": True, "ell": 2}}]),
+     "example.k: expected a positive integer"),
     (lambda sc: sc.update(sets={"A": []}), "nonempty list of integers"),
     (lambda sc: sc.update(
         subspaces={"W": [[1, 0]]}), "subspaces need a representation"),
@@ -334,6 +337,25 @@ def test_search_seed_defaults_to_the_seed_cap(tmp_path, monkeypatch):
                  "--predicate", "kneser", "--budget", "5",
                  "--out", str(out)]) == 0
     assert json.loads(out.read_text())["search"]["seed"] == 11
+
+
+def test_malformed_cap_variable_exits_2(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, _minimal())
+    monkeypatch.setenv("SUBACTION_SAMPLE_COUNT", "abc")
+    assert main(["run", path]) == 2
+    assert "SUBACTION_SAMPLE_COUNT='abc' is not an integer" in \
+        capsys.readouterr().err
+    # the search seed's default is read from its cap inside main
+    monkeypatch.delenv("SUBACTION_SAMPLE_COUNT")
+    search = ["search", "--family", "cyclic_translation",
+              "--predicate", "kneser", "--budget", "2"]
+    monkeypatch.setenv("SUBACTION_DEFAULT_SEED", "0x1")
+    assert main(search) == 2
+    assert "SUBACTION_DEFAULT_SEED='0x1'" in capsys.readouterr().err
+    # zero is a seed, not a malformed value
+    monkeypatch.setenv("SUBACTION_DEFAULT_SEED", "0")
+    assert main(search) == 0
+    assert json.loads(capsys.readouterr().out)["search"]["seed"] == 0
 
 
 def test_cli_report_roundtrip(tmp_path, capsys):

@@ -2,15 +2,19 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subaction import config, groups
+from subaction.actions import conjugation_action
 from subaction.errors import CapacityError, DomainError, InvariantError
-from subaction.groups import (FiniteGroup, affine_gl1, alternating, cyclic,
-                              dihedral, direct_product, from_generators,
-                              symmetric)
-from subaction.perms import from_cycles, identity
+from subaction.groups import (FiniteGroup, Subgroup, affine_gl1, alternating,
+                              cyclic, dihedral, direct_product,
+                              from_generators, symmetric)
+from subaction.perms import Permutation, from_cycles, identity
+from subaction.search import FAMILIES, build_group
 
 
 @pytest.mark.parametrize("ctor,arg,order", [
@@ -38,8 +42,27 @@ def test_affine_needs_prime():
         affine_gl1(6)
 
 
+# small groups with a mul table, and builders for the tableless checks;
+# D8 x C9 has degree 17
+_BUILDERS = {"S4": lambda: symmetric(4), "D5": lambda: dihedral(5),
+             "Aff(5)": lambda: affine_gl1(5),
+             "D8xC9": lambda: direct_product(dihedral(8), cyclic(9))}
+
+
+def _tableless(build):
+    with config.overrides({"MAX_MUL_TABLE_ENTRIES": 1}):
+        G = build()
+    assert G.mul_table is None
+    return G
+
+
+_PAIRS = {name: (build(), _tableless(build))
+          for name, build in _BUILDERS.items()}
+
+
 def test_mul_table_matches_composition():
-    for G in (symmetric(4), dihedral(5), affine_gl1(5)):
+    tabled = (symmetric(4), dihedral(5), affine_gl1(5))
+    for G in tabled + tuple(_tableless(b) for b in _BUILDERS.values()):
         for i in range(G.order):
             for j in range(G.order):
                 assert G.elements[G.mul(i, j)] == G.elements[i] * G.elements[j]
@@ -67,8 +90,85 @@ def test_abelian_flag():
 
 
 def test_group_order_cap():
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError) as ei:
         symmetric(9)
+    assert ei.value.cap_name == "MAX_GROUP_ORDER"
+    gens = [from_cycles(4, [(0, 1)]), from_cycles(4, [(0, 1, 2, 3)])]
+    assert from_generators(gens, order_cap=24).order == 24
+    for cap in (1, 10, 23):
+        with pytest.raises(CapacityError) as ei:
+            from_generators(gens, order_cap=cap)
+        err = ei.value
+        assert (err.cap_name, err.cap_value, err.measured) == \
+            ("MAX_GROUP_ORDER", cap, cap + 1)
+
+
+def test_element_index_refuses_non_members():
+    G = alternating(4)
+    assert G.elements[G.element_index(from_cycles(4, [(0, 1, 2)]))] == \
+        from_cycles(4, [(0, 1, 2)])
+    for p in (from_cycles(4, [(0, 1)]), from_cycles(5, [(0, 1, 2)])):
+        with pytest.raises(DomainError) as ei:
+            G.element_index(p)
+        assert str(ei.value) == f"{p} is not an element of A4"
+
+
+# -- element order: a reference closure ------------------------------------------
+
+
+def _oracle_closure(generators: list[Permutation]) -> dict:
+    """Scalar breadth-first closure over a dict of image tuples: the
+    element order, factorisation and inverses that indices must keep."""
+    gens = list(dict.fromkeys(g.images for g in generators))
+    e = tuple(range(len(gens[0])))
+    index, elements, gen_of, parent_of = {e: 0}, [e], [-1], [-1]
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for si, s in enumerate(gens):
+                prod = tuple(s[y] for y in elements[f])
+                if prod not in index:
+                    index[prod] = len(elements)
+                    elements.append(prod)
+                    gen_of.append(si)
+                    parent_of.append(f)
+                    nxt.append(index[prod])
+        frontier = nxt
+    return {"images": elements, "_gen_of": gen_of, "_parent_of": parent_of,
+            "generator_indices": [index[g] for g in gens],
+            "inv_table": [index[Permutation(p).inverse().images]
+                          for p in elements]}
+
+
+def _with_generators(build, monkeypatch) -> tuple[FiniteGroup, list]:
+    """The group ``build`` returns and the generators it was closed from."""
+    given_gens = []
+    init = FiniteGroup.__init__
+
+    def spy(self, generators, **kwargs):
+        given_gens.append(list(generators))
+        init(self, generators, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(FiniteGroup, "__init__", spy)
+        G = build()
+    return G, given_gens[-1]
+
+
+_ORDER_CASES = {build_group(g).name: lambda g=g: build_group(g)
+                for specs in FAMILIES.values() for g, _a in specs}
+_ORDER_CASES.update({"S7": lambda: symmetric(7),
+                     "A8": lambda: alternating(8)})
+
+
+@pytest.mark.parametrize("case", sorted(_ORDER_CASES))
+def test_element_order_matches_reference_closure(case, monkeypatch):
+    G, gens = _with_generators(_ORDER_CASES[case], monkeypatch)
+    want = _oracle_closure(gens)
+    for attr, value in want.items():
+        assert np.array_equal(np.asarray(getattr(G, attr)), value), attr
+    assert G.order == len(want["images"])
 
 
 def test_from_generators_rejects_mixed_degrees():
@@ -129,6 +229,42 @@ def test_conjugate_set():
     g = 3
     expected = frozenset(G.mul(G.mul(g, a), G.inv(g)) for a in A)
     assert G.conjugate_set(g, A) == expected
+
+
+def test_tableless_build_matches_tabled(monkeypatch):
+    # blocks of a few rows, so that products span several lookups
+    monkeypatch.setattr(groups, "_PRODUCT_BLOCK", 500)
+    for name, (T, U) in _PAIRS.items():
+        ar = np.arange(T.order)
+        assert np.array_equal(U._products(ar, ar), T.mul_table), name
+        assert np.array_equal(T.images, U.images), name
+        assert np.array_equal(T.inv_table, U.inv_table), name
+        assert T.generator_indices == U.generator_indices, name
+        for g in range(T.order):
+            assert np.array_equal(T.mul_row(g), U.mul_row(g)), (name, g)
+        assert np.array_equal(conjugation_action(T).table,
+                              conjugation_action(U).table), name
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_tableless_set_algebra_matches_tabled(data):
+    T, U = _PAIRS[data.draw(st.sampled_from(sorted(_PAIRS)))]
+    subset = st.sets(st.integers(0, T.order - 1), min_size=1, max_size=6)
+    A, B = data.draw(subset), data.draw(subset)
+    g = data.draw(st.integers(0, T.order - 1))
+    assert T.product_set(A, B) == U.product_set(A, B) == \
+        frozenset(T.mul(a, b) for a in A for b in B)
+    assert T.generated_set(A) == U.generated_set(A)
+    assert T.translate_set(g, A) == U.translate_set(g, A)
+    members = frozenset(A) | T.inverse_set(A) | {0}
+    closed = T.generated_set(A) == members
+    for G in (T, U):
+        if closed:
+            assert Subgroup(G, members).order == len(members)
+        else:
+            with pytest.raises(InvariantError):
+                Subgroup(G, members)
 
 
 def test_element_range_checked():
