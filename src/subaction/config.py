@@ -1,7 +1,8 @@
 """Capacity caps and determinism defaults.
 
 Every cap can be overridden through an environment variable named
-``SUBACTION_<CAP>``. ``cap()`` re-reads the environment on each call, so an
+``SUBACTION_<CAP>``, which must hold a positive integer (any integer for
+``DEFAULT_SEED``). ``cap()`` re-reads the environment on each call, so an
 override set any time before the capped operation runs takes effect.
 Inside ``with overrides(caps):`` the given values win over the
 environment; the overlay lives in a context variable, so it touches no
@@ -57,10 +58,14 @@ def cap(name: str) -> int:
     if raw is None:
         return _DEFAULTS[name]
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise StructuralError(f"SUBACTION_{name}={raw!r} is not an "
                               f"integer") from None
+    if value < 1 and name != "DEFAULT_SEED":
+        raise StructuralError(f"SUBACTION_{name}={raw!r}: caps must be "
+                              f"positive integers")
+    return value
 
 
 def snapshot() -> dict[str, int]:

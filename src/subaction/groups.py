@@ -12,6 +12,7 @@ look the products up in blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -74,14 +75,18 @@ class FiniteGroup:
         self._gen_of = np.asarray(gen_of, dtype=np.int32)
         self._parent_of = np.asarray(parent_of, dtype=np.int32)
         self.inv_table = self._lookup(np.argsort(self.images, axis=1))
-        self.elements = [Permutation(tuple(r))
-                         for level in levels for r in level.tolist()]
 
         self.mul_table: np.ndarray | None = None
         if self.order * self.order <= config.cap("MAX_MUL_TABLE_ENTRIES"):
             self._build_mul_table()
         self._row_cache: dict[int, np.ndarray] = {}
         self._subgroups: list["Subgroup"] | None = None
+
+    @cached_property
+    def elements(self) -> list[Permutation]:
+        """The elements as permutations, in index order, built on first
+        read; closure rows are permutations, so they are not re-checked."""
+        return [Permutation.unchecked(tuple(r)) for r in self.images.tolist()]
 
     def _lookup(self, rows) -> np.ndarray:
         """Element indices of image rows; DomainError names a non-element."""

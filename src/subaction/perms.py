@@ -19,6 +19,13 @@ class Permutation:
         if sorted(self.images) != list(range(n)):
             raise StructuralError(f"not a permutation of 0..{n - 1}: {self.images}")
 
+    @classmethod
+    def unchecked(cls, images: tuple[int, ...]) -> "Permutation":
+        """A permutation whose images are already known to be one."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
     @property
     def degree(self) -> int:
         return len(self.images)

@@ -28,7 +28,7 @@ from . import config
 from ._kernels import MAX_COEFF, MAX_N, SubsetFold, check_pair_ratio
 from .actions import GroupAction, natural_action
 from .errors import CapacityError, DomainError, StructuralError
-from .groups import FiniteGroup, symmetric
+from .groups import _PRODUCT_BLOCK, FiniteGroup, symmetric
 from .linalg import Representation, Subspace, enumerate_subspaces
 from .rationals import exact_fraction, format_fraction
 from .setfuncs import (Exhaustiveness, SetFunction, _mask_of, _scaled_table,
@@ -94,16 +94,96 @@ def _random_nonempty_mask(rng: random.Random, n: int) -> int:
     return m
 
 
+def _check_samples(samples: int | None) -> None:
+    if samples is not None and samples < 1:
+        raise DomainError(f"samples must be at least 1; got {samples}")
+
+
+def _chunk_rows(width: int) -> int:
+    """Rows per chunk: a chunk's rows x width bit block holds at most
+    _PRODUCT_BLOCK / 8 entries, so the int64 indices of its set bits take
+    at most _PRODUCT_BLOCK bytes."""
+    return max(1, _PRODUCT_BLOCK // (8 * max(1, width)))
+
+
 def _sampled_sets(n: int, samples: int | None, seed: int | None
-                  ) -> tuple[Iterator[frozenset[int]], Exhaustiveness]:
-    """Seeded random nonempty subsets of range(n), drawn as iterated;
-    `samples` and `seed` default to the SAMPLE_COUNT and DEFAULT_SEED
-    caps."""
+                  ) -> tuple[Iterator[list[int]], Exhaustiveness]:
+    """Seeded random nonempty subsets of range(n) as int masks, in draw
+    order, in chunks of `_chunk_rows(n)` masks; each chunk is drawn when
+    the previous one has been used. `samples` and `seed` default to the
+    SAMPLE_COUNT and DEFAULT_SEED caps."""
     s = config.cap("DEFAULT_SEED") if seed is None else int(seed)
     count = config.cap("SAMPLE_COUNT") if samples is None else int(samples)
-    rng = random.Random(s)
-    return ((_set_of(_random_nonempty_mask(rng, n)) for _ in range(count)),
-            Exhaustiveness(kind="sampled", samples=count, seed=s))
+    rng, rows = random.Random(s), _chunk_rows(n)
+
+    def chunks() -> Iterator[list[int]]:
+        for lo in range(0, count, rows):
+            yield [_random_nonempty_mask(rng, n)
+                   for _ in range(min(rows, count - lo))]
+    return chunks(), Exhaustiveness(kind="sampled", samples=count, seed=s)
+
+
+def _bits(masks: Sequence[int], width: int) -> np.ndarray:
+    """The len(masks) x width bool matrix with bit b of masks[i] at [i, b]."""
+    size = (width + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(size, "little") for m in masks),
+                        dtype=np.uint8).reshape(len(masks), size)
+    return np.unpackbits(raw, axis=1, count=width,
+                         bitorder="little").view(bool)
+
+
+def _union_sizes(table: Sequence[int]) -> Callable[[Sequence[int]],
+                                                    np.ndarray]:
+    """For a table of int masks, one per group element, the function that
+    maps masks C over the table's indices to the int64 array of
+    |union of table[c], c in C|.
+
+    The table is held as a (len(table) x k) array of its set bits, padded
+    with a spare column `width`; the bits of each C pick table rows whose
+    points are scattered into a rows x (width + 1) bool block, one chunk
+    of `_chunk_rows` rows at a time.
+    """
+    n, width = len(table), max(table).bit_length()
+    k = max(m.bit_count() for m in table)
+    points = np.full((n, k), width, dtype=np.intp)
+    step = _chunk_rows(width)
+    for lo in range(0, n, step):
+        rows, cols = np.nonzero(_bits(table[lo:lo + step], width))
+        points[lo + rows, np.arange(rows.size)
+               - np.searchsorted(rows, rows)] = cols
+    step = _chunk_rows(max(n, width))
+
+    def sizes(masks: Sequence[int]) -> np.ndarray:
+        out = np.empty(len(masks), dtype=np.int64)
+        for lo in range(0, len(masks), step):
+            chunk = masks[lo:lo + step]
+            rows, cols = np.nonzero(_bits(chunk, n))
+            block = np.zeros((len(chunk), width + 1), dtype=bool)
+            for j in range(k):
+                block[rows, points[cols, j]] = True
+            out[lo:lo + step] = np.count_nonzero(block[:, :width], axis=1)
+        return out
+    return sizes
+
+
+def _first_violation(chunks: Iterable[list[int]],
+                     violates: Callable[[list[int]], np.ndarray]
+                     ) -> int | None:
+    """The first mask in draw order whose row `violates` marks True,
+    reading chunks only until one has such a row."""
+    for chunk in chunks:
+        hits = np.flatnonzero(violates(chunk))
+        if hits.size:
+            return chunk[hits[0]]
+    return None
+
+
+def _exact(bound: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The int64 arrays as they are while products up to `bound` fit int64,
+    else as arrays of Python ints, so comparisons stay exact."""
+    if bound < 1 << 63:
+        return arrays
+    return tuple(a.astype(object) for a in arrays)
 
 
 def _doubling(table: Sequence, empty, join: Callable) -> Iterator:
@@ -137,11 +217,14 @@ def _forall_actor_sets(left: list, right: list, alpha: Fraction,
     Up to PETRIDIS_EXHAUSTIVE_MAX_ORDER elements every C is tried in
     ascending mask order: by the pair-ratio kernel when both sides are
     masks under 64 bits, else by doubling. Above it the seeded
-    `_sampled_sets` stream is tried in draw order.
+    `_sampled_sets` stream is tried in draw order: a chunk at a time by
+    `_union_sizes` when both sides are masks, taking the first violating
+    row, and one C at a time by `Subspace.sum` when a side is linear.
     """
     n = len(left)
     (lempty, ljoin, lsize), (rempty, rjoin, rsize) = _side(left), _side(right)
     num, den = alpha.numerator, alpha.denominator
+    masks = ljoin is rjoin is operator.or_
 
     def sizes(C) -> tuple[int, int]:
         return (lsize(reduce(ljoin, (left[c] for c in C), lempty)),
@@ -151,12 +234,22 @@ def _forall_actor_sets(left: list, right: list, alpha: Fraction,
         return den * lhs > num * rhs
 
     if n > config.cap("PETRIDIS_EXHAUSTIVE_MAX_ORDER"):
-        subsets, exh = _sampled_sets(n, samples, seed)
-        C = next((C for C in subsets if exceeds(*sizes(C))), None)
+        chunks, exh = _sampled_sets(n, samples, seed)
+        if masks:
+            lsizes, rsizes = _union_sizes(left), _union_sizes(right)
+            bound = max(den * max(left).bit_length(),
+                        num * max(right).bit_length())
+
+            def violates(chunk: list[int]) -> np.ndarray:
+                lhs, rhs = _exact(bound, lsizes(chunk), rsizes(chunk))
+                return den * lhs > num * rhs
+            first = _first_violation(chunks, violates)
+        else:
+            first = next((m for chunk in chunks for m in chunk
+                          if exceeds(*sizes(_set_of(m)))), None)
     else:
         exh = _EXHAUSTIVE
-        if ljoin is rjoin is operator.or_ and n <= MAX_N \
-                and max(num, den) < MAX_COEFF \
+        if masks and n <= MAX_N and max(num, den) < MAX_COEFF \
                 and max(left + right) >> _MASK_LIMIT == 0:
             _ok, first, _checked = check_pair_ratio(left, right, num, den)
         else:
@@ -164,9 +257,9 @@ def _forall_actor_sets(left: list, right: list, alpha: Fraction,
                         _doubling(right, rempty, rjoin))
             first = next((m for m, (lj, rj) in enumerate(joins)
                           if exceeds(lsize(lj), rsize(rj))), None)
-        C = None if first is None else _set_of(first)
-    if C is None:
+    if first is None:
         return None, exh
+    C = _set_of(first)
     lhs, rhs = sizes(C)
     return {"C": C, "lhs": lhs, "rhs": alpha * rhs}, exh
 
@@ -501,6 +594,7 @@ def check_hamidoune(obj: GroupAction | Representation, Y, lam, A0=None,
                     ) -> CheckReport:
     """For lam in [0, mu] there is a subgroup H containing the stabilizer of Y
     with c_Y(A) >= c_Y(H) >= |Y| - lam|H| for every nonempty A."""
+    _check_samples(samples)
     if isinstance(obj, Representation):
         if A0 is not None:
             raise DomainError("A0 is not supported on representations: the "
@@ -511,6 +605,12 @@ def check_hamidoune(obj: GroupAction | Representation, Y, lam, A0=None,
 
 def _hamidoune_set(action: GroupAction, Y, lam, A0, *, samples, seed
                    ) -> CheckReport:
+    """Up to MAX_EXHAUSTIVE_GROUND elements one minimisation gives H and
+    the minimum growth. Above it H is the least-order subgroup of minimal
+    growth containing G_Y, and the check tries every subgroup (while the
+    lattice is within MAX_SUBGROUP_ENUM_ORDER), then the `_sampled_sets`
+    stream; the subgroups' growths come from one `_union_sizes` call and
+    the sampled sets are compared a chunk at a time."""
     G = action.group
     lam = exact_fraction(lam)
     Y = _point_subset(action, Y)
@@ -533,6 +633,15 @@ def _hamidoune_set(action: GroupAction, Y, lam, A0, *, samples, seed
         # its first fragment
         f = actor_growth(action, Y, lam)
         res = minimize_nonempty(f, fragment_cap=1)
+    else:
+        image_sizes = _union_sizes(
+            [_mask_of(row) for row in action.table[:, list(Y)].tolist()])
+        scan = n <= config.cap("MAX_SUBGROUP_ENUM_ORDER")
+        if scan or lam != 0:
+            # every subgroup's growth, from one batched call
+            subs = G.subgroups()
+            sub_growth = [int(size) - lam * sub.order for sub, size in zip(
+                subs, image_sizes([_mask_of(s.members) for s in subs]))]
     if lam == 0:
         H = GY
     elif exhaustive_ok:
@@ -540,14 +649,10 @@ def _hamidoune_set(action: GroupAction, Y, lam, A0, *, samples, seed
     else:
         # the identity atom is the least-order subgroup containing G_Y
         # among those of minimal growth, so subgroup enumeration is exact
-        best = None
-        for sub in G.subgroups():
-            if not GY.members <= sub.members:
-                continue
-            key = (growth(sub.member_tuple), sub.order)
-            if best is None or key < best[0]:
-                best = (key, sub)
-        H = best[1]
+        _key, i = min(((c, sub.order), i) for i, (sub, c)
+                      in enumerate(zip(subs, sub_growth))
+                      if GY.members <= sub.members)
+        H = subs[i]
 
     cH = growth(H.member_tuple)
     checks = {"stabilizer_in_subgroup": GY.members <= H.members,
@@ -561,24 +666,30 @@ def _hamidoune_set(action: GroupAction, Y, lam, A0, *, samples, seed
                               "growth": res.min_value, "subgroup_growth": cH}
         exh = _EXHAUSTIVE
     else:
-        subsets, exh = _sampled_sets(n, samples, seed)
-        ok = True
-        if n <= config.cap("MAX_SUBGROUP_ENUM_ORDER"):
-            for sub in G.subgroups():
-                if growth(sub.member_tuple) < cH:
-                    ok = False
-                    counterexample = {"A": frozenset(sub.members),
-                                      "growth": growth(sub.member_tuple),
-                                      "subgroup_growth": cH}
-                    break
-        if ok:
-            for A in subsets:
-                if growth(A) < cH:
-                    ok = False
-                    counterexample = {"A": A, "growth": growth(A),
-                                      "subgroup_growth": cH}
-                    break
-        checks["minimum_at_subgroup"] = ok
+        chunks, exh = _sampled_sets(n, samples, seed)
+        below = next((sub for sub, c in zip(subs, sub_growth) if c < cH),
+                     None) if scan else None
+        if below is not None:
+            counterexample = {"A": frozenset(below.members),
+                              "growth": growth(below.member_tuple),
+                              "subgroup_growth": cH}
+        else:
+            # growth(A) < cH as (|A.Y| q_lam - p_lam |A|) q_H < p_H q_lam
+            p_lam, q_lam = lam.numerator, lam.denominator
+            p_H, q_H = cH.numerator, cH.denominator
+            bound = max((action.domain_size * q_lam + p_lam * n) * q_H,
+                        abs(p_H) * q_lam)
+
+            def violates(chunk: list[int]) -> np.ndarray:
+                sizes, cards = _exact(bound, image_sizes(chunk), np.fromiter(
+                    (m.bit_count() for m in chunk), np.int64, len(chunk)))
+                return (sizes * q_lam - p_lam * cards) * q_H < p_H * q_lam
+            first = _first_violation(chunks, violates)
+            if first is not None:
+                A = _set_of(first)
+                counterexample = {"A": A, "growth": growth(A),
+                                  "subgroup_growth": cH}
+        checks["minimum_at_subgroup"] = counterexample is None
 
     details: dict = {"mu": mu, "lambda": lam, "subgroup_growth": cH,
                      "subgroup_order": H.order}
@@ -686,6 +797,7 @@ def find_petridis_witness(obj: GroupAction | Representation, A, Y, alpha,
     B minimises |C.Y|/|C| over nonempty C inside A (ties: smallest
     cardinality, then lexicographic).
     """
+    _check_samples(samples)
     alpha = exact_fraction(alpha)
     if alpha < 0:
         raise DomainError("alpha must be nonnegative")
@@ -813,6 +925,7 @@ def find_taod_witness(obj: GroupAction | Representation, A, Y, alpha,
                       seed: int | None = None) -> CheckReport:
     """Abelian G, |A.Y| <= alpha|Y|: some nonempty Z inside Y has
     |AC.Z| <= alpha|C.Z| for all C and |A^n.Z| <= alpha^n |Z|."""
+    _check_samples(samples)
     alpha = exact_fraction(alpha)
     if alpha < 0:
         raise DomainError("alpha must be nonnegative")

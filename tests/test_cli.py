@@ -9,6 +9,7 @@ import pytest
 from subaction import cli, config, theorems
 from subaction.cli import (ScenarioError, main, parse_scenario, run_scenario,
                            to_jsonable)
+from subaction.errors import StructuralError
 from subaction.groups import symmetric
 from subaction.linalg import Subspace
 
@@ -356,6 +357,30 @@ def test_malformed_cap_variable_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SUBACTION_DEFAULT_SEED", "0")
     assert main(search) == 0
     assert json.loads(capsys.readouterr().out)["search"]["seed"] == 0
+
+
+@pytest.mark.parametrize("raw", ["-5", "0"])
+def test_cap_variable_below_one_exits_2(tmp_path, capsys, monkeypatch, raw):
+    # sampled hamidoune on S5: zero samples would prove nothing
+    path = _write(tmp_path, {
+        "group": {"kind": "symmetric", "n": 5},
+        "action": {"kind": "natural"}, "sets": {"Y": [0]},
+        "tasks": [{"task": "hamidoune", "Y": "Y", "lambda": "1/48"}]})
+    monkeypatch.setenv("SUBACTION_SAMPLE_COUNT", raw)
+    assert main(["run", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"SUBACTION_SAMPLE_COUNT={raw!r}: caps must be positive " \
+        f"integers" in captured.err
+    monkeypatch.delenv("SUBACTION_SAMPLE_COUNT")
+    for name in config.snapshot():
+        monkeypatch.setenv(f"SUBACTION_{name}", raw)
+        if name == "DEFAULT_SEED":
+            assert config.cap(name) == int(raw)
+        else:
+            with pytest.raises(StructuralError, match=f"SUBACTION_{name}="):
+                config.cap(name)
+        monkeypatch.delenv(f"SUBACTION_{name}")
 
 
 def test_cli_report_roundtrip(tmp_path, capsys):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from subaction import config, groups
 from subaction.actions import conjugation_action
-from subaction.errors import CapacityError, DomainError, InvariantError
+from subaction.errors import (CapacityError, DomainError, InvariantError,
+                             StructuralError)
 from subaction.groups import (FiniteGroup, Subgroup, affine_gl1, alternating,
                               cyclic, dihedral, direct_product,
                               from_generators, symmetric)
@@ -74,6 +75,20 @@ def test_inverse_table():
     for i in range(G.order):
         assert G.mul(i, G.inv(i)) == e
         assert G.mul(G.inv(i), i) == e
+
+
+def test_elements_built_on_first_read_from_the_closure_rows():
+    G = alternating(5)
+    assert "elements" not in vars(G)  # the closure does not build them
+    elements = G.elements
+    assert G.elements is elements
+    assert elements == [Permutation(tuple(r)) for r in G.images.tolist()]
+    assert all(type(p) is Permutation for p in elements)
+    # permutations from outside are still checked
+    with pytest.raises(StructuralError):
+        Permutation((0, 0, 2))
+    with pytest.raises(StructuralError):
+        from_generators([Permutation((1, 2, 2))])
 
 
 def test_identity_is_index_zero():

@@ -5,6 +5,8 @@ import itertools
 import math
 import operator
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,8 +17,10 @@ from hypothesis import strategies as st
 from subaction import config, theorems
 from subaction.actions import (conjugation_action, left_translation_action,
                                natural_action)
+from subaction.cli import _dump, to_jsonable
 from subaction.errors import CapacityError, DomainError, StructuralError
-from subaction.groups import (cyclic, dihedral, direct_product, symmetric)
+from subaction.groups import (Subgroup, cyclic, dihedral, direct_product,
+                              symmetric)
 from subaction.linalg import (Representation, Subspace, actor_growth_linear,
                               permutation_representation,
                               representation_from_generator_matrices)
@@ -311,6 +315,26 @@ def test_hamidoune_lambda_grid():
         assert checks["floor_bound"]
         assert checks["minimum_at_subgroup"]
         assert rep.exhaustiveness.kind == "exhaustive"
+
+
+@pytest.mark.parametrize("build", [symmetric, dihedral, cyclic])
+def test_hamidoune_subgroup_route_matches_the_fold(build):
+    # above MAX_EXHAUSTIVE_GROUND H comes from the subgroup growths; at
+    # lambda = mu several subgroups tie and the least order must win, as
+    # the fold's identity atom does
+    action = natural_action(build(3 if build is symmetric else 6))
+    for Y in ((0,), (0, 1), (0, 2)):
+        mu = theorems.min_image_ratio(action, Y).mu
+        for lam in (mu / 3, mu / 2, mu):
+            exact = check_hamidoune(action, Y, lam)
+            with config.overrides({"MAX_EXHAUSTIVE_GROUND": 1}):
+                sampled = check_hamidoune(action, Y, lam, samples=50, seed=4)
+            assert exact.exhaustiveness.kind == "exhaustive"
+            assert sampled.exhaustiveness.kind == "sampled"
+            assert sampled.conclusion_holds
+            assert sampled.witnesses["subgroup"].members == \
+                exact.witnesses["subgroup"].members
+            assert sampled.details == exact.details
 
 
 def test_hamidoune_lambda_out_of_range():
@@ -667,8 +691,196 @@ def test_forall_actor_sets_matches_brute_force(data):
             assert len(calls) == 1 and wide == got
 
     samples, seed = data.draw(st.integers(1, 40)), data.draw(st.integers(0, 99))
-    with config.overrides({"PETRIDIS_EXHAUSTIVE_MAX_ORDER": 0}):
+    rows = data.draw(st.integers(1, 3))
+    with config.overrides({"PETRIDIS_EXHAUSTIVE_MAX_ORDER": 0}), \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(theorems, "_chunk_rows", lambda width: rows)
         got = theorems._forall_actor_sets(left, right, alpha, samples, seed)
-    stream, exh = theorems._sampled_sets(n, samples, seed)
-    assert exh == Exhaustiveness("sampled", samples, seed)
-    assert got == (_brute_first_violation(left, right, alpha, stream), exh)
+    exh = Exhaustiveness("sampled", samples, seed)
+    assert got == (_brute_first_violation(
+        left, right, alpha, _reference_stream(n, samples, seed)), exh)
+
+
+def _reference_stream(n, samples, seed):
+    """The sampled sets one draw at a time, as sorted element lists."""
+    rng = random.Random(seed)
+    for _ in range(samples):
+        m = rng.getrandbits(n)
+        if m == 0:
+            m = 1 << rng.randrange(n)
+        yield [c for c in range(n) if m >> c & 1]
+
+
+def test_sampled_sets_chunk_the_reference_stream(monkeypatch):
+    monkeypatch.setattr(theorems, "_chunk_rows", lambda width: 3)
+    chunks, exh = theorems._sampled_sets(70, 10, 5)
+    assert exh == Exhaustiveness("sampled", 10, 5)
+    got = [list(theorems._set_of(m)) for m in itertools.chain(*chunks)]
+    assert [sorted(C) for C in got] == list(_reference_stream(70, 10, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sampled_for_all_c_matches_the_scalar_stream(data):
+    # wide tables (up to 100-bit masks) over n up to 75 elements, so rows
+    # span several bytes and n is rarely a multiple of 8; chunks of 1-3
+    # rows put violations in later chunks
+    n = data.draw(st.integers(1, 75))
+    width = data.draw(st.integers(1, 100))
+    masks = st.lists(st.integers(0, (1 << width) - 1), min_size=n, max_size=n)
+    left = data.draw(masks)
+    right = left if data.draw(st.booleans()) else data.draw(masks)
+    alpha = Fraction(data.draw(st.integers(0, 4)), data.draw(st.integers(1, 3)))
+    samples, seed = data.draw(st.integers(1, 30)), data.draw(st.integers(0, 99))
+    rows = data.draw(st.integers(1, 3))
+    with config.overrides({"PETRIDIS_EXHAUSTIVE_MAX_ORDER": 0}), \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(theorems, "_chunk_rows", lambda w: rows)
+        got = theorems._forall_actor_sets(left, right, alpha, samples, seed)
+    assert got == (_brute_first_violation(
+        left, right, alpha, _reference_stream(n, samples, seed)),
+        Exhaustiveness("sampled", samples, seed))
+
+
+def test_sampled_comparison_stays_exact_past_int64():
+    # den * |left| passes 2^63: in int64, 2^61 |C| would wrap to a
+    # negative or zero value for most sizes of C, and 2^60 + 1 over 2^60
+    # tips the comparison only through its low bit
+    table = [1 << c for c in range(20)]
+    tiny, wide = Fraction(1, 2 ** 61), Fraction(2 ** 60 + 1, 2 ** 60)
+    with config.overrides({"PETRIDIS_EXHAUSTIVE_MAX_ORDER": 0}):
+        for seed in range(10):
+            C = frozenset(next(_reference_stream(20, 1, seed)))
+            assert theorems._forall_actor_sets(table, table, tiny, 50, seed) \
+                == ({"C": C, "lhs": len(C), "rhs": tiny * len(C)},
+                    Exhaustiveness("sampled", 50, seed))
+            assert theorems._forall_actor_sets(
+                table, table, wide, 50, seed)[0] is None
+
+
+@functools.cache
+def _translation(n):
+    return left_translation_action(cyclic(n) if n % 2 else dihedral(n // 2))
+
+
+def _brute_growth(action, A, Y, lam):
+    return len({int(action.table[a][y]) for a in A for y in Y}) \
+        - lam * len(A)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hamidoune_sampled_matches_the_scalar_stream(data):
+    # the subgroup list is cut to one K containing G_Y, so H = K (G_Y at
+    # lambda 0) and the sampled sets with growth below c(H) are
+    # violations; 70 and 66
+    # elements make masks wider than 64 bits
+    action = _translation(data.draw(st.sampled_from((9, 15, 16, 66, 70))))
+    G, n = action.group, action.group.order
+    Y = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                       max_size=3))))
+    GY = action.set_stabilizer(Y)
+    K = G.generated_subgroup(
+        GY.members | {data.draw(st.integers(0, n - 1))})
+    lam = data.draw(st.sampled_from((Fraction(0), Fraction(1, 3),
+                                     Fraction(2, 5), Fraction(1),
+                                     1 - Fraction(1, 2 ** 61))))
+    samples, seed = data.draw(st.integers(1, 40)), data.draw(st.integers(0, 99))
+    rows = data.draw(st.integers(1, 3))
+    with config.overrides({"MAX_EXHAUSTIVE_GROUND": 1}), \
+            pytest.MonkeyPatch.context() as mp:
+        # mu is kept on the action before the subgroup list is cut
+        assert theorems.min_image_ratio(action, Y).mu == 1
+        mp.setattr(G, "subgroups", lambda: [K])
+        mp.setattr(theorems, "_chunk_rows", lambda width: rows)
+        rep = check_hamidoune(action, Y, lam, samples=samples, seed=seed)
+    H = K if lam else GY
+    cH = _brute_growth(action, H.members, Y, lam)
+    expected = next(({"A": frozenset(A),
+                      "growth": _brute_growth(action, A, Y, lam),
+                      "subgroup_growth": cH}
+                     for A in _reference_stream(n, samples, seed)
+                     if _brute_growth(action, A, Y, lam) < cH), None)
+    assert rep.witnesses["subgroup"] == H
+    assert rep.details["subgroup_growth"] == cH
+    assert rep.exhaustiveness == Exhaustiveness("sampled", samples, seed)
+    assert rep.counterexample == expected
+    assert rep.conclusion_holds is (expected is None)
+
+
+def test_sampled_stream_is_drawn_lazily():
+    # every C violates (for hamidoune every A but G, with H cut to G), so
+    # both checks stop in the first chunk of 10^8 samples
+    action = _translation(70)
+    G = action.group
+    table = [1 << c for c in range(70)]
+    caps = {"SAMPLE_COUNT": 10 ** 8, "PETRIDIS_EXHAUSTIVE_MAX_ORDER": 0,
+            "MAX_EXHAUSTIVE_GROUND": 1}
+    with config.overrides(caps):
+        theorems.min_image_ratio(action, (0,))  # kept on the action
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        with config.overrides(caps), pytest.MonkeyPatch.context() as mp:
+            first, exh = theorems._forall_actor_sets(
+                table, [0] * 70, Fraction(1), None, 3)
+            mp.setattr(G, "subgroups", lambda: [Subgroup(G, frozenset(
+                range(70)), _verified=True)])
+            rep = check_hamidoune(action, (0,), "1/2", seed=3)
+        elapsed = time.perf_counter() - started
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    C = frozenset(next(_reference_stream(70, 1, 3)))
+    assert first == {"C": C, "lhs": len(C), "rhs": 0}
+    assert exh.samples == rep.exhaustiveness.samples == 10 ** 8
+    assert rep.counterexample["A"] == C
+    assert elapsed < 5 and peak < 4 << 20
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_sampled_reports_replay_from_their_seed_and_samples(data):
+    # a report made under other default caps replays from the seed and
+    # sample count it records
+    kind = data.draw(st.sampled_from(("hamidoune", "petridis", "taod")))
+    samples, seed = data.draw(st.integers(1, 300)), data.draw(st.integers(0, 9))
+    if kind == "hamidoune":
+        action = natural_action(symmetric(5))
+        Y = data.draw(st.sampled_from(((0,), (0, 1), (1, 3, 4))))
+        lam = theorems.min_image_ratio(action, Y).mu \
+            * data.draw(st.sampled_from((0, Fraction(1, 2), 1)))
+
+        def check(**kw):
+            return check_hamidoune(action, Y, lam, **kw)
+    else:
+        action = _translation(16 if kind == "petridis" else 15)
+        A = tuple(sorted(data.draw(st.sets(st.integers(0, 15 if
+                  kind == "petridis" else 14), min_size=1, max_size=6))))
+        alpha = data.draw(st.sampled_from(("1", "3/2", "2", "4")))
+        finder = find_petridis_witness if kind == "petridis" \
+            else find_taod_witness
+
+        def check(**kw):
+            return finder(action, A, (0,) if kind == "petridis" else A,
+                          alpha, **kw)
+    with config.overrides({"SAMPLE_COUNT": samples, "DEFAULT_SEED": seed}):
+        first = check()
+    if first.exhaustiveness.kind != "sampled":
+        assert not first.hypotheses_hold
+        return
+    assert first.exhaustiveness == Exhaustiveness("sampled", samples, seed)
+    again = check(samples=first.exhaustiveness.samples,
+                  seed=first.exhaustiveness.seed)
+    assert _dump(to_jsonable(again)) == _dump(to_jsonable(first))
+
+
+@pytest.mark.parametrize("bad", [0, -5])
+def test_samples_below_one_are_refused(bad):
+    with pytest.raises(DomainError, match="samples must be at least 1"):
+        check_hamidoune(natural_action(symmetric(5)), (0,), 0, samples=bad)
+    with pytest.raises(DomainError, match="samples must be at least 1"):
+        find_petridis_witness(_translation(16), (0,), (0,), "1",
+                              samples=bad)
+    with pytest.raises(DomainError, match="samples must be at least 1"):
+        find_taod_witness(_translation(15), (0,), (0,), "1", samples=bad)
