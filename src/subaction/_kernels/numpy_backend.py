@@ -1,21 +1,22 @@
 """Vectorised subset-fold kernels (pure numpy backend).
 
-All kernels enumerate the nonempty subsets of an indexed family of bit
-masks (each mask a set over at most 64 points) in ascending subset-bitmask
-order.
+A fold holds, for each subset S of n <= ``MAX_N`` ground points in
+ascending subset-bitmask order, the size of its join (``pops``) and its
+cardinality (``cards``), one byte each while the sizes fit a byte.
 
-Build. The unions of the low (at most ``_LOW_BITS``) masks are built once
-by doubling. Each block of subsets that shares its high bits then ORs that
-block's union into them and writes only the union populations (``pops``)
-and cardinalities (``cards``), one byte per subset each, so no 2^n-word
-union table ever exists.
+Build. A fold is built from masks or from a size table. For bit masks
+(sets over at most 64 points) the join is the union: the unions of the
+low (at most ``_LOW_BITS``) masks are built once by doubling, and each
+block of subsets sharing its high bits ORs its high union into them, so
+no 2^n-word union table exists. ``SubsetFold.from_sizes`` takes the join
+sizes as given, such as the dimensions of spans of subspaces.
 
 Queries. Both queries depend on a subset S only through the pair
-(|union(S)|, |S|), and at most 65 x 27 such pairs exist. The first query
-counts the subsets in each (pop, card) bin; the exact minimum, fragment
-count, atom size and atom count then come from the bins alone. One
-ascending scan in ``_CHUNK``-sized blocks then lists the subsets of the
-winning bins, stopping as soon as it holds every subset it must return.
+(join size, |S|). The first query counts the subsets in each bin; the
+exact minimum, fragment count, atom size, largest fragment size and atom
+count then come from the bins alone. One ascending scan in
+``_CHUNK``-sized blocks then lists the subsets of the winning bins,
+stopping as soon as it holds every subset it must return.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def _lex_min(subsets: np.ndarray) -> int:
 
 
 class SubsetFold:
-    """Caches union populations for repeated exact-min queries."""
+    """Caches join sizes and cardinalities for repeated exact-min queries."""
 
     def __init__(self, masks: list[int]):
         n = len(masks)
@@ -58,6 +59,7 @@ class SubsetFold:
             raise ValueError("masks must fit in 64 bits")
         self.n = n
         self.masks = [int(m) for m in masks]
+        self._top = functools.reduce(operator.or_, self.masks).bit_count()
         low = min(n, _LOW_BITS)
         block = 1 << low
         marr = np.asarray(self.masks, dtype=np.uint64)
@@ -81,6 +83,20 @@ class SubsetFold:
             np.add(cards, high.bit_count(), out=self.cards[lo:lo + block])
         self._bins = None
 
+    @classmethod
+    def from_sizes(cls, sizes) -> SubsetFold:
+        """The fold whose join of subset S has size sizes[S], for 2^n
+        nonnegative integers indexed by subset mask (sizes[0] is the empty
+        set's), held in the least unsigned dtype that fits them."""
+        n = len(sizes).bit_length() - 1
+        if not 1 <= n <= MAX_N or len(sizes) != 1 << n:
+            raise ValueError(f"need 2^n sizes, 1 <= n <= {MAX_N}")
+        fold = cls.__new__(cls)
+        fold.n, fold._top, fold._bins = n, int(max(sizes)), None
+        fold.pops = np.asarray(sizes, dtype=np.min_scalar_type(fold._top))
+        fold.cards = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+        return fold
+
     def union_pop(self, subset_mask: int) -> int:
         return int(self.pops[subset_mask])
 
@@ -89,15 +105,14 @@ class SubsetFold:
         nonempty subsets; counted on the first query, then kept."""
         if self._bins is None:
             width = self.n + 1
-            everything = functools.reduce(operator.or_, self.masks)
-            hist = np.zeros((everything.bit_count() + 1) * width,
-                            dtype=np.int64)
+            hist = np.zeros((self._top + 1) * width, dtype=np.int64)
+            key_type = np.min_scalar_type(hist.size)
             for lo in range(0, 1 << self.n, _CHUNK):
                 key = np.multiply(self.pops[lo:lo + _CHUNK], width,
-                                  dtype=np.uint16)
+                                  dtype=key_type)
                 key += self.cards[lo:lo + _CHUNK]
                 hist += np.bincount(key, minlength=hist.size)
-            hist[0] -= 1  # the empty set
+            hist[int(self.pops[0]) * width] -= 1  # the empty set
             occupied = np.flatnonzero(hist)
             self._bins = (occupied // width, occupied % width,
                           hist[occupied])
@@ -115,11 +130,12 @@ class SubsetFold:
         return np.flatnonzero(hit)
 
     def min_affine(self, num: int, den: int, list_cap: int):
-        """Minimise den*|union(S)| - num*|S| over nonempty S.
+        """Minimise den*|join(S)| - num*|S| over nonempty S.
 
-        Returns (min_scaled, fragment_count, fragments, truncated,
-        atoms, atom_size); fragments and atoms are subset bitmasks in
-        ascending order, fragments truncated at list_cap, atoms complete.
+        Returns (min_scaled, fragment_count, fragments, truncated, atoms,
+        atom_size, largest_size): subset bitmasks in ascending order,
+        fragments cut at list_cap, atoms complete, and the least and the
+        greatest |S| of a minimiser.
         """
         if abs(num) >= MAX_COEFF or abs(den) >= MAX_COEFF:
             raise ValueError("coefficients too large for the int64 kernel")
@@ -128,7 +144,7 @@ class SubsetFold:
         best = int(vals.min())
         on = vals == best
         count = int(counts[on].sum())
-        atom_size = int(cards[on].min())
+        atom_size, largest = int(cards[on].min()), int(cards[on].max())
         atom_on = on & (cards == atom_size)
         atom_count = int(counts[atom_on].sum())
         frag_bins = list(zip(pops[on].tolist(), cards[on].tolist()))
@@ -146,10 +162,11 @@ class SubsetFold:
             else:
                 break
             atoms.extend((hits + lo).tolist())
-        return best, count, frags, count > len(frags), atoms, atom_size
+        return (best, count, frags, count > len(frags), atoms, atom_size,
+                largest)
 
     def min_ratio(self):
-        """Minimise |union(S)| / |S| over nonempty S.
+        """Minimise |join(S)| / |S| over nonempty S.
 
         Returns (num, den, witness_mask) with the ratio in lowest terms and
         the witness tie-broken by cardinality then lexicographic order.

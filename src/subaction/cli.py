@@ -146,24 +146,50 @@ def _check_rational(where: str, value) -> None:
         raise ScenarioError(f"{where}: {e}") from e
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_int_list(where: str, value) -> None:
     if not isinstance(value, list) or not value or \
-            not all(isinstance(x, int) and not isinstance(x, bool)
-                    for x in value):
+            not all(_is_int(x) for x in value):
         raise ScenarioError(f"{where}: expected a nonempty list of integers")
 
 
+def _check_matrices(where: str, value) -> None:
+    size = len(value[0]) if isinstance(value, list) and value \
+        and isinstance(value[0], list) else 0
+    if not size or not all(
+            isinstance(m, list) and len(m) == size and all(
+                isinstance(row, list) and len(row) == size
+                and all(_is_int(x) for x in row) for row in m)
+            for m in value):
+        raise ScenarioError(f"{where}: expected a nonempty list of square "
+                            f"integer matrices of one size")
+
+
 def _validate_spec(where: str, spec, table: dict[str, set[str]]) -> None:
+    """Check a group, action or representation spec: a known kind, and
+    each key the kind lists present and of its type."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ScenarioError(f"{where}: expected an object with a \"kind\" key")
     kind = spec["kind"]
-    if kind not in table:
+    if not isinstance(kind, str) or kind not in table:
         raise ScenarioError(f"{where}: unknown kind {kind!r} "
                             f"(known: {', '.join(sorted(table))})")
     _check_keys(where, spec, table[kind] | {"kind"})
-    if kind == "direct_product":
-        _validate_spec(f"{where}.left", spec["left"], table)
-        _validate_spec(f"{where}.right", spec["right"], table)
+    for key in sorted(table[kind]):
+        if key not in spec:
+            raise ScenarioError(f"{where}: missing required key {key!r}")
+        at, value = f"{where}.{key}", spec[key]
+        if key in ("left", "right"):
+            _validate_spec(at, value, table)
+        elif key == "subgroup":
+            _check_int_list(at, value)
+        elif key == "generators":
+            _check_matrices(at, value)
+        elif not _is_int(value):  # n and p
+            raise ScenarioError(f"{at}: expected an integer")
 
 
 def parse_scenario(text: str) -> dict:
@@ -183,9 +209,6 @@ def parse_scenario(text: str) -> dict:
     _validate_spec("scenario.group", sc["group"], _GROUP_KEYS)
     if "action" in sc:
         _validate_spec("scenario.action", sc["action"], _ACTION_KEYS)
-        if sc["action"]["kind"] == "coset":
-            _check_int_list("scenario.action.subgroup",
-                            sc["action"]["subgroup"])
     if "representation" in sc:
         _validate_spec("scenario.representation", sc["representation"],
                        _REP_KEYS)
@@ -207,9 +230,8 @@ def parse_scenario(text: str) -> dict:
     for name, val in subspaces.items():
         where = f"scenario.subspaces.{name}"
         if not isinstance(val, list) or not all(
-                isinstance(row, list) and
-                all(isinstance(x, int) and not isinstance(x, bool)
-                    for x in row) for row in val):
+                isinstance(row, list) and all(_is_int(x) for x in row)
+                for row in val):
             raise ScenarioError(f"{where}: expected a list of integer vectors")
         if "representation" not in sc:
             raise ScenarioError(f"{where}: subspaces need a representation")
@@ -220,14 +242,13 @@ def parse_scenario(text: str) -> dict:
     _check_keys("scenario.params", params, _PARAM_KEYS)
     for key, val in params.items():
         if key == "n_max":
-            if not isinstance(val, int) or isinstance(val, bool) or val < 1:
+            if not _is_int(val) or val < 1:
                 raise ScenarioError("scenario.params.n_max: expected a "
                                     "positive integer")
         else:
             _check_rational(f"scenario.params.{key}", val)
 
-    if "seed" in sc and (not isinstance(sc["seed"], int)
-                         or isinstance(sc["seed"], bool)):
+    if "seed" in sc and not _is_int(sc["seed"]):
         raise ScenarioError("scenario.seed: expected an integer")
 
     caps = sc.get("caps", {})
@@ -236,7 +257,7 @@ def parse_scenario(text: str) -> dict:
     for name, val in caps.items():
         if name not in config.snapshot():
             raise ScenarioError(f"scenario.caps: unknown cap {name!r}")
-        if not isinstance(val, int) or isinstance(val, bool) or val < 1:
+        if not _is_int(val) or val < 1:
             raise ScenarioError(f"scenario.caps.{name}: caps must be "
                                 f"positive integers")
 
@@ -249,7 +270,7 @@ def parse_scenario(text: str) -> dict:
             raise ScenarioError(f"{where}: expected an object with a "
                                 f"\"task\" key")
         name = task["task"]
-        if name not in TASKS:
+        if not isinstance(name, str) or name not in TASKS:
             raise ScenarioError(f"{where}: unknown task {name!r} "
                                 f"(known: {', '.join(sorted(TASKS))})")
         _check_keys(where, task, TASKS[name].keys | {"task"})
@@ -267,8 +288,7 @@ def parse_scenario(text: str) -> dict:
                     raise ScenarioError(f"{where}.W: dangling subspace "
                                         f"reference {val!r}")
             elif key == "n_max":
-                if not isinstance(val, int) or isinstance(val, bool) \
-                        or val < 1:
+                if not _is_int(val) or val < 1:
                     raise ScenarioError(f"{where}.n_max: expected a "
                                         f"positive integer")
             elif key == "example":
@@ -276,8 +296,7 @@ def parse_scenario(text: str) -> dict:
                     raise ScenarioError(f"{where}.example: expected an object")
                 _check_keys(f"{where}.example", val, {"k", "ell"})
                 for p in ("k", "ell"):
-                    if not isinstance(val.get(p), int) \
-                            or isinstance(val[p], bool) or val[p] < 1:
+                    if not _is_int(val.get(p)) or val[p] < 1:
                         raise ScenarioError(f"{where}.example.{p}: expected "
                                             f"a positive integer")
             elif key == "function":

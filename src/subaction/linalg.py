@@ -343,7 +343,7 @@ def actor_growth_linear(rep: Representation, W: Subspace, lam) -> SetFunction:
         if mask not in cache:
             A = [b for b in range(rep.group.order) if (mask >> b) & 1]
             cache[mask] = rep.module_span(A, W).dim
-        return Fraction(cache[mask]) - lam * bin(mask).count("1")
+        return Fraction(cache[mask]) - lam * mask.bit_count()
 
     label = (f"actor_growth_linear[{rep.name}, dimW={W.dim}, "
              f"lam={format_fraction(lam)}]")

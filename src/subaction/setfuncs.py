@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -31,6 +31,16 @@ def _mask_of(points: Iterable[int]) -> int:
     for p in points:
         m |= 1 << int(p)
     return m
+
+
+def _check_samples(samples: int | None) -> None:
+    if samples is not None and samples < 1:
+        raise DomainError(f"samples must be at least 1; got {samples}")
+
+
+def _fits_kernel(lam: Fraction) -> bool:
+    """Whether lam's numerator and denominator are kernel coefficients."""
+    return max(abs(lam.numerator), lam.denominator) < MAX_COEFF
 
 
 def _set_of(mask: int) -> frozenset[int]:
@@ -76,14 +86,9 @@ class SetFunction:
             raise DomainError("subset mask outside the ground set")
         if self.kind == "union":
             u = 0
-            card = 0
-            m = mask
-            while m:
-                b = (m & -m).bit_length() - 1
+            for b in _set_of(mask):
                 u |= self.union_masks[b]
-                card += 1
-                m &= m - 1
-            return Fraction(_popcount(u)) - self.lam * card
+            return Fraction(u.bit_count()) - self.lam * mask.bit_count()
         if self.kind == "cut":
             pts = sorted(_set_of(mask))
             if not pts:
@@ -99,10 +104,6 @@ class SetFunction:
 
     def __repr__(self) -> str:
         return f"SetFunction({self.label}, ground={self.ground_size})"
-
-
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
 
 
 # -- families ----------------------------------------------------------------
@@ -172,13 +173,7 @@ def subtract_modular(f: SetFunction, weights: Sequence, constant=0) -> SetFuncti
         raise StructuralError("need one weight per ground point")
 
     def fn(mask: int) -> Fraction:
-        tot = Fraction(0)
-        m = mask
-        while m:
-            b = (m & -m).bit_length() - 1
-            tot += w[b]
-            m &= m - 1
-        return f.value_mask(mask) - c - tot
+        return f.value_mask(mask) - c - sum(w[b] for b in _set_of(mask))
 
     return SetFunction(f.ground_size, f"{f.label} - modular", kind="generic", fn=fn)
 
@@ -191,9 +186,9 @@ def _scaled_table(f: SetFunction) -> tuple[np.ndarray, int]:
     n = f.ground_size
     size = 1 << n
     if f.kind == "union":
-        num, den = f.lam.numerator, f.lam.denominator
-        if max(abs(num), den) < MAX_COEFF and n <= MAX_N and \
+        if _fits_kernel(f.lam) and n <= MAX_N and \
                 max(f.union_masks, default=0) < (1 << _MASK_LIMIT):
+            num, den = f.lam.numerator, f.lam.denominator
             fold = SubsetFold(f.union_masks)
             table = (fold.pops.astype(np.int64) * den
                      - fold.cards.astype(np.int64) * num)
@@ -263,6 +258,7 @@ class MinimizationResult:
     fragments_truncated: bool
     atoms: list[frozenset[int]]
     atom_size: int
+    largest_size: int  # of a fragment; not serialised
 
 
 @dataclass(frozen=True)
@@ -292,6 +288,7 @@ def check_submodular(f: SetFunction, *, samples: int | None = None,
     Exhaustive (via a subset-minimum transform over the full value table)
     up to the configured ground cap, sampled above it.
     """
+    _check_samples(samples)
     n = f.ground_size
     if n <= config.cap("MAX_SUBMODULAR_EXHAUSTIVE"):
         return _check_submodular_exhaustive(f)
@@ -373,6 +370,7 @@ def check_invariance(f: SetFunction, action: GroupAction, *,
     pass the left translation action to test translation invariance of a
     function on group subsets.
     """
+    _check_samples(samples)
     if action.domain_size != f.ground_size:
         raise StructuralError(
             f"action domain {action.domain_size} != ground {f.ground_size}")
@@ -428,18 +426,9 @@ def minimize_nonempty(f: SetFunction, *, fragment_cap: int | None = None
     if n > ground_cap:
         raise CapacityError("MAX_EXHAUSTIVE_GROUND", ground_cap, n)
     cap = config.cap("FRAGMENT_LIST_CAP") if fragment_cap is None else fragment_cap
-    if f.kind == "union" and n <= MAX_N and \
-            max(abs(f.lam.numerator), f.lam.denominator) < MAX_COEFF and \
+    if f.kind == "union" and n <= MAX_N and _fits_kernel(f.lam) and \
             max(f.union_masks, default=0) < (1 << _MASK_LIMIT):
-        fold = SubsetFold(f.union_masks)
-        num, den = f.lam.numerator, f.lam.denominator
-        scaled, count, frags, truncated, atoms, atom_size = \
-            fold.min_affine(num, den, cap)
-        return MinimizationResult(
-            label=f.label, ground_size=n, min_value=Fraction(scaled, den),
-            fragment_count=count, fragments=[_set_of(m) for m in frags],
-            fragments_truncated=truncated, atoms=[_set_of(m) for m in atoms],
-            atom_size=atom_size)
+        return _fold_minimum(SubsetFold(f.union_masks), f.lam, cap, f.label)
     # table path: exact scaled values
     table, den = _scaled_table(f)
     vals = table[1:]
@@ -454,7 +443,22 @@ def minimize_nonempty(f: SetFunction, *, fragment_cap: int | None = None
         label=f.label, ground_size=n, min_value=Fraction(best, den),
         fragment_count=count, fragments=[_set_of(m) for m in frags],
         fragments_truncated=count > len(frags),
-        atoms=[_set_of(m) for m in atoms], atom_size=atom_size)
+        atoms=[_set_of(m) for m in atoms], atom_size=atom_size,
+        largest_size=int(cards.max()))
+
+
+def _fold_minimum(fold: SubsetFold, lam: Fraction, fragment_cap: int,
+                 label: str) -> MinimizationResult:
+    """`minimize_nonempty` of |join S| - lam*|S| over the subsets S of a
+    fold; lam must pass `_fits_kernel`."""
+    num, den = lam.numerator, lam.denominator
+    scaled, count, frags, truncated, atoms, atom_size, largest = \
+        fold.min_affine(num, den, fragment_cap)
+    return MinimizationResult(
+        label=label, ground_size=fold.n, min_value=Fraction(scaled, den),
+        fragment_count=count, fragments=[_set_of(m) for m in frags],
+        fragments_truncated=truncated, atoms=[_set_of(m) for m in atoms],
+        atom_size=atom_size, largest_size=largest)
 
 
 def core_set(f: SetFunction, *, require_disjoint: bool = True) -> CoreResult:
@@ -474,16 +478,16 @@ def core_set(f: SetFunction, *, require_disjoint: bool = True) -> CoreResult:
     return CoreResult(atoms=res.atoms, union=frozenset(union), disjoint=disjoint)
 
 
-def identity_atom(f: SetFunction, group: FiniteGroup,
+def identity_atom(f: SetFunction | None, group: FiniteGroup,
                   minimized: MinimizationResult | None = None) -> Subgroup:
     """The atom containing the identity, verified to be a subgroup.
 
     Defined for translation-invariant submodular functions on subsets of
     the group; the minimiser structure forces this atom to be a subgroup.
     ``minimized`` is f's ``minimize_nonempty`` result when the caller
-    already has it.
+    already has it; f may then be None.
     """
-    if f.ground_size != group.order:
+    if (minimized or f).ground_size != group.order:
         raise StructuralError("function must live on subsets of the group")
     res = minimized or minimize_nonempty(f, fragment_cap=0)
     containing = [a for a in res.atoms if 0 in a]
@@ -576,7 +580,7 @@ def _dinkelbach(action: GroupAction, y: np.ndarray, fold, sub_images):
 
     def oracle(lam: Fraction):
         if fold is not None:
-            scaled, _c, frags, _t, _a, _s = fold.min_affine(
+            scaled, _c, frags, *_rest = fold.min_affine(
                 lam.numerator, lam.denominator, 1)
             return Fraction(scaled, lam.denominator), frags[0]
         best = None

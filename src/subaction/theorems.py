@@ -31,15 +31,14 @@ from .errors import CapacityError, DomainError, StructuralError
 from .groups import _PRODUCT_BLOCK, FiniteGroup, symmetric
 from .linalg import Representation, Subspace, enumerate_subspaces
 from .rationals import exact_fraction, format_fraction
-from .setfuncs import (Exhaustiveness, SetFunction, _mask_of, _scaled_table,
-                       _set_of, actor_growth, identity_atom, min_image_ratio,
+from .setfuncs import (_MASK_LIMIT, Exhaustiveness, _check_samples,
+                       _fits_kernel, _fold_minimum, _mask_of, _set_of,
+                       actor_growth, identity_atom, min_image_ratio,
                        minimize_nonempty, target_growth)
 
 STATEMENT_IDS = ("kneser", "murphy", "small_growth", "freiman", "ruzsa",
                  "hamidoune", "petridis", "tao_doubling", "taod",
                  "fragment_bounds")
-
-_MASK_LIMIT = 64
 
 _EXHAUSTIVE = Exhaustiveness(kind="exhaustive")
 
@@ -92,11 +91,6 @@ def _random_nonempty_mask(rng: random.Random, n: int) -> int:
     if m == 0:
         m = 1 << rng.randrange(n)
     return m
-
-
-def _check_samples(samples: int | None) -> None:
-    if samples is not None and samples < 1:
-        raise DomainError(f"samples must be at least 1; got {samples}")
 
 
 def _chunk_rows(width: int) -> int:
@@ -249,7 +243,7 @@ def _forall_actor_sets(left: list, right: list, alpha: Fraction,
                           if exceeds(*sizes(_set_of(m)))), None)
     else:
         exh = _EXHAUSTIVE
-        if masks and n <= MAX_N and max(num, den) < MAX_COEFF \
+        if masks and n <= MAX_N and _fits_kernel(alpha) \
                 and max(left + right) >> _MASK_LIMIT == 0:
             _ok, first, _checked = check_pair_ratio(left, right, num, den)
         else:
@@ -718,9 +712,9 @@ def _hamidoune_set(action: GroupAction, Y, lam, A0, *, samples, seed
 def _module_spans(rep: Representation, elements: Sequence[int],
                   W: Subspace, hint: str) -> list[Subspace]:
     """<C.W> for every mask C over `elements`, by doubling on the lowest
-    bit; at most LINEAR_EXHAUSTIVE_MAX_ORDER elements."""
+    bit; at most LINEAR_EXHAUSTIVE_MAX_ORDER (and MAX_N) elements."""
     k = len(elements)
-    cap = config.cap("LINEAR_EXHAUSTIVE_MAX_ORDER")
+    cap = min(config.cap("LINEAR_EXHAUSTIVE_MAX_ORDER"), MAX_N)
     if k > cap:
         raise CapacityError("LINEAR_EXHAUSTIVE_MAX_ORDER", cap, k, hint=hint)
     images = [rep.act_subspace(g, W) for g in elements]
@@ -729,23 +723,24 @@ def _module_spans(rep: Representation, elements: Sequence[int],
 
 
 def _hamidoune_linear(rep: Representation, W: Subspace, lam) -> CheckReport:
+    """mu, the minimum growth and H all come from one span-dimension fold."""
     G = rep.group
     lam = exact_fraction(lam)
-    n = G.order
-    dims = [s.dim for s in _module_spans(
-        rep, range(n), W, "linear variant enumerates all actor sets")]
-    mu = min(Fraction(dims[m], int(m).bit_count())
-             for m in range(1, 1 << n))
+    fold = SubsetFold.from_sizes([s.dim for s in _module_spans(
+        rep, range(G.order), W, "linear variant enumerates all actor sets")])
+    mu = Fraction(*fold.min_ratio()[:2])
     if not 0 <= lam <= mu:
         raise DomainError(
             f"lambda must lie in [0, mu] = [0, {format_fraction(mu)}]; "
             f"got {format_fraction(lam)}")
+    if not _fits_kernel(lam):
+        raise DomainError(
+            f"lambda {format_fraction(lam)} is too wide for the int64 "
+            f"kernel: numerator and denominator must be below {MAX_COEFF}")
     GW = rep.subspace_stabilizer(W)
-    gamma = SetFunction(n, f"actor_growth_linear[{rep.name}]",
-                        fn=lambda m: dims[m] - lam * m.bit_count())
-    res = minimize_nonempty(gamma, fragment_cap=0)
-    H = identity_atom(gamma, G, res) if lam else GW
-    cH = gamma.value(H.member_tuple)
+    res = _fold_minimum(fold, lam, 0, f"actor_growth_linear[{rep.name}]")
+    H = identity_atom(None, G, res) if lam else GW
+    cH = fold.union_pop(_mask_of(H.members)) - lam * H.order
     checks = {"stabilizer_in_subgroup": GW.members <= H.members,
               "floor_bound": cH >= W.dim - lam * H.order,
               "minimum_at_subgroup": res.min_value >= cH}
@@ -761,32 +756,6 @@ def _hamidoune_linear(rep: Representation, W: Subspace, lam) -> CheckReport:
 
 
 # -- petridis --------------------------------------------------------------------
-
-
-def _lex_before(a: int, b: int) -> bool:
-    """Mask order matching lexicographic order on sorted index tuples."""
-    if a == b:
-        return False
-    low = ((a ^ b) & -(a ^ b)).bit_length() - 1
-    return (a >> low) & 1 == 1
-
-
-def _ratio_argmin(pairs: list[tuple[int, int]]) -> int:
-    """Index of the minimal num/den pair, ties by popcount then mask order.
-
-    pairs[i] is (value_i, size_i) for mask i+1; returns the winning mask.
-    """
-    best = None
-    best_mask = 0
-    for mask, (val, size) in enumerate(pairs, start=1):
-        if best is None or val * best[1] < best[0] * size:
-            best, best_mask = (val, size), mask
-            continue
-        if val * best[1] == best[0] * size:
-            bc, cc = best_mask.bit_count(), mask.bit_count()
-            if cc < bc or (cc == bc and _lex_before(mask, best_mask)):
-                best, best_mask = (val, size), mask
-    return best_mask
 
 
 def find_petridis_witness(obj: GroupAction | Representation, A, Y, alpha,
@@ -849,10 +818,9 @@ def _petridis_linear(rep: Representation, A, W: Subspace, alpha: Fraction,
                                     "actor_size": len(A),
                                     "bound": alpha * len(A)})
     spans = _module_spans(rep, A, W, "witness search enumerates subsets of A")
-    wmask = _ratio_argmin([(spans[m].dim, int(m).bit_count())
-                           for m in range(1, len(spans))])
+    p, q, wmask = SubsetFold.from_sizes([s.dim for s in spans]).min_ratio()
     B = tuple(a for i, a in enumerate(A) if (wmask >> i) & 1)
-    ratio = Fraction(spans[wmask].dim, len(B))
+    ratio = Fraction(p, q)
     counterexample, exh = _forall_actor_sets(
         [rep.act_subspace(c, spans[wmask]) for c in range(G.order)],
         [_mask_of(G.translate_set(c, B)) for c in range(G.order)],
@@ -1052,11 +1020,7 @@ def check_fragment_bounds(action: GroupAction, A, lam, mu_param=None
                        {"part1_applies": part1, "part2_applies": part2,
                         "lambda": lam, "part2_threshold": threshold})
     res = minimize_nonempty(target_growth(action, A, lam))
-    if res.fragments_truncated:
-        lo, hi = _fragment_size_range(target_growth(action, A, lam))
-    else:
-        sizes = [len(f) for f in res.fragments]
-        lo, hi = min(sizes), max(sizes)
+    lo, hi = res.atom_size, res.largest_size
     checks = {}
     if part1:
         checks["upper_bound"] = hi <= size
@@ -1077,11 +1041,3 @@ def check_fragment_bounds(action: GroupAction, A, lam, mu_param=None
                  "part2_threshold": threshold, "minimum": res.min_value,
                  "fragment_count": res.fragment_count,
                  "smallest_fragment": lo, "largest_fragment": hi})
-
-
-def _fragment_size_range(f) -> tuple[int, int]:
-    table, _den = _scaled_table(f)
-    vals = table[1:]
-    hits = np.flatnonzero(vals == vals.min()).astype(np.uint64) + 1
-    cards = np.bitwise_count(hits)
-    return int(cards.min()), int(cards.max())

@@ -65,6 +65,41 @@ def test_minimal_scenario_parses():
     (lambda sc: sc.update(sets={"A": []}), "nonempty list of integers"),
     (lambda sc: sc.update(
         subspaces={"W": [[1, 0]]}), "subspaces need a representation"),
+    # every key a spec kind lists is required and of its type
+    (lambda sc: sc.update(group={"kind": "symmetric"}),
+     "scenario.group: missing required key 'n'"),
+    (lambda sc: sc.update(group={"kind": "symmetric", "n": "abc"}),
+     "scenario.group.n: expected an integer"),
+    (lambda sc: sc.update(group={"kind": "symmetric", "n": True}),
+     "scenario.group.n: expected an integer"),
+    (lambda sc: sc.update(group={"kind": "affine_gl1", "p": [5]}),
+     "scenario.group.p: expected an integer"),
+    (lambda sc: sc.update(group={"kind": "direct_product",
+                                 "left": {"kind": "cyclic", "n": 2}}),
+     "scenario.group: missing required key 'right'"),
+    (lambda sc: sc.update(group={"kind": "direct_product",
+                                 "left": {"kind": "cyclic", "n": 2},
+                                 "right": {"kind": "cyclic"}}),
+     "scenario.group.right: missing required key 'n'"),
+    (lambda sc: sc.update(group={"kind": ["symmetric"], "n": 3}),
+     "unknown kind ['symmetric']"),
+    (lambda sc: sc.update(action={"kind": "coset"}),
+     "scenario.action: missing required key 'subgroup'"),
+    (lambda sc: sc.update(action={"kind": "coset", "subgroup": []}),
+     "scenario.action.subgroup: expected a nonempty list of integers"),
+    (lambda sc: sc.update(representation={"kind": "swap"}),
+     "scenario.representation: missing required key 'p'"),
+    (lambda sc: sc.update(representation={"kind": "matrices", "p": 2,
+                                          "generators": 5}),
+     "generators: expected a nonempty list of square integer matrices"),
+    (lambda sc: sc.update(representation={"kind": "matrices", "p": 2,
+                                          "generators": [[[1, 0]]]}),
+     "generators: expected a nonempty list of square integer matrices"),
+    (lambda sc: sc.update(representation={
+        "kind": "matrices", "p": 2,
+        "generators": [[[0, 1], [1, 0]], [[1]]]}),
+     "square integer matrices of one size"),
+    (lambda sc: sc.update(tasks=[{"task": ["kneser"]}]), "unknown task"),
 ])
 def test_validation_messages(mutate, fragment):
     sc = _minimal()
@@ -257,6 +292,14 @@ def test_exit_2_on_validation(tmp_path, capsys):
     path = _write(tmp_path, {"group": {"kind": "wat"}, "tasks": []})
     assert main(["run", path]) == 2
     assert "scenario error" in capsys.readouterr().err
+
+
+def test_exit_2_on_malformed_spec_key(tmp_path, capsys):
+    # a malformed group parameter is a usage error, not a traceback
+    path = _write(tmp_path, dict(_minimal(), group={"kind": "symmetric",
+                                                    "n": "abc"}))
+    assert main(["run", path]) == 2
+    assert "scenario.group.n: expected an integer" in capsys.readouterr().err
 
 
 def test_exit_2_on_missing_file(capsys):

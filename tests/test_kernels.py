@@ -28,27 +28,35 @@ def _union(masks, subset):
     return u
 
 
-def _brute_min_affine(masks, num, den):
-    n = len(masks)
+def _union_sizes(masks):
+    """The size table of a mask family: |union| for every subset mask."""
+    return [_union(masks, s).bit_count() for s in range(1 << len(masks))]
+
+
+def _brute_min_affine(masks, num, den, sizes=None):
+    """(min, fragments, atoms, atom size, largest fragment size) of
+    den*size - num*|S|, sizes the given table or the masks' union sizes."""
+    sizes = _union_sizes(masks) if sizes is None else sizes
     best = None
     hits = []
-    for s in range(1, 1 << n):
-        val = den * bin(_union(masks, s)).count("1") - num * bin(s).count("1")
+    for s in range(1, len(sizes)):
+        val = den * sizes[s] - num * bin(s).count("1")
         if best is None or val < best:
             best, hits = val, [s]
         elif val == best:
             hits.append(s)
     atom_size = min(bin(s).count("1") for s in hits)
     atoms = [s for s in hits if bin(s).count("1") == atom_size]
-    return best, hits, atoms, atom_size
+    largest = max(bin(s).count("1") for s in hits)
+    return best, hits, atoms, atom_size, largest
 
 
-def _brute_min_ratio(masks):
-    n = len(masks)
+def _brute_min_ratio(masks, sizes=None):
+    sizes = _union_sizes(masks) if sizes is None else sizes
     best = None
     wits = []
-    for s in range(1, 1 << n):
-        r = Fraction(bin(_union(masks, s)).count("1"), bin(s).count("1"))
+    for s in range(1, len(sizes)):
+        r = Fraction(sizes[s], bin(s).count("1"))
         if best is None or r < best:
             best, wits = r, [s]
         elif r == best:
@@ -72,24 +80,26 @@ def test_min_affine_matches_brute():
         masks = _random_masks(rng, n, rng.randint(4, 12))
         num, den = rng.randint(-3, 5), rng.randint(1, 4)
         got = SubsetFold(masks).min_affine(num, den, 1 << n)
-        best, hits, atoms, atom_size = _brute_min_affine(masks, num, den)
-        g_best, g_count, g_frags, g_trunc, g_atoms, g_atom = got
+        best, hits, atoms, atom_size, largest = \
+            _brute_min_affine(masks, num, den)
+        g_best, g_count, g_frags, g_trunc, g_atoms, g_atom, g_largest = got
         assert g_best == best
         assert g_count == len(hits)
         assert g_frags == hits
         assert not g_trunc
         assert g_atoms == atoms
         assert g_atom == atom_size
+        assert g_largest == largest
 
 
 def test_min_affine_truncation():
     # identical singleton masks: every subset achieves den*1 - num*|S| at
     # |S| = n, so pick num = 0 so all 2^n - 1 subsets tie.
     masks = [1] * 5
-    best, count, frags, trunc, atoms, atom_size = \
+    best, count, frags, trunc, atoms, atom_size, largest = \
         SubsetFold(masks).min_affine(0, 1, 3)
     assert count == 31 and len(frags) == 3 and trunc
-    assert atom_size == 1 and len(atoms) == 5
+    assert atom_size == 1 and len(atoms) == 5 and largest == 5
 
 
 def test_min_ratio_matches_brute():
@@ -127,7 +137,8 @@ def test_numpy_histogram_queries_match_brute_across_blocks(data):
     # masks drawn from a pool of at most three values force ties; zero
     # masks give nonempty subsets with an empty union, so a nonpositive
     # num tests that the empty set stays out; small block constants make
-    # the build and the scans cross block boundaries
+    # the build and the scans cross block boundaries. The fold built from
+    # the masks' size table must answer every query as the mask fold does.
     n = data.draw(st.integers(1, 10), label="n")
     top = (1 << data.draw(st.sampled_from([1, 2, 3, 5, 64]))) - 1
     pool = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=3))
@@ -140,15 +151,18 @@ def test_numpy_histogram_queries_match_brute_across_blocks(data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(numpy_backend, "_LOW_BITS", data.draw(st.integers(1, 4)))
         mp.setattr(numpy_backend, "_CHUNK", 1 << data.draw(st.integers(1, 5)))
-        fold = SubsetFold(masks)
-        ratio = fold.min_ratio()
-        got = [fold.min_affine(num, den, cap) for num, den, cap in queries]
-    for (num, den, cap), result in zip(queries, got):
-        best, hits, atoms, atom_size = _brute_min_affine(masks, num, den)
+        folds = [SubsetFold(masks), SubsetFold.from_sizes(_union_sizes(masks))]
+        ratios = [fold.min_ratio() for fold in folds]
+        got = [[fold.min_affine(num, den, cap) for num, den, cap in queries]
+               for fold in folds]
+    assert got[0] == got[1] and ratios[0] == ratios[1]
+    for (num, den, cap), result in zip(queries, got[0]):
+        best, hits, atoms, atom_size, largest = \
+            _brute_min_affine(masks, num, den)
         assert result == (best, len(hits), hits[:cap], len(hits) > cap,
-                          atoms, atom_size)
+                          atoms, atom_size, largest)
     best, winner = _brute_min_ratio(masks)
-    p, q, wit = ratio
+    p, q, wit = ratios[0]
     assert (Fraction(p, q), math.gcd(p, q), wit) == (best, 1, winner)
 
 
@@ -158,8 +172,31 @@ def test_numpy_fragment_list_fills_across_blocks(monkeypatch):
     monkeypatch.setattr(numpy_backend, "_CHUNK", 4)
     masks = [0b01, 0b10, 0b01, 0b01]
     got = SubsetFold(masks).min_affine(0, 1, 3)
-    best, hits, atoms, atom_size = _brute_min_affine(masks, 0, 1)
-    assert got == (best, len(hits), hits[:3], True, atoms, atom_size)
+    best, hits, atoms, atom_size, largest = _brute_min_affine(masks, 0, 1)
+    assert got == (best, len(hits), hits[:3], True, atoms, atom_size,
+                   largest)
+
+
+@pytest.mark.parametrize("scale", [1, 40, 1000])
+def test_size_table_fold_matches_brute(scale):
+    # sizes past 255 (a span dimension can exceed a byte) stay exact: the
+    # table is held in a wider dtype and the bins widen with it
+    rng = random.Random(scale)
+    for trial in range(10):
+        n = rng.randint(1, 8)
+        sizes = [0] + [scale * rng.randint(0, 9) + rng.randint(0, 2)
+                       for _ in range((1 << n) - 1)]
+        fold = SubsetFold.from_sizes(sizes)
+        assert [fold.union_pop(s) for s in range(1 << n)] == sizes
+        num, den = rng.randint(-3, 5 * scale), rng.randint(1, 4)
+        best, hits, atoms, atom_size, largest = \
+            _brute_min_affine(None, num, den, sizes)
+        assert fold.min_affine(num, den, 5) == (
+            best, len(hits), hits[:5], len(hits) > 5, atoms, atom_size,
+            largest)
+        best, winner = _brute_min_ratio(None, sizes)
+        p, q, wit = fold.min_ratio()
+        assert (Fraction(p, q), wit) == (best, winner)
 
 
 def test_union_pop():
@@ -179,6 +216,9 @@ def test_input_validation():
         SubsetFold([1 << 64])
     with pytest.raises(ValueError):
         check_pair_ratio([1, 2], [1], 1, 1)
+    for sizes in ([0], [0, 1, 1], range(2 << MAX_N)):
+        with pytest.raises(ValueError):
+            SubsetFold.from_sizes(sizes)
 
 
 def test_backend_name_reported():

@@ -143,6 +143,18 @@ def test_sampled_checks_report_the_seed_they_used():
                             seed=rep.checked.seed) == rep
 
 
+@pytest.mark.parametrize("bad", [0, -5])
+def test_sampled_checks_refuse_samples_below_one(bad):
+    # ground 24 is above MAX_SUBMODULAR_EXHAUSTIVE: a count below one would
+    # otherwise check nothing and report that the property holds
+    action = left_translation_action(cyclic(24))
+    f = actor_growth(action, (0,), "1/2")
+    with pytest.raises(DomainError, match="samples must be at least 1"):
+        check_submodular(f, samples=bad)
+    with pytest.raises(DomainError, match="samples must be at least 1"):
+        check_invariance(f, action, samples=bad)
+
+
 def test_submodularity_counterexample_reported():
     table = [0, 1, 1, 0, 1, 0, 0, 1]  # parity-flavoured: not submodular
     f = SetFunction(3, "xor-size", fn=lambda m: Fraction(table[m]))

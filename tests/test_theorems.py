@@ -393,6 +393,32 @@ def test_hamidoune_linear_builds_each_span_once(monkeypatch):
         assert rep.witnesses["subgroup"].members == H.members
 
 
+def test_hamidoune_linear_lambda_too_wide_for_the_kernel():
+    # a lambda in [0, mu] whose denominator is not a kernel coefficient is
+    # refused as a domain error, not passed to the int64 kernel
+    with pytest.raises(DomainError, match="too wide for the int64 kernel"):
+        check_hamidoune(_swap_rep(), Subspace.from_vectors(3, 2, [[1, 1]]),
+                        Fraction(1, 2 ** 40))
+
+
+def test_linear_checkers_keep_span_dimensions_past_255():
+    # C2 swapping the halves of F_2^260, W the first 200 coordinates: the
+    # spans of {e}, {g} and G have dimensions 200, 200 and 260, so the
+    # fold's sizes no longer fit a byte
+    d = 260
+    swap = np.zeros((d, d), dtype=np.int64)
+    swap[(np.arange(d) + d // 2) % d, np.arange(d)] = 1
+    rep_obj = representation_from_generator_matrices(cyclic(2), 2, [swap])
+    W = Subspace.from_vectors(2, d, np.eye(d, dtype=int)[:200].tolist())
+    rep = check_hamidoune(rep_obj, W, "100")
+    assert rep.conclusion_holds and rep.details["mu"] == 130
+    assert rep.witnesses["subgroup"].order == 2
+    assert rep.details["subgroup_growth"] == 60
+    rep = find_petridis_witness(rep_obj, (0, 1), W, "130")
+    assert rep.conclusion_holds and rep.witnesses["B"] == {0, 1}
+    assert rep.details["witness_ratio"] == 130
+
+
 def test_hamidoune_sampled_on_larger_group():
     G = symmetric(5)
     action = natural_action(G)  # order 120 > exhaustive caps
@@ -480,6 +506,65 @@ def test_petridis_linear_sampled_uses_the_given_seed_and_samples():
                                 seed=12345)
     assert rep.hypotheses_hold and rep.conclusion_holds
     assert rep.exhaustiveness == Exhaustiveness("sampled", 40, 12345)
+
+
+def _lex_before(a: int, b: int) -> bool:
+    """Mask order matching lexicographic order on sorted index tuples."""
+    if a == b:
+        return False
+    low = ((a ^ b) & -(a ^ b)).bit_length() - 1
+    return (a >> low) & 1 == 1
+
+
+def _ratio_argmin(pairs: list[tuple[int, int]]) -> int:
+    """Index of the minimal num/den pair, ties by popcount then mask order.
+
+    pairs[i] is (value_i, size_i) for mask i+1; returns the winning mask.
+    """
+    best = None
+    best_mask = 0
+    for mask, (val, size) in enumerate(pairs, start=1):
+        if best is None or val * best[1] < best[0] * size:
+            best, best_mask = (val, size), mask
+            continue
+        if val * best[1] == best[0] * size:
+            bc, cc = best_mask.bit_count(), mask.bit_count()
+            if cc < bc or (cc == bc and _lex_before(mask, best_mask)):
+                best, best_mask = (val, size), mask
+    return best_mask
+
+
+@functools.cache
+def _permutation_rep(name, p):
+    return permutation_representation(_small_action(name), p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_petridis_linear_witness_matches_the_scalar_argmin(data):
+    # the witness comes from the span-dimension fold; a scalar scan of
+    # every nonempty C inside A with the same tie rule must pick it too
+    rep_obj = _permutation_rep(data.draw(st.sampled_from(["c6", "s3"])),
+                               data.draw(st.sampled_from([2, 3])))
+    n, d = rep_obj.group.order, rep_obj.dim
+    A = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                 max_size=n), label="A"))
+    W = Subspace.from_vectors(rep_obj.p, d, data.draw(st.lists(
+        st.lists(st.integers(0, rep_obj.p - 1), min_size=d, max_size=d),
+        min_size=1, max_size=2), label="W"))
+    if W.is_zero():
+        return
+    alpha = Fraction(rep_obj.module_span(A, W).dim, len(A))
+    report = find_petridis_witness(rep_obj, A, W, alpha)
+    dims = [rep_obj.module_span([a for i, a in enumerate(A) if m >> i & 1],
+                                W).dim for m in range(1, 1 << len(A))]
+    wmask = _ratio_argmin([(dim, m.bit_count())
+                           for m, dim in enumerate(dims, start=1)])
+    B = frozenset(a for i, a in enumerate(A) if wmask >> i & 1)
+    assert report.hypotheses_hold and report.conclusion_holds
+    assert report.witnesses["B"] == B
+    assert report.details["witness_ratio"] == Fraction(dims[wmask - 1],
+                                                       len(B))
 
 
 # -- tao doubling ----------------------------------------------------------------
@@ -624,6 +709,43 @@ def test_fragment_bounds_neither_regime():
     rep = check_fragment_bounds(action, (0, 1), "3/4")
     assert not rep.hypotheses_hold
     assert rep.conclusion_holds is None
+
+
+@functools.cache
+def _small_action(name):
+    return {"c6": left_translation_action(cyclic(6)),
+            "d4": left_translation_action(dihedral(4)),
+            "s3": natural_action(symmetric(3)),
+            "s4": natural_action(symmetric(4))}[name]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_fragment_bounds_sizes_span_every_fragment_past_the_list_cap(data):
+    # with FRAGMENT_LIST_CAP 1 the report lists one fragment, yet the
+    # smallest and largest fragment sizes range over every minimiser
+    action = _small_action(data.draw(st.sampled_from(["c6", "d4", "s3",
+                                                       "s4"])))
+    d = action.domain_size
+    A = data.draw(st.sets(st.integers(0, action.group.order - 1),
+                          min_size=1, max_size=4), label="A")
+    lam = Fraction(data.draw(st.integers(0, 8)), 8)
+    mu_param = data.draw(st.sampled_from([None, Fraction(1, 2), 1]))
+    with config.overrides({"FRAGMENT_LIST_CAP": 1}):
+        rep = check_fragment_bounds(action, A, lam, mu_param)
+    if not rep.hypotheses_hold:
+        return
+    values = {}
+    for m in range(1, 1 << d):
+        Y = [y for y in range(d) if (m >> y) & 1]
+        values[m] = len({int(action.table[a][y]) for a in A for y in Y}) \
+            - lam * len(Y)
+    best = min(values.values())
+    sizes = [m.bit_count() for m, v in values.items() if v == best]
+    assert rep.details["fragment_count"] == len(sizes)
+    assert len(rep.witnesses["fragments"]) == 1
+    assert (rep.details["smallest_fragment"],
+            rep.details["largest_fragment"]) == (min(sizes), max(sizes))
 
 
 def test_violated_property():
