@@ -31,7 +31,6 @@ _DEFAULTS: dict[str, int] = {
     "PETRIDIS_EXHAUSTIVE_MAX_ORDER": 14,
     "LINEAR_EXHAUSTIVE_MAX_ORDER": 16,
     "MU_CROSSCHECK_MAX_ORDER": 20,
-    "VERIFY_ALL_PAIRS_MAX_ORDER": 200,
 }
 
 

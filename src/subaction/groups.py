@@ -201,8 +201,11 @@ class FiniteGroup:
         return frozenset(self.conjugate(g, int(x)) for x in self._as_indices(A))
 
     def is_conjugation_stable(self, A: Iterable[int]) -> bool:
+        """Whether gAg^-1 = A for every g; the elements that fix A under
+        conjugation form a subgroup, so the generators decide it."""
         a = frozenset(self._as_indices(A).tolist())
-        return all(self.conjugate_set(g, a) == a for g in range(self.order))
+        return all(self.conjugate_set(g, a) == a
+                   for g in self.generator_indices)
 
     def generated_set(self, S: Iterable[int]) -> frozenset[int]:
         """Element set of the subgroup generated by S (empty S gives trivial)."""

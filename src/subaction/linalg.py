@@ -198,10 +198,17 @@ def enumerate_subspaces(p: int, d: int) -> list[Subspace]:
 
 
 class Representation:
-    """A verified homomorphism from a finite group into GL_d(F_p)."""
+    """A verified homomorphism from a finite group into GL_d(F_p).
+
+    Construction checks the identity matrix, the rank of each generator
+    matrix, and the homomorphism law for every generator against every
+    element. Induction along the closure factorisation ``g = s * parent``
+    gives the law for all pairs; then every matrix is a product of
+    invertible generator matrices, so it is invertible too.
+    """
 
     def __init__(self, group: FiniteGroup, p: int, matrices: np.ndarray,
-                 *, name: str | None = None, _verified: bool = False):
+                 *, name: str | None = None):
         _check_prime(p)
         matrices = np.ascontiguousarray(matrices, dtype=np.int64) % p
         if matrices.shape[0] != group.order or \
@@ -212,19 +219,17 @@ class Representation:
         self.dim = int(matrices.shape[1])
         self.mats = matrices
         self.name = name or f"rep<{group.name} in GL{self.dim}(F{p})>"
-        if not _verified:
-            self._verify()
+        self._verify()
 
     def _verify(self) -> None:
-        n, d, p = self.group.order, self.dim, self.p
+        d, p = self.dim, self.p
         if not np.array_equal(self.mats[0], np.eye(d, dtype=np.int64)):
             raise InvariantError("identity element must map to the identity matrix")
-        for g in range(n):
+        gens = self.group.generator_indices
+        for g in gens:
             if len(_rref(p, self.mats[g].tolist())) != d:
                 raise InvariantError(f"matrix for element {g} is singular")
-        full = n <= config.cap("VERIFY_ALL_PAIRS_MAX_ORDER")
-        checked = range(n) if full else self.group.generator_indices
-        for g in checked:
+        for g in gens:
             row = self.group.mul_row(g)
             prods = np.matmul(self.mats[g], self.mats) % p
             if not np.array_equal(prods, self.mats[row]):
@@ -255,13 +260,6 @@ class Representation:
                 rows = (np.asarray(W.rows, dtype=np.int64) @ self.mats[g].T) % self.p
                 stacked.extend(rows.tolist())
         return Subspace(self.p, self.dim, _rref(self.p, stacked))
-
-    def subspace_orbit(self, W: Subspace) -> list[Subspace]:
-        seen = {}
-        for g in range(self.group.order):
-            img = self.act_subspace(g, W)
-            seen[img.rows] = img
-        return sorted(seen.values(), key=Subspace.sort_key)
 
     def subspace_stabilizer(self, W: Subspace) -> Subgroup:
         members = frozenset(

@@ -20,7 +20,8 @@ from typing import Callable, NamedTuple
 from . import theorems
 from .actions import (GroupAction, conjugation_action, coset_action,
                       left_translation_action, natural_action)
-from .errors import DomainError, ScenarioError, StructuralError
+from .errors import (DomainError, InvariantError, ScenarioError,
+                     StructuralError)
 from .groups import (FiniteGroup, affine_gl1, alternating, cyclic, dihedral,
                      direct_product, symmetric)
 from .linalg import Representation, permutation_representation, \
@@ -72,10 +73,14 @@ def build_representation(group: FiniteGroup, action: GroupAction | None,
             raise StructuralError("permutation representation needs an action")
         return permutation_representation(action, int(spec["p"]))
     if kind == "matrices":
-        return representation_from_generator_matrices(
-            group, int(spec["p"]),
-            [[[int(x) for x in row] for row in mat]
-             for mat in spec["generators"]])
+        try:
+            return representation_from_generator_matrices(
+                group, int(spec["p"]),
+                [[[int(x) for x in row] for row in mat]
+                 for mat in spec["generators"]])
+        except InvariantError as e:
+            # matrices that define no representation are invalid input
+            raise DomainError(str(e)) from e
     if kind == "swap":
         if group.order != 2:
             raise StructuralError("swap representation needs a group of order 2")

@@ -20,7 +20,7 @@ from . import config
 from ._kernels import MAX_COEFF, MAX_N, SubsetFold
 from .actions import GroupAction
 from .errors import CapacityError, DomainError, InvariantError, StructuralError
-from .groups import FiniteGroup, Subgroup
+from .groups import _PRODUCT_BLOCK, FiniteGroup, Subgroup
 from .rationals import exact_fraction, format_fraction
 
 _MASK_LIMIT = 64  # kernel masks are uint64
@@ -31,6 +31,56 @@ def _mask_of(points: Iterable[int]) -> int:
     for p in points:
         m |= 1 << int(p)
     return m
+
+
+def _chunk_rows(width: int) -> int:
+    """Rows per chunk: a chunk's rows x width bit block holds at most
+    _PRODUCT_BLOCK / 8 entries, so the int64 indices of its set bits take
+    at most _PRODUCT_BLOCK bytes."""
+    return max(1, _PRODUCT_BLOCK // (8 * max(1, width)))
+
+
+def _bits(masks: Sequence[int], width: int) -> np.ndarray:
+    """The len(masks) x width bool matrix with bit b of masks[i] at [i, b]."""
+    size = (width + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(size, "little") for m in masks),
+                        dtype=np.uint8).reshape(len(masks), size)
+    return np.unpackbits(raw, axis=1, count=width,
+                         bitorder="little").view(bool)
+
+
+def _union_sizes(table: Sequence[int]) -> Callable[[Sequence[int]],
+                                                    np.ndarray]:
+    """For a table of int masks, one per group element, the function that
+    maps masks C over the table's indices to the int64 array of
+    |union of table[c], c in C|.
+
+    The table is held as a (len(table) x k) array of its set bits, padded
+    with a spare column `width`; the bits of each C pick table rows whose
+    points are scattered into a rows x (width + 1) bool block, one chunk
+    of `_chunk_rows` rows at a time.
+    """
+    n, width = len(table), max(table).bit_length()
+    k = max(m.bit_count() for m in table)
+    points = np.full((n, k), width, dtype=np.intp)
+    step = _chunk_rows(width)
+    for lo in range(0, n, step):
+        rows, cols = np.nonzero(_bits(table[lo:lo + step], width))
+        points[lo + rows, np.arange(rows.size)
+               - np.searchsorted(rows, rows)] = cols
+    step = _chunk_rows(max(n, width))
+
+    def sizes(masks: Sequence[int]) -> np.ndarray:
+        out = np.empty(len(masks), dtype=np.int64)
+        for lo in range(0, len(masks), step):
+            chunk = masks[lo:lo + step]
+            rows, cols = np.nonzero(_bits(chunk, n))
+            block = np.zeros((len(chunk), width + 1), dtype=bool)
+            for j in range(k):
+                block[rows, points[cols, j]] = True
+            out[lo:lo + step] = np.count_nonzero(block[:, :width], axis=1)
+        return out
+    return sizes
 
 
 def _check_samples(samples: int | None) -> None:
@@ -135,7 +185,7 @@ def actor_growth(action: GroupAction, Y: Iterable[int], lam) -> SetFunction:
 def target_growth(action: GroupAction, A: Iterable[int], lam) -> SetFunction:
     """On subsets Y of the domain: |A.Y| - lam*|Y|."""
     lam = exact_fraction(lam)
-    a = action._group_indices(A)
+    a = action.group._as_indices(A)
     if a.size == 0:
         raise DomainError("actor set must be nonempty")
     masks = [_mask_of(np.unique(action.table[a, x]).tolist())
@@ -529,19 +579,20 @@ def min_image_ratio(action: GroupAction, Y: Iterable[int]) -> MuResult:
         raise CapacityError("MAX_SUBGROUP_ENUM_ORDER", subgroup_cap, n,
                             hint="group too large for any ratio method")
 
+    images = [_mask_of(row) for row in action.table[:, y].tolist()]
     fold = None
     if exhaustive_ok:
-        fold = SubsetFold([_mask_of(action.table[g][y].tolist())
-                           for g in range(n)])
+        fold = SubsetFold(images)
         p, q, witness_mask = fold.min_ratio()
         methods["exhaustive"] = {
             "value": Fraction(p, q), "witness": _set_of(witness_mask)}
 
     sub_images = None
     if subgroup_ok:
+        # every |H.Y| from one batched call
         subs = G.subgroups()
-        sub_images = [(H, len(action.act_set(H.member_tuple, y.tolist())))
-                      for H in subs]
+        sub_images = list(zip(subs, _union_sizes(images)(
+            [_mask_of(H.members) for H in subs]).tolist()))
         best = None
         best_H = None
         for H, img in sub_images:

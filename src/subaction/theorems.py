@@ -28,13 +28,13 @@ from . import config
 from ._kernels import MAX_COEFF, MAX_N, SubsetFold, check_pair_ratio
 from .actions import GroupAction, natural_action
 from .errors import CapacityError, DomainError, StructuralError
-from .groups import _PRODUCT_BLOCK, FiniteGroup, symmetric
+from .groups import FiniteGroup, symmetric
 from .linalg import Representation, Subspace, enumerate_subspaces
 from .rationals import exact_fraction, format_fraction
 from .setfuncs import (_MASK_LIMIT, Exhaustiveness, _check_samples,
-                       _fits_kernel, _fold_minimum, _mask_of, _set_of,
-                       actor_growth, identity_atom, min_image_ratio,
-                       minimize_nonempty, target_growth)
+                       _chunk_rows, _fits_kernel, _fold_minimum, _mask_of,
+                       _set_of, _union_sizes, actor_growth, identity_atom,
+                       min_image_ratio, minimize_nonempty, target_growth)
 
 STATEMENT_IDS = ("kneser", "murphy", "small_growth", "freiman", "ruzsa",
                  "hamidoune", "petridis", "tao_doubling", "taod",
@@ -93,13 +93,6 @@ def _random_nonempty_mask(rng: random.Random, n: int) -> int:
     return m
 
 
-def _chunk_rows(width: int) -> int:
-    """Rows per chunk: a chunk's rows x width bit block holds at most
-    _PRODUCT_BLOCK / 8 entries, so the int64 indices of its set bits take
-    at most _PRODUCT_BLOCK bytes."""
-    return max(1, _PRODUCT_BLOCK // (8 * max(1, width)))
-
-
 def _sampled_sets(n: int, samples: int | None, seed: int | None
                   ) -> tuple[Iterator[list[int]], Exhaustiveness]:
     """Seeded random nonempty subsets of range(n) as int masks, in draw
@@ -115,49 +108,6 @@ def _sampled_sets(n: int, samples: int | None, seed: int | None
             yield [_random_nonempty_mask(rng, n)
                    for _ in range(min(rows, count - lo))]
     return chunks(), Exhaustiveness(kind="sampled", samples=count, seed=s)
-
-
-def _bits(masks: Sequence[int], width: int) -> np.ndarray:
-    """The len(masks) x width bool matrix with bit b of masks[i] at [i, b]."""
-    size = (width + 7) // 8
-    raw = np.frombuffer(b"".join(m.to_bytes(size, "little") for m in masks),
-                        dtype=np.uint8).reshape(len(masks), size)
-    return np.unpackbits(raw, axis=1, count=width,
-                         bitorder="little").view(bool)
-
-
-def _union_sizes(table: Sequence[int]) -> Callable[[Sequence[int]],
-                                                    np.ndarray]:
-    """For a table of int masks, one per group element, the function that
-    maps masks C over the table's indices to the int64 array of
-    |union of table[c], c in C|.
-
-    The table is held as a (len(table) x k) array of its set bits, padded
-    with a spare column `width`; the bits of each C pick table rows whose
-    points are scattered into a rows x (width + 1) bool block, one chunk
-    of `_chunk_rows` rows at a time.
-    """
-    n, width = len(table), max(table).bit_length()
-    k = max(m.bit_count() for m in table)
-    points = np.full((n, k), width, dtype=np.intp)
-    step = _chunk_rows(width)
-    for lo in range(0, n, step):
-        rows, cols = np.nonzero(_bits(table[lo:lo + step], width))
-        points[lo + rows, np.arange(rows.size)
-               - np.searchsorted(rows, rows)] = cols
-    step = _chunk_rows(max(n, width))
-
-    def sizes(masks: Sequence[int]) -> np.ndarray:
-        out = np.empty(len(masks), dtype=np.int64)
-        for lo in range(0, len(masks), step):
-            chunk = masks[lo:lo + step]
-            rows, cols = np.nonzero(_bits(chunk, n))
-            block = np.zeros((len(chunk), width + 1), dtype=bool)
-            for j in range(k):
-                block[rows, points[cols, j]] = True
-            out[lo:lo + step] = np.count_nonzero(block[:, :width], axis=1)
-        return out
-    return sizes
 
 
 def _first_violation(chunks: Iterable[list[int]],
@@ -258,6 +208,23 @@ def _forall_actor_sets(left: list, right: list, alpha: Fraction,
     return {"C": C, "lhs": lhs, "rhs": alpha * rhs}, exh
 
 
+def _check_ground(cap_name: str, size: int, hint: str, points: int = 0
+                  ) -> None:
+    """Refuse a subset enumeration over `size` elements, on masks over
+    `points` points, past the cap `cap_name` or past the subset-fold
+    kernel's fixed limits of MAX_N elements and _MASK_LIMIT points, which
+    no cap override lifts; the refusal names the limit that stopped it."""
+    limit = config.cap(cap_name)
+    if size > limit:
+        raise CapacityError(cap_name, limit, size, hint=hint)
+    fixed = f"a fixed limit of the subset-fold kernel, not a cap; {hint}"
+    if size > MAX_N:
+        raise CapacityError("kernel ground size", MAX_N, size, hint=fixed)
+    if points > _MASK_LIMIT:
+        raise CapacityError("kernel mask width", _MASK_LIMIT, points,
+                            hint=fixed)
+
+
 def _failed(statement_id: str, details: dict) -> CheckReport:
     return CheckReport(statement_id=statement_id, hypotheses_hold=False,
                        conclusion_holds=None, witnesses={},
@@ -266,14 +233,13 @@ def _failed(statement_id: str, details: dict) -> CheckReport:
 
 
 def is_left_translation(action: GroupAction) -> bool:
-    """True when the table is exactly left multiplication on element indices."""
+    """True when the table is exactly left multiplication on element
+    indices. Both are homomorphisms into Sym(G), so they are equal when
+    they agree on the generators."""
     G = action.group
-    if action.domain_size != G.order:
-        return False
-    for g in range(G.order):
-        if not np.array_equal(action.table[g], G.mul_row(g)):
-            return False
-    return True
+    return action.domain_size == G.order and all(
+        np.array_equal(action.table[g], G.mul_row(g))
+        for g in G.generator_indices)
 
 
 def _unit_range(alpha: Fraction, name: str = "alpha") -> Fraction:
@@ -713,10 +679,7 @@ def _module_spans(rep: Representation, elements: Sequence[int],
                   W: Subspace, hint: str) -> list[Subspace]:
     """<C.W> for every mask C over `elements`, by doubling on the lowest
     bit; at most LINEAR_EXHAUSTIVE_MAX_ORDER (and MAX_N) elements."""
-    k = len(elements)
-    cap = min(config.cap("LINEAR_EXHAUSTIVE_MAX_ORDER"), MAX_N)
-    if k > cap:
-        raise CapacityError("LINEAR_EXHAUSTIVE_MAX_ORDER", cap, k, hint=hint)
+    _check_ground("LINEAR_EXHAUSTIVE_MAX_ORDER", len(elements), hint)
     images = [rep.act_subspace(g, W) for g in elements]
     return list(_doubling(images, Subspace.zero(rep.p, W.ambient_dim),
                           Subspace.sum))
@@ -781,10 +744,8 @@ def find_petridis_witness(obj: GroupAction | Representation, A, Y, alpha,
         return _failed("petridis", {"product_size": len(AY),
                                     "actor_size": len(A),
                                     "bound": alpha * len(A)})
-    limit = min(config.cap("MAX_EXHAUSTIVE_GROUND"), MAX_N)
-    if len(A) > limit or action.domain_size > _MASK_LIMIT:
-        raise CapacityError("MAX_EXHAUSTIVE_GROUND", limit, len(A),
-                            hint="witness search enumerates subsets of A")
+    _check_ground("MAX_EXHAUSTIVE_GROUND", len(A),
+                  "witness search enumerates subsets of A", action.domain_size)
     y = list(Y)
     masks = [_mask_of(action.table[a][y].tolist()) for a in A]
     p, q, wmask = SubsetFold(masks).min_ratio()
@@ -913,10 +874,8 @@ def find_taod_witness(obj: GroupAction | Representation, A, Y, alpha,
         return _failed("taod", {"product_size": len(AY),
                                 "target_size": len(Y),
                                 "bound": alpha * len(Y)})
-    limit = min(config.cap("MAX_EXHAUSTIVE_GROUND"), MAX_N)
-    if len(Y) > limit or action.domain_size > _MASK_LIMIT:
-        raise CapacityError("MAX_EXHAUSTIVE_GROUND", limit, len(Y),
-                            hint="witness search enumerates subsets of Y")
+    _check_ground("MAX_EXHAUSTIVE_GROUND", len(Y),
+                  "witness search enumerates subsets of Y", action.domain_size)
     masks = [_mask_of(action.act_set(A, (pt,))) for pt in Y]
     p, q, wmask = SubsetFold(masks).min_ratio()
     Z = tuple(Y[i] for i in range(len(Y)) if (wmask >> i) & 1)

@@ -11,8 +11,10 @@ from subaction.actions import (GroupAction, action_from_table,
                                natural_action, orbit_reduction_bounds,
                                product_action)
 from subaction.errors import CapacityError, DomainError, InvariantError
-from subaction.groups import FiniteGroup, cyclic, dihedral, symmetric
+from subaction.groups import (FiniteGroup, affine_gl1, alternating, cyclic,
+                              dihedral, symmetric)
 from subaction.perms import from_cycles
+from subaction.theorems import is_left_translation
 
 
 def _sample_actions():
@@ -48,7 +50,41 @@ def test_rows_are_bijections():
         assert sorted(action.act_row(g).tolist()) == list(range(4))
 
 
-def test_table_verification():
+# the verification oracle's groups: one and several generators
+_VERIFY_GROUPS = [cyclic(5), cyclic(8), dihedral(4), dihedral(5), symmetric(3),
+                  symmetric(4), alternating(4), affine_gl1(5)]
+_VERIFY_ACTIONS = [build(G) for G in _VERIFY_GROUPS
+                   for build in (natural_action, left_translation_action,
+                                 conjugation_action)]
+
+
+def _reference_verify(G, table):
+    """All-pairs action check: identity, bijections, then the law over
+    every (g, h) in index order."""
+    d = table.shape[1]
+    if table[0].tolist() != list(range(d)):
+        raise InvariantError("identity row does not fix the domain")
+    if any(sorted(row) != list(range(d)) for row in table.tolist()):
+        raise InvariantError("some row is not a bijection of the domain")
+    for g in range(G.order):
+        for h in range(G.order):
+            if table[G.mul(g, h)].tolist() != table[g][table[h]].tolist():
+                raise InvariantError(
+                    f"homomorphism law fails at (g, h) = ({g}, {h})")
+
+
+def _raised(build):
+    """The InvariantError message that build() raises, or None."""
+    try:
+        build()
+    except InvariantError as e:
+        return str(e)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_table_verification(data):
     G = cyclic(3)
     bad = np.zeros((3, 2), dtype=np.int64)  # constant rows: not bijective
     with pytest.raises(InvariantError):
@@ -57,6 +93,44 @@ def test_table_verification():
     bad2 = np.array([[0, 1, 2], [1, 0, 2], [0, 2, 1]], dtype=np.int64)
     with pytest.raises(InvariantError):
         action_from_table(G, 3, bad2)
+
+    # a valid table with up to three rows corrupted: the generator check
+    # raises exactly when the all-pairs reference does, with its message
+    action = data.draw(st.sampled_from(_VERIFY_ACTIONS))
+    G, d = action.group, action.domain_size
+    table = action.table.copy()
+    for _ in range(data.draw(st.integers(0, 3))):
+        r = data.draw(st.one_of(st.just(0), st.integers(0, G.order - 1)))
+        how = data.draw(st.sampled_from(("swap", "copy", "permute", "entry")))
+        if how == "swap":
+            x, y = data.draw(st.lists(st.integers(0, d - 1), min_size=2,
+                                      max_size=2))
+            table[r, [x, y]] = table[r, [y, x]]
+        elif how == "copy":
+            table[r] = table[data.draw(st.integers(0, G.order - 1))]
+        elif how == "permute":
+            table[r] = table[r][data.draw(st.permutations(range(d)))]
+        else:
+            table[r, data.draw(st.integers(0, d - 1))] = \
+                data.draw(st.integers(0, d - 1))
+    expected = _raised(lambda: _reference_verify(G, table))
+    assert _raised(lambda: action_from_table(G, d, table)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_left_translation_check_matches_all_elements(data):
+    # left translation twisted by conjugation by z, g -> L(z g z^-1): it
+    # agrees with L exactly on the generators that commute with z; and the
+    # conjugation action
+    G = data.draw(st.sampled_from(_VERIFY_GROUPS))
+    z = data.draw(st.integers(0, G.order - 1))
+    twisted = action_from_table(G, G.order, [
+        G.mul_row(G.conjugate(z, g)) for g in range(G.order)])
+    for action in (twisted, conjugation_action(G)):
+        assert is_left_translation(action) == all(
+            np.array_equal(action.table[g], G.mul_row(g))
+            for g in range(G.order))
 
 
 def test_act_set_oracle():

@@ -314,6 +314,18 @@ def test_exit_2_on_domain_error(tmp_path, capsys):
         "tasks": [{"task": "hamidoune", "Y": "Y", "lambda": "1/2"}]})
     assert main(["run", path]) == 2
     assert "lambda must lie in" in capsys.readouterr().err
+    # generator matrices that define no representation are invalid input:
+    # order 5, not 3; singular
+    for n, p, gen, message in [
+            (3, 5, [[1, 1], [0, 1]], "homomorphism law fails at generator 1"),
+            (2, 3, [[1, 1], [1, 1]], "matrix for element 1 is singular")]:
+        path = _write(tmp_path, {
+            "group": {"kind": "cyclic", "n": n},
+            "representation": {"kind": "matrices", "p": p,
+                               "generators": [gen]},
+            "tasks": [{"task": "profile"}]})
+        assert main(["run", path]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_linear_hamidoune_refuses_a0(tmp_path, capsys):
@@ -351,6 +363,33 @@ def test_exit_3_on_capacity(tmp_path, capsys):
         "tasks": [{"task": "mu", "Y": "Y"}]})
     assert main(["run", path]) == 3
     assert "capacity" in capsys.readouterr().err
+    # each refusal names the limit that stopped it, with the value applied;
+    # the kernel's fixed limits are not caps
+    fixed = "; a fixed limit of the subset-fold kernel, not a cap"
+    C30 = {"kind": "cyclic", "n": 30}
+    for group, extra, caps, message in [
+            ({"kind": "cyclic", "n": 70}, {"sets": {"A": [0, 1], "Y": [0]}},
+             {}, f"kernel mask width=64 (measured 70){fixed}"),
+            (C30, {"sets": {"A": list(range(27)), "Y": [0]}},
+             {"MAX_EXHAUSTIVE_GROUND": 30},
+             f"kernel ground size=26 (measured 27){fixed}"),
+            (C30, {"sets": {"A": list(range(27))},
+                   "representation": {"kind": "permutation", "p": 2},
+                   "subspaces": {"W": [[1] + [0] * 29]}},
+             {"LINEAR_EXHAUSTIVE_MAX_ORDER": 30},
+             f"kernel ground size=26 (measured 27){fixed}"),
+            (C30, {"sets": {"A": list(range(25)), "Y": [0]}}, {},
+             "MAX_EXHAUSTIVE_GROUND=24 (measured 25)")]:
+        target = {"W": "W"} if "subspaces" in extra else {"Y": "Y"}
+        path = _write(tmp_path, {
+            "group": group, "action": {"kind": "left_translation"},
+            **extra, "caps": caps,
+            "tasks": [{"task": "petridis", "A": "A", "alpha": "1",
+                       **target}]})
+        assert main(["run", path]) == 3
+        assert capsys.readouterr().err == \
+            f"capacity: instance exceeds {message}; witness search " \
+            f"enumerates subsets of A\n"
 
 
 def test_cli_out_file(tmp_path):

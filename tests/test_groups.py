@@ -336,6 +336,29 @@ def test_normality():
     assert not flip.is_normal()
 
 
+_CONJ_GROUPS = [cyclic(6), dihedral(4), dihedral(5), symmetric(3),
+                symmetric(4), alternating(4), affine_gl1(5)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_conjugation_stable_matches_all_elements(data):
+    # sets closed under conjugation by some of the generators, so a check
+    # that skips a generator is caught, and subgroups for is_normal
+    G = data.draw(st.sampled_from(_CONJ_GROUPS))
+    gens = data.draw(st.sets(st.sampled_from(G.generator_indices)))
+    A = set(data.draw(st.sets(st.integers(0, G.order - 1), max_size=4)))
+    frontier = set(A)
+    while frontier:
+        frontier = {G.conjugate(s, a) for s in gens for a in frontier} - A
+        A |= frontier
+    H = G.generated_subgroup(A)
+    for S, stable in ((A, G.is_conjugation_stable(A)), (H.members,
+                                                        H.is_normal())):
+        assert stable == all(G.conjugate_set(g, S) == S
+                             for g in range(G.order))
+
+
 def test_left_cosets_partition():
     G = symmetric(4)
     H = G.generated_subgroup(

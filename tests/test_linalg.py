@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subaction.errors import (DomainError, InvariantError, StructuralError)
-from subaction.groups import cyclic, symmetric
+from subaction.groups import (affine_gl1, alternating, cyclic, dihedral,
+                              symmetric)
 from subaction.actions import natural_action
 from subaction.linalg import (LatticeFunction, Representation, Subspace,
                               actor_growth_linear, check_lattice_invariance,
@@ -119,7 +120,44 @@ def test_subspace_count_capacity():
 # -- representations --------------------------------------------------------------
 
 
-def test_representation_verifies_homomorphism():
+# the verification oracle's groups: one and several generators
+_VERIFY_GROUPS = [cyclic(5), cyclic(8), dihedral(4), dihedral(5), symmetric(3),
+                  symmetric(4), alternating(4), affine_gl1(5)]
+
+
+def _reference_verify(G, p, mats):
+    """All-pairs representation check: identity, the rank of every
+    matrix, then the law over every (g, h) in index order."""
+    d = mats.shape[1]
+    if not np.array_equal(mats[0], np.eye(d, dtype=np.int64)):
+        raise InvariantError("identity element must map to the identity matrix")
+    for g in range(G.order):
+        if Subspace.from_vectors(p, d, mats[g].tolist()).dim != d:
+            raise InvariantError(f"matrix for element {g} is singular")
+    for g in range(G.order):
+        for h in range(G.order):
+            if not np.array_equal(mats[g] @ mats[h] % p, mats[G.mul(g, h)]):
+                raise InvariantError(f"homomorphism law fails at generator {g}")
+
+
+def _raised(build):
+    """The InvariantError message that build() raises, or None."""
+    try:
+        build()
+    except InvariantError as e:
+        return str(e)
+    return None
+
+
+def _matrix(data, p, d):
+    return np.array(data.draw(st.lists(
+        st.lists(st.integers(0, p - 1), min_size=d, max_size=d),
+        min_size=d, max_size=d)), dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_representation_verifies_homomorphism(data):
     G = cyclic(3)
     bad = [np.array([[1, 1], [0, 1]])]  # order 3 needed, this has order 3 mod 3
     rep = representation_from_generator_matrices(G, 3, bad)
@@ -127,6 +165,39 @@ def test_representation_verifies_homomorphism():
     with pytest.raises(InvariantError):
         representation_from_generator_matrices(
             G, 5, [np.array([[1, 1], [0, 1]])])  # order 5 != 3
+
+    # generator matrices, valid or not: the generator check raises exactly
+    # when the all-pairs reference does, with its message
+    G = data.draw(st.sampled_from(_VERIFY_GROUPS))
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    valid = permutation_representation(natural_action(G), p)
+    if data.draw(st.booleans()):
+        # the permutation representation's, some replaced by random ones
+        gens = [valid.mats[g] for g in G.generator_indices]
+        for i in data.draw(st.sets(st.integers(0, len(gens) - 1))):
+            gens[i] = _matrix(data, p, G.degree)
+    else:  # random scalars: a character when they satisfy the relations
+        gens = [_matrix(data, p, 1) for _ in G.generator_indices]
+    got = _raised(lambda: representation_from_generator_matrices(G, p, gens))
+    d = len(gens[0])
+    mats = np.zeros((G.order, d, d), dtype=np.int64)
+    mats[0] = np.eye(d, dtype=np.int64)
+    for g in range(1, G.order):  # each matrix a product along the closure
+        mats[g] = gens[G._gen_of[g]] @ mats[G._parent_of[g]] % p
+    assert got == _raised(lambda: _reference_verify(G, p, mats))
+
+    # a direct Representation with up to two matrices replaced: only
+    # whether it raises must match (a singular non-generator matrix is
+    # reported through the law it breaks)
+    mats = valid.mats.copy()
+    for _ in range(data.draw(st.integers(0, 2))):
+        g = data.draw(st.one_of(st.just(0), st.integers(0, G.order - 1)))
+        how = data.draw(st.sampled_from(("other", "zero", "random")))
+        mats[g] = valid.mats[data.draw(st.integers(0, G.order - 1))] \
+            if how == "other" else 0 if how == "zero" \
+            else _matrix(data, p, G.degree)
+    assert (_raised(lambda: Representation(G, p, mats)) is None) == \
+        (_raised(lambda: _reference_verify(G, p, mats)) is None)
 
 
 def test_representation_rejects_singular():

@@ -344,6 +344,14 @@ def test_mu_subgroup_route_only_for_larger_groups():
     assert res.mu == Fraction(1, 24)
     assert "exhaustive" not in res.methods
     assert "subgroups" in res.methods and "dinkelbach" in res.methods
+    # the batched |H.Y| against act_set, one subgroup at a time: least
+    # ratio, then least order, then first in lattice order
+    for Y in ((0,), (0, 1), (1, 3, 4)):
+        ratio, _order, _i, H = min(
+            (Fraction(action.image_size(H.member_tuple, Y), H.order),
+             H.order, i, H) for i, H in enumerate(action.group.subgroups()))
+        assert min_image_ratio(action, Y).methods["subgroups"] == {
+            "value": ratio, "witness": H.members}
 
 
 def test_mu_empty_target_rejected():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subaction import config, theorems
+from subaction import config, setfuncs, theorems
 from subaction.actions import (conjugation_action, left_translation_action,
                                natural_action)
 from subaction.cli import _dump, to_jsonable
@@ -816,11 +816,17 @@ def test_forall_actor_sets_matches_brute_force(data):
     rows = data.draw(st.integers(1, 3))
     with config.overrides({"PETRIDIS_EXHAUSTIVE_MAX_ORDER": 0}), \
             pytest.MonkeyPatch.context() as mp:
-        mp.setattr(theorems, "_chunk_rows", lambda width: rows)
+        _small_chunks(mp, rows)
         got = theorems._forall_actor_sets(left, right, alpha, samples, seed)
     exh = Exhaustiveness("sampled", samples, seed)
     assert got == (_brute_first_violation(
         left, right, alpha, _reference_stream(n, samples, seed)), exh)
+
+
+def _small_chunks(mp, rows):
+    """Chunks of `rows` masks, in the sampled stream and in `_union_sizes`."""
+    for module in (theorems, setfuncs):
+        mp.setattr(module, "_chunk_rows", lambda width: rows)
 
 
 def _reference_stream(n, samples, seed):
@@ -857,7 +863,7 @@ def test_sampled_for_all_c_matches_the_scalar_stream(data):
     rows = data.draw(st.integers(1, 3))
     with config.overrides({"PETRIDIS_EXHAUSTIVE_MAX_ORDER": 0}), \
             pytest.MonkeyPatch.context() as mp:
-        mp.setattr(theorems, "_chunk_rows", lambda w: rows)
+        _small_chunks(mp, rows)
         got = theorems._forall_actor_sets(left, right, alpha, samples, seed)
     assert got == (_brute_first_violation(
         left, right, alpha, _reference_stream(n, samples, seed)),
@@ -914,7 +920,7 @@ def test_hamidoune_sampled_matches_the_scalar_stream(data):
         # mu is kept on the action before the subgroup list is cut
         assert theorems.min_image_ratio(action, Y).mu == 1
         mp.setattr(G, "subgroups", lambda: [K])
-        mp.setattr(theorems, "_chunk_rows", lambda width: rows)
+        _small_chunks(mp, rows)
         rep = check_hamidoune(action, Y, lam, samples=samples, seed=seed)
     H = K if lam else GY
     cH = _brute_growth(action, H.members, Y, lam)
@@ -960,14 +966,44 @@ def test_sampled_stream_is_drawn_lazily():
     assert elapsed < 5 and peak < 4 << 20
 
 
+@functools.cache
+def _c16_permutation_rep():
+    return permutation_representation(left_translation_action(cyclic(16)), 2)
+
+
+@functools.cache
+def _c16_diagonal_rep():
+    return representation_from_generator_matrices(
+        cyclic(16), 17, [np.array([[3, 0], [0, 1]])])
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_sampled_reports_replay_from_their_seed_and_samples(data):
     # a report made under other default caps replays from the seed and
     # sample count it records
-    kind = data.draw(st.sampled_from(("hamidoune", "petridis", "taod")))
+    kind = data.draw(st.sampled_from(("hamidoune", "petridis", "taod",
+                                      "petridis_linear", "taod_linear")))
     samples, seed = data.draw(st.integers(1, 300)), data.draw(st.integers(0, 9))
-    if kind == "hamidoune":
+    if kind.endswith("_linear"):
+        # the F_2 permutation representation of C16 with W = <e_0>, and
+        # C16 in GL2(F_17) through diag(3, 1), 3 of order 16 mod 17
+        A = tuple(sorted(data.draw(st.sets(st.integers(0, 15), min_size=1,
+                                           max_size=6))))
+        alpha = data.draw(st.sampled_from(("1", "3/2", "2", "4")))
+        if kind == "petridis_linear":
+            rep = _c16_permutation_rep()
+            W = Subspace.from_vectors(2, 16, [[1] + [0] * 15])
+        else:
+            rep = _c16_diagonal_rep()
+            W = Subspace.from_vectors(17, 2, data.draw(st.sampled_from(
+                ([[1, 0]], [[1, 1]], [[1, 0], [0, 1]]))))
+        finder = find_petridis_witness if kind == "petridis_linear" \
+            else find_taod_witness
+
+        def check(**kw):
+            return finder(rep, A, W, alpha, **kw)
+    elif kind == "hamidoune":
         action = natural_action(symmetric(5))
         Y = data.draw(st.sampled_from(((0,), (0, 1), (1, 3, 4))))
         lam = theorems.min_image_ratio(action, Y).mu \
