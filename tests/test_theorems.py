@@ -1042,3 +1042,123 @@ def test_samples_below_one_are_refused(bad):
                               samples=bad)
     with pytest.raises(DomainError, match="samples must be at least 1"):
         find_taod_witness(_translation(15), (0,), (0,), "1", samples=bad)
+
+
+# -- set and linear variants agree -------------------------------------------------
+
+# the report keys of each statement, set side and linear side, when its
+# hypotheses fail and when they hold: (witnesses, details) or, for failed
+# hypotheses, the details alone
+_KEYS = {
+    "murphy": {
+        "failed": ({"product_size", "target_size"},
+                   {"span_dim", "target_dim"}),
+        "set": ({"generated_subgroup", "set_stabilizer", "orbits"},
+                {"quotient_set_size", "subgroup_order", "orbit_count"}),
+        "linear": ({"generated_subgroup", "subspace_stabilizer",
+                    "module_span"},
+                   {"quotient_set_size", "subgroup_order"})},
+    "small_growth": {
+        "failed": ({"product_size", "target_size", "bound"},
+                   {"span_dim", "target_dim", "bound"}),
+        "set": ({"quotient_set", "symmetry_set"}, {"product_size", "bound"}),
+        "linear": ({"quotient_set", "symmetry_set"}, {"span_dim", "bound"})},
+    "freiman": {
+        "failed": ({"inverse_product_size", "target_size", "bound"},
+                   {"span_dim", "target_dim", "bound"}),
+        "set": ({"quotient_set", "quotient_square", "symmetry_set"},
+                {"inverse_product_size", "bound", "corollary_applies",
+                 "remark_applies", "checks"}),
+        "linear": ({"quotient_set", "quotient_square", "symmetry_set"},
+                   {"span_dim", "checks"})},
+    "hamidoune": {
+        "set": ({"subgroup", "set_stabilizer"},
+                {"mu", "lambda", "subgroup_growth", "subgroup_order",
+                 "checks"}),
+        "linear": ({"subgroup", "subspace_stabilizer"},
+                   {"mu", "lambda", "subgroup_growth", "checks"})},
+    "petridis": {
+        "failed": ({"product_size", "actor_size", "bound"},
+                   {"span_dim", "actor_size", "bound"}),
+        "set": ({"B", "witness_product"},
+                {"witness_ratio", "alpha", "witness_size"}),
+        "linear": ({"B", "witness_span"},
+                   {"witness_ratio", "alpha", "witness_size"})},
+    "taod": {
+        "failed": ({"product_size", "target_size", "bound"},
+                   {"span_dim", "target_dim", "bound"}),
+        "set": ({"Z"}, {"witness_ratio", "alpha", "power_checks"}),
+        "linear": ({"Z"}, {"witness_ratio", "alpha", "power_checks"})},
+}
+
+# set-side details and witnesses that a coordinate subspace W = <e_y : y in
+# Y> must reproduce, under the linear side's name
+_SAME = {"product_size": "span_dim", "inverse_product_size": "span_dim",
+         "target_size": "target_dim", "set_stabilizer": "subspace_stabilizer",
+         **{k: k for k in ("bound", "actor_size", "quotient_set_size",
+                           "subgroup_order", "mu", "lambda",
+                           "subgroup_growth", "witness_ratio", "witness_size",
+                           "alpha", "generated_subgroup", "subgroup", "B",
+                           "quotient_set", "quotient_square",
+                           "symmetry_set")}}
+
+
+def _assert_keys(statement, report, linear):
+    side = 1 if linear else 0
+    if not report.hypotheses_hold:
+        assert set(report.details) == _KEYS[statement]["failed"][side]
+        return
+    witnesses, details = _KEYS[statement]["linear" if linear else "set"]
+    assert set(report.witnesses) == witnesses
+    assert set(report.details) == details
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_set_and_linear_variants_agree_on_coordinate_subspaces(data):
+    # the permutation representation on W = <e_y : y in Y> has spans
+    # <e_x : x in A.Y>, so dim <A.W> = |A.Y|, the stabilizer of W is G_Y and
+    # dim(gW meet W) = |gY meet Y|: every statement must give the set side's
+    # verdict, sizes, subgroups and witnesses
+    name = data.draw(st.sampled_from(["c6", "d4", "s3", "s4"]), label="G")
+    p = data.draw(st.sampled_from([2, 3]), label="p")
+    action, rep_obj = _small_action(name), _permutation_rep(name, p)
+    n, d = action.group.order, action.domain_size
+    A = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                 max_size=4), label="A"))
+    Y = tuple(sorted(data.draw(st.sets(st.integers(0, d - 1), min_size=1,
+                                       max_size=d), label="Y")))
+    W = Subspace.from_vectors(p, d, [[int(x == y) for x in range(d)]
+                                     for y in Y])
+    alpha = Fraction(data.draw(st.integers(1, 4)), 4)
+    growth = Fraction(data.draw(st.integers(2, 12)), 4)
+    kw = {"samples": 20, "seed": data.draw(st.integers(0, 9))}
+    statements = {
+        "murphy": lambda obj, T: check_murphy(obj, A, T),
+        "small_growth": lambda obj, T: check_small_growth(obj, A, T, alpha),
+        "freiman": lambda obj, T: check_freiman(obj, A, T, alpha),
+        "petridis": lambda obj, T: find_petridis_witness(obj, A, T, growth,
+                                                         **kw)}
+    if n <= config.cap("LINEAR_EXHAUSTIVE_MAX_ORDER"):
+        lam = theorems.min_image_ratio(action, Y).mu \
+            * Fraction(data.draw(st.integers(0, 4)), 4)
+        statements["hamidoune"] = lambda obj, T: check_hamidoune(obj, T, lam,
+                                                                 **kw)
+    if action.group.is_abelian() and p == 2:
+        # F_3^6 has 56,000 subspaces to try as Z; F_2^6 has 2,825
+        statements["taod"] = lambda obj, T: find_taod_witness(
+            obj, A, T, growth, n_max=2, **kw)
+    for statement, check in statements.items():
+        on_set, on_w = check(action, Y), check(rep_obj, W)
+        _assert_keys(statement, on_set, linear=False)
+        _assert_keys(statement, on_w, linear=True)
+        assert on_w.hypotheses_hold == on_set.hypotheses_hold
+        assert on_w.conclusion_holds == on_set.conclusion_holds
+        if statement == "taod":
+            # linear candidates Z include non-coordinate subspaces
+            continue
+        for fields in ((on_set.details, on_w.details),
+                       (on_set.witnesses, on_w.witnesses)):
+            for key, value in fields[0].items():
+                if key in _SAME and _SAME[key] in fields[1]:
+                    assert fields[1][_SAME[key]] == value, (statement, key)
