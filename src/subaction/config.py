@@ -30,7 +30,6 @@ _DEFAULTS: dict[str, int] = {
     "MAX_SUBSPACE_COUNT": 100_000,
     "PETRIDIS_EXHAUSTIVE_MAX_ORDER": 14,
     "LINEAR_EXHAUSTIVE_MAX_ORDER": 16,
-    "MU_CROSSCHECK_MAX_ORDER": 20,
 }
 
 

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import config
-from .actions import GroupAction
+from .actions import GroupAction, _check_table_cap
 from .errors import CapacityError, DomainError, InvariantError, StructuralError
 from .groups import FiniteGroup, Subgroup
 from .rationals import exact_fraction, format_fraction
@@ -299,6 +299,7 @@ def permutation_representation(action: GroupAction, p: int) -> Representation:
     """0/1 matrices permuting coordinates as the action permutes points."""
     _check_prime(p)
     n, d = action.group.order, action.domain_size
+    _check_table_cap(n, d * d)
     mats = np.zeros((n, d, d), dtype=np.int64)
     for g in range(n):
         mats[g, action.table[g], np.arange(d)] = 1
@@ -315,6 +316,7 @@ def representation_from_generator_matrices(
         raise StructuralError(
             f"need {len(gens)} generator matrices, got {len(gen_mats)}")
     d = len(np.asarray(gen_mats[0]))
+    _check_table_cap(group.order, d * d)
     mats = np.zeros((group.order, d, d), dtype=np.int64)
     mats[0] = np.eye(d, dtype=np.int64)
     by_gen = {gi: np.asarray(m, dtype=np.int64) % p

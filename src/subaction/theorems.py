@@ -10,6 +10,19 @@ The kneser inequality is the one statement that is allowed to fail: finding
 instances where it fails is the point. For every other statement,
 hypotheses_hold=True with conclusion_holds=False is a counterexample to a
 proved result and signals a bug somewhere.
+
+murphy, small_growth, freiman, hamidoune, petridis and taod hold for a
+point set Y under an action and for a subspace W under a representation
+alike. Each is written once, over a `_Target` built from (action, Y) or
+(representation, W): it supplies the image A.Z (`act_set` or
+`module_span`), its size (`len` or `dim`), the stabilizer, the
+per-element tables of the for-all-C verifier (int masks or subspaces,
+with their join and size), the witness fold (masks, or span dimensions)
+and the linear side's report key names (`span_dim`, `target_dim`,
+`subspace_stabilizer`, ...). What only one side has stays in one marked
+branch: murphy's orbits, small_growth's overlap, freiman's corollary and
+left-translation remark, hamidoune's A0 corollary and its route above the
+ground cap, and taod's witness candidates.
 """
 
 from __future__ import annotations
@@ -20,7 +33,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -141,22 +154,27 @@ def _doubling(table: Sequence, empty, join: Callable) -> Iterator:
         yield joins[m]
 
 
-def _side(table: list) -> tuple:
-    """(empty, join, size) for one side of a for-all-C bound: int masks
-    join by OR and measure by popcount, subspaces by sum and dim."""
-    if isinstance(table[0], Subspace):
-        return (Subspace.zero(table[0].p, table[0].ambient_dim),
-                Subspace.sum, operator.attrgetter("dim"))
-    return 0, operator.or_, int.bit_count
+class _Side(NamedTuple):
+    """One side of a for-all-C bound: an entry per group element, the
+    empty join, the join and the size of a join."""
+    table: list
+    empty: object
+    join: Callable
+    size: Callable
 
 
-def _forall_actor_sets(left: list, right: list, alpha: Fraction,
+def _masks(table: list[int]) -> _Side:
+    """A side of int masks, joined by OR and measured by popcount."""
+    return _Side(table, 0, operator.or_, int.bit_count)
+
+
+def _forall_actor_sets(left: _Side, right: _Side, alpha: Fraction,
                        samples: int | None, seed: int | None
                        ) -> tuple[dict | None, Exhaustiveness]:
-    """The first nonempty C with size(join of left[c], c in C) >
-    alpha * size(join of right[c], c in C), one table entry per group
-    element, as a counterexample {"C", "lhs", "rhs"} or None, with the
-    route's exhaustiveness.
+    """The first nonempty C with left.size(join of left.table[c], c in C)
+    > alpha * right.size(join of right.table[c], c in C), as a
+    counterexample {"C", "lhs", "rhs"} or None, with the route's
+    exhaustiveness.
 
     Up to PETRIDIS_EXHAUSTIVE_MAX_ORDER elements every C is tried in
     ascending mask order: by the pair-ratio kernel when both sides are
@@ -165,14 +183,13 @@ def _forall_actor_sets(left: list, right: list, alpha: Fraction,
     `_union_sizes` when both sides are masks, taking the first violating
     row, and one C at a time by `Subspace.sum` when a side is linear.
     """
-    n = len(left)
-    (lempty, ljoin, lsize), (rempty, rjoin, rsize) = _side(left), _side(right)
+    n = len(left.table)
     num, den = alpha.numerator, alpha.denominator
-    masks = ljoin is rjoin is operator.or_
+    masks = left.join is right.join is operator.or_
 
     def sizes(C) -> tuple[int, int]:
-        return (lsize(reduce(ljoin, (left[c] for c in C), lempty)),
-                rsize(reduce(rjoin, (right[c] for c in C), rempty)))
+        return tuple(s.size(reduce(s.join, (s.table[c] for c in C), s.empty))
+                     for s in (left, right))
 
     def exceeds(lhs: int, rhs: int) -> bool:
         return den * lhs > num * rhs
@@ -180,9 +197,9 @@ def _forall_actor_sets(left: list, right: list, alpha: Fraction,
     if n > config.cap("PETRIDIS_EXHAUSTIVE_MAX_ORDER"):
         chunks, exh = _sampled_sets(n, samples, seed)
         if masks:
-            lsizes, rsizes = _union_sizes(left), _union_sizes(right)
-            bound = max(den * max(left).bit_length(),
-                        num * max(right).bit_length())
+            lsizes, rsizes = _union_sizes(left.table), _union_sizes(right.table)
+            bound = max(den * max(left.table).bit_length(),
+                        num * max(right.table).bit_length())
 
             def violates(chunk: list[int]) -> np.ndarray:
                 lhs, rhs = _exact(bound, lsizes(chunk), rsizes(chunk))
@@ -194,13 +211,14 @@ def _forall_actor_sets(left: list, right: list, alpha: Fraction,
     else:
         exh = _EXHAUSTIVE
         if masks and n <= MAX_N and _fits_kernel(alpha) \
-                and max(left + right) >> _MASK_LIMIT == 0:
-            _ok, first, _checked = check_pair_ratio(left, right, num, den)
+                and max(left.table + right.table) >> _MASK_LIMIT == 0:
+            _ok, first, _checked = check_pair_ratio(left.table, right.table,
+                                                    num, den)
         else:
-            joins = zip(_doubling(left, lempty, ljoin),
-                        _doubling(right, rempty, rjoin))
+            joins = zip(_doubling(left.table, left.empty, left.join),
+                        _doubling(right.table, right.empty, right.join))
             first = next((m for m, (lj, rj) in enumerate(joins)
-                          if exceeds(lsize(lj), rsize(rj))), None)
+                          if exceeds(left.size(lj), right.size(rj))), None)
     if first is None:
         return None, exh
     C = _set_of(first)
@@ -247,6 +265,76 @@ def _unit_range(alpha: Fraction, name: str = "alpha") -> Fraction:
         raise DomainError(f"{name} must lie in (0, 1]; "
                           f"got {format_fraction(alpha)}")
     return alpha
+
+
+_dim = operator.attrgetter("dim")
+
+# report keys that the linear side names after spans and subspaces
+_LINEAR_KEYS = {"product_size": "span_dim", "inverse_product_size": "span_dim",
+                "target_size": "target_dim",
+                "set_stabilizer": "subspace_stabilizer",
+                "witness_product": "witness_span"}
+
+
+class _Target:
+    """The target of a statement: a point set Y under an action, or a
+    subspace W under a representation.
+
+    On the set side an image A.Z is `act_set`, measured by `len`, with
+    for-all-C tables of int masks and witness folds of masks under
+    MAX_EXHAUSTIVE_GROUND. On the linear side it is `module_span`,
+    measured by `dim`, with tables of subspaces and folds of span
+    dimensions under LINEAR_EXHAUSTIVE_MAX_ORDER.
+    """
+
+    def __init__(self, obj: GroupAction | Representation, Y):
+        self.obj = obj
+        self.linear = isinstance(obj, Representation)
+        if self.linear:
+            obj._match(Y)
+            if Y.is_zero():
+                raise StructuralError("W must be nonzero")
+            self.Y, self.image, self.size = Y, obj.module_span, _dim
+            self.stabilizer = obj.subspace_stabilizer
+            self._zero = Subspace.zero(obj.p, obj.dim)
+        else:
+            self.Y, self.image, self.size = _point_subset(obj, Y), \
+                obj.act_set, len
+            self.stabilizer = obj.set_stabilizer
+        self.target_size = self.size(self.Y)
+
+    def keyed(self, fields: dict) -> dict:
+        """`fields`, renamed to the linear side's report keys there."""
+        if not self.linear:
+            return fields
+        return {_LINEAR_KEYS.get(k, k): v for k, v in fields.items()}
+
+    def translates(self, Z) -> list:
+        """c.Z for every group element c: rows of points, or subspaces."""
+        if self.linear:
+            return [self.obj.act_subspace(c, Z)
+                    for c in range(self.obj.group.order)]
+        return self.obj.table[:, sorted(Z)].tolist()
+
+    def side(self, items: list) -> _Side:
+        """The for-all-C side of `items` (point sets, or subspaces)."""
+        if self.linear:
+            return _Side(items, self._zero, Subspace.sum, _dim)
+        return _masks([_mask_of(x) for x in items])
+
+    def fold(self, elements: Sequence[int], hint: str) -> SubsetFold:
+        """The fold of g.Y over the subsets of `elements`: of masks, or of
+        span dimensions by doubling on the lowest bit, each refused past
+        its ground cap."""
+        if self.linear:
+            _check_ground("LINEAR_EXHAUSTIVE_MAX_ORDER", len(elements), hint)
+            images = [self.obj.act_subspace(g, self.Y) for g in elements]
+            return SubsetFold.from_sizes([s.dim for s in _doubling(
+                images, self._zero, Subspace.sum)])
+        _check_ground("MAX_EXHAUSTIVE_GROUND", len(elements), hint,
+                      self.obj.domain_size)
+        return SubsetFold([_mask_of(row) for row in self.obj.table[
+            np.ix_(list(elements), list(self.Y))].tolist()])
 
 
 # -- kneser -------------------------------------------------------------------
@@ -313,61 +401,37 @@ def kneser_example_instance(n: int, k: int, ell: int
 def check_murphy(obj: GroupAction | Representation, A: Iterable[int],
                  Y: Iterable[int] | Subspace) -> CheckReport:
     """|A.Y| = |Y| forces <A^-1 A> inside the setwise stabilizer of Y."""
-    if isinstance(obj, Representation):
-        return _murphy_linear(obj, A, Y)
-    return _murphy_set(obj, A, Y)
-
-
-def _murphy_set(action: GroupAction, A, Y) -> CheckReport:
-    G = action.group
+    G = obj.group
     A = _group_subset(G, A)
-    Y = _point_subset(action, Y)
-    AY = action.act_set(A, Y)
-    if len(AY) != len(Y):
-        return _failed("murphy", {"product_size": len(AY),
-                                  "target_size": len(Y)})
+    t = _Target(obj, Y)
+    AY = t.image(A, t.Y)
+    if t.size(AY) != t.target_size:
+        return _failed("murphy", t.keyed({"product_size": t.size(AY),
+                                          "target_size": t.target_size}))
     quotient = G.product_set(G.inverse_set(A), A)
     H = G.generated_subgroup(quotient)
-    GY = action.set_stabilizer(Y)
+    GY = t.stabilizer(t.Y)
     holds = H.members <= GY.members
-    orbits: list[frozenset[int]] = []
-    seen: set[int] = set()
-    for y in Y:
-        if y in seen:
-            continue
-        orb = action.act_set(H.member_tuple, (y,))
-        orbits.append(orb)
-        seen |= orb
     outside = sorted(H.members - GY.members)
+    witnesses = t.keyed({"generated_subgroup": H, "set_stabilizer": GY})
+    details = {"quotient_set_size": len(quotient), "subgroup_order": H.order}
+    if t.linear:
+        witnesses["module_span"] = AY
+    else:
+        # the H-orbits partition Y
+        orbits: list[frozenset[int]] = []
+        seen: set[int] = set()
+        for y in t.Y:
+            if y not in seen:
+                orbits.append(obj.act_set(H.member_tuple, (y,)))
+                seen |= orbits[-1]
+        witnesses["orbits"] = tuple(orbits)
+        details["orbit_count"] = len(orbits)
     return CheckReport(
         statement_id="murphy", hypotheses_hold=True, conclusion_holds=holds,
-        witnesses={"generated_subgroup": H, "set_stabilizer": GY,
-                   "orbits": tuple(orbits)},
+        witnesses=witnesses,
         counterexample=None if holds else {"element": outside[0]},
-        exhaustiveness=_EXHAUSTIVE,
-        details={"quotient_set_size": len(quotient),
-                 "subgroup_order": H.order, "orbit_count": len(orbits)})
-
-
-def _murphy_linear(rep: Representation, A, W: Subspace) -> CheckReport:
-    G = rep.group
-    A = _group_subset(G, A)
-    span = rep.module_span(A, W)
-    if span.dim != W.dim:
-        return _failed("murphy", {"span_dim": span.dim, "target_dim": W.dim})
-    quotient = G.product_set(G.inverse_set(A), A)
-    H = G.generated_subgroup(quotient)
-    GW = rep.subspace_stabilizer(W)
-    holds = H.members <= GW.members
-    outside = sorted(H.members - GW.members)
-    return CheckReport(
-        statement_id="murphy", hypotheses_hold=True, conclusion_holds=holds,
-        witnesses={"generated_subgroup": H, "subspace_stabilizer": GW,
-                   "module_span": span},
-        counterexample=None if holds else {"element": outside[0]},
-        exhaustiveness=_EXHAUSTIVE,
-        details={"quotient_set_size": len(quotient),
-                 "subgroup_order": H.order})
+        exhaustiveness=_EXHAUSTIVE, details=details)
 
 
 # -- small growth -> symmetry sets ---------------------------------------------
@@ -377,54 +441,27 @@ def check_small_growth(obj: GroupAction | Representation, A, Y, alpha
                        ) -> CheckReport:
     """|A.Y| <= (2 - alpha)|Y| forces A^-1 A inside Sym_alpha(Y)."""
     alpha = _unit_range(exact_fraction(alpha))
-    if isinstance(obj, Representation):
-        return _small_growth_linear(obj, A, Y, alpha)
-    action = obj
-    G = action.group
+    G = obj.group
     A = _group_subset(G, A)
-    Y = _point_subset(action, Y)
-    AY = action.act_set(A, Y)
-    if Fraction(len(AY)) > (2 - alpha) * len(Y):
-        return _failed("small_growth",
-                       {"product_size": len(AY), "target_size": len(Y),
-                        "bound": (2 - alpha) * len(Y)})
+    t = _Target(obj, Y)
+    size, bound = t.size(t.image(A, t.Y)), (2 - alpha) * t.target_size
+    if size > bound:
+        return _failed("small_growth", t.keyed({
+            "product_size": size, "target_size": t.target_size,
+            "bound": bound}))
     quotient = G.product_set(G.inverse_set(A), A)
-    sym = action.symmetry_set(Y, alpha)
+    sym = obj.symmetry_set(t.Y, alpha)
     outside = sorted(quotient - sym)
-    holds = not outside
+    counterexample = {"element": outside[0]} if outside else None
+    if outside and not t.linear:
+        counterexample["overlap"] = len(obj.act_point_set(outside[0], t.Y)
+                                        & frozenset(t.Y))
     return CheckReport(
         statement_id="small_growth", hypotheses_hold=True,
-        conclusion_holds=holds,
+        conclusion_holds=not outside,
         witnesses={"quotient_set": quotient, "symmetry_set": sym},
-        counterexample=None if holds else {
-            "element": outside[0],
-            "overlap": len(action.act_point_set(outside[0], Y)
-                           & frozenset(Y))},
-        exhaustiveness=_EXHAUSTIVE,
-        details={"product_size": len(AY),
-                 "bound": (2 - alpha) * len(Y)})
-
-
-def _small_growth_linear(rep: Representation, A, W: Subspace,
-                         alpha: Fraction) -> CheckReport:
-    G = rep.group
-    A = _group_subset(G, A)
-    span = rep.module_span(A, W)
-    if Fraction(span.dim) > (2 - alpha) * W.dim:
-        return _failed("small_growth",
-                       {"span_dim": span.dim, "target_dim": W.dim,
-                        "bound": (2 - alpha) * W.dim})
-    quotient = G.product_set(G.inverse_set(A), A)
-    sym = rep.symmetry_set(W, alpha)
-    outside = sorted(quotient - sym)
-    holds = not outside
-    return CheckReport(
-        statement_id="small_growth", hypotheses_hold=True,
-        conclusion_holds=holds,
-        witnesses={"quotient_set": quotient, "symmetry_set": sym},
-        counterexample=None if holds else {"element": outside[0]},
-        exhaustiveness=_EXHAUSTIVE,
-        details={"span_dim": span.dim, "bound": (2 - alpha) * W.dim})
+        counterexample=counterexample, exhaustiveness=_EXHAUSTIVE,
+        details=t.keyed({"product_size": size, "bound": bound}))
 
 
 # -- freiman 3/2 ----------------------------------------------------------------
@@ -434,70 +471,40 @@ def check_freiman(obj: GroupAction | Representation, A, Y, alpha
                   ) -> CheckReport:
     """|A^-1.Y| <= ((3 - alpha)/2)|Y| puts AA^-1 and (AA^-1)^2 in Sym_alpha(Y).
 
-    When Sym_alpha(Y) lands inside AA^-1 the corollary upgrade applies and
-    AA^-1 must be a subgroup. On left translation the weak stabilizer of A
-    must equal AA^-1, and |A^-1 A| < (3/2)|A| again forces a subgroup.
+    On actions: when Sym_alpha(Y) lands inside AA^-1 the corollary upgrade
+    applies and AA^-1 must be a subgroup. On left translation the weak
+    stabilizer of A must equal AA^-1, and |A^-1 A| < (3/2)|A| again forces
+    a subgroup.
     """
     alpha = _unit_range(exact_fraction(alpha))
-    if isinstance(obj, Representation):
-        return _freiman_linear(obj, A, Y, alpha)
-    action = obj
-    G = action.group
+    G = obj.group
     A = _group_subset(G, A)
-    Y = _point_subset(action, Y)
+    t = _Target(obj, Y)
     Ainv = G.inverse_set(A)
-    AinvY = action.act_set(Ainv, Y)
-    if Fraction(len(AinvY)) > (3 - alpha) / 2 * len(Y):
-        return _failed("freiman",
-                       {"inverse_product_size": len(AinvY),
-                        "target_size": len(Y),
-                        "bound": (3 - alpha) / 2 * len(Y)})
+    size, bound = t.size(t.image(Ainv, t.Y)), (3 - alpha) / 2 * t.target_size
+    if size > bound:
+        return _failed("freiman", t.keyed({
+            "inverse_product_size": size, "target_size": t.target_size,
+            "bound": bound}))
     Q = G.product_set(A, Ainv)
     Q2 = G.product_set(Q, Q)
-    sym = action.symmetry_set(Y, alpha)
-    inc_square = Q2 <= sym
-    inc_single = Q <= sym
-    checks = {"square_in_symmetry": inc_square,
-              "quotient_in_symmetry": inc_single}
-    corollary_applies = sym <= Q
-    if corollary_applies:
-        checks["corollary_subgroup"] = G.generated_set(Q) == Q
-    remark_applies = is_left_translation(action)
-    if remark_applies:
-        gamma = action.weak_stabilizer(A)
-        checks["weak_stabilizer_equals_quotient"] = gamma == Q
-        AinvA = G.product_set(Ainv, A)
-        if 2 * len(AinvA) < 3 * len(A):
-            checks["remark_subgroup"] = G.generated_set(Q) == Q
-    holds = all(checks.values())
-    bad = sorted(k for k, v in checks.items() if not v)
-    return CheckReport(
-        statement_id="freiman", hypotheses_hold=True, conclusion_holds=holds,
-        witnesses={"quotient_set": Q, "quotient_square": Q2,
-                   "symmetry_set": sym},
-        counterexample=None if holds else {"failed_checks": bad},
-        exhaustiveness=_EXHAUSTIVE,
-        details={"inverse_product_size": len(AinvY),
-                 "bound": (3 - alpha) / 2 * len(Y),
-                 "corollary_applies": corollary_applies,
-                 "remark_applies": remark_applies, "checks": checks})
-
-
-def _freiman_linear(rep: Representation, A, W: Subspace, alpha: Fraction
-                    ) -> CheckReport:
-    G = rep.group
-    A = _group_subset(G, A)
-    Ainv = G.inverse_set(A)
-    span = rep.module_span(Ainv, W)
-    if Fraction(span.dim) > (3 - alpha) / 2 * W.dim:
-        return _failed("freiman", {"span_dim": span.dim,
-                                   "target_dim": W.dim,
-                                   "bound": (3 - alpha) / 2 * W.dim})
-    Q = G.product_set(A, Ainv)
-    Q2 = G.product_set(Q, Q)
-    sym = rep.symmetry_set(W, alpha)
+    sym = obj.symmetry_set(t.Y, alpha)
     checks = {"square_in_symmetry": Q2 <= sym,
               "quotient_in_symmetry": Q <= sym}
+    details = t.keyed({"inverse_product_size": size, "checks": checks})
+    if not t.linear:
+        # the corollary and the remark are stated for actions
+        corollary_applies = sym <= Q
+        if corollary_applies:
+            checks["corollary_subgroup"] = G.generated_set(Q) == Q
+        remark_applies = is_left_translation(obj)
+        if remark_applies:
+            checks["weak_stabilizer_equals_quotient"] = \
+                obj.weak_stabilizer(A) == Q
+            if 2 * len(G.product_set(Ainv, A)) < 3 * len(A):
+                checks["remark_subgroup"] = G.generated_set(Q) == Q
+        details.update(bound=bound, corollary_applies=corollary_applies,
+                       remark_applies=remark_applies)
     holds = all(checks.values())
     bad = sorted(k for k, v in checks.items() if not v)
     return CheckReport(
@@ -505,8 +512,7 @@ def _freiman_linear(rep: Representation, A, W: Subspace, alpha: Fraction
         witnesses={"quotient_set": Q, "quotient_square": Q2,
                    "symmetry_set": sym},
         counterexample=None if holds else {"failed_checks": bad},
-        exhaustiveness=_EXHAUSTIVE,
-        details={"span_dim": span.dim, "checks": checks})
+        exhaustiveness=_EXHAUSTIVE, details=details)
 
 
 # -- ruzsa triple ----------------------------------------------------------------
@@ -553,59 +559,103 @@ def check_hamidoune(obj: GroupAction | Representation, Y, lam, A0=None,
                     *, samples: int | None = None, seed: int | None = None
                     ) -> CheckReport:
     """For lam in [0, mu] there is a subgroup H containing the stabilizer of Y
-    with c_Y(A) >= c_Y(H) >= |Y| - lam|H| for every nonempty A."""
+    with c_Y(A) >= c_Y(H) >= |Y| - lam|H| for every nonempty A.
+
+    Up to the ground cap one fold of g.Y gives the minimum growth, its
+    first fragment and H (and, on the linear side, mu). Above
+    MAX_EXHAUSTIVE_GROUND the set side takes `_hamidoune_above_ground`;
+    the linear side refuses past LINEAR_EXHAUSTIVE_MAX_ORDER."""
     _check_samples(samples)
-    if isinstance(obj, Representation):
-        if A0 is not None:
-            raise DomainError("A0 is not supported on representations: the "
-                              "corollary is stated for actions only")
-        return _hamidoune_linear(obj, Y, lam)
-    return _hamidoune_set(obj, Y, lam, A0, samples=samples, seed=seed)
-
-
-def _hamidoune_set(action: GroupAction, Y, lam, A0, *, samples, seed
-                   ) -> CheckReport:
-    """Up to MAX_EXHAUSTIVE_GROUND elements one minimisation gives H and
-    the minimum growth. Above it H is the least-order subgroup of minimal
-    growth containing G_Y, and the check tries every subgroup (while the
-    lattice is within MAX_SUBGROUP_ENUM_ORDER), then the `_sampled_sets`
-    stream; the subgroups' growths come from one `_union_sizes` call and
-    the sampled sets are compared a chunk at a time."""
-    G = action.group
+    t = _Target(obj, Y)
+    if A0 is not None and t.linear:
+        raise DomainError("A0 is not supported on representations: the "
+                          "corollary is stated for actions only")
+    G, n = obj.group, obj.group.order
     lam = exact_fraction(lam)
-    Y = _point_subset(action, Y)
-    mu = min_image_ratio(action, Y).mu
+    exhaustive = t.linear or (
+        n <= min(config.cap("MAX_EXHAUSTIVE_GROUND"), MAX_N)
+        and obj.domain_size <= _MASK_LIMIT)
+    if exhaustive:
+        fold = t.fold(range(n), "linear variant enumerates all actor sets")
+    # the set side's mu is kept on the action; the linear side's is the
+    # fold's least ratio
+    mu = Fraction(*fold.min_ratio()[:2]) if t.linear \
+        else min_image_ratio(obj, t.Y).mu
     if not 0 <= lam <= mu:
         raise DomainError(
             f"lambda must lie in [0, mu] = [0, {format_fraction(mu)}]; "
             f"got {format_fraction(lam)}")
-    GY = action.set_stabilizer(Y)
+    GY = t.stabilizer(t.Y)
+    if exhaustive:
+        if not _fits_kernel(lam):
+            raise DomainError(
+                f"lambda {format_fraction(lam)} is too wide for the int64 "
+                f"kernel: numerator and denominator must be below "
+                f"{MAX_COEFF}")
+        res = _fold_minimum(fold, lam, 1, f"actor_growth[{obj.name}]")
+        H = identity_atom(None, G, res) if lam else GY
+        cH = fold.union_pop(_mask_of(H.members)) - lam * H.order
+        below = None if res.min_value >= cH \
+            else (res.fragments[0], res.min_value)
+        exh = _EXHAUSTIVE
+    else:
+        H, cH, below, exh = _hamidoune_above_ground(obj, t.Y, lam, GY,
+                                                    samples, seed)
+    checks = {"stabilizer_in_subgroup": GY.members <= H.members,
+              "floor_bound": cH >= t.target_size - lam * H.order,
+              "minimum_at_subgroup": below is None}
+    details: dict = {"mu": mu, "lambda": lam, "subgroup_growth": cH,
+                     "checks": checks}
+    if not t.linear:
+        # the subgroup order and the A0 corollary are reported for actions
+        details["subgroup_order"] = H.order
+        if A0 is not None and lam > 0:
+            A0 = _group_subset(G, A0, "A0")
+            A0Y = obj.act_set(A0, t.Y)
+            M = frozenset(g for g in range(n)
+                          if obj.act_point_set(g, t.Y) <= A0Y)
+            checks["corollary_bound"] = \
+                lam * len(M) + t.target_size <= lam * H.order + len(A0Y)
+            details["saturated_actor_size"] = len(M)
+            details["corollary_product_size"] = len(A0Y)
+        elif A0 is not None:
+            details["corollary_skipped"] = "corollary requires lambda > 0"
+    holds = all(checks.values())
+    return CheckReport(
+        statement_id="hamidoune", hypotheses_hold=True,
+        conclusion_holds=holds,
+        witnesses=t.keyed({"subgroup": H, "set_stabilizer": GY}),
+        counterexample=None if below is None else {
+            "A": below[0], "growth": below[1], "subgroup_growth": cH},
+        exhaustiveness=exh, details=details)
+
+
+def _hamidoune_above_ground(action: GroupAction, Y: tuple[int, ...],
+                            lam: Fraction, GY, samples, seed):
+    """(H, c_Y(H), the first (A, c_Y(A)) found below c_Y(H) or None, the
+    route's exhaustiveness) above MAX_EXHAUSTIVE_GROUND on the set side.
+
+    H is the least-order subgroup of minimal growth containing G_Y. The
+    check tries every subgroup (while the lattice is within
+    MAX_SUBGROUP_ENUM_ORDER), then the `_sampled_sets` stream; the
+    subgroups' growths come from one `_union_sizes` call and the sampled
+    sets are compared a chunk at a time."""
+    G, n = action.group, action.group.order
 
     def growth(members: Iterable[int]) -> Fraction:
         members = tuple(members)
         return action.image_size(members, Y) - lam * len(members)
 
-    n = G.order
-    exhaustive_ok = (n <= min(config.cap("MAX_EXHAUSTIVE_GROUND"), MAX_N)
-                     and action.domain_size <= _MASK_LIMIT)
-    if exhaustive_ok:
-        # one minimisation gives the identity atom, the minimum growth and
-        # its first fragment
-        f = actor_growth(action, Y, lam)
-        res = minimize_nonempty(f, fragment_cap=1)
-    else:
-        image_sizes = _union_sizes(
-            [_mask_of(row) for row in action.table[:, list(Y)].tolist()])
-        scan = n <= config.cap("MAX_SUBGROUP_ENUM_ORDER")
-        if scan or lam != 0:
-            # every subgroup's growth, from one batched call
-            subs = G.subgroups()
-            sub_growth = [int(size) - lam * sub.order for sub, size in zip(
-                subs, image_sizes([_mask_of(s.members) for s in subs]))]
+    image_sizes = _union_sizes(
+        [_mask_of(row) for row in action.table[:, list(Y)].tolist()])
+    scan = n <= config.cap("MAX_SUBGROUP_ENUM_ORDER")
+    if scan or lam != 0:
+        # every subgroup's growth, from one batched call
+        subs = G.subgroups()
+        sub_growth = [int(size) - lam * sub.order for sub, size in zip(
+            subs, image_sizes([_mask_of(s.members) for s in subs]))]
     if lam == 0:
         H = GY
-    elif exhaustive_ok:
-        H = identity_atom(f, G, res)
     else:
         # the identity atom is the least-order subgroup containing G_Y
         # among those of minimal growth, so subgroup enumeration is exact
@@ -613,109 +663,28 @@ def _hamidoune_set(action: GroupAction, Y, lam, A0, *, samples, seed
                       in enumerate(zip(subs, sub_growth))
                       if GY.members <= sub.members)
         H = subs[i]
-
     cH = growth(H.member_tuple)
-    checks = {"stabilizer_in_subgroup": GY.members <= H.members,
-              "floor_bound": cH >= len(Y) - lam * H.order}
-    counterexample = None
+    chunks, exh = _sampled_sets(n, samples, seed)
+    below = next((sub for sub, c in zip(subs, sub_growth) if c < cH),
+                 None) if scan else None
+    if below is not None:
+        return H, cH, (frozenset(below.members),
+                       growth(below.member_tuple)), exh
+    # growth(A) < cH as (|A.Y| q_lam - p_lam |A|) q_H < p_H q_lam
+    p_lam, q_lam = lam.numerator, lam.denominator
+    p_H, q_H = cH.numerator, cH.denominator
+    bound = max((action.domain_size * q_lam + p_lam * n) * q_H,
+                abs(p_H) * q_lam)
 
-    if exhaustive_ok:
-        checks["minimum_at_subgroup"] = res.min_value >= cH
-        if not checks["minimum_at_subgroup"]:
-            counterexample = {"A": res.fragments[0],
-                              "growth": res.min_value, "subgroup_growth": cH}
-        exh = _EXHAUSTIVE
-    else:
-        chunks, exh = _sampled_sets(n, samples, seed)
-        below = next((sub for sub, c in zip(subs, sub_growth) if c < cH),
-                     None) if scan else None
-        if below is not None:
-            counterexample = {"A": frozenset(below.members),
-                              "growth": growth(below.member_tuple),
-                              "subgroup_growth": cH}
-        else:
-            # growth(A) < cH as (|A.Y| q_lam - p_lam |A|) q_H < p_H q_lam
-            p_lam, q_lam = lam.numerator, lam.denominator
-            p_H, q_H = cH.numerator, cH.denominator
-            bound = max((action.domain_size * q_lam + p_lam * n) * q_H,
-                        abs(p_H) * q_lam)
-
-            def violates(chunk: list[int]) -> np.ndarray:
-                sizes, cards = _exact(bound, image_sizes(chunk), np.fromiter(
-                    (m.bit_count() for m in chunk), np.int64, len(chunk)))
-                return (sizes * q_lam - p_lam * cards) * q_H < p_H * q_lam
-            first = _first_violation(chunks, violates)
-            if first is not None:
-                A = _set_of(first)
-                counterexample = {"A": A, "growth": growth(A),
-                                  "subgroup_growth": cH}
-        checks["minimum_at_subgroup"] = counterexample is None
-
-    details: dict = {"mu": mu, "lambda": lam, "subgroup_growth": cH,
-                     "subgroup_order": H.order}
-    if A0 is not None and lam > 0:
-        A0 = _group_subset(G, A0, "A0")
-        A0Y = action.act_set(A0, Y)
-        M = frozenset(g for g in range(n)
-                      if action.act_point_set(g, Y) <= A0Y)
-        checks["corollary_bound"] = \
-            lam * len(M) + len(Y) <= lam * H.order + len(A0Y)
-        details["saturated_actor_size"] = len(M)
-        details["corollary_product_size"] = len(A0Y)
-    elif A0 is not None:
-        details["corollary_skipped"] = "corollary requires lambda > 0"
-
-    holds = all(checks.values())
-    details["checks"] = checks
-    return CheckReport(
-        statement_id="hamidoune", hypotheses_hold=True,
-        conclusion_holds=holds,
-        witnesses={"subgroup": H, "set_stabilizer": GY},
-        counterexample=counterexample if not holds else None,
-        exhaustiveness=exh, details=details)
-
-
-def _module_spans(rep: Representation, elements: Sequence[int],
-                  W: Subspace, hint: str) -> list[Subspace]:
-    """<C.W> for every mask C over `elements`, by doubling on the lowest
-    bit; at most LINEAR_EXHAUSTIVE_MAX_ORDER (and MAX_N) elements."""
-    _check_ground("LINEAR_EXHAUSTIVE_MAX_ORDER", len(elements), hint)
-    images = [rep.act_subspace(g, W) for g in elements]
-    return list(_doubling(images, Subspace.zero(rep.p, W.ambient_dim),
-                          Subspace.sum))
-
-
-def _hamidoune_linear(rep: Representation, W: Subspace, lam) -> CheckReport:
-    """mu, the minimum growth and H all come from one span-dimension fold."""
-    G = rep.group
-    lam = exact_fraction(lam)
-    fold = SubsetFold.from_sizes([s.dim for s in _module_spans(
-        rep, range(G.order), W, "linear variant enumerates all actor sets")])
-    mu = Fraction(*fold.min_ratio()[:2])
-    if not 0 <= lam <= mu:
-        raise DomainError(
-            f"lambda must lie in [0, mu] = [0, {format_fraction(mu)}]; "
-            f"got {format_fraction(lam)}")
-    if not _fits_kernel(lam):
-        raise DomainError(
-            f"lambda {format_fraction(lam)} is too wide for the int64 "
-            f"kernel: numerator and denominator must be below {MAX_COEFF}")
-    GW = rep.subspace_stabilizer(W)
-    res = _fold_minimum(fold, lam, 0, f"actor_growth_linear[{rep.name}]")
-    H = identity_atom(None, G, res) if lam else GW
-    cH = fold.union_pop(_mask_of(H.members)) - lam * H.order
-    checks = {"stabilizer_in_subgroup": GW.members <= H.members,
-              "floor_bound": cH >= W.dim - lam * H.order,
-              "minimum_at_subgroup": res.min_value >= cH}
-    holds = all(checks.values())
-    return CheckReport(
-        statement_id="hamidoune", hypotheses_hold=True,
-        conclusion_holds=holds,
-        witnesses={"subgroup": H, "subspace_stabilizer": GW},
-        counterexample=None if holds else {"checks": checks},
-        exhaustiveness=_EXHAUSTIVE,
-        details={"mu": mu, "lambda": lam, "subgroup_growth": cH,
-                 "checks": checks})
+    def violates(chunk: list[int]) -> np.ndarray:
+        sizes, cards = _exact(bound, image_sizes(chunk), np.fromiter(
+            (m.bit_count() for m in chunk), np.int64, len(chunk)))
+        return (sizes * q_lam - p_lam * cards) * q_H < p_H * q_lam
+    first = _first_violation(chunks, violates)
+    if first is None:
+        return H, cH, None, exh
+    A = _set_of(first)
+    return H, cH, (A, growth(A)), exh
 
 
 # -- petridis --------------------------------------------------------------------
@@ -733,65 +702,29 @@ def find_petridis_witness(obj: GroupAction | Representation, A, Y, alpha,
     alpha = exact_fraction(alpha)
     if alpha < 0:
         raise DomainError("alpha must be nonnegative")
-    if isinstance(obj, Representation):
-        return _petridis_linear(obj, A, Y, alpha, samples=samples, seed=seed)
-    action = obj
-    G = action.group
+    G = obj.group
     A = _group_subset(G, A)
-    Y = _point_subset(action, Y)
-    AY = action.act_set(A, Y)
-    if Fraction(len(AY)) > alpha * len(A):
-        return _failed("petridis", {"product_size": len(AY),
-                                    "actor_size": len(A),
-                                    "bound": alpha * len(A)})
-    _check_ground("MAX_EXHAUSTIVE_GROUND", len(A),
-                  "witness search enumerates subsets of A", action.domain_size)
-    y = list(Y)
-    masks = [_mask_of(action.table[a][y].tolist()) for a in A]
-    p, q, wmask = SubsetFold(masks).min_ratio()
-    B = tuple(A[i] for i in range(len(A)) if (wmask >> i) & 1)
-    ratio = Fraction(p, q)
-    BY = action.act_set(B, Y)
-    counterexample, exh = _forall_actor_sets(
-        [_mask_of(row) for row in action.table[:, sorted(BY)].tolist()],
-        [_mask_of(G.translate_set(c, B)) for c in range(G.order)],
-        alpha, samples, seed)
-
-    holds = counterexample is None and ratio <= alpha
-    return CheckReport(
-        statement_id="petridis", hypotheses_hold=True,
-        conclusion_holds=holds,
-        witnesses={"B": frozenset(B), "witness_product": BY},
-        counterexample=counterexample,
-        exhaustiveness=exh,
-        details={"witness_ratio": ratio, "alpha": alpha,
-                 "witness_size": len(B)})
-
-
-def _petridis_linear(rep: Representation, A, W: Subspace, alpha: Fraction,
-                     *, samples: int | None, seed: int | None
-                     ) -> CheckReport:
-    G = rep.group
-    A = _group_subset(G, A)
-    span = rep.module_span(A, W)
-    if Fraction(span.dim) > alpha * len(A):
-        return _failed("petridis", {"span_dim": span.dim,
-                                    "actor_size": len(A),
-                                    "bound": alpha * len(A)})
-    spans = _module_spans(rep, A, W, "witness search enumerates subsets of A")
-    p, q, wmask = SubsetFold.from_sizes([s.dim for s in spans]).min_ratio()
+    t = _Target(obj, Y)
+    size = t.size(t.image(A, t.Y))
+    if size > alpha * len(A):
+        return _failed("petridis", t.keyed({"product_size": size,
+                                            "actor_size": len(A),
+                                            "bound": alpha * len(A)}))
+    p, q, wmask = t.fold(A, "witness search enumerates subsets of A"
+                         ).min_ratio()
     B = tuple(a for i, a in enumerate(A) if (wmask >> i) & 1)
     ratio = Fraction(p, q)
+    BY = t.image(B, t.Y)
     counterexample, exh = _forall_actor_sets(
-        [rep.act_subspace(c, spans[wmask]) for c in range(G.order)],
-        [_mask_of(G.translate_set(c, B)) for c in range(G.order)],
+        t.side(t.translates(BY)),
+        _masks([_mask_of(G.translate_set(c, B)) for c in range(G.order)]),
         alpha, samples, seed)
 
     holds = counterexample is None and ratio <= alpha
     return CheckReport(
         statement_id="petridis", hypotheses_hold=True,
         conclusion_holds=holds,
-        witnesses={"B": frozenset(B), "witness_span": spans[wmask]},
+        witnesses=t.keyed({"B": frozenset(B), "witness_product": BY}),
         counterexample=counterexample,
         exhaustiveness=exh,
         details={"witness_ratio": ratio, "alpha": alpha,
@@ -853,88 +786,50 @@ def find_taod_witness(obj: GroupAction | Representation, A, Y, alpha,
                       *, n_max: int = 5, samples: int | None = None,
                       seed: int | None = None) -> CheckReport:
     """Abelian G, |A.Y| <= alpha|Y|: some nonempty Z inside Y has
-    |AC.Z| <= alpha|C.Z| for all C and |A^n.Z| <= alpha^n |Z|."""
+    |AC.Z| <= alpha|C.Z| for all C and |A^n.Z| <= alpha^n |Z|.
+
+    Z minimises |A.Z|/|Z| over the nonempty subsets of Y, or over the
+    nonzero subspaces of W (ties: smallest size, then lexicographic)."""
     _check_samples(samples)
     alpha = exact_fraction(alpha)
     if alpha < 0:
         raise DomainError("alpha must be nonnegative")
-    if isinstance(obj, Representation):
-        return _taod_linear(obj, A, Y, alpha, n_max, samples=samples,
-                            seed=seed)
-    action = obj
-    G = action.group
+    G = obj.group
     if not G.is_abelian():
         raise DomainError(
             "G must be Abelian: the target growth d_A is only "
             "G-invariant when actors commute")
     A = _group_subset(G, A)
-    Y = _point_subset(action, Y)
-    AY = action.act_set(A, Y)
-    if Fraction(len(AY)) > alpha * len(Y):
-        return _failed("taod", {"product_size": len(AY),
-                                "target_size": len(Y),
-                                "bound": alpha * len(Y)})
-    _check_ground("MAX_EXHAUSTIVE_GROUND", len(Y),
-                  "witness search enumerates subsets of Y", action.domain_size)
-    masks = [_mask_of(action.act_set(A, (pt,))) for pt in Y]
-    p, q, wmask = SubsetFold(masks).min_ratio()
-    Z = tuple(Y[i] for i in range(len(Y)) if (wmask >> i) & 1)
-    ratio = Fraction(p, q)
-    CZ = action.table[:, list(Z)].tolist()
+    t = _Target(obj, Y)
+    size = t.size(t.image(A, t.Y))
+    if size > alpha * t.target_size:
+        return _failed("taod", t.keyed({"product_size": size,
+                                        "target_size": t.target_size,
+                                        "bound": alpha * t.target_size}))
+    if t.linear:
+        # candidates arrive in canonical (dim, rows) order, so keeping the
+        # first strict improvement realises the tie rule
+        ratio = Z = None
+        for S in enumerate_subspaces(obj.p, obj.dim):
+            if not S.is_zero() and S <= t.Y:
+                r = Fraction(obj.module_span(A, S).dim, S.dim)
+                if ratio is None or r < ratio:
+                    ratio, Z = r, S
+    else:
+        _check_ground("MAX_EXHAUSTIVE_GROUND", len(t.Y),
+                      "witness search enumerates subsets of Y",
+                      obj.domain_size)
+        p, q, wmask = SubsetFold([_mask_of(obj.act_set(A, (pt,)))
+                                  for pt in t.Y]).min_ratio()
+        Z = frozenset(y for i, y in enumerate(t.Y) if (wmask >> i) & 1)
+        ratio = Fraction(p, q)
+    CZ = t.translates(Z)
     counterexample, exh = _forall_actor_sets(
-        [_mask_of(action.act_set(A, cz)) for cz in CZ],
-        [_mask_of(cz) for cz in CZ], alpha, samples, seed)
+        t.side([t.image(A, cz) for cz in CZ]), t.side(CZ),
+        alpha, samples, seed)
 
-    powers = {}
-    for k in range(1, n_max + 1):
-        Ak = G.product_power(A, k)
-        powers[k] = Fraction(action.image_size(Ak, Z)) <= alpha ** k * len(Z)
-    holds = counterexample is None and all(powers.values())
-    if holds is False and counterexample is None:
-        counterexample = {"failed_powers":
-                          sorted(k for k, v in powers.items() if not v)}
-    return CheckReport(
-        statement_id="taod", hypotheses_hold=True, conclusion_holds=holds,
-        witnesses={"Z": frozenset(Z)},
-        counterexample=counterexample,
-        exhaustiveness=exh,
-        details={"witness_ratio": ratio, "alpha": alpha,
-                 "power_checks": powers})
-
-
-def _taod_linear(rep: Representation, A, W: Subspace, alpha: Fraction,
-                 n_max: int, *, samples: int | None, seed: int | None
-                 ) -> CheckReport:
-    G = rep.group
-    if not G.is_abelian():
-        raise DomainError(
-            "G must be Abelian: the target growth d_A is only "
-            "G-invariant when actors commute")
-    A = _group_subset(G, A)
-    span = rep.module_span(A, W)
-    if Fraction(span.dim) > alpha * W.dim:
-        return _failed("taod", {"span_dim": span.dim, "target_dim": W.dim,
-                                "bound": alpha * W.dim})
-    candidates = [S for S in enumerate_subspaces(rep.p, W.ambient_dim)
-                  if not S.is_zero() and S <= W]
-    # candidates arrive in canonical (dim, rows) order, so keeping the first
-    # strict improvement realises the smallest-dim-then-lex tie rule
-    best = None
-    Z = None
-    for S in candidates:
-        r = Fraction(rep.module_span(A, S).dim, S.dim)
-        if best is None or r < best:
-            best, Z = r, S
-
-    CZ = [rep.act_subspace(c, Z) for c in range(G.order)]
-    counterexample, exh = _forall_actor_sets(
-        [rep.module_span(A, cz) for cz in CZ], CZ, alpha, samples, seed)
-
-    powers = {}
-    for k in range(1, n_max + 1):
-        Ak = G.product_power(A, k)
-        powers[k] = Fraction(rep.module_span(Ak, Z).dim) \
-            <= alpha ** k * Z.dim
+    powers = {k: Fraction(t.size(t.image(G.product_power(A, k), Z)))
+              <= alpha ** k * t.size(Z) for k in range(1, n_max + 1)}
     holds = counterexample is None and all(powers.values())
     if holds is False and counterexample is None:
         counterexample = {"failed_powers":
@@ -944,7 +839,7 @@ def _taod_linear(rep: Representation, A, W: Subspace, alpha: Fraction,
         witnesses={"Z": Z},
         counterexample=counterexample,
         exhaustiveness=exh,
-        details={"witness_ratio": best, "alpha": alpha,
+        details={"witness_ratio": ratio, "alpha": alpha,
                  "power_checks": powers})
 
 

@@ -343,6 +343,27 @@ def test_linear_hamidoune_refuses_a0(tmp_path, capsys):
     assert "A0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("task", [
+    {"task": "taod", "A": "A", "alpha": "1"},
+    {"task": "murphy", "A": "A"},
+    {"task": "petridis", "A": "A", "alpha": "1"},
+    {"task": "hamidoune", "lambda": "0"}])
+def test_linear_tasks_refuse_a_zero_w(tmp_path, capsys, task):
+    # no nonempty part of a zero W exists: taod used to trace back when
+    # it found no candidate Z
+    path = _write(tmp_path, {
+        "group": {"kind": "cyclic", "n": 4},
+        "action": {"kind": "left_translation"},
+        "representation": {"kind": "permutation", "p": 2},
+        "sets": {"A": [0, 1]},
+        "subspaces": {"W": [[0, 0, 0, 0]]},
+        "tasks": [{**task, "W": "W"}]})
+    assert main(["run", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: W must be nonzero\n"
+
+
 def test_readme_caps_table_lists_every_cap():
     readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
                                "README.md"), encoding="utf-8").read()

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subaction.errors import (DomainError, InvariantError, StructuralError)
+from subaction.errors import (CapacityError, DomainError, InvariantError,
+                              StructuralError)
 from subaction.groups import (affine_gl1, alternating, cyclic, dihedral,
                               symmetric)
-from subaction.actions import natural_action
+from subaction.actions import left_translation_action, natural_action
 from subaction.linalg import (LatticeFunction, Representation, Subspace,
                               actor_growth_linear, check_lattice_invariance,
                               check_lattice_submodular, enumerate_subspaces,
@@ -217,6 +218,29 @@ def test_permutation_representation():
             v = rep.act_vector(g, e_x)
             assert v == tuple(1 if i == action.act(g, x) else 0
                               for i in range(3))
+
+
+def test_representation_matrices_refused_before_they_are_allocated(
+        monkeypatch):
+    # order * dim^2 entries: C10 left translation has 100 table entries,
+    # its permutation representation 1,000 matrix entries; a 10 x 10
+    # generator matrix for C10 gives 1,000 too
+    monkeypatch.setenv("SUBACTION_MAX_ACT_TABLE_ENTRIES", "500")
+    action = left_translation_action(cyclic(10))
+    gens = [np.roll(np.eye(10, dtype=int), 1, axis=0)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("matrices allocated past the cap")
+    monkeypatch.setattr(np, "zeros", refuse)
+    builds = (lambda: permutation_representation(action, 2),
+              lambda: representation_from_generator_matrices(
+                  action.group, 2, gens))
+    for build in builds:
+        with pytest.raises(CapacityError) as ei:
+            build()
+        err = ei.value
+        assert (err.cap_name, err.cap_value, err.measured) == \
+            ("MAX_ACT_TABLE_ENTRIES", 500, 1000)
 
 
 def test_act_subspace_preserves_dim():

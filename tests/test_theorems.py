@@ -771,6 +771,16 @@ def _verifier_table(data, n):
         st.lists(vectors, max_size=2))) for _ in range(n)]
 
 
+def _forall(left, right, *args):
+    """`_forall_actor_sets` on raw tables of subspaces or int masks."""
+    def side(table):
+        if isinstance(table[0], Subspace):
+            return theorems._Side(table, Subspace.zero(table[0].p, 3),
+                                  Subspace.sum, operator.attrgetter("dim"))
+        return theorems._masks(table)
+    return theorems._forall_actor_sets(side(left), side(right), *args)
+
+
 def _brute_size(table, C):
     if isinstance(table[0], Subspace):
         return Subspace.from_vectors(table[0].p, 3, [
@@ -801,15 +811,14 @@ def test_forall_actor_sets_matches_brute_force(data):
         real = theorems.check_pair_ratio
         mp.setattr(theorems, "check_pair_ratio",
                    lambda *args: calls.append(1) or real(*args))
-        got = theorems._forall_actor_sets(left, right, alpha, None, None)
+        got = _forall(left, right, alpha, None, None)
         assert got == (expected, Exhaustiveness("exhaustive"))
         kernel = all(isinstance(m, int) and m < 1 << 64 for m in left + right)
         assert calls == ([1] if kernel else [])
         if kernel and any(left + right):
             # the same sets 64 bits up: the doubling route must agree
-            wide = theorems._forall_actor_sets(
-                [m << 64 for m in left], [m << 64 for m in right], alpha,
-                None, None)
+            wide = _forall([m << 64 for m in left],
+                           [m << 64 for m in right], alpha, None, None)
             assert len(calls) == 1 and wide == got
 
     samples, seed = data.draw(st.integers(1, 40)), data.draw(st.integers(0, 99))
@@ -817,7 +826,7 @@ def test_forall_actor_sets_matches_brute_force(data):
     with config.overrides({"PETRIDIS_EXHAUSTIVE_MAX_ORDER": 0}), \
             pytest.MonkeyPatch.context() as mp:
         _small_chunks(mp, rows)
-        got = theorems._forall_actor_sets(left, right, alpha, samples, seed)
+        got = _forall(left, right, alpha, samples, seed)
     exh = Exhaustiveness("sampled", samples, seed)
     assert got == (_brute_first_violation(
         left, right, alpha, _reference_stream(n, samples, seed)), exh)
@@ -864,7 +873,7 @@ def test_sampled_for_all_c_matches_the_scalar_stream(data):
     with config.overrides({"PETRIDIS_EXHAUSTIVE_MAX_ORDER": 0}), \
             pytest.MonkeyPatch.context() as mp:
         _small_chunks(mp, rows)
-        got = theorems._forall_actor_sets(left, right, alpha, samples, seed)
+        got = _forall(left, right, alpha, samples, seed)
     assert got == (_brute_first_violation(
         left, right, alpha, _reference_stream(n, samples, seed)),
         Exhaustiveness("sampled", samples, seed))
@@ -879,11 +888,10 @@ def test_sampled_comparison_stays_exact_past_int64():
     with config.overrides({"PETRIDIS_EXHAUSTIVE_MAX_ORDER": 0}):
         for seed in range(10):
             C = frozenset(next(_reference_stream(20, 1, seed)))
-            assert theorems._forall_actor_sets(table, table, tiny, 50, seed) \
+            assert _forall(table, table, tiny, 50, seed) \
                 == ({"C": C, "lhs": len(C), "rhs": tiny * len(C)},
                     Exhaustiveness("sampled", 50, seed))
-            assert theorems._forall_actor_sets(
-                table, table, wide, 50, seed)[0] is None
+            assert _forall(table, table, wide, 50, seed)[0] is None
 
 
 @functools.cache
@@ -950,8 +958,7 @@ def test_sampled_stream_is_drawn_lazily():
     started = time.perf_counter()
     try:
         with config.overrides(caps), pytest.MonkeyPatch.context() as mp:
-            first, exh = theorems._forall_actor_sets(
-                table, [0] * 70, Fraction(1), None, 3)
+            first, exh = _forall(table, [0] * 70, Fraction(1), None, 3)
             mp.setattr(G, "subgroups", lambda: [Subgroup(G, frozenset(
                 range(70)), _verified=True)])
             rep = check_hamidoune(action, (0,), "1/2", seed=3)
