@@ -219,7 +219,7 @@ TASKS: dict[str, TaskSpec] = {
         frozenset({"Y", "W", "lambda", "A0"}), (), _Y_OR_W,
         lambda b, t: theorems.check_hamidoune(
             b.on(t), b.target(t), b.param(t, "lambda"),
-            b.set(t, "A0") if "A0" in t else None, seed=b.seed)),
+            b.set(t, "A0") if "A0" in t else None)),
     "petridis": TaskSpec(
         frozenset({"A", "Y", "W", "alpha"}), ("A",), _Y_OR_W,
         lambda b, t: theorems.find_petridis_witness(

@@ -2,8 +2,11 @@
 
 The three built-in families are the cut function of the action graph, the
 growth of a fixed target set under a varying actor set, and the growth of a
-varying target set under a fixed actor set. All values are exact rationals;
-minimisation enumerates every nonempty subset, so ground sets are capped.
+varying target set under a fixed actor set. All values are exact rationals.
+`minimize_nonempty` enumerates every nonempty subset, so its ground sets
+are capped; the growth |A.Y| - lam|A| of a fixed target is also minimised
+at every order by one exact s-t minimum cut (`actor_growth_cut`), which
+gives the minimum ratio `min_image_ratio` its uncapped route.
 """
 
 from __future__ import annotations
@@ -554,11 +557,13 @@ def identity_atom(f: SetFunction | None, group: FiniteGroup,
 def min_image_ratio(action: GroupAction, Y: Iterable[int]) -> MuResult:
     """inf over nonempty actor sets A of |A.Y| / |A|, exact.
 
-    Three routes: exhaustive subset enumeration (small groups), minimum
-    over subgroups, and a Dinkelbach iteration on the growth function.
-    All computed routes must agree; the returned witness attains the ratio.
-    The result is kept on the action, keyed by Y and the caps that pick
-    the routes, so a repeated call costs nothing.
+    Up to three routes: exhaustive subset enumeration (up to
+    MAX_EXHAUSTIVE_GROUND elements), minimum over subgroups (up to
+    MAX_SUBGROUP_ENUM_ORDER) and, at every order, a Dinkelbach iteration
+    on min cuts of the growth function. All computed routes must agree;
+    the returned witness attains the ratio. The result is kept on the
+    action, keyed by Y and the caps that pick the routes, so a repeated
+    call costs nothing.
     """
     G = action.group
     y = action._point_indices(Y)
@@ -572,40 +577,23 @@ def min_image_ratio(action: GroupAction, Y: Iterable[int]) -> MuResult:
         return action._mu_results[key]
     methods: dict[str, dict] = {}
 
-    exhaustive_ok = (n <= ground_cap and n <= MAX_N
-                     and action.domain_size <= _MASK_LIMIT)
-    subgroup_ok = n <= subgroup_cap
-    if not exhaustive_ok and not subgroup_ok:
-        raise CapacityError("MAX_SUBGROUP_ENUM_ORDER", subgroup_cap, n,
-                            hint="group too large for any ratio method")
-
     images = [_mask_of(row) for row in action.table[:, y].tolist()]
-    fold = None
-    if exhaustive_ok:
-        fold = SubsetFold(images)
-        p, q, witness_mask = fold.min_ratio()
+    if n <= ground_cap and n <= MAX_N and action.domain_size <= _MASK_LIMIT:
+        p, q, witness_mask = SubsetFold(images).min_ratio()
         methods["exhaustive"] = {
             "value": Fraction(p, q), "witness": _set_of(witness_mask)}
 
-    sub_images = None
-    if subgroup_ok:
+    if n <= subgroup_cap:
         # every |H.Y| from one batched call
         subs = G.subgroups()
-        sub_images = list(zip(subs, _union_sizes(images)(
-            [_mask_of(H.members) for H in subs]).tolist()))
-        best = None
-        best_H = None
-        for H, img in sub_images:
-            r = Fraction(img, H.order)
-            if best is None or r < best or (r == best and H.order < best_H.order):
-                best, best_H = r, H
-        methods["subgroups"] = {
-            "value": best, "witness": frozenset(best_H.member_tuple)}
+        sizes = _union_sizes(images)([_mask_of(H.members) for H in subs])
+        # least ratio, then least order, then first in lattice order
+        best, _order, i = min((Fraction(img, H.order), H.order, i) for i, (
+            H, img) in enumerate(zip(subs, sizes.tolist())))
+        methods["subgroups"] = {"value": best, "witness": subs[i].members}
 
-    iterations = 0
-    if exhaustive_ok or subgroup_ok:
-        value, witness, iterations = _dinkelbach(action, y, fold, sub_images)
-        methods["dinkelbach"] = {"value": value, "witness": witness}
+    value, witness, iterations = _dinkelbach(action, y)
+    methods["dinkelbach"] = {"value": value, "witness": witness}
 
     values = {m["value"] for m in methods.values()}
     agreed = len(values) == 1
@@ -613,7 +601,7 @@ def min_image_ratio(action: GroupAction, Y: Iterable[int]) -> MuResult:
         raise InvariantError(
             f"ratio methods disagree: "
             f"{ {k: format_fraction(v['value']) for k, v in methods.items()} }")
-    primary = methods.get("exhaustive") or methods["subgroups"]
+    primary = next(iter(methods.values()))
     result = MuResult(mu=primary["value"], witness=primary["witness"],
                       methods=methods, agreed=agreed,
                       dinkelbach_iterations=iterations)
@@ -621,39 +609,121 @@ def min_image_ratio(action: GroupAction, Y: Iterable[int]) -> MuResult:
     return result
 
 
-def _dinkelbach(action: GroupAction, y: np.ndarray, fold, sub_images):
-    """Parametric minimisation: lam converges to the minimum ratio from above.
-
-    ``fold`` is the exhaustive route's fold of the actor masks, or None to
-    minimise over the subgroups in ``sub_images`` instead.
-    """
+def _dinkelbach(action: GroupAction, y: np.ndarray):
+    """Parametric minimisation: lam falls to the minimum ratio from above,
+    each step one `actor_growth_cut`."""
     G = action.group
-
-    def oracle(lam: Fraction):
-        if fold is not None:
-            scaled, _c, frags, *_rest = fold.min_affine(
-                lam.numerator, lam.denominator, 1)
-            return Fraction(scaled, lam.denominator), frags[0]
-        best = None
-        best_H = None
-        for H, img in sub_images:
-            v = img - lam * H.order
-            if best is None or v < best:
-                best, best_H = v, H
-        return best, _mask_of(best_H.member_tuple)
-
-    full = frozenset(range(G.order))
-    lam = Fraction(len(action.act_set(full, y.tolist())), G.order)
+    lam = Fraction(len(action.act_set(range(G.order), y)), G.order)
     iterations = 0
     while True:
         iterations += 1
         if iterations > G.order * action.domain_size + 3:
             raise InvariantError("ratio iteration failed to converge")
-        m, argmin_mask = oracle(lam)
+        m, A = actor_growth_cut(action, y, lam)
         if m == 0:
-            return lam, _set_of(argmin_mask), iterations
+            return lam, A, iterations
         if m > 0:
             raise InvariantError("ratio iteration produced a positive minimum")
-        A = _set_of(argmin_mask)
-        img = len(action.act_set(A, y.tolist()))
-        lam = Fraction(img, len(A))
+        lam = Fraction(len(action.act_set(A, y)), len(A))
+
+
+# -- exact minimum cut ---------------------------------------------------------------
+
+
+def _min_cut(size: int, arcs: Sequence[tuple[int, int, int | None]],
+             s: int, t: int) -> tuple[int, list[int]]:
+    """The maximum s-t flow of the network on nodes range(size) with arcs
+    (u, v, capacity), and the nodes reachable from s in its residual
+    graph: the source side of the least minimum cut. A capacity of None
+    marks an arc that no finite cut crosses.
+
+    Dinic's algorithm on Python ints: a breadth-first level graph per
+    phase, then blocking flow by an iterative depth-first walk with a
+    current-arc pointer per node.
+    """
+    inf = 1 + sum(c for _u, _v, c in arcs if c is not None)
+    out: list[list[int]] = [[] for _ in range(size)]
+    head: list[int] = []
+    cap: list[int] = []
+    for u, v, c in arcs:  # arc e and its reverse e ^ 1
+        out[u].append(len(head))
+        head.append(v)
+        cap.append(inf if c is None else c)
+        out[v].append(len(head))
+        head.append(u)
+        cap.append(0)
+    flow = 0
+    while True:
+        level = [-1] * size
+        level[s] = 0
+        reached = [s]
+        for u in reached:
+            for e in out[u]:
+                if cap[e] and level[head[e]] < 0:
+                    level[head[e]] = level[u] + 1
+                    reached.append(head[e])
+        if level[t] < 0:
+            return flow, reached
+        current = [0] * size
+        path: list[int] = []  # arcs from s to u
+        u = s
+        while True:
+            if u == t:
+                push = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= push
+                    cap[e ^ 1] += push
+                flow += push
+                path, u = [], s
+                continue
+            arcs_u = out[u]
+            while current[u] < len(arcs_u):
+                e = arcs_u[current[u]]
+                if cap[e] and level[head[e]] == level[u] + 1:
+                    path.append(e)
+                    u = head[e]
+                    break
+                current[u] += 1
+            else:
+                if u == s:
+                    break
+                level[u] = -1  # no more augmenting paths through u
+                u = head[path.pop() ^ 1]
+                current[u] += 1
+
+
+def actor_growth_cut(action: GroupAction, Y: Iterable[int], lam
+                     ) -> tuple[Fraction, frozenset[int]]:
+    """min over nonempty A of c_Y(A) = |A.Y| - lam|A|, and the least
+    minimiser containing the identity, from one s-t minimum cut (Picard
+    and Queyranne, Math. Prog. Study 13, 1980).
+
+    With lam = p/q the network has an arc s -> g of capacity p for each
+    element g, an arc s -> e and arcs g -> x for each x in g.Y that no cut
+    crosses, and an arc x -> t of capacity q for each point x of G.Y. A cut
+    whose source side holds A costs at least p|G - A| + q|A.Y| =
+    p|G| + q c_Y(A), so the minimum over A containing e is
+    (cut - p|G|)/q. c_Y is left-invariant, c_Y(gA) = c_Y(A), so that is
+    the minimum over every nonempty A, and the elements reachable from s
+    in the residual graph form the least minimiser containing e, which is
+    the atom of c_Y containing e.
+    """
+    lam = exact_fraction(lam)
+    if lam < 0:
+        raise DomainError(f"lambda must be nonnegative; got "
+                          f"{format_fraction(lam)}")
+    y = action._point_indices(Y)
+    if y.size == 0:
+        raise DomainError("target set must be nonempty")
+    n = action.group.order
+    images = action.table[:, y]
+    points = np.unique(images)
+    s, t = n + points.size, n + points.size + 1
+    p, q = lam.numerator, lam.denominator
+    arcs = [(s, g, p) for g in range(n)]
+    arcs.append((s, 0, None))
+    arcs += [(g, x, None) for g, row in enumerate(
+        (n + np.searchsorted(points, images)).tolist()) for x in row]
+    arcs += [(x, t, q) for x in range(n, s)]
+    cut, side = _min_cut(t + 1, arcs, s, t)
+    return Fraction(cut - p * n, q), frozenset(v for v in side if v < n)

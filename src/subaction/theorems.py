@@ -21,8 +21,9 @@ with their join and size), the witness fold (masks, or span dimensions)
 and the linear side's report key names (`span_dim`, `target_dim`,
 `subspace_stabilizer`, ...). What only one side has stays in one marked
 branch: murphy's orbits, small_growth's overlap, freiman's corollary and
-left-translation remark, hamidoune's A0 corollary and its route above the
-ground cap, and taod's witness candidates.
+left-translation remark, hamidoune's A0 corollary and its minimisation (a
+min cut on the set side, a fold of span dimensions on the linear side),
+and taod's witness candidates.
 """
 
 from __future__ import annotations
@@ -41,12 +42,12 @@ from . import config
 from ._kernels import MAX_COEFF, MAX_N, SubsetFold, check_pair_ratio
 from .actions import GroupAction, natural_action
 from .errors import CapacityError, DomainError, StructuralError
-from .groups import FiniteGroup, symmetric
+from .groups import FiniteGroup, Subgroup, symmetric
 from .linalg import Representation, Subspace, enumerate_subspaces
 from .rationals import exact_fraction, format_fraction
 from .setfuncs import (_MASK_LIMIT, Exhaustiveness, _check_samples,
                        _chunk_rows, _fits_kernel, _fold_minimum, _mask_of,
-                       _set_of, _union_sizes, actor_growth, identity_atom,
+                       _set_of, _union_sizes, actor_growth_cut, identity_atom,
                        min_image_ratio, minimize_nonempty, target_growth)
 
 STATEMENT_IDS = ("kneser", "murphy", "small_growth", "freiman", "ruzsa",
@@ -99,13 +100,6 @@ def _point_subset(action: GroupAction, Y: Iterable[int], name: str = "Y"
     return tuple(items)
 
 
-def _random_nonempty_mask(rng: random.Random, n: int) -> int:
-    m = rng.getrandbits(n)
-    if m == 0:
-        m = 1 << rng.randrange(n)
-    return m
-
-
 def _sampled_sets(n: int, samples: int | None, seed: int | None
                   ) -> tuple[Iterator[list[int]], Exhaustiveness]:
     """Seeded random nonempty subsets of range(n) as int masks, in draw
@@ -118,29 +112,9 @@ def _sampled_sets(n: int, samples: int | None, seed: int | None
 
     def chunks() -> Iterator[list[int]]:
         for lo in range(0, count, rows):
-            yield [_random_nonempty_mask(rng, n)
+            yield [rng.getrandbits(n) or 1 << rng.randrange(n)
                    for _ in range(min(rows, count - lo))]
     return chunks(), Exhaustiveness(kind="sampled", samples=count, seed=s)
-
-
-def _first_violation(chunks: Iterable[list[int]],
-                     violates: Callable[[list[int]], np.ndarray]
-                     ) -> int | None:
-    """The first mask in draw order whose row `violates` marks True,
-    reading chunks only until one has such a row."""
-    for chunk in chunks:
-        hits = np.flatnonzero(violates(chunk))
-        if hits.size:
-            return chunk[hits[0]]
-    return None
-
-
-def _exact(bound: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The int64 arrays as they are while products up to `bound` fit int64,
-    else as arrays of Python ints, so comparisons stay exact."""
-    if bound < 1 << 63:
-        return arrays
-    return tuple(a.astype(object) for a in arrays)
 
 
 def _doubling(table: Sequence, empty, join: Callable) -> Iterator:
@@ -198,13 +172,18 @@ def _forall_actor_sets(left: _Side, right: _Side, alpha: Fraction,
         chunks, exh = _sampled_sets(n, samples, seed)
         if masks:
             lsizes, rsizes = _union_sizes(left.table), _union_sizes(right.table)
-            bound = max(den * max(left.table).bit_length(),
-                        num * max(right.table).bit_length())
-
-            def violates(chunk: list[int]) -> np.ndarray:
-                lhs, rhs = _exact(bound, lsizes(chunk), rsizes(chunk))
-                return den * lhs > num * rhs
-            first = _first_violation(chunks, violates)
+            # Python ints where den * |left| or num * |right| passes int64
+            wide = max(den * max(left.table).bit_length(),
+                       num * max(right.table).bit_length()) >= 1 << 63
+            dtype = object if wide else np.int64
+            first = None
+            for chunk in chunks:  # drawn only until one has a violation
+                lhs = lsizes(chunk).astype(dtype, copy=False)
+                rhs = rsizes(chunk).astype(dtype, copy=False)
+                hits = np.flatnonzero(den * lhs > num * rhs)
+                if hits.size:
+                    first = chunk[hits[0]]
+                    break
         else:
             first = next((m for chunk in chunks for m in chunk
                           if exceeds(*sizes(_set_of(m)))), None)
@@ -555,52 +534,47 @@ def check_ruzsa_triple(action: GroupAction, A, B, Y) -> CheckReport:
 # -- hamidoune -------------------------------------------------------------------
 
 
-def check_hamidoune(obj: GroupAction | Representation, Y, lam, A0=None,
-                    *, samples: int | None = None, seed: int | None = None
+def check_hamidoune(obj: GroupAction | Representation, Y, lam, A0=None
                     ) -> CheckReport:
     """For lam in [0, mu] there is a subgroup H containing the stabilizer of Y
     with c_Y(A) >= c_Y(H) >= |Y| - lam|H| for every nonempty A.
 
-    Up to the ground cap one fold of g.Y gives the minimum growth, its
-    first fragment and H (and, on the linear side, mu). Above
-    MAX_EXHAUSTIVE_GROUND the set side takes `_hamidoune_above_ground`;
-    the linear side refuses past LINEAR_EXHAUSTIVE_MAX_ORDER."""
-    _check_samples(samples)
+    On the set side one `actor_growth_cut` gives the minimum growth and H,
+    its least minimiser containing e, at every order. On the linear side
+    one fold of g.W gives mu, the minimum growth, its first fragment and H,
+    refused past LINEAR_EXHAUSTIVE_MAX_ORDER. At lam = 0, H is the
+    stabilizer."""
     t = _Target(obj, Y)
     if A0 is not None and t.linear:
         raise DomainError("A0 is not supported on representations: the "
                           "corollary is stated for actions only")
     G, n = obj.group, obj.group.order
     lam = exact_fraction(lam)
-    exhaustive = t.linear or (
-        n <= min(config.cap("MAX_EXHAUSTIVE_GROUND"), MAX_N)
-        and obj.domain_size <= _MASK_LIMIT)
-    if exhaustive:
+    if t.linear:
         fold = t.fold(range(n), "linear variant enumerates all actor sets")
-    # the set side's mu is kept on the action; the linear side's is the
-    # fold's least ratio
-    mu = Fraction(*fold.min_ratio()[:2]) if t.linear \
-        else min_image_ratio(obj, t.Y).mu
+        mu = Fraction(*fold.min_ratio()[:2])
+    else:
+        mu = min_image_ratio(obj, t.Y).mu  # kept on the action
     if not 0 <= lam <= mu:
         raise DomainError(
             f"lambda must lie in [0, mu] = [0, {format_fraction(mu)}]; "
             f"got {format_fraction(lam)}")
     GY = t.stabilizer(t.Y)
-    if exhaustive:
+    if t.linear:
         if not _fits_kernel(lam):
             raise DomainError(
                 f"lambda {format_fraction(lam)} is too wide for the int64 "
                 f"kernel: numerator and denominator must be below "
                 f"{MAX_COEFF}")
         res = _fold_minimum(fold, lam, 1, f"actor_growth[{obj.name}]")
+        minimum, A = res.min_value, res.fragments[0]
         H = identity_atom(None, G, res) if lam else GY
         cH = fold.union_pop(_mask_of(H.members)) - lam * H.order
-        below = None if res.min_value >= cH \
-            else (res.fragments[0], res.min_value)
-        exh = _EXHAUSTIVE
     else:
-        H, cH, below, exh = _hamidoune_above_ground(obj, t.Y, lam, GY,
-                                                    samples, seed)
+        minimum, A = actor_growth_cut(obj, t.Y, lam)
+        H = Subgroup(G, A) if lam else GY
+        cH = obj.image_size(H.member_tuple, t.Y) - lam * H.order
+    below = None if minimum >= cH else (A, minimum)
     checks = {"stabilizer_in_subgroup": GY.members <= H.members,
               "floor_bound": cH >= t.target_size - lam * H.order,
               "minimum_at_subgroup": below is None}
@@ -627,64 +601,7 @@ def check_hamidoune(obj: GroupAction | Representation, Y, lam, A0=None,
         witnesses=t.keyed({"subgroup": H, "set_stabilizer": GY}),
         counterexample=None if below is None else {
             "A": below[0], "growth": below[1], "subgroup_growth": cH},
-        exhaustiveness=exh, details=details)
-
-
-def _hamidoune_above_ground(action: GroupAction, Y: tuple[int, ...],
-                            lam: Fraction, GY, samples, seed):
-    """(H, c_Y(H), the first (A, c_Y(A)) found below c_Y(H) or None, the
-    route's exhaustiveness) above MAX_EXHAUSTIVE_GROUND on the set side.
-
-    H is the least-order subgroup of minimal growth containing G_Y. The
-    check tries every subgroup (while the lattice is within
-    MAX_SUBGROUP_ENUM_ORDER), then the `_sampled_sets` stream; the
-    subgroups' growths come from one `_union_sizes` call and the sampled
-    sets are compared a chunk at a time."""
-    G, n = action.group, action.group.order
-
-    def growth(members: Iterable[int]) -> Fraction:
-        members = tuple(members)
-        return action.image_size(members, Y) - lam * len(members)
-
-    image_sizes = _union_sizes(
-        [_mask_of(row) for row in action.table[:, list(Y)].tolist()])
-    scan = n <= config.cap("MAX_SUBGROUP_ENUM_ORDER")
-    if scan or lam != 0:
-        # every subgroup's growth, from one batched call
-        subs = G.subgroups()
-        sub_growth = [int(size) - lam * sub.order for sub, size in zip(
-            subs, image_sizes([_mask_of(s.members) for s in subs]))]
-    if lam == 0:
-        H = GY
-    else:
-        # the identity atom is the least-order subgroup containing G_Y
-        # among those of minimal growth, so subgroup enumeration is exact
-        _key, i = min(((c, sub.order), i) for i, (sub, c)
-                      in enumerate(zip(subs, sub_growth))
-                      if GY.members <= sub.members)
-        H = subs[i]
-    cH = growth(H.member_tuple)
-    chunks, exh = _sampled_sets(n, samples, seed)
-    below = next((sub for sub, c in zip(subs, sub_growth) if c < cH),
-                 None) if scan else None
-    if below is not None:
-        return H, cH, (frozenset(below.members),
-                       growth(below.member_tuple)), exh
-    # growth(A) < cH as (|A.Y| q_lam - p_lam |A|) q_H < p_H q_lam
-    p_lam, q_lam = lam.numerator, lam.denominator
-    p_H, q_H = cH.numerator, cH.denominator
-    bound = max((action.domain_size * q_lam + p_lam * n) * q_H,
-                abs(p_H) * q_lam)
-
-    def violates(chunk: list[int]) -> np.ndarray:
-        sizes, cards = _exact(bound, image_sizes(chunk), np.fromiter(
-            (m.bit_count() for m in chunk), np.int64, len(chunk)))
-        return (sizes * q_lam - p_lam * cards) * q_H < p_H * q_lam
-    first = _first_violation(chunks, violates)
-    if first is None:
-        return H, cH, None, exh
-    A = _set_of(first)
-    return H, cH, (A, growth(A)), exh
+        exhaustiveness=_EXHAUSTIVE, details=details)
 
 
 # -- petridis --------------------------------------------------------------------
@@ -758,7 +675,7 @@ def check_tao_small_doubling(action: GroupAction, A, Y, eps) -> CheckReport:
                         "mu": mu, "product_size": len(AY),
                         "growth_bound": (2 - eps) * mu * len(Y)})
     lam = mu * (1 - eps / 2)
-    H = identity_atom(actor_growth(action, Y, lam), G)
+    H = Subgroup(G, actor_growth_cut(action, Y, lam)[1])
     HY = action.act_set(H.member_tuple, Y)
     budget = (Fraction(2) / eps - 1) * len(Y)
     checks = {
@@ -807,14 +724,15 @@ def find_taod_witness(obj: GroupAction | Representation, A, Y, alpha,
                                         "target_size": t.target_size,
                                         "bound": alpha * t.target_size}))
     if t.linear:
-        # candidates arrive in canonical (dim, rows) order, so keeping the
-        # first strict improvement realises the tie rule
-        ratio = Z = None
-        for S in enumerate_subspaces(obj.p, obj.dim):
-            if not S.is_zero() and S <= t.Y:
-                r = Fraction(obj.module_span(A, S).dim, S.dim)
-                if ratio is None or r < ratio:
-                    ratio, Z = r, S
+        # the nonzero subspaces of W: those of F_p^{dim W}, mapped through
+        # W's basis and put in canonical form
+        def in_w(U: Subspace) -> Subspace:
+            return Subspace.from_vectors(obj.p, obj.dim, [
+                [sum(c * w[j] for c, w in zip(row, t.Y.rows))
+                 for j in range(obj.dim)] for row in U.rows])
+        ratio, _key, Z = min(
+            (Fraction(obj.module_span(A, S).dim, S.dim), S.sort_key(), S)
+            for S in map(in_w, enumerate_subspaces(obj.p, t.Y.dim)[1:]))
     else:
         _check_ground("MAX_EXHAUSTIVE_GROUND", len(t.Y),
                       "witness search enumerates subsets of Y",

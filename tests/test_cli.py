@@ -374,7 +374,9 @@ def test_readme_caps_table_lists_every_cap():
             for name, value in rows} == config._DEFAULTS
 
 
-def test_exit_3_on_capacity(tmp_path, capsys):
+def test_mu_runs_past_both_capped_routes(tmp_path, capsys):
+    # with the fold and the lattice capped, the min-cut Dinkelbach route
+    # alone gives mu
     path = _write(tmp_path, {
         "group": {"kind": "symmetric", "n": 4},
         "action": {"kind": "natural"},
@@ -382,6 +384,20 @@ def test_exit_3_on_capacity(tmp_path, capsys):
         "caps": {"MAX_EXHAUSTIVE_GROUND": 2,
                  "MAX_SUBGROUP_ENUM_ORDER": 2},
         "tasks": [{"task": "mu", "Y": "Y"}]})
+    assert main(["run", path]) == 0
+    (result,) = json.loads(capsys.readouterr().out)["results"]
+    assert set(result["result"]["methods"]) == {"dinkelbach"}
+    assert result["result"]["mu"] == "1/6"
+
+
+def test_exit_3_on_capacity(tmp_path, capsys):
+    path = _write(tmp_path, {
+        "group": {"kind": "symmetric", "n": 4},
+        "action": {"kind": "natural"},
+        "sets": {"Y": [0]},
+        "caps": {"MAX_EXHAUSTIVE_GROUND": 2},
+        "tasks": [{"task": "minimize", "function": "actor_growth",
+                   "Y": "Y", "lambda": "0"}]})
     assert main(["run", path]) == 3
     assert "capacity" in capsys.readouterr().err
     # each refusal names the limit that stopped it, with the value applied;

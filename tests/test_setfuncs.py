@@ -1,6 +1,8 @@
 """Invariant submodular set functions: checks, minimisation, fragments, mu."""
 
+import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -9,14 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subaction import _kernels, config
-from subaction.actions import (conjugation_action, left_translation_action,
+from subaction import _kernels, config, setfuncs
+from subaction.actions import (coset_action, conjugation_action,
+                               left_translation_action,
                                natural_action)
 from subaction.errors import (CapacityError, DomainError, InvariantError,
                               StructuralError)
-from subaction.groups import cyclic, dihedral, direct_product, symmetric
+from subaction.groups import (affine_gl1, alternating, cyclic, dihedral,
+                              direct_product, symmetric)
 from subaction.perms import from_cycles
-from subaction.setfuncs import (SetFunction, actor_growth, check_invariance,
+from subaction.setfuncs import (SetFunction, actor_growth, actor_growth_cut,
+                                check_invariance,
                                 check_submodular, cone_combination, core_set,
                                 cut_function, identity_atom, min_image_ratio,
                                 minimize_nonempty, subtract_modular,
@@ -384,13 +389,13 @@ def test_mu_and_hamidoune_build_each_fold_once(monkeypatch):
     builds = _count_fold_builds(monkeypatch)
     action = natural_action(G)
     min_image_ratio(action, Y)
-    assert builds == [10]  # exhaustive and Dinkelbach share one fold
+    assert builds == [10]  # the exhaustive route's; Dinkelbach cuts
     min_image_ratio(action, Y)
     assert builds == [10]  # kept on the action
     builds.clear()
     rep = check_hamidoune(natural_action(G), Y, mu / 2)
     assert rep.conclusion_holds
-    assert len(builds) <= 2  # mu, then one minimisation of c_Y
+    assert builds == [10]  # mu's; c_Y is minimised by a cut
 
 
 def test_mu_routes_follow_cap_override_on_one_action(monkeypatch):
@@ -404,3 +409,118 @@ def test_mu_routes_follow_cap_override_on_one_action(monkeypatch):
     assert second.mu == first.mu
     monkeypatch.delenv("SUBACTION_MAX_EXHAUSTIVE_GROUND")
     assert min_image_ratio(action, (0,)) is first
+
+
+# -- the min cut ------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_min_cut_matches_every_cut(data):
+    # s = 0, t = 1: the flow is the least cut value over every source side
+    # S holding s and not t, and the residual reach from s is the
+    # intersection of the source sides of least value
+    size = data.draw(st.integers(2, 6))
+    arcs = data.draw(st.lists(st.tuples(
+        st.integers(0, size - 1), st.integers(0, size - 1),
+        st.none() | st.integers(0, 5)), max_size=14))
+    cuts = {}
+    for m in range(1 << size):
+        if m & 1 and not m & 2:
+            crossing = [c for u, v, c in arcs if m >> u & 1 and not m >> v & 1]
+            if None not in crossing:
+                cuts[m] = sum(crossing)
+    if not cuts:
+        return  # an uncuttable path joins s to t
+    best = min(cuts.values())
+    least = functools.reduce(
+        operator.and_, (m for m, v in cuts.items() if v == best))
+    flow, side = setfuncs._min_cut(size, arcs, 0, 1)
+    assert flow == best
+    assert _mask_of(side) == least
+
+
+@functools.cache
+def _cut_action(name):
+    """Actions of order at most MAX_EXHAUSTIVE_GROUND: natural, left
+    translation, conjugation and coset actions of cyclic, dihedral,
+    symmetric, alternating and affine groups."""
+    kind, group = name.split(":")
+    G = {"c12": lambda: cyclic(12), "c24": lambda: cyclic(24),
+         "d5": lambda: dihedral(5), "d12": lambda: dihedral(12),
+         "s3": lambda: symmetric(3), "s4": lambda: symmetric(4),
+         "a4": lambda: alternating(4), "aff5": lambda: affine_gl1(5)}[group]()
+    if kind == "coset":
+        K = next(K for K in G.subgroups() if 1 < K.order < G.order)
+        return coset_action(G, K)
+    return {"natural": natural_action,
+            "translation": left_translation_action,
+            "conjugation": conjugation_action}[kind](G)
+
+
+_CUT_ACTIONS = [f"{kind}:{group}" for kind, groups in (
+    ("natural", ("c12", "d5", "d12", "s3", "s4", "a4", "aff5")),
+    ("translation", ("c12", "c24", "d5", "s4", "a4", "aff5")),
+    ("conjugation", ("d5", "s3", "s4", "a4", "aff5")),
+    ("coset", ("c12", "d12", "s4", "a4", "aff5"))) for group in groups]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_cut_matches_the_fold(data):
+    # the cut's minimum is minimize_nonempty's, and its least minimiser
+    # containing e is the identity atom; for a lambda too wide for the
+    # kernel the oracle reads the fold's sizes and cardinalities in int64
+    action = _cut_action(data.draw(st.sampled_from(_CUT_ACTIONS)))
+    G, d = action.group, action.domain_size
+    Y = sorted(data.draw(st.sets(st.integers(0, d - 1), min_size=1,
+                                 max_size=min(d, 5)), label="Y"))
+    with config.overrides({"MAX_EXHAUSTIVE_GROUND": 0}):
+        mu = min_image_ratio(action, Y).mu  # from the lattice: no 2^n fold
+    lam = data.draw(st.sampled_from((0, Fraction(1, 4), Fraction(1, 2),
+                                     Fraction(3, 4), 1, "wide")), label="lam")
+    # mu less 1 / (2^41 den mu): a denominator of at least 2^41
+    lam = mu - Fraction(1, 2 ** 41 * mu.denominator) if lam == "wide" \
+        else mu * lam
+    minimum, atom = actor_growth_cut(action, Y, lam)
+    f = actor_growth(action, Y, lam)
+    if lam.denominator < 2 ** 40:
+        res = minimize_nonempty(f, fragment_cap=0)
+        assert minimum == res.min_value
+        assert atom == identity_atom(f, G, res).members
+        return
+    fold = _kernels.SubsetFold(f.union_masks)
+    values = fold.pops.astype(np.int64) * lam.denominator \
+        - fold.cards.astype(np.int64) * lam.numerator
+    values[0] = np.iinfo(np.int64).max  # the empty set
+    assert minimum == Fraction(int(values.min()), lam.denominator)
+    with_e = np.flatnonzero(values == values.min())
+    with_e = with_e[with_e & 1 == 1]
+    assert _mask_of(atom) == functools.reduce(operator.and_, with_e.tolist())
+
+
+@pytest.mark.parametrize("name", ["s5", "a5", "aff7", "c70"])
+def test_cut_matches_the_lattice_above_the_ground_cap(name):
+    # orders 120, 60, 42 and 70, and 70 points on C70: the minimum is the
+    # least growth of a subgroup, the atom the least-order subgroup of that
+    # growth, and mu the lattice route's
+    G = {"s5": lambda: symmetric(5), "a5": lambda: alternating(5),
+         "aff7": lambda: affine_gl1(7), "c70": lambda: cyclic(70)}[name]()
+    action = left_translation_action(G) if name == "c70" \
+        else natural_action(G)
+    rng = random.Random(name)
+    for _ in range(3):
+        Y = sorted(rng.sample(range(action.domain_size), rng.randint(1, 3)))
+        res = min_image_ratio(action, Y)
+        assert set(res.methods) == {"subgroups", "dinkelbach"}
+        assert res.methods["dinkelbach"] == res.methods["subgroups"]
+        for lam in (0, res.mu / 3, res.mu / 2, res.mu):
+            growth, _order, H = min(
+                (action.image_size(H.member_tuple, Y) - lam * H.order,
+                 H.order, H.members) for H in G.subgroups())
+            assert actor_growth_cut(action, Y, lam) == (growth, H)
+
+
+def test_cut_refuses_a_negative_lambda():
+    with pytest.raises(DomainError, match="nonnegative"):
+        actor_growth_cut(natural_action(symmetric(3)), (0,), "-1/2")

@@ -19,10 +19,9 @@ from subaction.actions import (conjugation_action, left_translation_action,
                                natural_action)
 from subaction.cli import _dump, to_jsonable
 from subaction.errors import CapacityError, DomainError, StructuralError
-from subaction.groups import (Subgroup, cyclic, dihedral, direct_product,
-                              symmetric)
+from subaction.groups import cyclic, dihedral, direct_product, symmetric
 from subaction.linalg import (Representation, Subspace, actor_growth_linear,
-                              permutation_representation,
+                              enumerate_subspaces, permutation_representation,
                               representation_from_generator_matrices)
 from subaction.setfuncs import Exhaustiveness, identity_atom
 from subaction.theorems import (STATEMENT_IDS, check_fragment_bounds,
@@ -318,23 +317,43 @@ def test_hamidoune_lambda_grid():
 
 
 @pytest.mark.parametrize("build", [symmetric, dihedral, cyclic])
-def test_hamidoune_subgroup_route_matches_the_fold(build):
-    # above MAX_EXHAUSTIVE_GROUND H comes from the subgroup growths; at
-    # lambda = mu several subgroups tie and the least order must win, as
-    # the fold's identity atom does
+def test_hamidoune_cut_matches_the_lattice_above_the_ground_cap(build):
+    # above MAX_EXHAUSTIVE_GROUND the cut still gives H: the least-order
+    # subgroup containing G_Y among those of least growth, found here by a
+    # scan of the lattice; at lambda = mu several subgroups tie and the
+    # least order must win
     action = natural_action(build(3 if build is symmetric else 6))
+    G = action.group
     for Y in ((0,), (0, 1), (0, 2)):
         mu = theorems.min_image_ratio(action, Y).mu
+        GY = action.set_stabilizer(Y)
         for lam in (mu / 3, mu / 2, mu):
             exact = check_hamidoune(action, Y, lam)
             with config.overrides({"MAX_EXHAUSTIVE_GROUND": 1}):
-                sampled = check_hamidoune(action, Y, lam, samples=50, seed=4)
-            assert exact.exhaustiveness.kind == "exhaustive"
-            assert sampled.exhaustiveness.kind == "sampled"
-            assert sampled.conclusion_holds
-            assert sampled.witnesses["subgroup"].members == \
-                exact.witnesses["subgroup"].members
-            assert sampled.details == exact.details
+                above = check_hamidoune(action, Y, lam)
+            _growth, _order, H = min(
+                (action.image_size(K.member_tuple, Y) - lam * K.order,
+                 K.order, K.member_tuple) for K in G.subgroups()
+                if GY.members <= K.members)
+            assert above.exhaustiveness.kind == "exhaustive"
+            assert above.conclusion_holds
+            assert above.witnesses["subgroup"].member_tuple == H
+            assert to_jsonable(above) == to_jsonable(exact)
+
+
+def test_hamidoune_past_the_lattice_cap():
+    # S7 has order 5040 > MAX_SUBGROUP_ENUM_ORDER: mu comes from the
+    # min-cut Dinkelbach route alone, and H from one cut
+    action = natural_action(symmetric(7))
+    mu = theorems.min_image_ratio(action, (0, 1)).mu
+    assert mu == Fraction(1, 720)
+    rep = check_hamidoune(action, (0, 1), mu / 2)
+    assert rep.conclusion_holds
+    assert rep.exhaustiveness == Exhaustiveness("exhaustive")
+    assert rep.witnesses["subgroup"].members == \
+        action.set_stabilizer((0, 1)).members
+    assert rep.details["subgroup_order"] == 240
+    assert rep.details["subgroup_growth"] == Fraction(11, 6)
 
 
 def test_hamidoune_lambda_out_of_range():
@@ -417,15 +436,6 @@ def test_linear_checkers_keep_span_dimensions_past_255():
     rep = find_petridis_witness(rep_obj, (0, 1), W, "130")
     assert rep.conclusion_holds and rep.witnesses["B"] == {0, 1}
     assert rep.details["witness_ratio"] == 130
-
-
-def test_hamidoune_sampled_on_larger_group():
-    G = symmetric(5)
-    action = natural_action(G)  # order 120 > exhaustive caps
-    rep = check_hamidoune(action, (0,), "1/24", samples=50, seed=1)
-    assert rep.hypotheses_hold and rep.conclusion_holds
-    assert rep.exhaustiveness.kind == "sampled"
-    assert rep.exhaustiveness.samples == 50
 
 
 # -- petridis --------------------------------------------------------------------
@@ -584,6 +594,18 @@ def test_tao_doubling_positive():
     assert H.order <= (2 - 1) * 2  # (2/eps - 1)|Y|
 
 
+def test_tao_doubling_past_the_ground_cap():
+    # C30 has 30 > MAX_EXHAUSTIVE_GROUND elements; H comes from one cut
+    G = cyclic(30)
+    (K,) = [K for K in G.subgroups() if K.order == 5]
+    rep = check_tao_small_doubling(left_translation_action(G), K.members,
+                                   K.members, "1/2")
+    assert rep.hypotheses_hold and rep.conclusion_holds
+    assert rep.details["mu"] == 1 and rep.details["lambda"] == Fraction(3, 4)
+    assert rep.witnesses["subgroup"].members == K.members
+    assert rep.witnesses["subgroup_image"] == K.members
+
+
 def test_tao_doubling_clause_reporting():
     G = cyclic(6)
     action = left_translation_action(G)
@@ -668,6 +690,56 @@ def test_taod_linear():
     assert rep.hypotheses_hold and rep.conclusion_holds
     Z = rep.witnesses["Z"]
     assert Z.dim >= 1 and Z <= D
+
+
+def test_taod_linear_enumerates_the_subspaces_of_w():
+    # F_2^8 has 417,199 subspaces, more than MAX_SUBSPACE_COUNT; the
+    # candidates are the subspaces of W = <e_0> alone
+    rep_obj = permutation_representation(left_translation_action(cyclic(8)),
+                                         2)
+    W = Subspace.from_vectors(2, 8, [[1] + [0] * 7])
+    rep = find_taod_witness(rep_obj, (0, 1), W, "2", n_max=2)
+    assert rep.hypotheses_hold and rep.conclusion_holds
+    assert rep.witnesses["Z"] == W
+    assert rep.details["witness_ratio"] == 2
+
+
+@functools.cache
+def _abelian_rep(name):
+    return {"c6": lambda: permutation_representation(
+                left_translation_action(cyclic(6)), 2),
+            "c4": lambda: permutation_representation(
+                left_translation_action(cyclic(4)), 3),
+            "swap": _swap_rep,
+            "c16": _c16_diagonal_rep}[name]()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_taod_linear_witness_matches_the_ambient_scan(data):
+    # Z is the least nonzero subspace of W by (ratio, sort key); a scan of
+    # every subspace of F_p^d inside W, in canonical order, keeping the
+    # first strict improvement, must pick it
+    rep_obj = _abelian_rep(data.draw(st.sampled_from(
+        ["c6", "c4", "swap", "c16"])))
+    n, p, d = rep_obj.group.order, rep_obj.p, rep_obj.dim
+    A = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                 max_size=4), label="A"))
+    W = Subspace.from_vectors(p, d, data.draw(st.lists(
+        st.lists(st.integers(0, p - 1), min_size=d, max_size=d),
+        min_size=1, max_size=3), label="W"))
+    if W.is_zero():
+        return
+    alpha = Fraction(rep_obj.module_span(A, W).dim, W.dim)
+    report = find_taod_witness(rep_obj, A, W, alpha, n_max=1, samples=20)
+    ratio = Z = None
+    for S in enumerate_subspaces(p, d):
+        if not S.is_zero() and S <= W:
+            r = Fraction(rep_obj.module_span(A, S).dim, S.dim)
+            if ratio is None or r < ratio:
+                ratio, Z = r, S
+    assert report.witnesses["Z"] == Z
+    assert report.details["witness_ratio"] == ratio
 
 
 def test_taod_linear_sampled_uses_the_given_seed_and_samples():
@@ -899,77 +971,23 @@ def _translation(n):
     return left_translation_action(cyclic(n) if n % 2 else dihedral(n // 2))
 
 
-def _brute_growth(action, A, Y, lam):
-    return len({int(action.table[a][y]) for a in A for y in Y}) \
-        - lam * len(A)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_hamidoune_sampled_matches_the_scalar_stream(data):
-    # the subgroup list is cut to one K containing G_Y, so H = K (G_Y at
-    # lambda 0) and the sampled sets with growth below c(H) are
-    # violations; 70 and 66
-    # elements make masks wider than 64 bits
-    action = _translation(data.draw(st.sampled_from((9, 15, 16, 66, 70))))
-    G, n = action.group, action.group.order
-    Y = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1,
-                                       max_size=3))))
-    GY = action.set_stabilizer(Y)
-    K = G.generated_subgroup(
-        GY.members | {data.draw(st.integers(0, n - 1))})
-    lam = data.draw(st.sampled_from((Fraction(0), Fraction(1, 3),
-                                     Fraction(2, 5), Fraction(1),
-                                     1 - Fraction(1, 2 ** 61))))
-    samples, seed = data.draw(st.integers(1, 40)), data.draw(st.integers(0, 99))
-    rows = data.draw(st.integers(1, 3))
-    with config.overrides({"MAX_EXHAUSTIVE_GROUND": 1}), \
-            pytest.MonkeyPatch.context() as mp:
-        # mu is kept on the action before the subgroup list is cut
-        assert theorems.min_image_ratio(action, Y).mu == 1
-        mp.setattr(G, "subgroups", lambda: [K])
-        _small_chunks(mp, rows)
-        rep = check_hamidoune(action, Y, lam, samples=samples, seed=seed)
-    H = K if lam else GY
-    cH = _brute_growth(action, H.members, Y, lam)
-    expected = next(({"A": frozenset(A),
-                      "growth": _brute_growth(action, A, Y, lam),
-                      "subgroup_growth": cH}
-                     for A in _reference_stream(n, samples, seed)
-                     if _brute_growth(action, A, Y, lam) < cH), None)
-    assert rep.witnesses["subgroup"] == H
-    assert rep.details["subgroup_growth"] == cH
-    assert rep.exhaustiveness == Exhaustiveness("sampled", samples, seed)
-    assert rep.counterexample == expected
-    assert rep.conclusion_holds is (expected is None)
-
-
 def test_sampled_stream_is_drawn_lazily():
-    # every C violates (for hamidoune every A but G, with H cut to G), so
-    # both checks stop in the first chunk of 10^8 samples
-    action = _translation(70)
-    G = action.group
+    # every C violates, so the check stops in the first chunk of 10^8
+    # samples
     table = [1 << c for c in range(70)]
-    caps = {"SAMPLE_COUNT": 10 ** 8, "PETRIDIS_EXHAUSTIVE_MAX_ORDER": 0,
-            "MAX_EXHAUSTIVE_GROUND": 1}
-    with config.overrides(caps):
-        theorems.min_image_ratio(action, (0,))  # kept on the action
+    caps = {"SAMPLE_COUNT": 10 ** 8, "PETRIDIS_EXHAUSTIVE_MAX_ORDER": 0}
     tracemalloc.start()
     started = time.perf_counter()
     try:
-        with config.overrides(caps), pytest.MonkeyPatch.context() as mp:
+        with config.overrides(caps):
             first, exh = _forall(table, [0] * 70, Fraction(1), None, 3)
-            mp.setattr(G, "subgroups", lambda: [Subgroup(G, frozenset(
-                range(70)), _verified=True)])
-            rep = check_hamidoune(action, (0,), "1/2", seed=3)
         elapsed = time.perf_counter() - started
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     C = frozenset(next(_reference_stream(70, 1, 3)))
     assert first == {"C": C, "lhs": len(C), "rhs": 0}
-    assert exh.samples == rep.exhaustiveness.samples == 10 ** 8
-    assert rep.counterexample["A"] == C
+    assert exh.samples == 10 ** 8
     assert elapsed < 5 and peak < 4 << 20
 
 
@@ -989,8 +1007,8 @@ def _c16_diagonal_rep():
 def test_sampled_reports_replay_from_their_seed_and_samples(data):
     # a report made under other default caps replays from the seed and
     # sample count it records
-    kind = data.draw(st.sampled_from(("hamidoune", "petridis", "taod",
-                                      "petridis_linear", "taod_linear")))
+    kind = data.draw(st.sampled_from(("petridis", "taod", "petridis_linear",
+                                      "taod_linear")))
     samples, seed = data.draw(st.integers(1, 300)), data.draw(st.integers(0, 9))
     if kind.endswith("_linear"):
         # the F_2 permutation representation of C16 with W = <e_0>, and
@@ -1010,14 +1028,6 @@ def test_sampled_reports_replay_from_their_seed_and_samples(data):
 
         def check(**kw):
             return finder(rep, A, W, alpha, **kw)
-    elif kind == "hamidoune":
-        action = natural_action(symmetric(5))
-        Y = data.draw(st.sampled_from(((0,), (0, 1), (1, 3, 4))))
-        lam = theorems.min_image_ratio(action, Y).mu \
-            * data.draw(st.sampled_from((0, Fraction(1, 2), 1)))
-
-        def check(**kw):
-            return check_hamidoune(action, Y, lam, **kw)
     else:
         action = _translation(16 if kind == "petridis" else 15)
         A = tuple(sorted(data.draw(st.sets(st.integers(0, 15 if
@@ -1042,8 +1052,6 @@ def test_sampled_reports_replay_from_their_seed_and_samples(data):
 
 @pytest.mark.parametrize("bad", [0, -5])
 def test_samples_below_one_are_refused(bad):
-    with pytest.raises(DomainError, match="samples must be at least 1"):
-        check_hamidoune(natural_action(symmetric(5)), (0,), 0, samples=bad)
     with pytest.raises(DomainError, match="samples must be at least 1"):
         find_petridis_witness(_translation(16), (0,), (0,), "1",
                               samples=bad)
@@ -1149,8 +1157,7 @@ def test_set_and_linear_variants_agree_on_coordinate_subspaces(data):
     if n <= config.cap("LINEAR_EXHAUSTIVE_MAX_ORDER"):
         lam = theorems.min_image_ratio(action, Y).mu \
             * Fraction(data.draw(st.integers(0, 4)), 4)
-        statements["hamidoune"] = lambda obj, T: check_hamidoune(obj, T, lam,
-                                                                 **kw)
+        statements["hamidoune"] = lambda obj, T: check_hamidoune(obj, T, lam)
     if action.group.is_abelian() and p == 2:
         # F_3^6 has 56,000 subspaces to try as Z; F_2^6 has 2,825
         statements["taod"] = lambda obj, T: find_taod_witness(

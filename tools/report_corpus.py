@@ -1,0 +1,91 @@
+"""Reports of a fixed request corpus, to check that a change keeps them.
+
+    python3 tools/report_corpus.py CHECKOUT OUT.json
+    python3 tools/report_corpus.py --diff OLD.json NEW.json
+
+The corpus is every pool scenario of perfbench/data/scenario_mix.json (of
+this checkout) and `search --budget 30` over every family and predicate at
+seeds 7 and 53710. The first form runs each request through CHECKOUT's
+`subaction.cli.main` and writes its exit code, stderr and report, without
+`elapsed_seconds`. The second prints each field at which two such files
+differ, and exits 1 if there is one.
+"""
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_MISSING = "<missing>"
+
+
+def _strip(doc):
+    if isinstance(doc, dict):
+        return {k: _strip(v) for k, v in doc.items() if k != "elapsed_seconds"}
+    return [_strip(x) for x in doc] if isinstance(doc, list) else doc
+
+
+def record(checkout: str, out: str) -> None:
+    sys.path.insert(0, str(Path(checkout).resolve() / "src"))
+    from subaction.cli import main
+    from subaction.search import FAMILIES, PREDICATES
+    pools = json.loads((ROOT / "perfbench/data/scenario_mix.json").read_text())
+    requests = {f"run/{slot}/{i}": item["request"]["scenario"]
+                for slot, entry in sorted(pools["slots"].items())
+                for i, item in enumerate(entry["pool"])}
+    requests.update({f"search/{f}/{p}/{seed}": [
+        "search", "--family", f, "--predicate", p, "--budget", "30",
+        "--seed", str(seed)] for seed in (7, 53710) for f in FAMILIES
+        for p in PREDICATES})
+    results = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in requests.items():
+            if isinstance(argv, dict):  # a scenario, run from a file
+                path = Path(tmp, "scenario.json")
+                path.write_text(json.dumps(argv))
+                argv = ["run", str(path)]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                try:
+                    code = main(argv)
+                except Exception as e:  # a crash is recorded, not raised
+                    code, stderr = "crash", io.StringIO(repr(e))
+            text = stdout.getvalue()
+            results[name] = {"exit": code, "stderr": stderr.getvalue(),
+                             "report": _strip(json.loads(text)) if text else None}
+    Path(out).write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
+    print(f"{len(results)} requests -> {out}")
+
+
+def _diff(old, new, path=""):
+    """(path, old, new) for each differing field, looking into dicts and
+    into lists of dicts."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(set(old) | set(new)):
+            yield from _diff(old.get(key, _MISSING), new.get(key, _MISSING),
+                             f"{path}.{key}")
+    elif isinstance(old, list) and isinstance(new, list) \
+            and len(old) == len(new) and any(isinstance(x, dict) for x in old):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from _diff(a, b, f"{path}[{i}]")
+    elif old != new:
+        yield path, old, new
+
+
+if __name__ == "__main__":
+    if len(sys.argv) == 3:
+        record(*sys.argv[1:])
+    elif len(sys.argv) == 4 and sys.argv[1] == "--diff":
+        old, new = (json.loads(Path(p).read_text()) for p in sys.argv[2:])
+        changes = list(_diff(old, new))
+        for path, a, b in changes:
+            print(f"{path}: {json.dumps(a)[:100]} -> {json.dumps(b)[:100]}")
+        print(f"{len({p.split('.')[1] for p, _a, _b in changes})} of "
+              f"{len(old)} requests differ")
+        sys.exit(1 if changes else 0)
+    else:
+        sys.exit(__doc__)
