@@ -5,11 +5,12 @@ ascending subset-bitmask order, the size of its join (``pops``) and its
 cardinality (``cards``), one byte each while the sizes fit a byte.
 
 Build. A fold is built from masks or from a size table. For bit masks
-(sets over at most 64 points) the join is the union: the unions of the
-low (at most ``_LOW_BITS``) masks are built once by doubling, and each
-block of subsets sharing its high bits ORs its high union into them, so
-no 2^n-word union table exists. ``SubsetFold.from_sizes`` takes the join
-sizes as given, such as the dimensions of spans of subspaces.
+(sets over at most 64 points) the join is the union, with a base mask
+if one is given: the unions of the low (at most ``_LOW_BITS``) masks are
+built once by doubling, and each block of subsets sharing its high bits
+ORs its high union into them, so no 2^n-word union table exists.
+``SubsetFold.from_sizes`` takes the join sizes as given, such as the
+dimensions of spans of subspaces.
 
 Queries. Both queries depend on a subset S only through the pair
 (join size, |S|). The first query counts the subsets in each bin; the
@@ -49,21 +50,27 @@ def _lex_min(subsets: np.ndarray) -> int:
 
 
 class SubsetFold:
-    """Caches join sizes and cardinalities for repeated exact-min queries."""
+    """Caches join sizes and cardinalities for repeated exact-min queries.
 
-    def __init__(self, masks: list[int]):
+    The join of S is the union of ``base`` and the masks in S, so the
+    empty set's join is ``base``.
+    """
+
+    def __init__(self, masks: list[int], base: int = 0):
         n = len(masks)
         if not 1 <= n <= MAX_N:
             raise ValueError(f"need 1 <= n <= {MAX_N}, got {n}")
-        if any(m < 0 or m >> 64 for m in masks):
+        if any(m < 0 or m >> 64 for m in [*masks, base]):
             raise ValueError("masks must fit in 64 bits")
         self.n = n
         self.masks = [int(m) for m in masks]
-        self._top = functools.reduce(operator.or_, self.masks).bit_count()
+        self._top = functools.reduce(operator.or_, self.masks,
+                                     int(base)).bit_count()
         low = min(n, _LOW_BITS)
         block = 1 << low
         marr = np.asarray(self.masks, dtype=np.uint64)
         unions = np.zeros(block, dtype=np.uint64)
+        unions[0] = base
         self.pops = np.empty(1 << n, dtype=np.uint8)
         self.cards = np.zeros(1 << n, dtype=np.uint8)
         cards = self.cards[:block]
@@ -165,15 +172,20 @@ class SubsetFold:
         return (best, count, frags, count > len(frags), atoms, atom_size,
                 largest)
 
-    def min_ratio(self):
-        """Minimise |join(S)| / |S| over nonempty S.
+    def min_ratio(self, offset: int = 0):
+        """Minimise |join(S)| / (|S| + offset) over nonempty S, and over
+        the empty set too when offset > 0.
 
         Returns (num, den, witness_mask) with the ratio in lowest terms and
         the witness tie-broken by cardinality then lexicographic order.
         """
-        pops, cards, counts = self._histogram()
-        scale = math.lcm(*range(1, self.n + 1))
-        keys = pops * (scale // cards)
+        bins = self._histogram()
+        if offset:  # the empty set's bin
+            bins = [np.append(b, v)
+                    for b, v in zip(bins, (self.pops[0], 0, 1))]
+        pops, cards, counts = bins
+        scale = math.lcm(*range(1, self.n + offset + 1))
+        keys = pops * (scale // (cards + offset))
         on = keys == keys.min()
         card = int(cards[on].min())
         best = np.flatnonzero(on & (cards == card))[0]
@@ -186,8 +198,8 @@ class SubsetFold:
             if hits.size:
                 remaining -= hits.size
                 winners.append(_lex_min(hits + lo))
-        g = math.gcd(pop, card)
-        return pop // g, card // g, _lex_min(np.array(winners))
+        g = math.gcd(pop, card + offset)
+        return pop // g, (card + offset) // g, _lex_min(np.array(winners))
 
 
 def check_pair_ratio(masks_lhs: list[int], masks_rhs: list[int],

@@ -557,8 +557,9 @@ def identity_atom(f: SetFunction | None, group: FiniteGroup,
 def min_image_ratio(action: GroupAction, Y: Iterable[int]) -> MuResult:
     """inf over nonempty actor sets A of |A.Y| / |A|, exact.
 
-    Up to three routes: exhaustive subset enumeration (up to
-    MAX_EXHAUSTIVE_GROUND elements), minimum over subgroups (up to
+    Up to three routes: exhaustive enumeration of the 2^(|G:G_Y| - 1)
+    unions of left cosets of the setwise stabilizer G_Y that hold G_Y
+    (gated on |G| <= MAX_EXHAUSTIVE_GROUND), minimum over subgroups (up to
     MAX_SUBGROUP_ENUM_ORDER) and, at every order, a Dinkelbach iteration
     on min cuts of the growth function. All computed routes must agree;
     the returned witness attains the ratio. The result is kept on the
@@ -579,9 +580,7 @@ def min_image_ratio(action: GroupAction, Y: Iterable[int]) -> MuResult:
 
     images = [_mask_of(row) for row in action.table[:, y].tolist()]
     if n <= ground_cap and n <= MAX_N and action.domain_size <= _MASK_LIMIT:
-        p, q, witness_mask = SubsetFold(images).min_ratio()
-        methods["exhaustive"] = {
-            "value": Fraction(p, q), "witness": _set_of(witness_mask)}
+        methods["exhaustive"] = _coset_union_ratio(images)
 
     if n <= subgroup_cap:
         # every |H.Y| from one batched call
@@ -607,6 +606,34 @@ def min_image_ratio(action: GroupAction, Y: Iterable[int]) -> MuResult:
                       dinkelbach_iterations=iterations)
     action._mu_results[key] = result
     return result
+
+
+def _coset_union_ratio(images: list[int]) -> dict:
+    """mu's `exhaustive` route: min |A.Y| / |A| over nonempty A, given the
+    image mask g.Y of each element g (element 0 is e, so images[0] is Y).
+
+    The elements of one image form a left coset of the stabilizer G_Y, of
+    order h, and A.Y = (A G_Y).Y, so every minimiser is a union of cosets;
+    |gA.Y| = |A.Y|, so some least minimiser holds e, hence G_Y. The fold
+    runs over the m - 1 other cosets and minimises |Y + join S| /
+    (h(|S| + 1)) over every S, the empty one (G_Y alone) included, and
+    with m = 1 (Y a union of orbits) needs no fold. Cosets are ordered by
+    least element, so the witness, least in cardinality and then in
+    lexicographic order of cosets, is also least in lexicographic order of
+    elements: it is the full power-set fold's witness.
+    """
+    cosets: dict[int, list[int]] = {}
+    for g, image in enumerate(images):
+        cosets.setdefault(image, []).append(g)
+    y_mask, *others = cosets  # in order of least element
+    if others:
+        p, q, chosen = SubsetFold(others, base=y_mask).min_ratio(offset=1)
+    else:
+        p, q, chosen = y_mask.bit_count(), 1, 0
+    witness = cosets[y_mask] + [g for i, image in enumerate(others)
+                                if chosen >> i & 1 for g in cosets[image]]
+    return {"value": Fraction(p, q * len(cosets[y_mask])),
+            "witness": frozenset(witness)}
 
 
 def _dinkelbach(action: GroupAction, y: np.ndarray):

@@ -28,9 +28,11 @@ def _union(masks, subset):
     return u
 
 
-def _union_sizes(masks):
-    """The size table of a mask family: |union| for every subset mask."""
-    return [_union(masks, s).bit_count() for s in range(1 << len(masks))]
+def _union_sizes(masks, base=0):
+    """The size table of a mask family: |base + union| for every subset
+    mask."""
+    return [(_union(masks, s) | base).bit_count()
+            for s in range(1 << len(masks))]
 
 
 def _brute_min_affine(masks, num, den, sizes=None):
@@ -51,12 +53,14 @@ def _brute_min_affine(masks, num, den, sizes=None):
     return best, hits, atoms, atom_size, largest
 
 
-def _brute_min_ratio(masks, sizes=None):
+def _brute_min_ratio(masks, sizes=None, offset=0):
+    """min of size / (|S| + offset) over nonempty S, and over the empty set
+    too when offset > 0, with its witness."""
     sizes = _union_sizes(masks) if sizes is None else sizes
     best = None
     wits = []
-    for s in range(1, len(sizes)):
-        r = Fraction(sizes[s], bin(s).count("1"))
+    for s in range(0 if offset else 1, len(sizes)):
+        r = Fraction(sizes[s], bin(s).count("1") + offset)
         if best is None or r < best:
             best, wits = r, [s]
         elif r == best:
@@ -114,6 +118,29 @@ def test_min_ratio_matches_brute():
         assert wit == winner
 
 
+def test_numpy_min_ratio_with_base_scans_across_blocks(monkeypatch):
+    # blocks of 4 subsets: the least minimiser {2, 3} of
+    # |{0} + join S| / (|S| + 1) is subset 12, in the fourth block, and
+    # the empty set (ratio 1) is a candidate in the first
+    monkeypatch.setattr(numpy_backend, "_CHUNK", 4)
+    masks = [0b010, 0b100, 0b001, 0b001]
+    assert SubsetFold(masks, base=0b001).min_ratio(1) == (1, 3, 0b1100)
+    assert _brute_min_ratio(None, _union_sizes(masks, 0b001), 1) == \
+        (Fraction(1, 3), 0b1100)
+
+
+def test_min_ratio_offset_widens_the_scale():
+    # n = 22 distinct new points over a one-point base: every S has ratio
+    # (1 + |S|) / (|S| + 1) = 1, and the least witness is the empty set.
+    # The full set's denominator is 23, a prime above n, so a scale of
+    # lcm(1..22) would round its key down and let it win.
+    n = 22
+    fold = SubsetFold([1 << (i + 1) for i in range(n)], base=1)
+    assert fold.min_ratio(1) == (1, 1, 0)
+    # without the offset, (1 + |S|) / |S| is least at the full set
+    assert fold.min_ratio() == (n + 1, n, (1 << n) - 1)
+
+
 def test_check_pair_ratio_matches_brute():
     rng = random.Random(37)
     for trial in range(25):
@@ -135,33 +162,38 @@ def test_check_pair_ratio_matches_brute():
 @given(st.data())
 def test_numpy_histogram_queries_match_brute_across_blocks(data):
     # masks drawn from a pool of at most three values force ties; zero
-    # masks give nonempty subsets with an empty union, so a nonpositive
-    # num tests that the empty set stays out; small block constants make
-    # the build and the scans cross block boundaries. The fold built from
-    # the masks' size table must answer every query as the mask fold does.
+    # masks (and base) give nonempty subsets with an empty union, so a
+    # nonpositive num tests that the empty set stays out; small block
+    # constants make the build and the scans cross block boundaries. The
+    # fold built from the size table of base + union must answer every
+    # query as the mask fold over base does; min_ratio's offset adds the
+    # empty set to its candidates.
     n = data.draw(st.integers(1, 10), label="n")
     top = (1 << data.draw(st.sampled_from([1, 2, 3, 5, 64]))) - 1
     pool = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=3))
     masks = data.draw(st.lists(st.sampled_from(pool), min_size=n,
                                max_size=n), label="masks")
+    base = data.draw(st.sampled_from([0, top, *pool]), label="base")
+    offset = data.draw(st.integers(0, 2), label="offset")
     queries = data.draw(st.lists(
         st.tuples(st.integers(-3, 6), st.integers(1, 4),
                   st.sampled_from([0, 1, 3, 1 << 11])),
         min_size=1, max_size=3), label="queries")
+    sizes = _union_sizes(masks, base)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(numpy_backend, "_LOW_BITS", data.draw(st.integers(1, 4)))
         mp.setattr(numpy_backend, "_CHUNK", 1 << data.draw(st.integers(1, 5)))
-        folds = [SubsetFold(masks), SubsetFold.from_sizes(_union_sizes(masks))]
-        ratios = [fold.min_ratio() for fold in folds]
+        folds = [SubsetFold(masks, base=base), SubsetFold.from_sizes(sizes)]
+        ratios = [fold.min_ratio(offset) for fold in folds]
         got = [[fold.min_affine(num, den, cap) for num, den, cap in queries]
                for fold in folds]
     assert got[0] == got[1] and ratios[0] == ratios[1]
     for (num, den, cap), result in zip(queries, got[0]):
         best, hits, atoms, atom_size, largest = \
-            _brute_min_affine(masks, num, den)
+            _brute_min_affine(None, num, den, sizes)
         assert result == (best, len(hits), hits[:cap], len(hits) > cap,
                           atoms, atom_size, largest)
-    best, winner = _brute_min_ratio(masks)
+    best, winner = _brute_min_ratio(None, sizes, offset)
     p, q, wit = ratios[0]
     assert (Fraction(p, q), math.gcd(p, q), wit) == (best, 1, winner)
 
@@ -214,6 +246,8 @@ def test_input_validation():
         SubsetFold([1] * (MAX_N + 1))
     with pytest.raises(ValueError):
         SubsetFold([1 << 64])
+    with pytest.raises(ValueError):
+        SubsetFold([1], base=1 << 64)
     with pytest.raises(ValueError):
         check_pair_ratio([1, 2], [1], 1, 1)
     for sizes in ([0], [0, 1, 1], range(2 << MAX_N)):

@@ -20,6 +20,7 @@ from subaction.errors import (CapacityError, DomainError, InvariantError,
 from subaction.groups import (affine_gl1, alternating, cyclic, dihedral,
                               direct_product, symmetric)
 from subaction.perms import from_cycles
+from subaction.search import FAMILIES, build_action, build_group
 from subaction.setfuncs import (SetFunction, actor_growth, actor_growth_cut,
                                 check_invariance,
                                 check_submodular, cone_combination, core_set,
@@ -374,9 +375,9 @@ def _count_fold_builds(monkeypatch) -> list:
     builds = []
     init = _kernels.SubsetFold.__init__
 
-    def counted(self, masks):
+    def counted(self, masks, **kwargs):
         builds.append(len(masks))
-        init(self, masks)
+        init(self, masks, **kwargs)
 
     monkeypatch.setattr(_kernels.SubsetFold, "__init__", counted)
     return builds
@@ -389,13 +390,15 @@ def test_mu_and_hamidoune_build_each_fold_once(monkeypatch):
     builds = _count_fold_builds(monkeypatch)
     action = natural_action(G)
     min_image_ratio(action, Y)
-    assert builds == [10]  # the exhaustive route's; Dinkelbach cuts
+    # the exhaustive route's, over the 4 cosets of G_Y (order 2) other
+    # than G_Y itself; Dinkelbach cuts
+    assert builds == [4]
     min_image_ratio(action, Y)
-    assert builds == [10]  # kept on the action
+    assert builds == [4]  # kept on the action
     builds.clear()
     rep = check_hamidoune(natural_action(G), Y, mu / 2)
     assert rep.conclusion_holds
-    assert builds == [10]  # mu's; c_Y is minimised by a cut
+    assert builds == [4]  # mu's; c_Y is minimised by a cut
 
 
 def test_mu_routes_follow_cap_override_on_one_action(monkeypatch):
@@ -409,6 +412,75 @@ def test_mu_routes_follow_cap_override_on_one_action(monkeypatch):
     assert second.mu == first.mu
     monkeypatch.delenv("SUBACTION_MAX_EXHAUSTIVE_GROUND")
     assert min_image_ratio(action, (0,)) is first
+
+
+@functools.cache
+def _family_actions() -> list:
+    """The actions of every search family entry of order at most 16."""
+    specs = {repr(spec): spec for entries in FAMILIES.values()
+             for spec in entries}
+    return [build_action(G, aspec) for gspec, aspec in specs.values()
+            if (G := build_group(gspec)).order <= 16]
+
+
+def _power_set_ratio(action, Y):
+    """The exhaustive route's oracle: min |A.Y| / |A| and its witness from
+    the fold over all 2^|G| actor sets."""
+    images = [_mask_of(action.table[g][list(Y)].tolist())
+              for g in range(action.group.order)]
+    p, q, witness = _kernels.SubsetFold(images).min_ratio()
+    return {"value": Fraction(p, q), "witness": _set_of(witness)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_mu_exhaustive_route_matches_the_power_set_fold(data):
+    # the route folds only the unions of cosets of G_Y that hold G_Y
+    action = data.draw(st.sampled_from(_family_actions()))
+    d = action.domain_size
+    Y = sorted(data.draw(st.sets(st.integers(0, d - 1), min_size=1,
+                                 max_size=min(d, 5)), label="Y"))
+    assert min_image_ratio(action, Y).methods["exhaustive"] == \
+        _power_set_ratio(action, Y)
+
+
+@pytest.mark.parametrize("Y, stabilizer_order", [
+    ((1, 2), 1), ((1, 5), 2), ((1,), 4), ((0,), 24)])
+def test_mu_exhaustive_route_on_s4_conjugation(Y, stabilizer_order):
+    # 24 elements: trivial, nontrivial and full stabilizers of Y; the
+    # last, Y = {e}, is a union of orbits
+    action = conjugation_action(symmetric(4))
+    assert action.set_stabilizer(Y).order == stabilizer_order
+    assert min_image_ratio(action, Y).methods["exhaustive"] == \
+        _power_set_ratio(action, Y)
+
+
+def test_mu_exhaustive_witness_can_be_the_stabilizer():
+    # S4 natural, Y = {0}: G_Y alone (ratio 1/6) is the least minimiser;
+    # G_Y and one more coset tie it at 2/12
+    action = natural_action(symmetric(4))
+    route = min_image_ratio(action, (0,)).methods["exhaustive"]
+    assert route == {"value": Fraction(1, 6),
+                     "witness": action.set_stabilizer((0,)).members}
+    assert route == _power_set_ratio(action, (0,))
+
+
+@pytest.mark.parametrize("name", ["s4_conjugation", "c6_translation"])
+def test_mu_of_a_union_of_orbits_builds_no_fold(name, monkeypatch):
+    # every g.Y is Y: mu = |Y| / |G| with witness G, and no fold is built
+    if name == "s4_conjugation":
+        action = conjugation_action(symmetric(4))
+        Y = sorted(set(action.table[:, 1].tolist()) | {0})  # e, transpositions
+    else:
+        action = left_translation_action(cyclic(6))
+        Y = list(range(6))
+    builds = _count_fold_builds(monkeypatch)
+    res = min_image_ratio(action, Y)
+    whole = Fraction(len(Y), action.group.order)
+    assert res.mu == whole
+    assert res.methods["exhaustive"] == {
+        "value": whole, "witness": frozenset(range(action.group.order))}
+    assert builds == []
 
 
 # -- the min cut ------------------------------------------------------------------
