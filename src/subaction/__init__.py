@@ -12,21 +12,19 @@ from .groups import (CosetDecomposition, FiniteGroup, Subgroup, affine_gl1,
                      alternating, cyclic, dihedral, direct_product,
                      from_generators, symmetric)
 from .linalg import (LatticeFunction, LatticeMinimizationResult,
-                     LatticeSubmodularityReport, Representation, Subspace,
-                     actor_growth_linear, check_lattice_invariance,
-                     check_lattice_submodular, enumerate_subspaces,
-                     gaussian_binomial, grassmannian, minimize_on_lattice,
-                     permutation_representation,
+                     Representation, Subspace, actor_growth_linear,
+                     check_lattice_invariance, check_lattice_submodular,
+                     enumerate_subspaces, gaussian_binomial, grassmannian,
+                     minimize_on_lattice, permutation_representation,
                      representation_from_generator_matrices, subspace_count)
 from .perms import Permutation, from_cycles, identity
 from .rationals import exact_fraction, format_fraction
 from .search import (FAMILIES, PREDICATES, SearchRecord, SearchResult,
                      build_action, build_group, build_representation, search)
-from .setfuncs import (CoreResult, Exhaustiveness, InvarianceReport,
-                       MinimizationResult, MuResult, SetFunction,
-                       SubmodularityReport, actor_growth, check_invariance,
-                       check_submodular, cone_combination, core_set,
-                       cut_function, identity_atom, min_image_ratio,
+from .setfuncs import (CoreResult, Exhaustiveness, MinimizationResult,
+                       MuResult, PropertyReport, SetFunction, actor_growth,
+                       check_invariance, check_submodular, cone_combination,
+                       core_set, cut_function, identity_atom, min_image_ratio,
                        minimize_nonempty, subtract_modular, target_growth)
 from .theorems import (STATEMENT_IDS, CheckReport, check_fragment_bounds,
                        check_freiman, check_hamidoune, check_kneser,
@@ -39,13 +37,12 @@ __version__ = "0.1.0"
 __all__ = [
     "ActionProfile", "CapacityError", "CheckReport", "CoreResult",
     "CosetDecomposition", "DomainError", "Exhaustiveness", "FAMILIES",
-    "FiniteGroup", "GroupAction", "InvarianceReport", "InvariantError",
-    "LatticeFunction", "LatticeMinimizationResult",
-    "LatticeSubmodularityReport", "MinimizationResult", "MuResult",
+    "FiniteGroup", "GroupAction", "InvariantError", "LatticeFunction",
+    "LatticeMinimizationResult", "MinimizationResult", "MuResult",
     "OrbitDecomposition", "OrbitReduction", "PREDICATES", "Permutation",
-    "Representation", "STATEMENT_IDS", "SearchRecord", "SearchResult",
-    "SetFunction", "StructuralError", "Subgroup",
-    "SubmodularityReport", "Subspace", "action_from_table",
+    "PropertyReport", "Representation", "STATEMENT_IDS", "SearchRecord",
+    "SearchResult", "SetFunction", "StructuralError", "Subgroup",
+    "Subspace", "action_from_table",
     "actor_growth", "actor_growth_linear", "affine_gl1",
     "affine_line_action", "alternating", "build_action", "build_group",
     "build_representation", "cap", "check_fragment_bounds",

@@ -11,6 +11,7 @@ look the products up in blocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -34,6 +35,7 @@ class FiniteGroup:
             raise StructuralError("generators have inconsistent degrees")
         if order_cap is None:
             order_cap = config.cap("MAX_GROUP_ORDER")
+        table_cap = config.cap("MAX_ACT_TABLE_ENTRIES")
         self.degree = degree
         self.name = name or "gen<" + ", ".join(str(g) for g in generators) + ">"
         key = np.dtype((np.void, 4 * degree))  # an image row as bytes
@@ -61,6 +63,10 @@ class FiniteGroup:
             if order + len(at) > order_cap:
                 raise CapacityError("MAX_GROUP_ORDER", order_cap, order_cap + 1,
                                     hint="closure still growing")
+            if (order + len(at)) * degree > table_cap:
+                raise CapacityError("MAX_ACT_TABLE_ENTRIES", table_cap,
+                                    (order + len(at)) * degree,
+                                    hint="image rows, closure still growing")
             first, order = order, order + len(at)
             frontier = prods[at]
             levels.append(frontier)
@@ -338,9 +344,23 @@ class CosetDecomposition:
 # -- constructors -----------------------------------------------------------
 
 
+def _check_order(name: str, factors: Iterable[int]) -> None:
+    """Refuse a group whose order, the product of `factors`, passes
+    MAX_GROUP_ORDER, before any generator is built; the product stops at
+    the first partial product past the cap, which divides the order."""
+    limit = config.cap("MAX_GROUP_ORDER")
+    order = 1
+    for f in factors:
+        order *= f
+        if order > limit:
+            raise CapacityError("MAX_GROUP_ORDER", limit, order,
+                                hint=f"a divisor of the order of {name}")
+
+
 def symmetric(n: int) -> FiniteGroup:
     if n < 1:
         raise DomainError("need n >= 1")
+    _check_order(f"S{n}", range(2, n + 1))
     if n == 1:
         gens = [identity(1)]
     elif n == 2:
@@ -353,6 +373,7 @@ def symmetric(n: int) -> FiniteGroup:
 def alternating(n: int) -> FiniteGroup:
     if n < 3:
         raise DomainError("need n >= 3")
+    _check_order(f"A{n}", range(3, n + 1))
     gens = [from_cycles(n, [(i, i + 1, i + 2)]) for i in range(n - 2)]
     return FiniteGroup(gens, name=f"A{n}")
 
@@ -360,6 +381,7 @@ def alternating(n: int) -> FiniteGroup:
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise DomainError("need n >= 1")
+    _check_order(f"C{n}", (n,))
     return FiniteGroup([from_cycles(n, [tuple(range(n))])], name=f"C{n}")
 
 
@@ -367,20 +389,16 @@ def dihedral(n: int) -> FiniteGroup:
     """Symmetries of the regular n-gon on n vertices, order 2n (n >= 3)."""
     if n < 3:
         raise DomainError("need n >= 3")
+    _check_order(f"D{n}", (2, n))
     rot = from_cycles(n, [tuple(range(n))])
     refl = Permutation(tuple((-i) % n for i in range(n)))
     return FiniteGroup([rot, refl], name=f"D{n}")
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+def _check_prime(p: int) -> None:
+    """Refuse p unless it is prime, by trial division."""
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise DomainError(f"{p} is not prime")
 
 
 def _primitive_root(p: int) -> int:
@@ -397,8 +415,8 @@ def _primitive_root(p: int) -> int:
 
 def affine_gl1(p: int) -> FiniteGroup:
     """Maps x -> a*x + b on the prime field of order p; group order p*(p-1)."""
-    if not _is_prime(p):
-        raise DomainError(f"{p} is not prime")
+    _check_order(f"Aff({p})", (p, p - 1))
+    _check_prime(p)
     shift = Permutation(tuple((x + 1) % p for x in range(p)))
     gens = [shift]
     if p > 2:

@@ -8,7 +8,6 @@ cardinality with dimension and union with span.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -18,14 +17,20 @@ import numpy as np
 from . import config
 from .actions import GroupAction, _check_table_cap
 from .errors import CapacityError, DomainError, InvariantError, StructuralError
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, _check_prime
 from .rationals import exact_fraction, format_fraction
-from .setfuncs import Exhaustiveness, SetFunction
+from .setfuncs import _EXHAUSTIVE, PropertyReport, SetFunction
 
 
-def _check_prime(p: int) -> None:
-    if p < 2 or any(p % d == 0 for d in range(2, int(math.isqrt(p)) + 1)):
-        raise DomainError(f"{p} is not prime")
+def _check_field(p: int, dim: int) -> None:
+    """Refuse F_p for dim x dim matrices unless p is prime and an entry of
+    a product of two such matrices, a sum of dim terms below p^2, fits in
+    int64. The size comes first, so a huge p costs no trial division."""
+    if p > 1 and dim * (p - 1) ** 2 >= 1 << 63:
+        raise DomainError(
+            f"p = {p} is too large for dimension {dim}: matrix products over "
+            f"F_p are exact in int64 only while dim*(p-1)^2 < 2^63")
+    _check_prime(p)
 
 
 def _rref(p: int, rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
@@ -209,7 +214,7 @@ class Representation:
 
     def __init__(self, group: FiniteGroup, p: int, matrices: np.ndarray,
                  *, name: str | None = None):
-        _check_prime(p)
+        _check_field(p, np.shape(matrices)[-1])
         matrices = np.ascontiguousarray(matrices, dtype=np.int64) % p
         if matrices.shape[0] != group.order or \
                 matrices.shape[1] != matrices.shape[2]:
@@ -236,7 +241,7 @@ class Representation:
                 raise InvariantError(f"homomorphism law fails at generator {g}")
 
     def act_vector(self, g: int, v: Sequence[int]) -> tuple[int, ...]:
-        arr = np.asarray([int(x) for x in v], dtype=np.int64)
+        arr = np.asarray([int(x) % self.p for x in v], dtype=np.int64)
         return tuple(int(x) for x in (self.mats[g] @ arr) % self.p)
 
     def act_subspace(self, g: int, W: Subspace) -> Subspace:
@@ -297,8 +302,8 @@ class Representation:
 
 def permutation_representation(action: GroupAction, p: int) -> Representation:
     """0/1 matrices permuting coordinates as the action permutes points."""
-    _check_prime(p)
     n, d = action.group.order, action.domain_size
+    _check_field(p, d)
     _check_table_cap(n, d * d)
     mats = np.zeros((n, d, d), dtype=np.int64)
     for g in range(n):
@@ -310,16 +315,17 @@ def permutation_representation(action: GroupAction, p: int) -> Representation:
 def representation_from_generator_matrices(
         group: FiniteGroup, p: int, gen_mats: Sequence) -> Representation:
     """Extend matrices given for the group's generators along its closure."""
-    _check_prime(p)
     gens = group.generator_indices
     if len(gen_mats) != len(gens):
         raise StructuralError(
             f"need {len(gens)} generator matrices, got {len(gen_mats)}")
-    d = len(np.asarray(gen_mats[0]))
+    d = len(gen_mats[0])
+    _check_field(p, d)
     _check_table_cap(group.order, d * d)
     mats = np.zeros((group.order, d, d), dtype=np.int64)
     mats[0] = np.eye(d, dtype=np.int64)
-    by_gen = {gi: np.asarray(m, dtype=np.int64) % p
+    by_gen = {gi: np.array([[int(x) % p for x in row] for row in m],
+                           dtype=np.int64)
               for gi, m in zip(gens, gen_mats)}
     for g in range(1, group.order):
         s = group.generator_indices[group._gen_of[g]]
@@ -380,47 +386,22 @@ class LatticeFunction:
 
 def minimize_on_lattice(fn: LatticeFunction, *, fragment_cap: int | None = None
                         ) -> LatticeMinimizationResult:
-    """Exact minimum over nonzero subspaces; fragments in (dim, basis) order."""
-    rep = fn.rep
+    """Exact minimum over nonzero subspaces. Fragments are the minimisers in
+    (dim, basis) order, listed up to the cap; atoms are those of the first
+    one's dimension, the least."""
     cap = config.cap("FRAGMENT_LIST_CAP") if fragment_cap is None else fragment_cap
-    best: Fraction | None = None
-    count = 0
-    frags: list[Subspace] = []
-    atoms: list[Subspace] = []
-    atom_dim = rep.dim + 1
-    for W in enumerate_subspaces(rep.p, rep.dim):
-        if W.is_zero():
-            continue
-        v = fn.value(W)
-        if best is None or v < best:
-            best = v
-            count = 1
-            frags = [W]
-            atoms = [W]
-            atom_dim = W.dim
-        elif v == best:
-            count += 1
-            if len(frags) < cap:
-                frags.append(W)
-            if W.dim < atom_dim:
-                atoms = [W]
-                atom_dim = W.dim
-            elif W.dim == atom_dim:
-                atoms.append(W)
-    assert best is not None
+    subs = enumerate_subspaces(fn.rep.p, fn.rep.dim)[1:]
+    values = [fn.value(W) for W in subs]
+    best = min(values)
+    hits = [W for W, v in zip(subs, values) if v == best]
+    atom_dim = hits[0].dim
     return LatticeMinimizationResult(
-        label=fn.label, min_value=best, fragment_count=count, fragments=frags,
-        fragments_truncated=count > len(frags), atoms=atoms, atom_dim=atom_dim)
+        label=fn.label, min_value=best, fragment_count=len(hits),
+        fragments=hits[:cap], fragments_truncated=len(hits) > cap,
+        atoms=[W for W in hits if W.dim == atom_dim], atom_dim=atom_dim)
 
 
-@dataclass(frozen=True)
-class LatticeSubmodularityReport:
-    holds: bool
-    checked: Exhaustiveness
-    counterexample: dict | None = None
-
-
-def check_lattice_submodular(fn: LatticeFunction) -> LatticeSubmodularityReport:
+def check_lattice_submodular(fn: LatticeFunction) -> PropertyReport:
     """f(U meet V) + f(U join V) <= f(U) + f(V) over all subspace pairs."""
     subs = enumerate_subspaces(fn.rep.p, fn.rep.dim)
     values = {W.rows: fn.value(W) for W in subs}
@@ -429,19 +410,18 @@ def check_lattice_submodular(fn: LatticeFunction) -> LatticeSubmodularityReport:
             lhs = values[U.intersect(V).rows] + values[U.sum(V).rows]
             rhs = values[U.rows] + values[V.rows]
             if lhs > rhs:
-                return LatticeSubmodularityReport(
-                    holds=False, checked=Exhaustiveness("exhaustive"),
-                    counterexample={"U": U, "V": V, "lhs": lhs, "rhs": rhs})
-    return LatticeSubmodularityReport(True, Exhaustiveness("exhaustive"))
+                return PropertyReport(False, _EXHAUSTIVE, {
+                    "U": U, "V": V, "lhs": lhs, "rhs": rhs})
+    return PropertyReport(True, _EXHAUSTIVE)
 
 
-def check_lattice_invariance(fn: LatticeFunction) -> LatticeSubmodularityReport:
-    """fn(g.W) == fn(W) for every g and every subspace W."""
+def check_lattice_invariance(fn: LatticeFunction) -> PropertyReport:
+    """fn(g.W) == fn(W) for every g and every subspace W, checked on the
+    generators, which come first in element order, so the first failing g
+    is the first failing element."""
     subs = enumerate_subspaces(fn.rep.p, fn.rep.dim)
-    for g in range(fn.rep.group.order):
+    for g in fn.rep.group.generator_indices:
         for W in subs:
             if fn.value(fn.rep.act_subspace(g, W)) != fn.value(W):
-                return LatticeSubmodularityReport(
-                    holds=False, checked=Exhaustiveness("exhaustive"),
-                    counterexample={"g": g, "W": W})
-    return LatticeSubmodularityReport(True, Exhaustiveness("exhaustive"))
+                return PropertyReport(False, _EXHAUSTIVE, {"g": g, "W": W})
+    return PropertyReport(True, _EXHAUSTIVE)

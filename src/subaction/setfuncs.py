@@ -11,6 +11,7 @@ gives the minimum ratio `min_image_ratio` its uncapped route.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -287,18 +288,16 @@ class Exhaustiveness:
         return {"kind": "sampled", "samples": self.samples, "seed": self.seed}
 
 
-@dataclass(frozen=True)
-class SubmodularityReport:
-    holds: bool
-    checked: Exhaustiveness
-    counterexample: dict | None = None  # keys: s, A1, A2, lhs, rhs
+_EXHAUSTIVE = Exhaustiveness("exhaustive")
 
 
 @dataclass(frozen=True)
-class InvarianceReport:
+class PropertyReport:
+    """Outcome of a submodularity or invariance check, on sets or on
+    subspaces; the counterexample's keys depend on the check."""
     holds: bool
     checked: Exhaustiveness
-    counterexample: dict | None = None  # keys: g, subset, value, translated_value
+    counterexample: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -333,84 +332,67 @@ class MuResult:
 # -- submodularity -------------------------------------------------------------
 
 
+def _sampling(samples: int | None, seed: int | None
+              ) -> tuple[random.Random, Exhaustiveness]:
+    """The seeded stream of a sampled check and its report entry; samples
+    and seed default to the SAMPLE_COUNT and DEFAULT_SEED caps."""
+    seed = config.cap("DEFAULT_SEED") if seed is None else int(seed)
+    count = config.cap("SAMPLE_COUNT") if samples is None else int(samples)
+    return random.Random(seed), Exhaustiveness("sampled", count, seed)
+
+
 def check_submodular(f: SetFunction, *, samples: int | None = None,
-                     seed: int | None = None) -> SubmodularityReport:
+                     seed: int | None = None) -> PropertyReport:
     """Diminishing-returns check: for A1 <= A2 and s outside A2,
     f(A1+s) - f(A1) >= f(A2+s) - f(A2).
 
-    Exhaustive (via a subset-minimum transform over the full value table)
-    up to the configured ground cap, sampled above it.
+    Exhaustive up to the MAX_SUBMODULAR_EXHAUSTIVE ground cap, in the
+    local form f(S+i) + f(S+j) >= f(S+i+j) + f(S), which is equivalent
+    (Schrijver, Combinatorial Optimization, 2003, ch. 44): over pairs
+    i < j, then S in ascending order, the first violation is reported as
+    s = i, A1 = S, A2 = S + j. Sampled above the cap.
     """
     _check_samples(samples)
     n = f.ground_size
     if n <= config.cap("MAX_SUBMODULAR_EXHAUSTIVE"):
-        return _check_submodular_exhaustive(f)
-    seed = config.cap("DEFAULT_SEED") if seed is None else seed
-    rng = random.Random(seed)
-    count = config.cap("SAMPLE_COUNT") if samples is None else samples
-    for _ in range(count):
+        table, _den = _scaled_table(f)
+        masks = np.arange(table.size)
+        for i, j in itertools.combinations(range(n), 2):
+            bi, bj = 1 << i, 1 << j
+            S = masks[(masks & (bi | bj)) == 0]
+            bad = S[table[S | bi] + table[S | bj]
+                    < table[S | bi | bj] + table[S]]
+            if bad.size:
+                a1 = int(bad[0])
+                return PropertyReport(False, _EXHAUSTIVE,
+                                      _submodular_witness(f, i, a1, a1 | bj))
+        return PropertyReport(True, _EXHAUSTIVE)
+    rng, exh = _sampling(samples, seed)
+    for _ in range(exh.samples):
         a2 = rng.getrandbits(n)
         outside = [b for b in range(n) if not (a2 >> b) & 1]
         if not outside:
             continue
         s = rng.choice(outside)
         a1 = a2 & rng.getrandbits(n)
-        lhs = f.value_mask(a1 | (1 << s)) - f.value_mask(a1)
-        rhs = f.value_mask(a2 | (1 << s)) - f.value_mask(a2)
-        if lhs < rhs:
-            return SubmodularityReport(
-                holds=False,
-                checked=Exhaustiveness("sampled", count, seed),
-                counterexample=_submodular_witness(f, s, a1, a2, lhs, rhs))
-    return SubmodularityReport(True, Exhaustiveness("sampled", count, seed))
+        if _marginal(f, s, a1) < _marginal(f, s, a2):
+            return PropertyReport(False, exh,
+                                  _submodular_witness(f, s, a1, a2))
+    return PropertyReport(True, exh)
 
 
-def _submodular_witness(f, s, a1, a2, lhs, rhs) -> dict:
+def _marginal(f: SetFunction, s: int, mask: int) -> Fraction:
+    return f.value_mask(mask | 1 << s) - f.value_mask(mask)
+
+
+def _submodular_witness(f: SetFunction, s: int, a1: int, a2: int) -> dict:
     return {
         "s": int(s),
         "A1": _set_of(a1),
         "A2": _set_of(a2),
-        "marginal_A1": lhs,
-        "marginal_A2": rhs,
+        "marginal_A1": _marginal(f, s, a1),
+        "marginal_A2": _marginal(f, s, a2),
     }
-
-
-def _check_submodular_exhaustive(f: SetFunction) -> SubmodularityReport:
-    n = f.ground_size
-    size = 1 << n
-    table, _den = _scaled_table(f)
-    report_ok = SubmodularityReport(True, Exhaustiveness("exhaustive"))
-    for s in range(n):
-        bit = 1 << s
-        free = np.flatnonzero((np.arange(size) & bit) == 0)
-        marg = np.full(size, np.iinfo(np.int64).max, dtype=np.int64)
-        marg[free] = table[free | bit] - table[free]
-        # msub[m] = min marginal over all s-free subsets of m
-        msub = marg.copy()
-        for b in range(n):
-            if b == s:
-                continue
-            step = 1 << b
-            has = np.flatnonzero((np.arange(size) & step) != 0)
-            msub[has] = np.minimum(msub[has], msub[has ^ step])
-        bad = free[marg[free] > msub[free]]
-        if bad.size:
-            a2 = int(bad.min())
-            # smallest violating A1 inside this A2
-            best_a1 = None
-            sub = a2
-            while True:
-                if marg[sub] < marg[a2]:
-                    best_a1 = sub if best_a1 is None else min(best_a1, sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & a2
-            lhs = f.value_mask(best_a1 | bit) - f.value_mask(best_a1)
-            rhs = f.value_mask(a2 | bit) - f.value_mask(a2)
-            return SubmodularityReport(
-                holds=False, checked=Exhaustiveness("exhaustive"),
-                counterexample=_submodular_witness(f, s, best_a1, a2, lhs, rhs))
-    return report_ok
 
 
 # -- invariance ------------------------------------------------------------------
@@ -418,50 +400,45 @@ def _check_submodular_exhaustive(f: SetFunction) -> SubmodularityReport:
 
 def check_invariance(f: SetFunction, action: GroupAction, *,
                      samples: int | None = None,
-                     seed: int | None = None) -> InvarianceReport:
+                     seed: int | None = None) -> PropertyReport:
     """Check f(g.S) == f(S). The action's domain must be f's ground set;
     pass the left translation action to test translation invariance of a
     function on group subsets.
+
+    Exhaustive up to the MAX_SUBMODULAR_EXHAUSTIVE ground cap, over the
+    generators only: the elements that keep f form a subgroup, and the
+    closure puts the generators first, so the first failing element is a
+    generator. Sampled above the cap, with g drawn from every element.
     """
     _check_samples(samples)
     if action.domain_size != f.ground_size:
         raise StructuralError(
             f"action domain {action.domain_size} != ground {f.ground_size}")
     n = f.ground_size
-    order = action.group.order
     if n <= config.cap("MAX_SUBMODULAR_EXHAUSTIVE"):
-        size = 1 << n
         table, _den = _scaled_table(f)
-        bits = ((np.arange(size, dtype=np.int64)[:, None] >> np.arange(n)) & 1)
-        for g in range(order):
-            weights = (np.int64(1) << action.table[g].astype(np.int64))
-            remap = bits @ weights
-            diff = table[remap] != table
-            if diff.any():
-                m = int(np.flatnonzero(diff)[0])
-                return InvarianceReport(
-                    holds=False, checked=Exhaustiveness("exhaustive"),
-                    counterexample={
-                        "g": g,
-                        "subset": _set_of(m),
-                        "value": f.value_mask(m),
-                        "translated_value": f.value_mask(int(remap[m])),
-                    })
-        return InvarianceReport(True, Exhaustiveness("exhaustive"))
-    seed = config.cap("DEFAULT_SEED") if seed is None else seed
-    rng = random.Random(seed)
-    count = config.cap("SAMPLE_COUNT") if samples is None else samples
-    for _ in range(count):
+        bits = (np.arange(1 << n, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+        for g in action.group.generator_indices:
+            remap = bits @ (np.int64(1) << action.table[g].astype(np.int64))
+            diff = np.flatnonzero(table[remap] != table)
+            if diff.size:
+                m = int(diff[0])
+                return PropertyReport(False, _EXHAUSTIVE, _invariance_witness(
+                    f, g, m, int(remap[m])))
+        return PropertyReport(True, _EXHAUSTIVE)
+    rng, exh = _sampling(samples, seed)
+    for _ in range(exh.samples):
         m = rng.getrandbits(n)
-        g = rng.randrange(order)
+        g = rng.randrange(action.group.order)
         gm = _mask_of(action.table[g][sorted(_set_of(m))].tolist()) if m else 0
-        v, gv = f.value_mask(m), f.value_mask(gm)
-        if v != gv:
-            return InvarianceReport(
-                holds=False, checked=Exhaustiveness("sampled", count, seed),
-                counterexample={"g": g, "subset": _set_of(m),
-                                "value": v, "translated_value": gv})
-    return InvarianceReport(True, Exhaustiveness("sampled", count, seed))
+        if f.value_mask(m) != f.value_mask(gm):
+            return PropertyReport(False, exh, _invariance_witness(f, g, m, gm))
+    return PropertyReport(True, exh)
+
+
+def _invariance_witness(f: SetFunction, g: int, m: int, gm: int) -> dict:
+    return {"g": g, "subset": _set_of(m), "value": f.value_mask(m),
+            "translated_value": f.value_mask(gm)}
 
 
 # -- minimisation -----------------------------------------------------------------

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import operator
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -45,16 +44,15 @@ from .errors import CapacityError, DomainError, StructuralError
 from .groups import FiniteGroup, Subgroup, symmetric
 from .linalg import Representation, Subspace, enumerate_subspaces
 from .rationals import exact_fraction, format_fraction
-from .setfuncs import (_MASK_LIMIT, Exhaustiveness, _check_samples,
-                       _chunk_rows, _fits_kernel, _fold_minimum, _mask_of,
-                       _set_of, _union_sizes, actor_growth_cut, identity_atom,
+from .setfuncs import (_EXHAUSTIVE, _MASK_LIMIT, Exhaustiveness,
+                       _check_samples, _chunk_rows, _fits_kernel,
+                       _fold_minimum, _mask_of, _sampling, _set_of,
+                       _union_sizes, actor_growth_cut, identity_atom,
                        min_image_ratio, minimize_nonempty, target_growth)
 
 STATEMENT_IDS = ("kneser", "murphy", "small_growth", "freiman", "ruzsa",
                  "hamidoune", "petridis", "tao_doubling", "taod",
                  "fragment_bounds")
-
-_EXHAUSTIVE = Exhaustiveness(kind="exhaustive")
 
 
 @dataclass(frozen=True)
@@ -106,15 +104,14 @@ def _sampled_sets(n: int, samples: int | None, seed: int | None
     order, in chunks of `_chunk_rows(n)` masks; each chunk is drawn when
     the previous one has been used. `samples` and `seed` default to the
     SAMPLE_COUNT and DEFAULT_SEED caps."""
-    s = config.cap("DEFAULT_SEED") if seed is None else int(seed)
-    count = config.cap("SAMPLE_COUNT") if samples is None else int(samples)
-    rng, rows = random.Random(s), _chunk_rows(n)
+    rng, exh = _sampling(samples, seed)
+    rows, count = _chunk_rows(n), exh.samples
 
     def chunks() -> Iterator[list[int]]:
         for lo in range(0, count, rows):
             yield [rng.getrandbits(n) or 1 << rng.randrange(n)
                    for _ in range(min(rows, count - lo))]
-    return chunks(), Exhaustiveness(kind="sampled", samples=count, seed=s)
+    return chunks(), exh
 
 
 def _doubling(table: Sequence, empty, join: Callable) -> Iterator:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -427,6 +428,36 @@ def test_exit_3_on_capacity(tmp_path, capsys):
         assert capsys.readouterr().err == \
             f"capacity: instance exceeds {message}; witness search " \
             f"enumerates subsets of A\n"
+
+
+@pytest.mark.parametrize("group", [
+    {"kind": "cyclic", "n": 10**30}, {"kind": "symmetric", "n": 10**20},
+    {"kind": "affine_gl1", "p": 1000000000000000003},
+    {"kind": "cyclic", "n": 4000}, {"kind": "cyclic", "n": 20000}])
+def test_group_specs_past_the_caps_exit_3_at_once(tmp_path, capsys, group):
+    # orders known from the spec are refused before any generator is
+    # built; a closure whose image rows pass MAX_ACT_TABLE_ENTRIES stops
+    path = _write(tmp_path, {"group": group, "tasks": [{"task": "profile"}]})
+    started = time.perf_counter()
+    assert main(["run", path]) == 3
+    assert time.perf_counter() - started < 1
+    cap = "MAX_ACT_TABLE_ENTRIES" if group.get("n") in (4000, 20000) \
+        else "MAX_GROUP_ORDER"
+    assert capsys.readouterr().err.startswith(
+        f"capacity: instance exceeds {cap}=")
+
+
+def test_representation_prime_past_the_int64_limit_exits_2(tmp_path, capsys):
+    p = 4294967311
+    path = _write(tmp_path, {
+        "group": {"kind": "cyclic", "n": 2},
+        "representation": {"kind": "matrices", "p": p,
+                           "generators": [[[p - 1, 0], [0, p - 1]]]},
+        "tasks": [{"task": "profile"}]})
+    assert main(["run", path]) == 2
+    assert capsys.readouterr().err == (
+        f"error: p = {p} is too large for dimension 2: matrix products "
+        f"over F_p are exact in int64 only while dim*(p-1)^2 < 2^63\n")
 
 
 def test_cli_out_file(tmp_path):

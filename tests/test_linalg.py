@@ -322,6 +322,71 @@ def test_minimize_on_lattice():
     assert dims == sorted(dims)
 
 
+@pytest.mark.parametrize("cap", [0, 1, 10_000])
+def test_minimize_on_lattice_matches_brute_force(cap):
+    # F_2^3 under S3 and F_3^2 under the swap; lambda 1 with A = G makes
+    # every invariant subspace a minimiser, in more than one dimension
+    rep_f2 = permutation_representation(natural_action(symmetric(3)), 2)
+    for rep in (rep_f2, _swap_rep()):
+        for A in ([0], [0, 1], list(range(rep.group.order))):
+            for lam in ("0", "1/2", "1"):
+                fn = LatticeFunction(rep, A, lam)
+                subs = [W for W in enumerate_subspaces(rep.p, rep.dim)
+                        if not W.is_zero()]
+                best = min(fn.value(W) for W in subs)
+                hits = [W for W in subs if fn.value(W) == best]
+                least = min(W.dim for W in hits)
+                res = minimize_on_lattice(fn, fragment_cap=cap)
+                assert (res.min_value, res.fragment_count, res.fragments,
+                        res.fragments_truncated) == \
+                    (best, len(hits), hits[:cap], len(hits) > cap)
+                assert (res.atoms, res.atom_dim) == \
+                    ([W for W in hits if W.dim == least], least)
+    fn = LatticeFunction(rep_f2, range(6), "1")
+    assert len({W.dim for W in minimize_on_lattice(fn).fragments}) == 3
+
+
+def test_lattice_invariance_failure_names_the_failing_generator():
+    # "holds e_2" is kept by the transposition (0 1) of S3 but not by the
+    # 3-cycle (0 1 2)
+    G = symmetric(3)
+    rep = permutation_representation(natural_action(G), 2)
+    turn = G.generator_indices[1]
+
+    class HoldsE2(LatticeFunction):
+        def value(self, W):
+            return Fraction(int(W.contains((0, 0, 1))))
+
+    report = check_lattice_invariance(HoldsE2(rep, [0], "0"))
+    assert not report.holds
+    assert report.counterexample["g"] == turn
+    W = report.counterexample["W"]
+    assert W.contains((0, 0, 1)) != rep.act_subspace(turn, W).contains(
+        (0, 0, 1))
+
+
+def test_large_primes_refused_before_int64_overflow():
+    # C2 -> {I, -I} is a representation over every F_p, but over the prime
+    # 4294967311 a 2 x 2 product entry can reach 2(p-1)^2 > 2^63; the
+    # size is checked first, so 10^30 + 57 costs no trial division
+    G = cyclic(2)
+    for p in (4294967311, 10**30 + 57):
+        with pytest.raises(DomainError, match=r"dim\*\(p-1\)\^2 < 2\^63"):
+            representation_from_generator_matrices(
+                G, p, [[[p - 1, 0], [0, p - 1]]])
+        with pytest.raises(DomainError, match=r"dim\*\(p-1\)\^2 < 2\^63"):
+            Representation(G, p, np.array([np.eye(2, dtype=np.int64)] * 2))
+    p = 2**31 - 1
+    rep = representation_from_generator_matrices(
+        G, p, [[[p - 1, 0], [0, p - 1]]])
+    assert rep.act_vector(1, (1, 2)) == (p - 1, p - 2)
+    assert rep.act_vector(1, (p + 1, -2)) == (p - 1, 2)
+    # entries are reduced mod p before they are stored in int64
+    big = representation_from_generator_matrices(
+        G, p, [[[p - 1 + p * 10**30, 0], [0, -1]]])
+    assert np.array_equal(big.mats, rep.mats)
+
+
 def test_lattice_atoms_intersect_trivially():
     rep = _swap_rep()
     fn = LatticeFunction(rep, [0, 1], "1/2")

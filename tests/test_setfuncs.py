@@ -171,6 +171,85 @@ def test_submodularity_counterexample_reported():
     assert w["A1"] <= w["A2"] and w["s"] not in w["A2"]
 
 
+def _first_local_violation(f):
+    """(i, S, j) of the first f(S+i) + f(S+j) < f(S+i+j) + f(S) over pairs
+    i < j, then S ascending, or None."""
+    n = f.ground_size
+    for i, j in itertools.combinations(range(n), 2):
+        for S in range(1 << n):
+            if S >> i & 1 or S >> j & 1:
+                continue
+            v = f.value_mask
+            if v(S | 1 << i) + v(S | 1 << j) < v(S | 1 << i | 1 << j) + v(S):
+                return i, S, j
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_exhaustive_submodularity_matches_the_definition(data):
+    # the definition: every A1 <= A2 and s outside A2; tables mix coverage
+    # functions (submodular), perturbed ones and arbitrary ones
+    n = data.draw(st.integers(1, 6))
+    if data.draw(st.booleans()):
+        sets = data.draw(st.lists(st.integers(0, 63), min_size=n,
+                                  max_size=n))
+        lam = Fraction(data.draw(st.integers(0, 4)),
+                       data.draw(st.integers(1, 3)))
+        table = [Fraction(functools.reduce(
+            operator.or_, (sets[b] for b in range(n) if m >> b & 1), 0
+        ).bit_count()) - lam * m.bit_count() for m in range(1 << n)]
+        if data.draw(st.booleans()):
+            table[data.draw(st.integers(0, (1 << n) - 1))] += Fraction(
+                data.draw(st.sampled_from([-1, 1])),
+                data.draw(st.integers(1, 3)))
+    else:
+        table = [Fraction(data.draw(st.integers(-3, 3)),
+                          data.draw(st.integers(1, 2))) for _ in range(1 << n)]
+    f = SetFunction(n, "table", fn=lambda m: table[m])
+
+    def marginal(s, m):
+        return table[m | 1 << s] - table[m]
+    holds = all(marginal(s, a1) >= marginal(s, a2)
+                for a2 in range(1 << n) for s in range(n) if not a2 >> s & 1
+                for a1 in range(a2 + 1) if a1 & a2 == a1)
+    rep = check_submodular(f)
+    assert rep.checked.kind == "exhaustive"
+    assert rep.holds == holds
+    first = _first_local_violation(f)
+    assert (first is None) == holds
+    if not holds:
+        i, S, j = first
+        assert rep.counterexample == {
+            "s": i, "A1": _set_of(S), "A2": _set_of(S | 1 << j),
+            "marginal_A1": marginal(i, S),
+            "marginal_A2": marginal(i, S | 1 << j)}
+        assert rep.counterexample["marginal_A1"] < \
+            rep.counterexample["marginal_A2"]
+
+
+def test_invariance_failure_names_the_failing_generator():
+    # [2 in S] is kept by the transposition (0 1) of S3 but not by the
+    # 3-cycle (0 1 2); {1}, sent to {2}, is the first subset it changes
+    G = symmetric(3)
+    action = natural_action(G)
+    swap, turn = G.generator_indices
+    assert G.elements[swap] == from_cycles(3, [(0, 1)])
+    f = SetFunction(3, "holds-2", fn=lambda m: Fraction(m >> 2 & 1))
+    rep = check_invariance(f, action)
+    assert not rep.holds and rep.checked.kind == "exhaustive"
+    assert rep.counterexample == {"g": turn, "subset": frozenset({1}),
+                                  "value": 0, "translated_value": 1}
+
+
+def test_package_exports_resolve_once():
+    import subaction
+    assert len(subaction.__all__) == len(set(subaction.__all__))
+    for name in subaction.__all__:
+        assert getattr(subaction, name) is not None
+    assert "PropertyReport" in subaction.__all__
+
+
 def test_modular_shift_preserves_submodularity():
     action = natural_action(symmetric(3))
     f = cut_function(action)
