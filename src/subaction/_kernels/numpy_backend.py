@@ -18,6 +18,8 @@ exact minimum, fragment count, atom size, largest fragment size and atom
 count then come from the bins alone. One ascending scan in
 ``_CHUNK``-sized blocks then lists the subsets of the winning bins,
 stopping as soon as it holds every subset it must return.
+
+``check_pair_ratio`` compares two arrays of join sizes against a ratio.
 """
 
 from __future__ import annotations
@@ -202,22 +204,21 @@ class SubsetFold:
         return pop // g, (card + offset) // g, _lex_min(np.array(winners))
 
 
-def check_pair_ratio(masks_lhs: list[int], masks_rhs: list[int],
-                     num: int, den: int):
-    """Check den*|union_lhs(S)| <= num*|union_rhs(S)| for all nonempty S.
+def check_pair_ratio(lhs, rhs, num: int, den: int):
+    """Check den*lhs[i] <= num*rhs[i] for every i, over two equal-length
+    arrays of nonnegative integers, in int64 while den*max(lhs, 1) and
+    num*max(rhs, 1) stay below 2^63 and in Python ints past that.
 
-    Returns (ok, first_violation_mask_or_None, checked_count).
+    Returns (ok, first_violating_index_or_None, checked_count).
     """
-    if len(masks_lhs) != len(masks_rhs):
-        raise ValueError("mask families must have equal length")
-    lhs = SubsetFold(masks_lhs)
-    rhs = SubsetFold(masks_rhs)
-    size = 1 << lhs.n
-    for lo in range(1, size, _CHUNK):
-        hi = min(lo + _CHUNK, size)
-        bad = (lhs.pops[lo:hi].astype(np.int64) * den
-               > rhs.pops[lo:hi].astype(np.int64) * num)
-        if bad.any():
-            first = int(np.flatnonzero(bad)[0]) + lo
-            return False, first, first
-    return True, None, size - 1
+    if len(lhs) != len(rhs):
+        raise ValueError("size arrays must have equal length")
+    lhs, rhs = np.asarray(lhs), np.asarray(rhs)
+    wide = max(den * int(lhs.max(initial=1)),
+               num * int(rhs.max(initial=1))) >= 1 << 63
+    dtype = object if wide else np.int64
+    bad = np.flatnonzero(den * lhs.astype(dtype) > num * rhs.astype(dtype))
+    if bad.size:
+        first = int(bad[0])
+        return False, first, first + 1
+    return True, None, len(lhs)

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from . import config
 from .errors import CapacityError, DomainError, InvariantError, StructuralError
-from .groups import CosetDecomposition, FiniteGroup, Subgroup, affine_gl1, direct_product
+from .groups import FiniteGroup, Subgroup, affine_gl1, direct_product
 from .rationals import exact_fraction as _exact_ratio
 
 
@@ -30,7 +30,7 @@ def _check_table_cap(order: int, domain_size: int) -> None:
 
 class GroupAction:
     def __init__(self, group: FiniteGroup, domain_size: int, table: np.ndarray,
-                 *, name: str | None = None, point_labels: Sequence[str] | None = None):
+                 *, name: str | None = None):
         _check_table_cap(group.order, domain_size)
         table = np.ascontiguousarray(table, dtype=np.int32)
         if table.shape != (group.order, domain_size):
@@ -41,7 +41,6 @@ class GroupAction:
         self.domain_size = domain_size
         self.table = table
         self.name = name or f"action<{group.name} on {domain_size}>"
-        self.point_labels = list(point_labels) if point_labels is not None else None
         self._orbits: OrbitDecomposition | None = None
         # min_image_ratio results, keyed by target set and route caps
         self._mu_results: dict = {}
@@ -276,9 +275,7 @@ def left_translation_action(G: FiniteGroup) -> GroupAction:
     _check_table_cap(G.order, G.order)
     ar = np.arange(G.order)
     rows = G._products(ar, ar)
-    labels = [str(p) for p in G.elements]
-    return GroupAction(G, G.order, rows, name=f"left<{G.name}>",
-                       point_labels=labels)
+    return GroupAction(G, G.order, rows, name=f"left<{G.name}>")
 
 
 def conjugation_action(G: FiniteGroup) -> GroupAction:
@@ -287,9 +284,7 @@ def conjugation_action(G: FiniteGroup) -> GroupAction:
     right = G._products(np.arange(G.order), G.inv_table)
     rows = np.vstack([G._products([g], right[:, g])[0]
                       for g in range(G.order)])
-    labels = [str(p) for p in G.elements]
-    return GroupAction(G, G.order, rows, name=f"conj<{G.name}>",
-                       point_labels=labels)
+    return GroupAction(G, G.order, rows, name=f"conj<{G.name}>")
 
 
 def coset_action(G: FiniteGroup, H: Subgroup) -> GroupAction:
@@ -297,9 +292,7 @@ def coset_action(G: FiniteGroup, H: Subgroup) -> GroupAction:
     cd = G.left_cosets(H)
     rows = cd.rep_position[G._products(np.arange(G.order),
                                        cd.representatives)]
-    labels = [f"{G.elements[r]}H" for r in cd.representatives]
-    return GroupAction(G, cd.index, rows, name=f"cosets<{G.name}/{H.order}>",
-                       point_labels=labels)
+    return GroupAction(G, cd.index, rows, name=f"cosets<{G.name}/{H.order}>")
 
 
 def affine_line_action(p: int) -> GroupAction:
@@ -320,13 +313,7 @@ def product_action(a1: GroupAction, a2: GroupAction) -> GroupAction:
     g2 = G2._lookup(G.images[:, deg1:] - deg1)
     grid1, grid2 = np.divmod(np.arange(d1 * d2), d2)
     rows = a1.table[g1][:, grid1] * d2 + a2.table[g2][:, grid2]
-    labels = None
-    if a1.point_labels or a2.point_labels:
-        l1 = a1.point_labels or [str(x) for x in range(d1)]
-        l2 = a2.point_labels or [str(x) for x in range(d2)]
-        labels = [f"({l1[i]},{l2[j]})" for i in range(d1) for j in range(d2)]
-    return GroupAction(G, d1 * d2, rows, name=f"product<{a1.name},{a2.name}>",
-                       point_labels=labels)
+    return GroupAction(G, d1 * d2, rows, name=f"product<{a1.name},{a2.name}>")
 
 
 def action_from_table(group: FiniteGroup, domain_size: int,

@@ -26,15 +26,13 @@ _PRODUCT_BLOCK = 1 << 20  # composed image entries per lookup block
 
 
 class FiniteGroup:
-    def __init__(self, generators: Sequence[Permutation], *, name: str | None = None,
-                 order_cap: int | None = None):
+    def __init__(self, generators: Sequence[Permutation], *, name: str | None = None):
         if not generators:
             raise StructuralError("need at least one generator")
         degree = generators[0].degree
         if any(g.degree != degree for g in generators):
             raise StructuralError("generators have inconsistent degrees")
-        if order_cap is None:
-            order_cap = config.cap("MAX_GROUP_ORDER")
+        order_cap = config.cap("MAX_GROUP_ORDER")
         table_cap = config.cap("MAX_ACT_TABLE_ENTRIES")
         self.degree = degree
         self.name = name or "gen<" + ", ".join(str(g) for g in generators) + ">"
@@ -444,6 +442,6 @@ def direct_product(G1: FiniteGroup, G2: FiniteGroup) -> FiniteGroup:
     return G
 
 
-def from_generators(perms: Sequence[Permutation], *, name: str | None = None,
-                    order_cap: int | None = None) -> FiniteGroup:
-    return FiniteGroup(perms, name=name, order_cap=order_cap)
+def from_generators(perms: Sequence[Permutation], *, name: str | None = None
+                    ) -> FiniteGroup:
+    return FiniteGroup(perms, name=name)

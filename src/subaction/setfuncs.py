@@ -97,6 +97,24 @@ def _fits_kernel(lam: Fraction) -> bool:
     return max(abs(lam.numerator), lam.denominator) < MAX_COEFF
 
 
+def _check_ground(cap_name: str, size: int, hint: str = "", points: int = 0
+                  ) -> None:
+    """Refuse a subset enumeration over `size` elements, on masks over
+    `points` points, past the cap `cap_name` or past the subset-fold
+    kernel's fixed limits of MAX_N elements and _MASK_LIMIT points, which
+    no cap override lifts; the refusal names the limit that stopped it."""
+    limit = config.cap(cap_name)
+    if size > limit:
+        raise CapacityError(cap_name, limit, size, hint=hint)
+    fixed = "a fixed limit of the subset-fold kernel, not a cap" \
+        + (hint and f"; {hint}")
+    if size > MAX_N:
+        raise CapacityError("kernel ground size", MAX_N, size, hint=fixed)
+    if points > _MASK_LIMIT:
+        raise CapacityError("kernel mask width", _MASK_LIMIT, points,
+                            hint=fixed)
+
+
 def _set_of(mask: int) -> frozenset[int]:
     out = []
     while mask:
@@ -452,11 +470,9 @@ def minimize_nonempty(f: SetFunction, *, fragment_cap: int | None = None
     atoms are the minimisers of least cardinality (always complete).
     """
     n = f.ground_size
-    ground_cap = config.cap("MAX_EXHAUSTIVE_GROUND")
-    if n > ground_cap:
-        raise CapacityError("MAX_EXHAUSTIVE_GROUND", ground_cap, n)
+    _check_ground("MAX_EXHAUSTIVE_GROUND", n)
     cap = config.cap("FRAGMENT_LIST_CAP") if fragment_cap is None else fragment_cap
-    if f.kind == "union" and n <= MAX_N and _fits_kernel(f.lam) and \
+    if f.kind == "union" and _fits_kernel(f.lam) and \
             max(f.union_masks, default=0) < (1 << _MASK_LIMIT):
         return _fold_minimum(SubsetFold(f.union_masks), f.lam, cap, f.label)
     # table path: exact scaled values
@@ -491,21 +507,16 @@ def _fold_minimum(fold: SubsetFold, lam: Fraction, fragment_cap: int,
         atom_size=atom_size, largest_size=largest)
 
 
-def core_set(f: SetFunction, *, require_disjoint: bool = True) -> CoreResult:
+def core_set(f: SetFunction) -> CoreResult:
     """Union of the atoms. For invariant submodular functions the atoms are
-    pairwise disjoint; violation raises unless require_disjoint is False.
+    pairwise disjoint; violation raises.
     """
     res = minimize_nonempty(f)
-    union: set[int] = set()
-    total = 0
-    for a in res.atoms:
-        union |= a
-        total += len(a)
-    disjoint = total == len(union)
-    if require_disjoint and not disjoint:
+    union = frozenset().union(*res.atoms)
+    if sum(map(len, res.atoms)) != len(union):
         raise InvariantError(
             f"atoms of {f.label} are not pairwise disjoint")
-    return CoreResult(atoms=res.atoms, union=frozenset(union), disjoint=disjoint)
+    return CoreResult(atoms=res.atoms, union=union, disjoint=True)
 
 
 def identity_atom(f: SetFunction | None, group: FiniteGroup,

@@ -38,17 +38,18 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import config
-from ._kernels import MAX_COEFF, MAX_N, SubsetFold, check_pair_ratio
+from ._kernels import MAX_COEFF, SubsetFold, check_pair_ratio
 from .actions import GroupAction, natural_action
-from .errors import CapacityError, DomainError, StructuralError
+from .errors import DomainError, StructuralError
 from .groups import FiniteGroup, Subgroup, symmetric
 from .linalg import Representation, Subspace, enumerate_subspaces
 from .rationals import exact_fraction, format_fraction
 from .setfuncs import (_EXHAUSTIVE, _MASK_LIMIT, Exhaustiveness,
-                       _check_samples, _chunk_rows, _fits_kernel,
-                       _fold_minimum, _mask_of, _sampling, _set_of,
-                       _union_sizes, actor_growth_cut, identity_atom,
-                       min_image_ratio, minimize_nonempty, target_growth)
+                       _check_ground, _check_samples, _chunk_rows,
+                       _fits_kernel, _fold_minimum, _mask_of, _sampling,
+                       _set_of, _union_sizes, actor_growth_cut,
+                       identity_atom, min_image_ratio, minimize_nonempty,
+                       target_growth)
 
 STATEMENT_IDS = ("kneser", "murphy", "small_growth", "freiman", "ruzsa",
                  "hamidoune", "petridis", "tao_doubling", "taod",
@@ -114,24 +115,40 @@ def _sampled_sets(n: int, samples: int | None, seed: int | None
     return chunks(), exh
 
 
-def _doubling(table: Sequence, empty, join: Callable) -> Iterator:
-    """The join of table[b] over the bits b of m, for m = 0, 1, 2, ... in
-    ascending order, each from m without its lowest bit."""
-    joins = [empty]
-    yield empty
-    for m in range(1, 1 << len(table)):
-        low = m & -m
-        joins.append(join(joins[m ^ low], table[low.bit_length() - 1]))
-        yield joins[m]
-
-
 class _Side(NamedTuple):
     """One side of a for-all-C bound: an entry per group element, the
-    empty join, the join and the size of a join."""
+    empty join, the join and the size of a join.
+
+    Its join sizes are read two ways, and this module builds either only
+    here: `fold`, over every subset of the table, and `chunk_sizes`, over
+    chunks of sampled masks."""
     table: list
     empty: object
     join: Callable
     size: Callable
+
+    def fold(self) -> SubsetFold:
+        """The fold of the join sizes of every subset: the kernel's mask
+        fold for masks under 64 bits, else the joins of masks m = 0, 1, 2,
+        ... by doubling, each from m without its lowest bit."""
+        if self.join is operator.or_ and max(self.table) >> _MASK_LIMIT == 0:
+            return SubsetFold(self.table)
+        joins = [self.empty]
+        for m in range(1, 1 << len(self.table)):
+            low = m & -m
+            joins.append(self.join(joins[m ^ low],
+                                   self.table[low.bit_length() - 1]))
+        return SubsetFold.from_sizes([self.size(j) for j in joins])
+
+    def chunk_sizes(self) -> Callable[[Sequence[int]], np.ndarray]:
+        """The map from a chunk of masks C over the table's indices to the
+        array of join sizes: `_union_sizes` for masks, else one join per
+        C."""
+        if self.join is operator.or_:
+            return _union_sizes(self.table)
+        return lambda chunk: np.array([self.size(reduce(
+            self.join, (self.table[c] for c in _set_of(m)), self.empty))
+            for m in chunk], dtype=np.int64)
 
 
 def _masks(table: list[int]) -> _Side:
@@ -144,79 +161,36 @@ def _forall_actor_sets(left: _Side, right: _Side, alpha: Fraction,
                        ) -> tuple[dict | None, Exhaustiveness]:
     """The first nonempty C with left.size(join of left.table[c], c in C)
     > alpha * right.size(join of right.table[c], c in C), as a
-    counterexample {"C", "lhs", "rhs"} or None, with the route's
+    counterexample {"C", "lhs", "rhs"} or None, with the stream's
     exhaustiveness.
 
-    Up to PETRIDIS_EXHAUSTIVE_MAX_ORDER elements every C is tried in
-    ascending mask order: by the pair-ratio kernel when both sides are
-    masks under 64 bits, else by doubling. Above it the seeded
-    `_sampled_sets` stream is tried in draw order: a chunk at a time by
-    `_union_sizes` when both sides are masks, taking the first violating
-    row, and one C at a time by `Subspace.sum` when a side is linear.
+    Up to PETRIDIS_EXHAUSTIVE_MAX_ORDER elements the stream is every C in
+    ascending mask order, its sizes read from each side's fold; past the
+    kernel's MAX_N elements it is refused. Above the cap it is the seeded
+    `_sampled_sets` stream in draw order, its sizes from each side's
+    `chunk_sizes`. Each chunk of the stream goes through one
+    `check_pair_ratio`, drawn only until one has a violation.
     """
     n = len(left.table)
-    num, den = alpha.numerator, alpha.denominator
-    masks = left.join is right.join is operator.or_
-
-    def sizes(C) -> tuple[int, int]:
-        return tuple(s.size(reduce(s.join, (s.table[c] for c in C), s.empty))
-                     for s in (left, right))
-
-    def exceeds(lhs: int, rhs: int) -> bool:
-        return den * lhs > num * rhs
-
     if n > config.cap("PETRIDIS_EXHAUSTIVE_MAX_ORDER"):
         chunks, exh = _sampled_sets(n, samples, seed)
-        if masks:
-            lsizes, rsizes = _union_sizes(left.table), _union_sizes(right.table)
-            # Python ints where den * |left| or num * |right| passes int64
-            wide = max(den * max(left.table).bit_length(),
-                       num * max(right.table).bit_length()) >= 1 << 63
-            dtype = object if wide else np.int64
-            first = None
-            for chunk in chunks:  # drawn only until one has a violation
-                lhs = lsizes(chunk).astype(dtype, copy=False)
-                rhs = rsizes(chunk).astype(dtype, copy=False)
-                hits = np.flatnonzero(den * lhs > num * rhs)
-                if hits.size:
-                    first = chunk[hits[0]]
-                    break
-        else:
-            first = next((m for chunk in chunks for m in chunk
-                          if exceeds(*sizes(_set_of(m)))), None)
+        sizes = [side.chunk_sizes() for side in (left, right)]
     else:
-        exh = _EXHAUSTIVE
-        if masks and n <= MAX_N and _fits_kernel(alpha) \
-                and max(left.table + right.table) >> _MASK_LIMIT == 0:
-            _ok, first, _checked = check_pair_ratio(left.table, right.table,
-                                                    num, den)
-        else:
-            joins = zip(_doubling(left.table, left.empty, left.join),
-                        _doubling(right.table, right.empty, right.join))
-            first = next((m for m, (lj, rj) in enumerate(joins)
-                          if exceeds(left.size(lj), right.size(rj))), None)
-    if first is None:
-        return None, exh
-    C = _set_of(first)
-    lhs, rhs = sizes(C)
-    return {"C": C, "lhs": lhs, "rhs": alpha * rhs}, exh
-
-
-def _check_ground(cap_name: str, size: int, hint: str, points: int = 0
-                  ) -> None:
-    """Refuse a subset enumeration over `size` elements, on masks over
-    `points` points, past the cap `cap_name` or past the subset-fold
-    kernel's fixed limits of MAX_N elements and _MASK_LIMIT points, which
-    no cap override lifts; the refusal names the limit that stopped it."""
-    limit = config.cap(cap_name)
-    if size > limit:
-        raise CapacityError(cap_name, limit, size, hint=hint)
-    fixed = f"a fixed limit of the subset-fold kernel, not a cap; {hint}"
-    if size > MAX_N:
-        raise CapacityError("kernel ground size", MAX_N, size, hint=fixed)
-    if points > _MASK_LIMIT:
-        raise CapacityError("kernel mask width", _MASK_LIMIT, points,
-                            hint=fixed)
+        _check_ground("PETRIDIS_EXHAUSTIVE_MAX_ORDER", n,
+                      "the for-all-C check enumerates every actor set")
+        rows, end = _chunk_rows(n), 1 << n
+        chunks = (np.arange(lo, min(lo + rows, end))
+                  for lo in range(1, end, rows))
+        exh, sizes = _EXHAUSTIVE, [side.fold().pops.__getitem__
+                                   for side in (left, right)]
+    for chunk in chunks:
+        lhs, rhs = (size_of(chunk) for size_of in sizes)
+        ok, first, _checked = check_pair_ratio(lhs, rhs, alpha.numerator,
+                                               alpha.denominator)
+        if not ok:
+            return {"C": _set_of(int(chunk[first])), "lhs": int(lhs[first]),
+                    "rhs": alpha * int(rhs[first])}, exh
+    return None, exh
 
 
 def _failed(statement_id: str, details: dict) -> CheckReport:
@@ -300,17 +274,16 @@ class _Target:
 
     def fold(self, elements: Sequence[int], hint: str) -> SubsetFold:
         """The fold of g.Y over the subsets of `elements`: of masks, or of
-        span dimensions by doubling on the lowest bit, each refused past
-        its ground cap."""
+        span dimensions, each refused past its ground cap."""
         if self.linear:
             _check_ground("LINEAR_EXHAUSTIVE_MAX_ORDER", len(elements), hint)
             images = [self.obj.act_subspace(g, self.Y) for g in elements]
-            return SubsetFold.from_sizes([s.dim for s in _doubling(
-                images, self._zero, Subspace.sum)])
-        _check_ground("MAX_EXHAUSTIVE_GROUND", len(elements), hint,
-                      self.obj.domain_size)
-        return SubsetFold([_mask_of(row) for row in self.obj.table[
-            np.ix_(list(elements), list(self.Y))].tolist()])
+        else:
+            _check_ground("MAX_EXHAUSTIVE_GROUND", len(elements), hint,
+                          self.obj.domain_size)
+            images = self.obj.table[np.ix_(list(elements),
+                                           list(self.Y))].tolist()
+        return self.side(images).fold()
 
 
 # -- kneser -------------------------------------------------------------------
@@ -734,8 +707,8 @@ def find_taod_witness(obj: GroupAction | Representation, A, Y, alpha,
         _check_ground("MAX_EXHAUSTIVE_GROUND", len(t.Y),
                       "witness search enumerates subsets of Y",
                       obj.domain_size)
-        p, q, wmask = SubsetFold([_mask_of(obj.act_set(A, (pt,)))
-                                  for pt in t.Y]).min_ratio()
+        p, q, wmask = _masks([_mask_of(obj.act_set(A, (pt,)))
+                              for pt in t.Y]).fold().min_ratio()
         Z = frozenset(y for i, y in enumerate(t.Y) if (wmask >> i) & 1)
         ratio = Fraction(p, q)
     CZ = t.translates(Z)

@@ -447,6 +447,31 @@ def test_group_specs_past_the_caps_exit_3_at_once(tmp_path, capsys, group):
         f"capacity: instance exceeds {cap}=")
 
 
+def test_enumerations_past_the_kernel_ground_size_exit_3_at_once(
+        tmp_path, capsys):
+    # with the caps raised past the kernel's 26 elements, every C of a
+    # 27-element group and every subset of 27 points are refused, not run
+    fixed = "a fixed limit of the subset-fold kernel, not a cap"
+    C27 = {"kind": "cyclic", "n": 27}
+    for action, sets, caps, task, hint in [
+            ("left_translation", {"A": [0, 1], "Y": [0]},
+             {"PETRIDIS_EXHAUSTIVE_MAX_ORDER": 30},
+             {"task": "petridis", "A": "A", "Y": "Y", "alpha": "1"},
+             f"{fixed}; the for-all-C check enumerates every actor set"),
+            ("natural", {"A": [0, 1]}, {"MAX_EXHAUSTIVE_GROUND": 30},
+             {"task": "minimize", "function": "target_growth", "A": "A",
+              "lambda": "1/2"}, fixed)]:
+        path = _write(tmp_path, {"group": C27, "action": {"kind": action},
+                                 "sets": sets, "caps": caps,
+                                 "tasks": [task]})
+        started = time.perf_counter()
+        assert main(["run", path]) == 3
+        assert time.perf_counter() - started < 1
+        assert capsys.readouterr().err == (
+            f"capacity: instance exceeds kernel ground size=26 "
+            f"(measured 27); {hint}\n")
+
+
 def test_representation_prime_past_the_int64_limit_exits_2(tmp_path, capsys):
     p = 4294967311
     path = _write(tmp_path, {

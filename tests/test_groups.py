@@ -109,10 +109,12 @@ def test_group_order_cap():
         symmetric(9)
     assert ei.value.cap_name == "MAX_GROUP_ORDER"
     gens = [from_cycles(4, [(0, 1)]), from_cycles(4, [(0, 1, 2, 3)])]
-    assert from_generators(gens, order_cap=24).order == 24
+    with config.overrides({"MAX_GROUP_ORDER": 24}):
+        assert from_generators(gens).order == 24
     for cap in (1, 10, 23):
-        with pytest.raises(CapacityError) as ei:
-            from_generators(gens, order_cap=cap)
+        with config.overrides({"MAX_GROUP_ORDER": cap}), \
+                pytest.raises(CapacityError) as ei:
+            from_generators(gens)
         err = ei.value
         assert (err.cap_name, err.cap_value, err.measured) == \
             ("MAX_GROUP_ORDER", cap, cap + 1)

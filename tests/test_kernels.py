@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,20 +143,30 @@ def test_min_ratio_offset_widens_the_scale():
 
 
 def test_check_pair_ratio_matches_brute():
+    # the size arrays of two folds; one of num, den is often shifted so
+    # that the products cross 2^63, where int64 would wrap
     rng = random.Random(37)
-    for trial in range(25):
+    for trial in range(60):
         n = rng.randint(1, 8)
-        lhs = _random_masks(rng, n, 10)
-        rhs = _random_masks(rng, n, 10)
+        lhs = SubsetFold(_random_masks(rng, n, 10)).pops[1:]
+        rhs = SubsetFold(_random_masks(rng, n, 10)).pops[1:]
         num, den = rng.randint(1, 4), rng.randint(1, 3)
-        ok, first, checked = check_pair_ratio(lhs, rhs, num, den)
-        brute_bad = [s for s in range(1, 1 << n)
-                     if den * bin(_union(lhs, s)).count("1")
-                     > num * bin(_union(rhs, s)).count("1")]
-        if brute_bad:
-            assert not ok and first == brute_bad[0]
+        shift = rng.choice([0, 59, 60, 61, 62, 70])
+        if rng.random() < 0.5:
+            num = num << shift | rng.randint(0, 1)
         else:
-            assert ok and first is None and checked == (1 << n) - 1
+            den = den << shift | rng.randint(0, 1)
+        ok, first, checked = check_pair_ratio(lhs, rhs, num, den)
+        brute_bad = [i for i in range(len(lhs))
+                     if den * int(lhs[i]) > num * int(rhs[i])]
+        if brute_bad:
+            assert (ok, first, checked) == (False, brute_bad[0],
+                                            brute_bad[0] + 1)
+        else:
+            assert ok and first is None and checked == len(lhs)
+    # 2^62 * 2 is 2^63: wrapped to -2^63 in int64, it would pass
+    assert check_pair_ratio([2], [3], 1, 1 << 62) == (False, 0, 1)
+    assert check_pair_ratio([], [], 1, 1) == (True, None, 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -249,7 +260,7 @@ def test_input_validation():
     with pytest.raises(ValueError):
         SubsetFold([1], base=1 << 64)
     with pytest.raises(ValueError):
-        check_pair_ratio([1, 2], [1], 1, 1)
+        check_pair_ratio(np.array([1, 2]), np.array([1]), 1, 1)
     for sizes in ([0], [0, 1, 1], range(2 << MAX_N)):
         with pytest.raises(ValueError):
             SubsetFold.from_sizes(sizes)

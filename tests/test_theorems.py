@@ -885,13 +885,16 @@ def test_forall_actor_sets_matches_brute_force(data):
                    lambda *args: calls.append(1) or real(*args))
         got = _forall(left, right, alpha, None, None)
         assert got == (expected, Exhaustiveness("exhaustive"))
-        kernel = all(isinstance(m, int) and m < 1 << 64 for m in left + right)
-        assert calls == ([1] if kernel else [])
-        if kernel and any(left + right):
-            # the same sets 64 bits up: the doubling route must agree
+        # every side, wide masks and subspaces included, is compared by the
+        # one comparator, in one chunk at this size
+        assert calls == [1]
+        masks = all(isinstance(m, int) and m < 1 << 64 for m in left + right)
+        if masks and any(left + right):
+            # the same sets 64 bits up: the folds of sizes by doubling must
+            # agree with the kernel's mask folds
             wide = _forall([m << 64 for m in left],
                            [m << 64 for m in right], alpha, None, None)
-            assert len(calls) == 1 and wide == got
+            assert calls == [1, 1] and wide == got
 
     samples, seed = data.draw(st.integers(1, 40)), data.draw(st.integers(0, 99))
     rows = data.draw(st.integers(1, 3))
@@ -902,6 +905,29 @@ def test_forall_actor_sets_matches_brute_force(data):
     exh = Exhaustiveness("sampled", samples, seed)
     assert got == (_brute_first_violation(
         left, right, alpha, _reference_stream(n, samples, seed)), exh)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(2 ** 70 + 1, 2 ** 70),
+                                   Fraction(2 ** 70 + 1)])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_forall_actor_sets_exact_for_alpha_past_int64(alpha, data):
+    # den * |left| or num * |right| passes 2^63 on both streams: just above
+    # 1, a violation is lhs > rhs; past 2^70, only rhs = 0 < lhs violates
+    n = data.draw(st.integers(1, 6))
+    left, right = _verifier_table(data, n), _verifier_table(data, n)
+    ascending = [[c for c in range(n) if m >> c & 1] for m in range(1, 1 << n)]
+    assert _forall(left, right, alpha, None, None) == (
+        _brute_first_violation(left, right, alpha, ascending),
+        Exhaustiveness("exhaustive"))
+    samples, seed = data.draw(st.integers(1, 40)), data.draw(st.integers(0, 99))
+    with config.overrides({"PETRIDIS_EXHAUSTIVE_MAX_ORDER": 0}), \
+            pytest.MonkeyPatch.context() as mp:
+        _small_chunks(mp, data.draw(st.integers(1, 3)))
+        got = _forall(left, right, alpha, samples, seed)
+    assert got == (_brute_first_violation(
+        left, right, alpha, _reference_stream(n, samples, seed)),
+        Exhaustiveness("sampled", samples, seed))
 
 
 def _small_chunks(mp, rows):
