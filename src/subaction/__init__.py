@@ -24,8 +24,9 @@ from .search import (FAMILIES, PREDICATES, SearchRecord, SearchResult,
 from .setfuncs import (CoreResult, Exhaustiveness, MinimizationResult,
                        MuResult, PropertyReport, SetFunction, actor_growth,
                        check_invariance, check_submodular, cone_combination,
-                       core_set, cut_function, identity_atom, min_image_ratio,
-                       minimize_nonempty, subtract_modular, target_growth)
+                       core_set, cut_function, group_image_ratio,
+                       identity_atom, min_image_ratio, minimize_nonempty,
+                       subtract_modular, target_growth)
 from .theorems import (STATEMENT_IDS, CheckReport, check_fragment_bounds,
                        check_freiman, check_hamidoune, check_kneser,
                        check_murphy, check_ruzsa_triple, check_small_growth,
@@ -54,7 +55,8 @@ __all__ = [
     "cyclic", "dihedral", "direct_product", "enumerate_subspaces",
     "exact_fraction", "find_petridis_witness", "find_taod_witness",
     "format_fraction", "from_cycles", "from_generators",
-    "gaussian_binomial", "grassmannian", "identity", "identity_atom",
+    "gaussian_binomial", "grassmannian", "group_image_ratio", "identity",
+    "identity_atom",
     "kneser_example_instance", "left_translation_action",
     "min_image_ratio", "minimize_nonempty", "minimize_on_lattice",
     "natural_action", "orbit_reduction_bounds", "permutation_representation",

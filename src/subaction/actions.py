@@ -42,8 +42,6 @@ class GroupAction:
         self.table = table
         self.name = name or f"action<{group.name} on {domain_size}>"
         self._orbits: OrbitDecomposition | None = None
-        # min_image_ratio results, keyed by target set and route caps
-        self._mu_results: dict = {}
         self._verify()
 
     def _verify(self) -> None:

@@ -386,33 +386,40 @@ def _search_report(res: SearchResult, elapsed: float) -> dict:
 
 
 def _to_csv(report: dict) -> str:
+    """The csv rows of a run or a search report; a document of any other
+    shape is refused as a ScenarioError."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    if "results" in report:
-        writer.writerow(["index", "task", "hypotheses_hold",
-                         "conclusion_holds", "exhaustiveness", "summary"])
-        for i, res in enumerate(report["results"]):
-            task = res.get("task", "")
-            rep = res.get("report")
-            if rep is not None:
-                exh = rep["exhaustiveness"]["kind"]
-                writer.writerow([i, task, rep["hypotheses_hold"],
-                                 rep["conclusion_holds"], exh,
-                                 rep["statement_id"]])
-            else:
-                inner = res.get("result", {})
-                summary = inner.get("mu") or inner.get("min_value") \
-                    or inner.get("count") or ""
-                writer.writerow([i, task, "", "", "", summary])
-    elif "findings" in report:
-        writer.writerow(["kind", "cursor", "statement_id",
-                         "conclusion_holds"])
-        for rec in report.get("findings", []) + report.get("violations", []):
-            writer.writerow([rec["kind"], rec["cursor"],
-                             rec["report"]["statement_id"],
-                             rec["report"]["conclusion_holds"]])
-    else:
-        raise ScenarioError("not a recognised report document")
+    try:
+        if "results" in report:
+            writer.writerow(["index", "task", "hypotheses_hold",
+                             "conclusion_holds", "exhaustiveness", "summary"])
+            for i, res in enumerate(report["results"]):
+                task = res.get("task", "")
+                rep = res.get("report")
+                if rep is not None:
+                    exh = rep["exhaustiveness"]["kind"]
+                    writer.writerow([i, task, rep["hypotheses_hold"],
+                                     rep["conclusion_holds"], exh,
+                                     rep["statement_id"]])
+                else:
+                    inner = res.get("result", {})
+                    summary = inner.get("mu") or inner.get("min_value") \
+                        or inner.get("count") or ""
+                    writer.writerow([i, task, "", "", "", summary])
+        elif "findings" in report:
+            writer.writerow(["kind", "cursor", "statement_id",
+                             "conclusion_holds"])
+            for rec in report.get("findings", []) \
+                    + report.get("violations", []):
+                writer.writerow([rec["kind"], rec["cursor"],
+                                 rec["report"]["statement_id"],
+                                 rec["report"]["conclusion_holds"]])
+        else:
+            raise ScenarioError("not a recognised report document")
+    except (AttributeError, KeyError, TypeError) as e:
+        raise ScenarioError(f"malformed report document: "
+                            f"{type(e).__name__}: {e}") from e
     return buf.getvalue()
 
 
@@ -468,12 +475,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            try:
-                with open(args.scenario, encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as e:
-                print(f"error: {e}", file=sys.stderr)
-                return 2
+            with open(args.scenario, encoding="utf-8") as fh:
+                text = fh.read()
             sc = parse_scenario(text)
             report = run_scenario(sc)
             _emit(_dump(report), args.out)
@@ -502,7 +505,8 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as e:
         print(f"scenario error: {e}", file=sys.stderr)
         return 2
-    except (StructuralError, DomainError) as e:
+    except (StructuralError, DomainError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except CapacityError as e:

@@ -27,8 +27,9 @@ from .groups import (FiniteGroup, affine_gl1, alternating, cyclic, dihedral,
 from .linalg import Representation, permutation_representation, \
     representation_from_generator_matrices
 from .rationals import exact_fraction
-from .setfuncs import (actor_growth, core_set, cut_function, min_image_ratio,
-                       minimize_nonempty, target_growth)
+from .setfuncs import (actor_growth, core_set, cut_function,
+                       group_image_ratio, min_image_ratio, minimize_nonempty,
+                       target_growth)
 
 # -- builders ------------------------------------------------------------------
 
@@ -390,7 +391,7 @@ def _draw(rng: random.Random, pool: _Pool, predicate: str
                 "Y": _subset(rng, action.domain_size, 6)}
     elif predicate == "hamidoune":
         Y = _subset(rng, action.domain_size, 6)
-        lam = min_image_ratio(action, Y).mu \
+        lam = group_image_ratio(action, Y) \
             * exact_fraction(rng.choice(_LAM_FACTORS))
         sets, params = {"Y": Y}, {"lambda": str(lam)}
         if rng.random() < 0.5:

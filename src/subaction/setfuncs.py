@@ -5,8 +5,9 @@ growth of a fixed target set under a varying actor set, and the growth of a
 varying target set under a fixed actor set. All values are exact rationals.
 `minimize_nonempty` enumerates every nonempty subset, so its ground sets
 are capped; the growth |A.Y| - lam|A| of a fixed target is also minimised
-at every order by one exact s-t minimum cut (`actor_growth_cut`), which
-gives the minimum ratio `min_image_ratio` its uncapped route.
+at every order by one exact s-t minimum cut (`actor_growth_cut`). The
+minimum ratio mu of |A.Y| / |A| has the closed form |G.Y| / |G|
+(`group_image_ratio`); `min_image_ratio` checks it by up to three routes.
 """
 
 from __future__ import annotations
@@ -85,11 +86,6 @@ def _union_sizes(table: Sequence[int]) -> Callable[[Sequence[int]],
             out[lo:lo + step] = np.count_nonzero(block[:, :width], axis=1)
         return out
     return sizes
-
-
-def _check_samples(samples: int | None) -> None:
-    if samples is not None and samples < 1:
-        raise DomainError(f"samples must be at least 1; got {samples}")
 
 
 def _fits_kernel(lam: Fraction) -> bool:
@@ -350,17 +346,17 @@ class MuResult:
 # -- submodularity -------------------------------------------------------------
 
 
-def _sampling(samples: int | None, seed: int | None
-              ) -> tuple[random.Random, Exhaustiveness]:
-    """The seeded stream of a sampled check and its report entry; samples
-    and seed default to the SAMPLE_COUNT and DEFAULT_SEED caps."""
+def _sampling(seed: int | None) -> tuple[random.Random, Exhaustiveness]:
+    """The seeded stream of a sampled check and its report entry: the
+    SAMPLE_COUNT cap's count of draws, from `seed` or the DEFAULT_SEED
+    cap."""
     seed = config.cap("DEFAULT_SEED") if seed is None else int(seed)
-    count = config.cap("SAMPLE_COUNT") if samples is None else int(samples)
-    return random.Random(seed), Exhaustiveness("sampled", count, seed)
+    return random.Random(seed), Exhaustiveness(
+        "sampled", config.cap("SAMPLE_COUNT"), seed)
 
 
-def check_submodular(f: SetFunction, *, samples: int | None = None,
-                     seed: int | None = None) -> PropertyReport:
+def check_submodular(f: SetFunction, *, seed: int | None = None
+                     ) -> PropertyReport:
     """Diminishing-returns check: for A1 <= A2 and s outside A2,
     f(A1+s) - f(A1) >= f(A2+s) - f(A2).
 
@@ -370,9 +366,9 @@ def check_submodular(f: SetFunction, *, samples: int | None = None,
     i < j, then S in ascending order, the first violation is reported as
     s = i, A1 = S, A2 = S + j. Sampled above the cap.
     """
-    _check_samples(samples)
     n = f.ground_size
     if n <= config.cap("MAX_SUBMODULAR_EXHAUSTIVE"):
+        _check_ground("MAX_SUBMODULAR_EXHAUSTIVE", n)
         table, _den = _scaled_table(f)
         masks = np.arange(table.size)
         for i, j in itertools.combinations(range(n), 2):
@@ -385,7 +381,7 @@ def check_submodular(f: SetFunction, *, samples: int | None = None,
                 return PropertyReport(False, _EXHAUSTIVE,
                                       _submodular_witness(f, i, a1, a1 | bj))
         return PropertyReport(True, _EXHAUSTIVE)
-    rng, exh = _sampling(samples, seed)
+    rng, exh = _sampling(seed)
     for _ in range(exh.samples):
         a2 = rng.getrandbits(n)
         outside = [b for b in range(n) if not (a2 >> b) & 1]
@@ -417,7 +413,6 @@ def _submodular_witness(f: SetFunction, s: int, a1: int, a2: int) -> dict:
 
 
 def check_invariance(f: SetFunction, action: GroupAction, *,
-                     samples: int | None = None,
                      seed: int | None = None) -> PropertyReport:
     """Check f(g.S) == f(S). The action's domain must be f's ground set;
     pass the left translation action to test translation invariance of a
@@ -428,23 +423,25 @@ def check_invariance(f: SetFunction, action: GroupAction, *,
     closure puts the generators first, so the first failing element is a
     generator. Sampled above the cap, with g drawn from every element.
     """
-    _check_samples(samples)
     if action.domain_size != f.ground_size:
         raise StructuralError(
             f"action domain {action.domain_size} != ground {f.ground_size}")
     n = f.ground_size
     if n <= config.cap("MAX_SUBMODULAR_EXHAUSTIVE"):
+        _check_ground("MAX_SUBMODULAR_EXHAUSTIVE", n)
         table, _den = _scaled_table(f)
-        bits = (np.arange(1 << n, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+        remap = np.zeros(1 << n, dtype=np.int64)
         for g in action.group.generator_indices:
-            remap = bits @ (np.int64(1) << action.table[g].astype(np.int64))
+            # the mask of g.S for every mask S, by doubling
+            for b, image in enumerate(action.table[g].tolist()):
+                np.add(remap[:1 << b], 1 << image, out=remap[1 << b:2 << b])
             diff = np.flatnonzero(table[remap] != table)
             if diff.size:
                 m = int(diff[0])
                 return PropertyReport(False, _EXHAUSTIVE, _invariance_witness(
                     f, g, m, int(remap[m])))
         return PropertyReport(True, _EXHAUSTIVE)
-    rng, exh = _sampling(samples, seed)
+    rng, exh = _sampling(seed)
     for _ in range(exh.samples):
         m = rng.getrandbits(n)
         g = rng.randrange(action.group.order)
@@ -542,35 +539,48 @@ def identity_atom(f: SetFunction | None, group: FiniteGroup,
 # -- minimal image ratio ------------------------------------------------------------
 
 
-def min_image_ratio(action: GroupAction, Y: Iterable[int]) -> MuResult:
-    """inf over nonempty actor sets A of |A.Y| / |A|, exact.
+def group_image_ratio(action: GroupAction, Y: Iterable[int]) -> Fraction:
+    """mu = inf over nonempty actor sets A of |A.Y| / |A|, which is
+    |G.Y| / |G| by orbit-stabilizer.
 
-    Up to three routes: exhaustive enumeration of the 2^(|G:G_Y| - 1)
-    unions of left cosets of the setwise stabilizer G_Y that hold G_Y
-    (gated on |G| <= MAX_EXHAUSTIVE_GROUND), minimum over subgroups (up to
-    MAX_SUBGROUP_ENUM_ORDER) and, at every order, a Dinkelbach iteration
-    on min cuts of the growth function. All computed routes must agree;
-    the returned witness attains the ratio. The result is kept on the
-    action, keyed by Y and the caps that pick the routes, so a repeated
-    call costs nothing.
+    Take one y in each orbit that meets Y. The map a -> a.y is at most
+    |G_y|-to-one, and the sets A.y lie in distinct orbits, so
+    |A.Y| >= sum over y of |A| / |G_y| = |A| |G.Y| / |G|, with equality at
+    A = G. This is the growth constant of c_Y(A) = |A.Y| - lam|A| in the
+    hamidoune and tao_doubling statements (Hamidoune, Europ. J. Combin. 5,
+    1984, for the group case); `min_image_ratio`'s routes check it.
     """
-    G = action.group
     y = action._point_indices(Y)
     if y.size == 0:
         raise DomainError("target set must be nonempty")
+    return Fraction(np.unique(action.table[:, y]).size, action.group.order)
+
+
+def min_image_ratio(action: GroupAction, Y: Iterable[int]) -> MuResult:
+    """inf over nonempty actor sets A of |A.Y| / |A|, exact, by up to three
+    routes that must agree.
+
+    The exhaustive route enumerates the 2^(|G:G_Y| - 1) unions of left
+    cosets of the setwise stabilizer G_Y that hold G_Y (gated on
+    |G| <= MAX_EXHAUSTIVE_GROUND), the subgroups route takes the minimum
+    over the subgroup lattice (up to MAX_SUBGROUP_ENUM_ORDER), and the
+    dinkelbach route, at every order, is one `actor_growth_cut` at
+    lam = `group_image_ratio`: a zero minimum certifies lam, and its least
+    minimiser containing e attains it. The returned witness is the first
+    route's.
+    """
+    G = action.group
+    y = action._point_indices(Y)
+    mu = group_image_ratio(action, y)
     n = G.order
-    ground_cap = config.cap("MAX_EXHAUSTIVE_GROUND")
-    subgroup_cap = config.cap("MAX_SUBGROUP_ENUM_ORDER")
-    key = (tuple(y.tolist()), ground_cap, subgroup_cap)
-    if key in action._mu_results:
-        return action._mu_results[key]
     methods: dict[str, dict] = {}
 
     images = [_mask_of(row) for row in action.table[:, y].tolist()]
-    if n <= ground_cap and n <= MAX_N and action.domain_size <= _MASK_LIMIT:
+    if n <= config.cap("MAX_EXHAUSTIVE_GROUND") and n <= MAX_N \
+            and action.domain_size <= _MASK_LIMIT:
         methods["exhaustive"] = _coset_union_ratio(images)
 
-    if n <= subgroup_cap:
+    if n <= config.cap("MAX_SUBGROUP_ENUM_ORDER"):
         # every |H.Y| from one batched call
         subs = G.subgroups()
         sizes = _union_sizes(images)([_mask_of(H.members) for H in subs])
@@ -579,21 +589,20 @@ def min_image_ratio(action: GroupAction, Y: Iterable[int]) -> MuResult:
             H, img) in enumerate(zip(subs, sizes.tolist())))
         methods["subgroups"] = {"value": best, "witness": subs[i].members}
 
-    value, witness, iterations = _dinkelbach(action, y)
-    methods["dinkelbach"] = {"value": value, "witness": witness}
+    minimum, witness = actor_growth_cut(action, y, mu)
+    if minimum != 0:
+        raise InvariantError(
+            f"growth at lambda = |G.Y|/|G| = {format_fraction(mu)} has "
+            f"minimum {format_fraction(minimum)}, not 0")
+    methods["dinkelbach"] = {"value": mu, "witness": witness}
 
-    values = {m["value"] for m in methods.values()}
-    agreed = len(values) == 1
-    if not agreed:
+    if len({m["value"] for m in methods.values()}) != 1:
         raise InvariantError(
             f"ratio methods disagree: "
             f"{ {k: format_fraction(v['value']) for k, v in methods.items()} }")
     primary = next(iter(methods.values()))
-    result = MuResult(mu=primary["value"], witness=primary["witness"],
-                      methods=methods, agreed=agreed,
-                      dinkelbach_iterations=iterations)
-    action._mu_results[key] = result
-    return result
+    return MuResult(mu=mu, witness=primary["witness"], methods=methods,
+                    agreed=True, dinkelbach_iterations=1)
 
 
 def _coset_union_ratio(images: list[int]) -> dict:
@@ -622,24 +631,6 @@ def _coset_union_ratio(images: list[int]) -> dict:
                                 if chosen >> i & 1 for g in cosets[image]]
     return {"value": Fraction(p, q * len(cosets[y_mask])),
             "witness": frozenset(witness)}
-
-
-def _dinkelbach(action: GroupAction, y: np.ndarray):
-    """Parametric minimisation: lam falls to the minimum ratio from above,
-    each step one `actor_growth_cut`."""
-    G = action.group
-    lam = Fraction(len(action.act_set(range(G.order), y)), G.order)
-    iterations = 0
-    while True:
-        iterations += 1
-        if iterations > G.order * action.domain_size + 3:
-            raise InvariantError("ratio iteration failed to converge")
-        m, A = actor_growth_cut(action, y, lam)
-        if m == 0:
-            return lam, A, iterations
-        if m > 0:
-            raise InvariantError("ratio iteration produced a positive minimum")
-        lam = Fraction(len(action.act_set(A, y)), len(A))
 
 
 # -- exact minimum cut ---------------------------------------------------------------

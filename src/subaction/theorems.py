@@ -45,11 +45,13 @@ from .groups import FiniteGroup, Subgroup, symmetric
 from .linalg import Representation, Subspace, enumerate_subspaces
 from .rationals import exact_fraction, format_fraction
 from .setfuncs import (_EXHAUSTIVE, _MASK_LIMIT, Exhaustiveness,
-                       _check_ground, _check_samples, _chunk_rows,
+                       _check_ground, _chunk_rows,
                        _fits_kernel, _fold_minimum, _mask_of, _sampling,
                        _set_of, _union_sizes, actor_growth_cut,
-                       identity_atom, min_image_ratio, minimize_nonempty,
+                       group_image_ratio, identity_atom, minimize_nonempty,
                        target_growth)
+# perfbench/test_bench.py checks that tracing rebinds theorems.min_image_ratio
+from .setfuncs import min_image_ratio  # noqa: F401
 
 STATEMENT_IDS = ("kneser", "murphy", "small_growth", "freiman", "ruzsa",
                  "hamidoune", "petridis", "tao_doubling", "taod",
@@ -99,13 +101,13 @@ def _point_subset(action: GroupAction, Y: Iterable[int], name: str = "Y"
     return tuple(items)
 
 
-def _sampled_sets(n: int, samples: int | None, seed: int | None
+def _sampled_sets(n: int, seed: int | None
                   ) -> tuple[Iterator[list[int]], Exhaustiveness]:
-    """Seeded random nonempty subsets of range(n) as int masks, in draw
-    order, in chunks of `_chunk_rows(n)` masks; each chunk is drawn when
-    the previous one has been used. `samples` and `seed` default to the
-    SAMPLE_COUNT and DEFAULT_SEED caps."""
-    rng, exh = _sampling(samples, seed)
+    """The SAMPLE_COUNT cap's count of seeded random nonempty subsets of
+    range(n) as int masks, in draw order, in chunks of `_chunk_rows(n)`
+    masks; each chunk is drawn when the previous one has been used. `seed`
+    defaults to the DEFAULT_SEED cap."""
+    rng, exh = _sampling(seed)
     rows, count = _chunk_rows(n), exh.samples
 
     def chunks() -> Iterator[list[int]]:
@@ -157,7 +159,7 @@ def _masks(table: list[int]) -> _Side:
 
 
 def _forall_actor_sets(left: _Side, right: _Side, alpha: Fraction,
-                       samples: int | None, seed: int | None
+                       seed: int | None
                        ) -> tuple[dict | None, Exhaustiveness]:
     """The first nonempty C with left.size(join of left.table[c], c in C)
     > alpha * right.size(join of right.table[c], c in C), as a
@@ -173,7 +175,7 @@ def _forall_actor_sets(left: _Side, right: _Side, alpha: Fraction,
     """
     n = len(left.table)
     if n > config.cap("PETRIDIS_EXHAUSTIVE_MAX_ORDER"):
-        chunks, exh = _sampled_sets(n, samples, seed)
+        chunks, exh = _sampled_sets(n, seed)
         sizes = [side.chunk_sizes() for side in (left, right)]
     else:
         _check_ground("PETRIDIS_EXHAUSTIVE_MAX_ORDER", n,
@@ -509,11 +511,11 @@ def check_hamidoune(obj: GroupAction | Representation, Y, lam, A0=None
     """For lam in [0, mu] there is a subgroup H containing the stabilizer of Y
     with c_Y(A) >= c_Y(H) >= |Y| - lam|H| for every nonempty A.
 
-    On the set side one `actor_growth_cut` gives the minimum growth and H,
-    its least minimiser containing e, at every order. On the linear side
-    one fold of g.W gives mu, the minimum growth, its first fragment and H,
-    refused past LINEAR_EXHAUSTIVE_MAX_ORDER. At lam = 0, H is the
-    stabilizer."""
+    On the set side mu is `group_image_ratio`, and one `actor_growth_cut`
+    gives the minimum growth and H, its least minimiser containing e, at
+    every order. On the linear side one fold of g.W gives mu, the minimum
+    growth, its first fragment and H, refused past
+    LINEAR_EXHAUSTIVE_MAX_ORDER. At lam = 0, H is the stabilizer."""
     t = _Target(obj, Y)
     if A0 is not None and t.linear:
         raise DomainError("A0 is not supported on representations: the "
@@ -524,7 +526,7 @@ def check_hamidoune(obj: GroupAction | Representation, Y, lam, A0=None
         fold = t.fold(range(n), "linear variant enumerates all actor sets")
         mu = Fraction(*fold.min_ratio()[:2])
     else:
-        mu = min_image_ratio(obj, t.Y).mu  # kept on the action
+        mu = group_image_ratio(obj, t.Y)
     if not 0 <= lam <= mu:
         raise DomainError(
             f"lambda must lie in [0, mu] = [0, {format_fraction(mu)}]; "
@@ -578,14 +580,12 @@ def check_hamidoune(obj: GroupAction | Representation, Y, lam, A0=None
 
 
 def find_petridis_witness(obj: GroupAction | Representation, A, Y, alpha,
-                          *, samples: int | None = None,
-                          seed: int | None = None) -> CheckReport:
+                          *, seed: int | None = None) -> CheckReport:
     """|A.Y| <= alpha|A| yields B inside A with |CB.Y| <= alpha|CB| for all C.
 
     B minimises |C.Y|/|C| over nonempty C inside A (ties: smallest
     cardinality, then lexicographic).
     """
-    _check_samples(samples)
     alpha = exact_fraction(alpha)
     if alpha < 0:
         raise DomainError("alpha must be nonnegative")
@@ -605,7 +605,7 @@ def find_petridis_witness(obj: GroupAction | Representation, A, Y, alpha,
     counterexample, exh = _forall_actor_sets(
         t.side(t.translates(BY)),
         _masks([_mask_of(G.translate_set(c, B)) for c in range(G.order)]),
-        alpha, samples, seed)
+        alpha, seed)
 
     holds = counterexample is None and ratio <= alpha
     return CheckReport(
@@ -631,7 +631,7 @@ def check_tao_small_doubling(action: GroupAction, A, Y, eps) -> CheckReport:
         raise DomainError("epsilon must be positive")
     A = _group_subset(G, A)
     Y = _point_subset(action, Y)
-    mu = min_image_ratio(action, Y).mu
+    mu = group_image_ratio(action, Y)
     AY = action.act_set(A, Y)
     clauses = {
         "actor_at_least_target": len(A) >= len(Y),
@@ -670,14 +670,13 @@ def check_tao_small_doubling(action: GroupAction, A, Y, eps) -> CheckReport:
 
 
 def find_taod_witness(obj: GroupAction | Representation, A, Y, alpha,
-                      *, n_max: int = 5, samples: int | None = None,
-                      seed: int | None = None) -> CheckReport:
+                      *, n_max: int = 5, seed: int | None = None
+                      ) -> CheckReport:
     """Abelian G, |A.Y| <= alpha|Y|: some nonempty Z inside Y has
     |AC.Z| <= alpha|C.Z| for all C and |A^n.Z| <= alpha^n |Z|.
 
     Z minimises |A.Z|/|Z| over the nonempty subsets of Y, or over the
     nonzero subspaces of W (ties: smallest size, then lexicographic)."""
-    _check_samples(samples)
     alpha = exact_fraction(alpha)
     if alpha < 0:
         raise DomainError("alpha must be nonnegative")
@@ -713,8 +712,7 @@ def find_taod_witness(obj: GroupAction | Representation, A, Y, alpha,
         ratio = Fraction(p, q)
     CZ = t.translates(Z)
     counterexample, exh = _forall_actor_sets(
-        t.side([t.image(A, cz) for cz in CZ]), t.side(CZ),
-        alpha, samples, seed)
+        t.side([t.image(A, cz) for cz in CZ]), t.side(CZ), alpha, seed)
 
     powers = {k: Fraction(t.size(t.image(G.product_power(A, k), Z)))
               <= alpha ** k * t.size(Z) for k in range(1, n_max + 1)}

@@ -1,7 +1,9 @@
 """Scenario validation, report serialization, exit codes, determinism."""
 
+import io
 import json
 import os
+import sys
 import time
 from fractions import Fraction
 
@@ -504,6 +506,69 @@ def test_cli_search_and_report_csv(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "kind,cursor,statement_id,conclusion_holds"
     assert len(lines) == 1 + doc["stats"]["findings"]
+
+
+def _report_csv(doc, capsys, monkeypatch) -> list[str]:
+    """`report --format csv` of `doc` read from stdin, as lines."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert main(["report", "--format", "csv"]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_report_csv_rows_of_a_run_report(tmp_path, capsys, monkeypatch):
+    # a checker task gives its verdict row, a mu result its value
+    path = _write(tmp_path, dict(_minimal(), tasks=[
+        {"task": "kneser", "A": "A", "Y": "Y"}, {"task": "mu", "Y": "Y"}]))
+    assert main(["run", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert _report_csv(doc, capsys, monkeypatch) == [
+        "index,task,hypotheses_hold,conclusion_holds,exhaustiveness,summary",
+        "0,kneser,True,True,exhaustive,kneser",
+        "1,mu,,,,1/2"]
+
+
+def test_report_csv_rows_of_a_search_report(capsys, monkeypatch):
+    assert main(["search", "--family", "affine_natural", "--predicate",
+                 "kneser", "--budget", "10", "--seed", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert _report_csv(doc, capsys, monkeypatch) == [
+        "kind,cursor,statement_id,conclusion_holds",
+        "finding,3,kneser,False", "finding,8,kneser,False"]
+
+
+@pytest.mark.parametrize("case", [
+    "report_missing_in", "report_stdin_not_json", "run_not_utf8", "run_out",
+    "search_out", "report_out", "csv_result_not_object",
+    "csv_finding_without_keys"])
+def test_unreadable_input_or_output_exits_2(case, tmp_path, capsys,
+                                           monkeypatch):
+    # one line on stderr, no traceback, and exit 2: exit 1 is kept for a
+    # violated statement
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"results": [1]} if case ==
+                                 "csv_result_not_object" else
+                                 {"findings": [{"kind": "finding"}]}))
+    monkeypatch.setattr(sys, "stdin", io.StringIO("not json"))
+    nowhere = str(tmp_path / "no_such_dir" / "out.json")
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b"\xff\xfe")
+    argv = {
+        "report_missing_in": ["report", "--in", str(tmp_path / "missing")],
+        "report_stdin_not_json": ["report"],
+        "run_not_utf8": ["run", str(latin1)],
+        "run_out": ["run", _write(tmp_path, _minimal()), "--out", nowhere],
+        "search_out": ["search", "--family", "cyclic_translation",
+                       "--predicate", "kneser", "--budget", "2",
+                       "--out", nowhere],
+        "report_out": ["report", "--in", str(report), "--out", nowhere],
+        "csv_result_not_object": ["report", "--format", "csv",
+                                  "--in", str(report)],
+        "csv_finding_without_keys": ["report", "--format", "csv",
+                                     "--in", str(report)]}[case]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_search_seed_defaults_to_the_seed_cap(tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ import functools
 import itertools
 import operator
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,17 +15,18 @@ from hypothesis import strategies as st
 from subaction import _kernels, config, setfuncs
 from subaction.actions import (coset_action, conjugation_action,
                                left_translation_action,
-                               natural_action)
+                               natural_action, product_action)
 from subaction.errors import (CapacityError, DomainError, InvariantError,
                               StructuralError)
 from subaction.groups import (affine_gl1, alternating, cyclic, dihedral,
                               direct_product, symmetric)
 from subaction.perms import from_cycles
 from subaction.search import FAMILIES, build_action, build_group
-from subaction.setfuncs import (SetFunction, actor_growth, actor_growth_cut,
-                                check_invariance,
+from subaction.setfuncs import (Exhaustiveness, SetFunction, actor_growth,
+                                actor_growth_cut, check_invariance,
                                 check_submodular, cone_combination, core_set,
-                                cut_function, identity_atom, min_image_ratio,
+                                cut_function, group_image_ratio,
+                                identity_atom, min_image_ratio,
                                 minimize_nonempty, subtract_modular,
                                 target_growth)
 from subaction.setfuncs import _scaled_table
@@ -135,30 +137,54 @@ def test_sampled_checks_report_the_seed_they_used():
     # rerunning with the reported seed and count replays the same verdict
     f = SetFunction(17, "square-size",
                     fn=lambda m: Fraction(bin(m).count("1") ** 2))
-    rep = check_submodular(f, samples=50)
-    assert rep.checked.seed == config.cap("DEFAULT_SEED")
+    with config.overrides({"SAMPLE_COUNT": 50}):
+        rep = check_submodular(f)
+    assert rep.checked == Exhaustiveness(
+        "sampled", 50, config.cap("DEFAULT_SEED"))
     assert not rep.holds
-    assert check_submodular(f, samples=rep.checked.samples,
-                            seed=rep.checked.seed) == rep
+    with config.overrides({"SAMPLE_COUNT": rep.checked.samples}):
+        assert check_submodular(f, seed=rep.checked.seed) == rep
     action = left_translation_action(cyclic(17))
     g = SetFunction(17, "low-bit", fn=lambda m: Fraction(m & 1))
-    rep = check_invariance(g, action, samples=50)
-    assert rep.checked.seed == config.cap("DEFAULT_SEED")
+    with config.overrides({"SAMPLE_COUNT": 50}):
+        rep = check_invariance(g, action)
+    assert rep.checked == Exhaustiveness(
+        "sampled", 50, config.cap("DEFAULT_SEED"))
     assert not rep.holds
-    assert check_invariance(g, action, samples=rep.checked.samples,
-                            seed=rep.checked.seed) == rep
+    with config.overrides({"SAMPLE_COUNT": rep.checked.samples}):
+        assert check_invariance(g, action, seed=rep.checked.seed) == rep
 
 
-@pytest.mark.parametrize("bad", [0, -5])
-def test_sampled_checks_refuse_samples_below_one(bad):
-    # ground 24 is above MAX_SUBMODULAR_EXHAUSTIVE: a count below one would
-    # otherwise check nothing and report that the property holds
-    action = left_translation_action(cyclic(24))
-    f = actor_growth(action, (0,), "1/2")
-    with pytest.raises(DomainError, match="samples must be at least 1"):
-        check_submodular(f, samples=bad)
-    with pytest.raises(DomainError, match="samples must be at least 1"):
-        check_invariance(f, action, samples=bad)
+def test_exhaustive_property_checks_refuse_past_the_kernel_ground_size(
+        monkeypatch):
+    # a raised cap does not reach the 2^27 table: both checks refuse first
+    def no_table(f):
+        raise AssertionError("the 2^n table was built")
+
+    monkeypatch.setattr(setfuncs, "_scaled_table", no_table)
+    action = left_translation_action(cyclic(27))
+    f = cut_function(action)
+    with config.overrides({"MAX_SUBMODULAR_EXHAUSTIVE": 40}):
+        with pytest.raises(CapacityError, match="kernel ground size"):
+            check_submodular(f)
+        with pytest.raises(CapacityError, match="kernel ground size"):
+            check_invariance(f, action)
+
+
+def test_exhaustive_invariance_memory_is_a_few_tables():
+    # n = 16: the remapped masks take one 2^n int64 array per check, not a
+    # 2^n x n bit matrix; measured 3.1 tables at peak
+    action = left_translation_action(cyclic(16))
+    f = cut_function(action)
+    table, _den = _scaled_table(f)
+    tracemalloc.start()
+    try:
+        rep = check_invariance(f, action)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.holds and rep.checked.kind == "exhaustive"
+    assert peak < 4 * table.nbytes
 
 
 def test_submodularity_counterexample_reported():
@@ -447,7 +473,7 @@ def test_mu_empty_target_rejected():
 def test_dinkelbach_iteration_bound():
     action = natural_action(symmetric(4))
     res = min_image_ratio(action, (0, 1))
-    assert 0 < res.dinkelbach_iterations <= 24 * 4 + 3
+    assert res.dinkelbach_iterations == 1
 
 
 def _count_fold_builds(monkeypatch) -> list:
@@ -470,14 +496,12 @@ def test_mu_and_hamidoune_build_each_fold_once(monkeypatch):
     action = natural_action(G)
     min_image_ratio(action, Y)
     # the exhaustive route's, over the 4 cosets of G_Y (order 2) other
-    # than G_Y itself; Dinkelbach cuts
+    # than G_Y itself; the dinkelbach route cuts
     assert builds == [4]
-    min_image_ratio(action, Y)
-    assert builds == [4]  # kept on the action
     builds.clear()
     rep = check_hamidoune(natural_action(G), Y, mu / 2)
     assert rep.conclusion_holds
-    assert builds == [4]  # mu's; c_Y is minimised by a cut
+    assert builds == []  # mu is |G.Y|/|G|; c_Y is minimised by a cut
 
 
 def test_mu_routes_follow_cap_override_on_one_action(monkeypatch):
@@ -490,7 +514,44 @@ def test_mu_routes_follow_cap_override_on_one_action(monkeypatch):
     assert set(second.methods) == {"subgroups", "dinkelbach"}
     assert second.mu == first.mu
     monkeypatch.delenv("SUBACTION_MAX_EXHAUSTIVE_GROUND")
-    assert min_image_ratio(action, (0,)) is first
+    assert min_image_ratio(action, (0,)) == first
+
+
+@functools.cache
+def _mu_actions() -> list:
+    """The action of every search family entry, a coset action, and
+    product actions with three orbits."""
+    specs = {repr(spec): spec for entries in FAMILIES.values()
+             for spec in entries}
+    D6 = dihedral(6)
+    return [build_action(build_group(gspec), aspec)
+            for gspec, aspec in specs.values()] + [
+        coset_action(D6, next(K for K in D6.subgroups() if K.order == 2)),
+        product_action(natural_action(cyclic(2)),
+                       conjugation_action(cyclic(3))),
+        product_action(natural_action(dihedral(4)),
+                       conjugation_action(symmetric(3)))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_group_image_ratio_is_mu(data):
+    # |G.Y| / |G| is every route's mu, and for |G| <= 12 the minimum of
+    # |A.Y| / |A| over every nonempty A
+    action = data.draw(st.sampled_from(_mu_actions()))
+    n, d = action.group.order, action.domain_size
+    Y = sorted(data.draw(st.sets(st.integers(0, d - 1), min_size=1,
+                                 max_size=min(d, 5)), label="Y"))
+    mu = group_image_ratio(action, Y)
+    res = min_image_ratio(action, Y)
+    assert res.mu == mu
+    assert {m["value"] for m in res.methods.values()} == {mu}
+    if n <= 12:
+        images = [_mask_of(row) for row in action.table[:, Y].tolist()]
+        assert mu == min(
+            Fraction(functools.reduce(operator.or_, (
+                images[g] for g in _set_of(m))).bit_count(), m.bit_count())
+            for m in range(1, 1 << n))
 
 
 @functools.cache

@@ -15,14 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subaction import config, setfuncs, theorems
+from subaction._kernels import SubsetFold
 from subaction.actions import (conjugation_action, left_translation_action,
                                natural_action)
 from subaction.cli import _dump, to_jsonable
 from subaction.errors import CapacityError, DomainError, StructuralError
-from subaction.groups import cyclic, dihedral, direct_product, symmetric
+from subaction.groups import (FiniteGroup, cyclic, dihedral, direct_product,
+                              symmetric)
 from subaction.linalg import (Representation, Subspace, actor_growth_linear,
                               enumerate_subspaces, permutation_representation,
                               representation_from_generator_matrices)
+from subaction.search import search
 from subaction.setfuncs import Exhaustiveness, identity_atom
 from subaction.theorems import (STATEMENT_IDS, check_fragment_bounds,
                                 check_freiman, check_hamidoune, check_kneser,
@@ -495,7 +498,8 @@ def test_petridis_sampled_above_order_cap():
     G = dihedral(8)  # order 16 > 14
     action = left_translation_action(G)
     A = tuple(range(16))
-    rep = find_petridis_witness(action, A, (0,), "1", samples=60, seed=2)
+    with config.overrides({"SAMPLE_COUNT": 60}):
+        rep = find_petridis_witness(action, A, (0,), "1", seed=2)
     assert rep.conclusion_holds
     assert rep.exhaustiveness.kind == "sampled"
 
@@ -512,8 +516,8 @@ def test_petridis_linear_sampled_uses_the_given_seed_and_samples():
     rep_obj = permutation_representation(
         left_translation_action(cyclic(15)), 2)
     W = Subspace.from_vectors(2, 15, [[1] + [0] * 14])
-    rep = find_petridis_witness(rep_obj, (0, 1), W, "3", samples=40,
-                                seed=12345)
+    with config.overrides({"SAMPLE_COUNT": 40}):
+        rep = find_petridis_witness(rep_obj, (0, 1), W, "3", seed=12345)
     assert rep.hypotheses_hold and rep.conclusion_holds
     assert rep.exhaustiveness == Exhaustiveness("sampled", 40, 12345)
 
@@ -619,6 +623,30 @@ def test_tao_doubling_epsilon_positive():
     action = left_translation_action(cyclic(4))
     with pytest.raises(DomainError):
         check_tao_small_doubling(action, (0,), (0,), "0")
+
+
+def test_hamidoune_and_tao_doubling_build_no_lattice_and_no_fold(
+        monkeypatch):
+    # mu is |G.Y| / |G| and H comes from one cut: neither checker, nor a
+    # hamidoune search, enumerates subgroups or folds subsets
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for cls, name in ((FiniteGroup, "subgroups"), (SubsetFold, "__init__")):
+        monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+    rep = check_hamidoune(natural_action(symmetric(4)), (0,), "1/12")
+    assert rep.conclusion_holds
+    rep = check_tao_small_doubling(left_translation_action(cyclic(6)),
+                                   (0, 3), (0, 3), "1")
+    assert rep.hypotheses_hold and rep.conclusion_holds
+    res = search("symmetric_natural", "hamidoune", 30, 7)
+    assert res.hypotheses_held == 30 and not res.violations
+    assert calls == []
 
 
 def test_petridis_witness_search_names_the_ground_cap(monkeypatch):
@@ -731,7 +759,8 @@ def test_taod_linear_witness_matches_the_ambient_scan(data):
     if W.is_zero():
         return
     alpha = Fraction(rep_obj.module_span(A, W).dim, W.dim)
-    report = find_taod_witness(rep_obj, A, W, alpha, n_max=1, samples=20)
+    with config.overrides({"SAMPLE_COUNT": 20}):
+        report = find_taod_witness(rep_obj, A, W, alpha, n_max=1)
     ratio = Z = None
     for S in enumerate_subspaces(p, d):
         if not S.is_zero() and S <= W:
@@ -748,8 +777,8 @@ def test_taod_linear_sampled_uses_the_given_seed_and_samples():
     rep_obj = representation_from_generator_matrices(
         cyclic(16), 2, [np.array([[1, 1], [0, 1]])])
     W = Subspace.from_vectors(2, 2, [[1, 0]])
-    rep = find_taod_witness(rep_obj, (0, 1), W, "1", n_max=2, samples=40,
-                            seed=12345)
+    with config.overrides({"SAMPLE_COUNT": 40}):
+        rep = find_taod_witness(rep_obj, (0, 1), W, "1", n_max=2, seed=12345)
     assert rep.hypotheses_hold and rep.conclusion_holds
     assert rep.exhaustiveness == Exhaustiveness("sampled", 40, 12345)
 
@@ -883,7 +912,7 @@ def test_forall_actor_sets_matches_brute_force(data):
         real = theorems.check_pair_ratio
         mp.setattr(theorems, "check_pair_ratio",
                    lambda *args: calls.append(1) or real(*args))
-        got = _forall(left, right, alpha, None, None)
+        got = _forall(left, right, alpha, None)
         assert got == (expected, Exhaustiveness("exhaustive"))
         # every side, wide masks and subspaces included, is compared by the
         # one comparator, in one chunk at this size
@@ -893,15 +922,16 @@ def test_forall_actor_sets_matches_brute_force(data):
             # the same sets 64 bits up: the folds of sizes by doubling must
             # agree with the kernel's mask folds
             wide = _forall([m << 64 for m in left],
-                           [m << 64 for m in right], alpha, None, None)
+                           [m << 64 for m in right], alpha, None)
             assert calls == [1, 1] and wide == got
 
     samples, seed = data.draw(st.integers(1, 40)), data.draw(st.integers(0, 99))
     rows = data.draw(st.integers(1, 3))
-    with config.overrides({"PETRIDIS_EXHAUSTIVE_MAX_ORDER": 0}), \
+    with config.overrides({"PETRIDIS_EXHAUSTIVE_MAX_ORDER": 0,
+                           "SAMPLE_COUNT": samples}), \
             pytest.MonkeyPatch.context() as mp:
         _small_chunks(mp, rows)
-        got = _forall(left, right, alpha, samples, seed)
+        got = _forall(left, right, alpha, seed)
     exh = Exhaustiveness("sampled", samples, seed)
     assert got == (_brute_first_violation(
         left, right, alpha, _reference_stream(n, samples, seed)), exh)
@@ -917,14 +947,15 @@ def test_forall_actor_sets_exact_for_alpha_past_int64(alpha, data):
     n = data.draw(st.integers(1, 6))
     left, right = _verifier_table(data, n), _verifier_table(data, n)
     ascending = [[c for c in range(n) if m >> c & 1] for m in range(1, 1 << n)]
-    assert _forall(left, right, alpha, None, None) == (
+    assert _forall(left, right, alpha, None) == (
         _brute_first_violation(left, right, alpha, ascending),
         Exhaustiveness("exhaustive"))
     samples, seed = data.draw(st.integers(1, 40)), data.draw(st.integers(0, 99))
-    with config.overrides({"PETRIDIS_EXHAUSTIVE_MAX_ORDER": 0}), \
+    with config.overrides({"PETRIDIS_EXHAUSTIVE_MAX_ORDER": 0,
+                           "SAMPLE_COUNT": samples}), \
             pytest.MonkeyPatch.context() as mp:
         _small_chunks(mp, data.draw(st.integers(1, 3)))
-        got = _forall(left, right, alpha, samples, seed)
+        got = _forall(left, right, alpha, seed)
     assert got == (_brute_first_violation(
         left, right, alpha, _reference_stream(n, samples, seed)),
         Exhaustiveness("sampled", samples, seed))
@@ -948,7 +979,8 @@ def _reference_stream(n, samples, seed):
 
 def test_sampled_sets_chunk_the_reference_stream(monkeypatch):
     monkeypatch.setattr(theorems, "_chunk_rows", lambda width: 3)
-    chunks, exh = theorems._sampled_sets(70, 10, 5)
+    with config.overrides({"SAMPLE_COUNT": 10}):
+        chunks, exh = theorems._sampled_sets(70, 5)
     assert exh == Exhaustiveness("sampled", 10, 5)
     got = [list(theorems._set_of(m)) for m in itertools.chain(*chunks)]
     assert [sorted(C) for C in got] == list(_reference_stream(70, 10, 5))
@@ -968,10 +1000,11 @@ def test_sampled_for_all_c_matches_the_scalar_stream(data):
     alpha = Fraction(data.draw(st.integers(0, 4)), data.draw(st.integers(1, 3)))
     samples, seed = data.draw(st.integers(1, 30)), data.draw(st.integers(0, 99))
     rows = data.draw(st.integers(1, 3))
-    with config.overrides({"PETRIDIS_EXHAUSTIVE_MAX_ORDER": 0}), \
+    with config.overrides({"PETRIDIS_EXHAUSTIVE_MAX_ORDER": 0,
+                           "SAMPLE_COUNT": samples}), \
             pytest.MonkeyPatch.context() as mp:
         _small_chunks(mp, rows)
-        got = _forall(left, right, alpha, samples, seed)
+        got = _forall(left, right, alpha, seed)
     assert got == (_brute_first_violation(
         left, right, alpha, _reference_stream(n, samples, seed)),
         Exhaustiveness("sampled", samples, seed))
@@ -983,13 +1016,14 @@ def test_sampled_comparison_stays_exact_past_int64():
     # tips the comparison only through its low bit
     table = [1 << c for c in range(20)]
     tiny, wide = Fraction(1, 2 ** 61), Fraction(2 ** 60 + 1, 2 ** 60)
-    with config.overrides({"PETRIDIS_EXHAUSTIVE_MAX_ORDER": 0}):
+    with config.overrides({"PETRIDIS_EXHAUSTIVE_MAX_ORDER": 0,
+                           "SAMPLE_COUNT": 50}):
         for seed in range(10):
             C = frozenset(next(_reference_stream(20, 1, seed)))
-            assert _forall(table, table, tiny, 50, seed) \
+            assert _forall(table, table, tiny, seed) \
                 == ({"C": C, "lhs": len(C), "rhs": tiny * len(C)},
                     Exhaustiveness("sampled", 50, seed))
-            assert _forall(table, table, wide, 50, seed)[0] is None
+            assert _forall(table, table, wide, seed)[0] is None
 
 
 @functools.cache
@@ -1006,7 +1040,7 @@ def test_sampled_stream_is_drawn_lazily():
     started = time.perf_counter()
     try:
         with config.overrides(caps):
-            first, exh = _forall(table, [0] * 70, Fraction(1), None, 3)
+            first, exh = _forall(table, [0] * 70, Fraction(1), 3)
         elapsed = time.perf_counter() - started
         _current, peak = tracemalloc.get_traced_memory()
     finally:
@@ -1071,18 +1105,9 @@ def test_sampled_reports_replay_from_their_seed_and_samples(data):
         assert not first.hypotheses_hold
         return
     assert first.exhaustiveness == Exhaustiveness("sampled", samples, seed)
-    again = check(samples=first.exhaustiveness.samples,
-                  seed=first.exhaustiveness.seed)
+    with config.overrides({"SAMPLE_COUNT": first.exhaustiveness.samples}):
+        again = check(seed=first.exhaustiveness.seed)
     assert _dump(to_jsonable(again)) == _dump(to_jsonable(first))
-
-
-@pytest.mark.parametrize("bad", [0, -5])
-def test_samples_below_one_are_refused(bad):
-    with pytest.raises(DomainError, match="samples must be at least 1"):
-        find_petridis_witness(_translation(16), (0,), (0,), "1",
-                              samples=bad)
-    with pytest.raises(DomainError, match="samples must be at least 1"):
-        find_taod_witness(_translation(15), (0,), (0,), "1", samples=bad)
 
 
 # -- set and linear variants agree -------------------------------------------------
@@ -1173,7 +1198,7 @@ def test_set_and_linear_variants_agree_on_coordinate_subspaces(data):
                                      for y in Y])
     alpha = Fraction(data.draw(st.integers(1, 4)), 4)
     growth = Fraction(data.draw(st.integers(2, 12)), 4)
-    kw = {"samples": 20, "seed": data.draw(st.integers(0, 9))}
+    kw = {"seed": data.draw(st.integers(0, 9))}
     statements = {
         "murphy": lambda obj, T: check_murphy(obj, A, T),
         "small_growth": lambda obj, T: check_small_growth(obj, A, T, alpha),
@@ -1189,7 +1214,8 @@ def test_set_and_linear_variants_agree_on_coordinate_subspaces(data):
         statements["taod"] = lambda obj, T: find_taod_witness(
             obj, A, T, growth, n_max=2, **kw)
     for statement, check in statements.items():
-        on_set, on_w = check(action, Y), check(rep_obj, W)
+        with config.overrides({"SAMPLE_COUNT": 20}):
+            on_set, on_w = check(action, Y), check(rep_obj, W)
         _assert_keys(statement, on_set, linear=False)
         _assert_keys(statement, on_w, linear=True)
         assert on_w.hypotheses_hold == on_set.hypotheses_hold
