@@ -4,13 +4,13 @@ A fold holds, for each subset S of n <= ``MAX_N`` ground points in
 ascending subset-bitmask order, the size of its join (``pops``) and its
 cardinality (``cards``), one byte each while the sizes fit a byte.
 
-Build. A fold is built from masks or from a size table. For bit masks
-(sets over at most 64 points) the join is the union, with a base mask
-if one is given: the unions of the low (at most ``_LOW_BITS``) masks are
-built once by doubling, and each block of subsets sharing its high bits
-ORs its high union into them, so no 2^n-word union table exists.
-``SubsetFold.from_sizes`` takes the join sizes as given, such as the
-dimensions of spans of subspaces.
+Build. A fold is built from masks or from a size table. Masks of any
+width are rows of 64-point words (`words`); the join is the union, with
+a base mask if one is given, and its size sums its words' popcounts. The
+unions of the low masks are built once by doubling in a block of at most
+2^``_LOW_BITS`` words, and each block of subsets sharing its high bits
+ORs its high union into them. ``SubsetFold.from_sizes`` takes the join
+sizes as given, such as the dimensions of spans of subspaces.
 
 Queries. Both queries depend on a subset S only through the pair
 (join size, |S|). The first query counts the subsets in each bin; the
@@ -51,6 +51,13 @@ def _lex_min(subsets: np.ndarray) -> int:
     return int(subsets[0])
 
 
+def words(masks, count: int) -> np.ndarray:
+    """The len(masks) x count uint64 array whose row i holds the 64-point
+    words of the nonnegative int masks[i], low word first."""
+    return np.ndarray((len(masks), count), "<u8", b"".join(
+        [m.to_bytes(8 * count, "little") for m in masks]))
+
+
 class SubsetFold:
     """Caches join sizes and cardinalities for repeated exact-min queries.
 
@@ -62,34 +69,37 @@ class SubsetFold:
         n = len(masks)
         if not 1 <= n <= MAX_N:
             raise ValueError(f"need 1 <= n <= {MAX_N}, got {n}")
-        if any(m < 0 or m >> 64 for m in [*masks, base]):
-            raise ValueError("masks must fit in 64 bits")
         self.n = n
         self.masks = [int(m) for m in masks]
-        self._top = functools.reduce(operator.or_, self.masks,
-                                     int(base)).bit_count()
-        low = min(n, _LOW_BITS)
+        top = functools.reduce(operator.or_, self.masks, int(base))
+        if top < 0:
+            raise ValueError("masks must be nonnegative")
+        self._top = top.bit_count()
+        count = max(1, -(-top.bit_length() // 64))
+        rows = words([*self.masks, int(base)], count)
+        low = min(n, max(0, _LOW_BITS - (count - 1).bit_length()))
         block = 1 << low
-        marr = np.asarray(self.masks, dtype=np.uint64)
-        unions = np.zeros(block, dtype=np.uint64)
-        unions[0] = base
-        self.pops = np.empty(1 << n, dtype=np.uint8)
-        self.cards = np.zeros(1 << n, dtype=np.uint8)
-        cards = self.cards[:block]
-        for b in range(low):
-            half = 1 << b
-            np.bitwise_or(unions[:half], marr[b], out=unions[half:2 * half])
-            np.add(cards[:half], 1, out=cards[half:2 * half])
-        np.bitwise_count(unions, out=self.pops[:block])
-        high_unions = [0]
-        for m in self.masks[low:]:
-            high_unions += [u | m for u in high_unions]
+        self.pops = np.empty(1 << n, dtype=np.min_scalar_type(self._top))
+        self.cards = np.empty(1 << n, dtype=np.uint8)
+        cards = np.bitwise_count(np.arange(block, dtype=np.uint32),
+                                 out=self.cards[:block])
+        unions = np.empty((count, block), dtype=np.uint64)
+        for union, bits in zip(unions, rows.T):  # one word at a time
+            union[0] = bits[n]
+            for b in range(low):
+                half = 1 << b
+                np.bitwise_or(union[:half], bits[b],
+                              out=union[half:2 * half])
+        np.add.reduce(np.bitwise_count(unions), out=self.pops[:block])
         scratch = np.empty_like(unions) if n > low else None
-        for high in range(1, len(high_unions)):
+        for high in range(1, 1 << (n - low)):
             lo = high << low
-            np.bitwise_or(unions, np.uint64(high_unions[high]), out=scratch)
-            np.bitwise_count(scratch, out=self.pops[lo:lo + block])
-            np.add(cards, high.bit_count(), out=self.cards[lo:lo + block])
+            held = [low + i for i in range(n - low) if high >> i & 1]
+            np.bitwise_or(unions, np.bitwise_or.reduce(rows[held])[:, None],
+                          out=scratch)
+            np.add.reduce(np.bitwise_count(scratch),
+                          out=self.pops[lo:lo + block])
+            np.add(cards, len(held), out=self.cards[lo:lo + block])
         self._bins = None
 
     @classmethod
@@ -187,11 +197,10 @@ class SubsetFold:
                     for b, v in zip(bins, (self.pops[0], 0, 1))]
         pops, cards, counts = bins
         scale = math.lcm(*range(1, self.n + offset + 1))
-        keys = pops * (scale // (cards + offset))
-        on = keys == keys.min()
-        card = int(cards[on].min())
-        best = np.flatnonzero(on & (cards == card))[0]
-        pop, remaining = int(pops[best]), int(counts[best])
+        # the least ratio, then the least cardinality: one bin
+        best = np.lexsort((cards, pops * (scale // (cards + offset))))[0]
+        pop, card, remaining = int(pops[best]), int(cards[best]), \
+            int(counts[best])
         winners = []
         for lo in range(0, 1 << self.n, _CHUNK):
             if not remaining:

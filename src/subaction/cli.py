@@ -200,6 +200,8 @@ def parse_scenario(text: str) -> dict:
     except json.JSONDecodeError as e:
         raise ScenarioError(
             f"line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except RecursionError:
+        raise ScenarioError("document nested too deeply to decode") from None
     if not isinstance(sc, dict):
         raise ScenarioError("scenario must be a JSON object")
     _check_keys("scenario", sc, _TOP_KEYS)
@@ -494,9 +496,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "report":
             if args.in_path:
                 with open(args.in_path, encoding="utf-8") as fh:
-                    doc = json.load(fh)
+                    text = fh.read()
             else:
-                doc = json.load(sys.stdin)
+                text = sys.stdin.read()
+            try:
+                doc = json.loads(text)
+            except RecursionError:
+                raise ScenarioError("report document nested too deeply to "
+                                    "decode") from None
             if args.format == "csv":
                 _emit(_to_csv(doc), args.out)
             else:

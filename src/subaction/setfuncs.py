@@ -22,13 +22,11 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import config
-from ._kernels import MAX_COEFF, MAX_N, SubsetFold
+from ._kernels import MAX_COEFF, MAX_N, SubsetFold, words
 from .actions import GroupAction
 from .errors import CapacityError, DomainError, InvariantError, StructuralError
 from .groups import _PRODUCT_BLOCK, FiniteGroup, Subgroup
 from .rationals import exact_fraction, format_fraction
-
-_MASK_LIMIT = 64  # kernel masks are uint64
 
 
 def _mask_of(points: Iterable[int]) -> int:
@@ -40,18 +38,8 @@ def _mask_of(points: Iterable[int]) -> int:
 
 def _chunk_rows(width: int) -> int:
     """Rows per chunk: a chunk's rows x width bit block holds at most
-    _PRODUCT_BLOCK / 8 entries, so the int64 indices of its set bits take
-    at most _PRODUCT_BLOCK bytes."""
+    _PRODUCT_BLOCK / 8 entries."""
     return max(1, _PRODUCT_BLOCK // (8 * max(1, width)))
-
-
-def _bits(masks: Sequence[int], width: int) -> np.ndarray:
-    """The len(masks) x width bool matrix with bit b of masks[i] at [i, b]."""
-    size = (width + 7) // 8
-    raw = np.frombuffer(b"".join(m.to_bytes(size, "little") for m in masks),
-                        dtype=np.uint8).reshape(len(masks), size)
-    return np.unpackbits(raw, axis=1, count=width,
-                         bitorder="little").view(bool)
 
 
 def _union_sizes(table: Sequence[int]) -> Callable[[Sequence[int]],
@@ -60,30 +48,28 @@ def _union_sizes(table: Sequence[int]) -> Callable[[Sequence[int]],
     maps masks C over the table's indices to the int64 array of
     |union of table[c], c in C|.
 
-    The table is held as a (len(table) x k) array of its set bits, padded
-    with a spare column `width`; the bits of each C pick table rows whose
-    points are scattered into a rows x (width + 1) bool block, one chunk
-    of `_chunk_rows` rows at a time.
+    The table is held as rows of 64-point words. For each chunk of
+    `_chunk_rows` masks C, the bits of C are unpacked, each element's row
+    is ORed into the unions of the C that hold it, and the unions' words
+    are popcounted.
     """
-    n, width = len(table), max(table).bit_length()
-    k = max(m.bit_count() for m in table)
-    points = np.full((n, k), width, dtype=np.intp)
-    step = _chunk_rows(width)
-    for lo in range(0, n, step):
-        rows, cols = np.nonzero(_bits(table[lo:lo + step], width))
-        points[lo + rows, np.arange(rows.size)
-               - np.searchsorted(rows, rows)] = cols
-    step = _chunk_rows(max(n, width))
+    n = len(table)
+    count = max(1, -(-max(table).bit_length() // 64))
+    rows = words(table, count)
+    step = _chunk_rows(max(n, 64 * count))
 
     def sizes(masks: Sequence[int]) -> np.ndarray:
         out = np.empty(len(masks), dtype=np.int64)
         for lo in range(0, len(masks), step):
             chunk = masks[lo:lo + step]
-            rows, cols = np.nonzero(_bits(chunk, n))
-            block = np.zeros((len(chunk), width + 1), dtype=bool)
-            for j in range(k):
-                block[rows, points[cols, j]] = True
-            out[lo:lo + step] = np.count_nonzero(block[:, :width], axis=1)
+            holds = np.unpackbits(words(chunk, -(-n // 64)).view(np.uint8),
+                                  axis=1, count=n, bitorder="little"
+                                  ).view(bool)
+            unions = np.zeros((len(chunk), count), dtype=np.uint64)
+            for c in range(n):
+                np.bitwise_or(unions, rows[c], out=unions,
+                              where=holds[:, c, None])
+            out[lo:lo + step] = np.bitwise_count(unions).sum(axis=1)
         return out
     return sizes
 
@@ -93,12 +79,11 @@ def _fits_kernel(lam: Fraction) -> bool:
     return max(abs(lam.numerator), lam.denominator) < MAX_COEFF
 
 
-def _check_ground(cap_name: str, size: int, hint: str = "", points: int = 0
-                  ) -> None:
-    """Refuse a subset enumeration over `size` elements, on masks over
-    `points` points, past the cap `cap_name` or past the subset-fold
-    kernel's fixed limits of MAX_N elements and _MASK_LIMIT points, which
-    no cap override lifts; the refusal names the limit that stopped it."""
+def _check_ground(cap_name: str, size: int, hint: str = "") -> None:
+    """Refuse a subset enumeration over `size` elements past the cap
+    `cap_name` or past the subset-fold kernel's fixed limit of MAX_N
+    elements, which no cap override lifts; the refusal names the limit
+    that stopped it."""
     limit = config.cap(cap_name)
     if size > limit:
         raise CapacityError(cap_name, limit, size, hint=hint)
@@ -106,9 +91,6 @@ def _check_ground(cap_name: str, size: int, hint: str = "", points: int = 0
         + (hint and f"; {hint}")
     if size > MAX_N:
         raise CapacityError("kernel ground size", MAX_N, size, hint=fixed)
-    if points > _MASK_LIMIT:
-        raise CapacityError("kernel mask width", _MASK_LIMIT, points,
-                            hint=fixed)
 
 
 def _set_of(mask: int) -> frozenset[int]:
@@ -253,14 +235,10 @@ def _scaled_table(f: SetFunction) -> tuple[np.ndarray, int]:
     """All 2^n values as (int64 array, denominator): value = table/den. Exact."""
     n = f.ground_size
     size = 1 << n
-    if f.kind == "union":
-        if _fits_kernel(f.lam) and n <= MAX_N and \
-                max(f.union_masks, default=0) < (1 << _MASK_LIMIT):
-            num, den = f.lam.numerator, f.lam.denominator
-            fold = SubsetFold(f.union_masks)
-            table = (fold.pops.astype(np.int64) * den
-                     - fold.cards.astype(np.int64) * num)
-            return table, den
+    if f.kind == "union" and _fits_kernel(f.lam):
+        fold, den = SubsetFold(f.union_masks), f.lam.denominator
+        return (fold.pops.astype(np.int64) * den
+                - fold.cards.astype(np.int64) * f.lam.numerator), den
     if f.kind == "cut":
         # by doubling: cut(S + b) = cut(S) + rowsum[b] - W[b, b]
         #   - sum over w in S of (W[w, b] + W[b, w])
@@ -469,8 +447,7 @@ def minimize_nonempty(f: SetFunction, *, fragment_cap: int | None = None
     n = f.ground_size
     _check_ground("MAX_EXHAUSTIVE_GROUND", n)
     cap = config.cap("FRAGMENT_LIST_CAP") if fragment_cap is None else fragment_cap
-    if f.kind == "union" and _fits_kernel(f.lam) and \
-            max(f.union_masks, default=0) < (1 << _MASK_LIMIT):
+    if f.kind == "union" and _fits_kernel(f.lam):
         return _fold_minimum(SubsetFold(f.union_masks), f.lam, cap, f.label)
     # table path: exact scaled values
     table, den = _scaled_table(f)
@@ -576,8 +553,7 @@ def min_image_ratio(action: GroupAction, Y: Iterable[int]) -> MuResult:
     methods: dict[str, dict] = {}
 
     images = [_mask_of(row) for row in action.table[:, y].tolist()]
-    if n <= config.cap("MAX_EXHAUSTIVE_GROUND") and n <= MAX_N \
-            and action.domain_size <= _MASK_LIMIT:
+    if n <= config.cap("MAX_EXHAUSTIVE_GROUND") and n <= MAX_N:
         methods["exhaustive"] = _coset_union_ratio(images)
 
     if n <= config.cap("MAX_SUBGROUP_ENUM_ORDER"):

@@ -44,7 +44,7 @@ from .errors import DomainError, StructuralError
 from .groups import FiniteGroup, Subgroup, symmetric
 from .linalg import Representation, Subspace, enumerate_subspaces
 from .rationals import exact_fraction, format_fraction
-from .setfuncs import (_EXHAUSTIVE, _MASK_LIMIT, Exhaustiveness,
+from .setfuncs import (_EXHAUSTIVE, Exhaustiveness,
                        _check_ground, _chunk_rows,
                        _fits_kernel, _fold_minimum, _mask_of, _sampling,
                        _set_of, _union_sizes, actor_growth_cut,
@@ -131,9 +131,9 @@ class _Side(NamedTuple):
 
     def fold(self) -> SubsetFold:
         """The fold of the join sizes of every subset: the kernel's mask
-        fold for masks under 64 bits, else the joins of masks m = 0, 1, 2,
-        ... by doubling, each from m without its lowest bit."""
-        if self.join is operator.or_ and max(self.table) >> _MASK_LIMIT == 0:
+        fold for masks, else the joins of subspaces m = 0, 1, 2, ... by
+        doubling, each from m without its lowest bit."""
+        if self.join is operator.or_:
             return SubsetFold(self.table)
         joins = [self.empty]
         for m in range(1, 1 << len(self.table)):
@@ -281,8 +281,7 @@ class _Target:
             _check_ground("LINEAR_EXHAUSTIVE_MAX_ORDER", len(elements), hint)
             images = [self.obj.act_subspace(g, self.Y) for g in elements]
         else:
-            _check_ground("MAX_EXHAUSTIVE_GROUND", len(elements), hint,
-                          self.obj.domain_size)
+            _check_ground("MAX_EXHAUSTIVE_GROUND", len(elements), hint)
             images = self.obj.table[np.ix_(list(elements),
                                            list(self.Y))].tolist()
         return self.side(images).fold()
@@ -511,22 +510,23 @@ def check_hamidoune(obj: GroupAction | Representation, Y, lam, A0=None
     """For lam in [0, mu] there is a subgroup H containing the stabilizer of Y
     with c_Y(A) >= c_Y(H) >= |Y| - lam|H| for every nonempty A.
 
-    On the set side mu is `group_image_ratio`, and one `actor_growth_cut`
-    gives the minimum growth and H, its least minimiser containing e, at
-    every order. On the linear side one fold of g.W gives mu, the minimum
-    growth, its first fragment and H, refused past
-    LINEAR_EXHAUSTIVE_MAX_ORDER. At lam = 0, H is the stabilizer."""
+    mu, the least f(A) / |A| with f(A) = |A.Y| or dim span(A.W), is
+    f(G) / |G| (`group_image_ratio` on the set side): f is monotone,
+    submodular and left-invariant with f(empty) = 0, and each element lies
+    in exactly |A| of the translates gA, so fractional subadditivity gives
+    f(G) <= sum over g of f(gA) / |A| = |G| f(A) / |A|. On the set side one `actor_growth_cut` gives
+    the minimum growth and H, its least minimiser containing e, at every
+    order. On the linear side one fold of g.W, built once lam is known to
+    lie in range, gives the minimum growth, its first fragment and H,
+    refused past LINEAR_EXHAUSTIVE_MAX_ORDER. At lam = 0, H is the
+    stabilizer."""
     t = _Target(obj, Y)
     if A0 is not None and t.linear:
         raise DomainError("A0 is not supported on representations: the "
                           "corollary is stated for actions only")
     G, n = obj.group, obj.group.order
     lam = exact_fraction(lam)
-    if t.linear:
-        fold = t.fold(range(n), "linear variant enumerates all actor sets")
-        mu = Fraction(*fold.min_ratio()[:2])
-    else:
-        mu = group_image_ratio(obj, t.Y)
+    mu = Fraction(t.size(t.image(range(n), t.Y)), n)
     if not 0 <= lam <= mu:
         raise DomainError(
             f"lambda must lie in [0, mu] = [0, {format_fraction(mu)}]; "
@@ -538,14 +538,15 @@ def check_hamidoune(obj: GroupAction | Representation, Y, lam, A0=None
                 f"lambda {format_fraction(lam)} is too wide for the int64 "
                 f"kernel: numerator and denominator must be below "
                 f"{MAX_COEFF}")
-        res = _fold_minimum(fold, lam, 1, f"actor_growth[{obj.name}]")
+        res = _fold_minimum(
+            t.fold(range(n), "linear variant enumerates all actor sets"),
+            lam, 1, f"actor_growth[{obj.name}]")
         minimum, A = res.min_value, res.fragments[0]
         H = identity_atom(None, G, res) if lam else GY
-        cH = fold.union_pop(_mask_of(H.members)) - lam * H.order
     else:
         minimum, A = actor_growth_cut(obj, t.Y, lam)
         H = Subgroup(G, A) if lam else GY
-        cH = obj.image_size(H.member_tuple, t.Y) - lam * H.order
+    cH = t.size(t.image(H.member_tuple, t.Y)) - lam * H.order
     below = None if minimum >= cH else (A, minimum)
     checks = {"stabilizer_in_subgroup": GY.members <= H.members,
               "floor_bound": cH >= t.target_size - lam * H.order,
@@ -704,8 +705,7 @@ def find_taod_witness(obj: GroupAction | Representation, A, Y, alpha,
             for S in map(in_w, enumerate_subspaces(obj.p, t.Y.dim)[1:]))
     else:
         _check_ground("MAX_EXHAUSTIVE_GROUND", len(t.Y),
-                      "witness search enumerates subsets of Y",
-                      obj.domain_size)
+                      "witness search enumerates subsets of Y")
         p, q, wmask = _masks([_mask_of(obj.act_set(A, (pt,)))
                               for pt in t.Y]).fold().min_ratio()
         Z = frozenset(y for i, y in enumerate(t.Y) if (wmask >> i) & 1)
@@ -714,8 +714,10 @@ def find_taod_witness(obj: GroupAction | Representation, A, Y, alpha,
     counterexample, exh = _forall_actor_sets(
         t.side([t.image(A, cz) for cz in CZ]), t.side(CZ), alpha, seed)
 
-    powers = {k: Fraction(t.size(t.image(G.product_power(A, k), Z)))
-              <= alpha ** k * t.size(Z) for k in range(1, n_max + 1)}
+    powers, Ak = {}, frozenset({G.identity_index})
+    for k in range(1, n_max + 1):
+        Ak = G.product_set(Ak, A)  # A^k = A^(k-1) A
+        powers[k] = t.size(t.image(Ak, Z)) <= alpha ** k * t.size(Z)
     holds = counterexample is None and all(powers.values())
     if holds is False and counterexample is None:
         counterexample = {"failed_powers":

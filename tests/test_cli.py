@@ -1,6 +1,7 @@
 """Scenario validation, report serialization, exit codes, determinism."""
 
 import io
+import itertools
 import json
 import os
 import sys
@@ -15,6 +16,7 @@ from subaction.cli import (ScenarioError, main, parse_scenario, run_scenario,
 from subaction.errors import StructuralError
 from subaction.groups import symmetric
 from subaction.linalg import Subspace
+from subaction.rationals import format_fraction
 
 
 def _minimal(**extra):
@@ -346,6 +348,23 @@ def test_linear_hamidoune_refuses_a0(tmp_path, capsys):
     assert "A0" in capsys.readouterr().err
 
 
+def test_linear_hamidoune_lambda_above_mu_exits_2_past_the_fold_cap(
+        tmp_path, capsys, monkeypatch):
+    # mu = dim(G.W) / |G| = 1 on the F_2 permutation representation of
+    # C20 is known without a fold, so lambda = 2 is out of range, found
+    # before any fold is built, not a LINEAR_EXHAUSTIVE_MAX_ORDER refusal
+    monkeypatch.setattr(theorems._Target, "fold", None)
+    path = _write(tmp_path, {
+        "group": {"kind": "cyclic", "n": 20},
+        "action": {"kind": "left_translation"},
+        "representation": {"kind": "permutation", "p": 2},
+        "subspaces": {"W": [[1] + [0] * 19]},
+        "tasks": [{"task": "hamidoune", "W": "W", "lambda": "2"}]})
+    assert main(["run", path]) == 2
+    assert capsys.readouterr().err == \
+        "error: lambda must lie in [0, mu] = [0, 1]; got 2\n"
+
+
 @pytest.mark.parametrize("task", [
     {"task": "taod", "A": "A", "alpha": "1"},
     {"task": "murphy", "A": "A"},
@@ -408,8 +427,6 @@ def test_exit_3_on_capacity(tmp_path, capsys):
     fixed = "; a fixed limit of the subset-fold kernel, not a cap"
     C30 = {"kind": "cyclic", "n": 30}
     for group, extra, caps, message in [
-            ({"kind": "cyclic", "n": 70}, {"sets": {"A": [0, 1], "Y": [0]}},
-             {}, f"kernel mask width=64 (measured 70){fixed}"),
             (C30, {"sets": {"A": list(range(27)), "Y": [0]}},
              {"MAX_EXHAUSTIVE_GROUND": 30},
              f"kernel ground size=26 (measured 27){fixed}"),
@@ -430,6 +447,27 @@ def test_exit_3_on_capacity(tmp_path, capsys):
         assert capsys.readouterr().err == \
             f"capacity: instance exceeds {message}; witness search " \
             f"enumerates subsets of A\n"
+
+
+def test_petridis_witness_past_64_points(tmp_path, capsys):
+    # on C70 the point sets span two 64-point words; the witness B is the
+    # least nonempty C inside A by |C.Y| / |C|, then by size, then
+    # lexicographically, as a scan of every C finds it
+    A, Y = [0, 1, 5, 30, 64, 66, 69], [0, 2, 63, 64, 65]
+    path = _write(tmp_path, {
+        "group": {"kind": "cyclic", "n": 70},
+        "action": {"kind": "left_translation"},
+        "sets": {"A": A, "Y": Y},
+        "tasks": [{"task": "petridis", "A": "A", "Y": "Y", "alpha": "5"}]})
+    assert main(["run", path]) == 0
+    (result,) = json.loads(capsys.readouterr().out)["results"]
+    ratio, _size, B = min(
+        (Fraction(len({(a + y) % 70 for a in C for y in Y}), len(C)),
+         len(C), C) for k in range(1, len(A) + 1)
+        for C in itertools.combinations(A, k))
+    assert result["report"]["witnesses"]["B"] == list(B)
+    assert result["report"]["details"]["witness_ratio"] == \
+        format_fraction(ratio)
 
 
 @pytest.mark.parametrize("group", [
@@ -539,16 +577,22 @@ def test_report_csv_rows_of_a_search_report(capsys, monkeypatch):
 @pytest.mark.parametrize("case", [
     "report_missing_in", "report_stdin_not_json", "run_not_utf8", "run_out",
     "search_out", "report_out", "csv_result_not_object",
-    "csv_finding_without_keys"])
+    "csv_finding_without_keys", "run_nested_too_deep",
+    "report_stdin_nested_too_deep"])
 def test_unreadable_input_or_output_exits_2(case, tmp_path, capsys,
                                            monkeypatch):
     # one line on stderr, no traceback, and exit 2: exit 1 is kept for a
-    # violated statement
+    # violated statement. Arrays nested past the interpreter's recursion
+    # limit make the JSON decoder raise RecursionError.
+    nested = "[" * 100_000 + "]" * 100_000
     report = tmp_path / "report.json"
     report.write_text(json.dumps({"results": [1]} if case ==
                                  "csv_result_not_object" else
                                  {"findings": [{"kind": "finding"}]}))
-    monkeypatch.setattr(sys, "stdin", io.StringIO("not json"))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(
+        nested if case == "report_stdin_nested_too_deep" else "not json"))
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"group": ' + nested + ', "tasks": []}')
     nowhere = str(tmp_path / "no_such_dir" / "out.json")
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(b"\xff\xfe")
@@ -564,7 +608,9 @@ def test_unreadable_input_or_output_exits_2(case, tmp_path, capsys,
         "csv_result_not_object": ["report", "--format", "csv",
                                   "--in", str(report)],
         "csv_finding_without_keys": ["report", "--format", "csv",
-                                     "--in", str(report)]}[case]
+                                     "--in", str(report)],
+        "run_nested_too_deep": ["run", str(deep)],
+        "report_stdin_nested_too_deep": ["report"]}[case]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

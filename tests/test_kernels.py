@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from subaction._kernels import (
     MAX_N, SubsetFold, backend_name, check_pair_ratio, get_backend,
-    numpy_backend)
+    numpy_backend, words)
 
 
 def _bits(mask: int) -> list[int]:
@@ -209,6 +209,49 @@ def test_numpy_histogram_queries_match_brute_across_blocks(data):
     assert (Fraction(p, q), math.gcd(p, q), wit) == (best, 1, winner)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_multiword_fold_matches_brute(data):
+    # masks and a base over 1-4 words of 64 points, with points near the
+    # word edges and in the top word, so that a fold reading only some of
+    # the words, or dropping the base's high words, gives other sizes.
+    # Small _LOW_BITS make the build OR high unions into several blocks;
+    # the block keeps 2^_LOW_BITS words, so wider masks get fewer low bits.
+    count = data.draw(st.integers(1, 4), label="words")
+    points = st.sampled_from(sorted({0, 1, 62, 63, 64 * count - 1} | {
+        64 * j + d for j in range(1, count) for d in (-1, 0, 1, 30)}))
+    mask = st.lists(points, max_size=4).map(
+        lambda ps: sum({1 << p for p in ps}))
+    n = data.draw(st.integers(1, 8), label="n")
+    masks = data.draw(st.lists(mask, min_size=n, max_size=n), label="masks")
+    base = data.draw(mask, label="base")
+    num, den = data.draw(st.integers(-3, 6)), data.draw(st.integers(1, 4))
+    sizes = _union_sizes(masks, base)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numpy_backend, "_LOW_BITS", data.draw(st.integers(1, 5)))
+        fold = SubsetFold(masks, base=base)
+        assert fold.pops.tolist() == sizes
+        assert fold.cards.tolist() == [bin(s).count("1")
+                                       for s in range(1 << n)]
+        best, hits, atoms, atom_size, largest = \
+            _brute_min_affine(None, num, den, sizes)
+        assert fold.min_affine(num, den, 3) == (
+            best, len(hits), hits[:3], len(hits) > 3, atoms, atom_size,
+            largest)
+        best, winner = _brute_min_ratio(None, sizes)
+        p, q, wit = fold.min_ratio()
+        assert (Fraction(p, q), math.gcd(p, q), wit) == (best, 1, winner)
+
+
+def test_words_and_wide_pops():
+    # low word first; past 255 points the pops widen to uint16
+    assert words([1 | 1 << 64 | 3 << 130, 0], 3).tolist() == [
+        [1, 1, 12], [0, 0, 0]]
+    fold = SubsetFold([(1 << 300) - 1, 1 << 300])
+    assert fold.pops.dtype == np.uint16
+    assert fold.pops.tolist() == [0, 300, 1, 301]
+
+
 def test_numpy_fragment_list_fills_across_blocks(monkeypatch):
     # blocks of 4 subsets: the first block holds two fragments (1, 2), the
     # second two more (4, 5), and a cap of 3 must stop after the third
@@ -256,9 +299,9 @@ def test_input_validation():
     with pytest.raises(ValueError):
         SubsetFold([1] * (MAX_N + 1))
     with pytest.raises(ValueError):
-        SubsetFold([1 << 64])
+        SubsetFold([1, -1])
     with pytest.raises(ValueError):
-        SubsetFold([1], base=1 << 64)
+        SubsetFold([1], base=-(1 << 64))
     with pytest.raises(ValueError):
         check_pair_ratio(np.array([1, 2]), np.array([1]), 1, 1)
     for sizes in ([0], [0, 1, 1], range(2 << MAX_N)):

@@ -394,25 +394,55 @@ def test_hamidoune_linear():
 
 def test_hamidoune_linear_builds_each_span_once(monkeypatch):
     # every actor set's span comes from the one doubling table; none is
-    # rebuilt from scratch for the minimisation
+    # rebuilt from scratch for the minimisation. module_span runs only for
+    # the closed form mu = dim(G.W) / |G| and for c(H).
     rep_obj = permutation_representation(left_translation_action(cyclic(8)),
                                          2)
     W = Subspace.from_vectors(2, 8, [[1, 1] + [0] * 6])
     real = Representation.module_span
-    calls = []
-
-    def counting(self, A, S):
-        calls.append(1)
-        return real(self, A, S)
 
     for lam in ("1/4", "7/8"):  # mu = 7/8: atoms {e} and G
+        calls = []
+
+        def counting(self, A, S):
+            calls.append(tuple(A))
+            return real(self, A, S)
+
         monkeypatch.setattr(Representation, "module_span", counting)
         rep = check_hamidoune(rep_obj, W, lam)
         monkeypatch.undo()
-        assert calls == []
         assert rep.conclusion_holds
         H = identity_atom(actor_growth_linear(rep_obj, W, lam), rep_obj.group)
         assert rep.witnesses["subgroup"].members == H.members
+        assert calls == [tuple(range(8)), H.member_tuple]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hamidoune_linear_mu_is_the_fold_minimum(data):
+    # mu = dim(G.W) / |G| in closed form equals the least span-dimension
+    # ratio over every nonempty actor set, read from the fold, on
+    # permutation representations and on C2, C4 and C8 given by generator
+    # matrices (a swap, a rotation of order 4, diag(2, 1) over F_17)
+    name = data.draw(st.sampled_from(["c6", "s3", "d4", "swap", "rot",
+                                      "diag"]))
+    p = data.draw(st.sampled_from([2, 3]))
+    rep_obj = {"swap": _swap_rep,
+               "rot": lambda: representation_from_generator_matrices(
+                   cyclic(4), 3, [np.array([[0, 2], [1, 0]])]),
+               "diag": lambda: representation_from_generator_matrices(
+                   cyclic(8), 17, [np.array([[2, 0], [0, 1]])])}.get(
+        name, lambda: _permutation_rep(name, p))()
+    d = rep_obj.dim
+    W = Subspace.from_vectors(rep_obj.p, d, data.draw(st.lists(
+        st.lists(st.integers(0, rep_obj.p - 1), min_size=d, max_size=d),
+        min_size=1, max_size=2), label="W"))
+    if W.is_zero():
+        return
+    n = rep_obj.group.order
+    fold = theorems._Target(rep_obj, W).fold(range(n), "")
+    mu = check_hamidoune(rep_obj, W, 0).details["mu"]
+    assert mu == Fraction(*fold.min_ratio()[:2])
 
 
 def test_hamidoune_linear_lambda_too_wide_for_the_kernel():
@@ -702,6 +732,24 @@ def test_taod_witness_and_powers():
         assert action.image_size(Ak, sorted(Z)) <= 1 * len(Z)
 
 
+def test_taod_builds_each_power_once(monkeypatch):
+    # A^k = A^(k-1) A: one product_set per k, and the same checks as the
+    # powers built from scratch
+    G = cyclic(12)
+    action = left_translation_action(G)
+    A, Y, n_max = (0, 1, 5), (0, 2, 3, 7), 7
+    calls = []
+    real = type(G).product_set
+    monkeypatch.setattr(type(G), "product_set",
+                        lambda self, *args: calls.append(1) or real(self, *args))
+    rep = find_taod_witness(action, A, Y, "3", n_max=n_max)
+    assert len(calls) == n_max
+    Z = sorted(rep.witnesses["Z"])
+    assert rep.details["power_checks"] == {
+        k: action.image_size(sorted(G.product_power(A, k)), Z)
+        <= 3 ** k * len(Z) for k in range(1, n_max + 1)}
+
+
 def test_taod_product_group():
     G = direct_product(cyclic(2), cyclic(4))
     action = left_translation_action(G)
@@ -919,8 +967,8 @@ def test_forall_actor_sets_matches_brute_force(data):
         assert calls == [1]
         masks = all(isinstance(m, int) and m < 1 << 64 for m in left + right)
         if masks and any(left + right):
-            # the same sets 64 bits up: the folds of sizes by doubling must
-            # agree with the kernel's mask folds
+            # the same sets 64 bits up, in the kernel's second word, must
+            # give the same answer
             wide = _forall([m << 64 for m in left],
                            [m << 64 for m in right], alpha, None)
             assert calls == [1, 1] and wide == got
@@ -989,11 +1037,11 @@ def test_sampled_sets_chunk_the_reference_stream(monkeypatch):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_sampled_for_all_c_matches_the_scalar_stream(data):
-    # wide tables (up to 100-bit masks) over n up to 75 elements, so rows
-    # span several bytes and n is rarely a multiple of 8; chunks of 1-3
-    # rows put violations in later chunks
+    # wide tables (masks of up to 200 bits, four 64-point words) over n up
+    # to 75 elements, so rows span several bytes and words and n is rarely
+    # a multiple of 8; chunks of 1-3 rows put violations in later chunks
     n = data.draw(st.integers(1, 75))
-    width = data.draw(st.integers(1, 100))
+    width = data.draw(st.integers(1, 200))
     masks = st.lists(st.integers(0, (1 << width) - 1), min_size=n, max_size=n)
     left = data.draw(masks)
     right = left if data.draw(st.booleans()) else data.draw(masks)

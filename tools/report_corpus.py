@@ -7,8 +7,10 @@ The corpus is every pool scenario of perfbench/data/scenario_mix.json (of
 this checkout) and `search --budget 30` over every family and predicate at
 seeds 7 and 53710. The first form runs each request through CHECKOUT's
 `subaction.cli.main` and writes its exit code, stderr and report, without
-`elapsed_seconds`. The second prints each field at which two such files
-differ, and exits 1 if there is one.
+`elapsed_seconds`; an exception that escapes `main` is recorded as the exit
+"crash", and the first form then names every such request and exits 1. The
+second prints each field at which two such files differ, and exits 1 if
+there is one.
 """
 
 import contextlib
@@ -28,7 +30,9 @@ def _strip(doc):
     return [_strip(x) for x in doc] if isinstance(doc, list) else doc
 
 
-def record(checkout: str, out: str) -> None:
+def record(checkout: str, out: str) -> list[str]:
+    """Write the corpus's results to `out`; the names of the requests that
+    crashed."""
     sys.path.insert(0, str(Path(checkout).resolve() / "src"))
     from subaction.cli import main
     from subaction.search import FAMILIES, PREDICATES
@@ -58,7 +62,9 @@ def record(checkout: str, out: str) -> None:
             results[name] = {"exit": code, "stderr": stderr.getvalue(),
                              "report": _strip(json.loads(text)) if text else None}
     Path(out).write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
-    print(f"{len(results)} requests -> {out}")
+    crashes = [k for k, res in results.items() if res["exit"] == "crash"]
+    print(f"{len(results)} requests, {len(crashes)} crashes -> {out}")
+    return crashes
 
 
 def _diff(old, new, path=""):
@@ -78,7 +84,10 @@ def _diff(old, new, path=""):
 
 if __name__ == "__main__":
     if len(sys.argv) == 3:
-        record(*sys.argv[1:])
+        crashed = record(*sys.argv[1:])
+        for name in crashed:
+            print(f"crash: {name}")
+        sys.exit(1 if crashed else 0)
     elif len(sys.argv) == 4 and sys.argv[1] == "--diff":
         old, new = (json.loads(Path(p).read_text()) for p in sys.argv[2:])
         changes = list(_diff(old, new))
