@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -440,7 +441,10 @@ def _dump(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first `main` call and kept:
+    parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="subaction",
         description="growth checkers and submodular minimizers for finite "

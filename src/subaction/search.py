@@ -317,15 +317,25 @@ class SearchResult:
 
 
 class _Pool:
-    """Built actions for a family, constructed once per search."""
+    """A family's entries for one search: entry i is (action, group spec,
+    action spec), its group and action built the first time it is
+    drawn."""
 
     def __init__(self, family: str):
         if family not in FAMILIES:
             raise StructuralError(f"unknown family {family!r}")
-        self.entries = []
-        for gspec, aspec in FAMILIES[family]:
-            G = build_group(gspec)
-            self.entries.append((build_action(G, aspec), gspec, aspec))
+        self.specs = FAMILIES[family]
+        self.built: dict[int, tuple[GroupAction, dict, dict]] = {}
+
+    def __len__(self) -> int:
+        return len(self.specs)
+
+    def __getitem__(self, i: int) -> tuple[GroupAction, dict, dict]:
+        if i not in self.built:
+            gspec, aspec = self.specs[i]
+            self.built[i] = (build_action(build_group(gspec), aspec),
+                             gspec, aspec)
+        return self.built[i]
 
 
 def _subset(rng: random.Random, n: int, max_size: int) -> tuple[int, ...]:
@@ -369,7 +379,7 @@ def _draw(rng: random.Random, pool: _Pool, predicate: str
           ) -> tuple[GroupAction, dict]:
     """One instance: the action plus the scenario that replays it, whose
     one task holds the checker arguments under the scenario's keys."""
-    action, gspec, aspec = pool.entries[rng.randrange(len(pool.entries))]
+    action, gspec, aspec = pool[rng.randrange(len(pool))]
     G = action.group
     params: dict = {}
     if predicate in ("kneser", "kneser_trivial_stabilizer"):

@@ -42,34 +42,39 @@ def _chunk_rows(width: int) -> int:
     return max(1, _PRODUCT_BLOCK // (8 * max(1, width)))
 
 
-def _union_sizes(table: Sequence[int]) -> Callable[[Sequence[int]],
+def _union_sizes(table: Sequence[int]) -> Callable[[np.ndarray],
                                                     np.ndarray]:
     """For a table of int masks, one per group element, the function that
-    maps masks C over the table's indices to the int64 array of
+    maps masks C over the table's indices, held as word rows (`words`,
+    ceil(len(table) / 64) words each), to the int64 array of
     |union of table[c], c in C|.
 
-    The table is held as rows of 64-point words. For each chunk of
-    `_chunk_rows` masks C, the bits of C are unpacked, each element's row
-    is ORed into the unions of the C that hold it, and the unions' words
-    are popcounted.
+    The table is held point-major: for each point x in some table[c], the
+    word row E_x of the elements c whose mask holds x. The union of C
+    holds x exactly when E_x meets C, so for each block of `_chunk_rows`
+    masks C the words of C are ANDed with each E_x and ORed together, and
+    the nonzero results are counted.
     """
-    n = len(table)
-    count = max(1, -(-max(table).bit_length() // 64))
-    rows = words(table, count)
-    step = _chunk_rows(max(n, 64 * count))
+    n, count = len(table), -(-len(table) // 64)
+    width = max(table).bit_length()
+    held = np.unpackbits(
+        words(table, max(1, -(-width // 64))).view(np.uint8), axis=1,
+        count=width, bitorder="little")
+    packed = np.zeros((width, 8 * count), dtype=np.uint8)
+    packed[:, :-(-n // 8)] = np.packbits(held.T, axis=1, bitorder="little")
+    rows = packed.view("<u8")
+    # word-major: one contiguous row of every E_x per word of C
+    point_words = np.ascontiguousarray(rows[rows.any(axis=1)].T)
+    step = _chunk_rows(point_words.size)
 
-    def sizes(masks: Sequence[int]) -> np.ndarray:
+    def sizes(masks: np.ndarray) -> np.ndarray:
         out = np.empty(len(masks), dtype=np.int64)
         for lo in range(0, len(masks), step):
-            chunk = masks[lo:lo + step]
-            holds = np.unpackbits(words(chunk, -(-n // 64)).view(np.uint8),
-                                  axis=1, count=n, bitorder="little"
-                                  ).view(bool)
-            unions = np.zeros((len(chunk), count), dtype=np.uint64)
-            for c in range(n):
-                np.bitwise_or(unions, rows[c], out=unions,
-                              where=holds[:, c, None])
-            out[lo:lo + step] = np.bitwise_count(unions).sum(axis=1)
+            block = masks[lo:lo + step]
+            meets = block[:, :1] & point_words[0]
+            for w in range(1, count):
+                meets |= block[:, w:w + 1] & point_words[w]
+            out[lo:lo + step] = np.count_nonzero(meets, axis=1)
         return out
     return sizes
 
@@ -559,7 +564,8 @@ def min_image_ratio(action: GroupAction, Y: Iterable[int]) -> MuResult:
     if n <= config.cap("MAX_SUBGROUP_ENUM_ORDER"):
         # every |H.Y| from one batched call
         subs = G.subgroups()
-        sizes = _union_sizes(images)([_mask_of(H.members) for H in subs])
+        sizes = _union_sizes(images)(words(
+            [_mask_of(H.members) for H in subs], -(-n // 64)))
         # least ratio, then least order, then first in lattice order
         best, _order, i = min((Fraction(img, H.order), H.order, i) for i, (
             H, img) in enumerate(zip(subs, sizes.tolist())))

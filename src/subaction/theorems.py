@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import config
-from ._kernels import MAX_COEFF, SubsetFold, check_pair_ratio
+from ._kernels import MAX_COEFF, SubsetFold, check_pair_ratio, words
 from .actions import GroupAction, natural_action
 from .errors import DomainError, StructuralError
 from .groups import FiniteGroup, Subgroup, symmetric
@@ -142,13 +142,15 @@ class _Side(NamedTuple):
                                    self.table[low.bit_length() - 1]))
         return SubsetFold.from_sizes([self.size(j) for j in joins])
 
-    def chunk_sizes(self) -> Callable[[Sequence[int]], np.ndarray]:
-        """The map from a chunk of masks C over the table's indices to the
-        array of join sizes: `_union_sizes` for masks, else one join per
-        C."""
+    def chunk_sizes(self) -> Callable[[Sequence[int], np.ndarray],
+                                      np.ndarray]:
+        """The map from a chunk of masks C over the table's indices, given
+        both as ints and as word rows, to the array of join sizes:
+        `_union_sizes` of the word rows for masks, else one join per C."""
         if self.join is operator.or_:
-            return _union_sizes(self.table)
-        return lambda chunk: np.array([self.size(reduce(
+            union_sizes = _union_sizes(self.table)
+            return lambda chunk, rows: union_sizes(rows)
+        return lambda chunk, rows: np.array([self.size(reduce(
             self.join, (self.table[c] for c in _set_of(m)), self.empty))
             for m in chunk], dtype=np.int64)
 
@@ -170,23 +172,26 @@ def _forall_actor_sets(left: _Side, right: _Side, alpha: Fraction,
     ascending mask order, its sizes read from each side's fold; past the
     kernel's MAX_N elements it is refused. Above the cap it is the seeded
     `_sampled_sets` stream in draw order, its sizes from each side's
-    `chunk_sizes`. Each chunk of the stream goes through one
-    `check_pair_ratio`, drawn only until one has a violation.
+    `chunk_sizes`; each chunk becomes word rows once, for both sides. Each
+    chunk of the stream goes through one `check_pair_ratio`, drawn only
+    until one has a violation.
     """
     n = len(left.table)
     if n > config.cap("PETRIDIS_EXHAUSTIVE_MAX_ORDER"):
-        chunks, exh = _sampled_sets(n, seed)
+        sampled, exh = _sampled_sets(n, seed)
+        chunks = ((chunk, words(chunk, -(-n // 64))) for chunk in sampled)
         sizes = [side.chunk_sizes() for side in (left, right)]
     else:
         _check_ground("PETRIDIS_EXHAUSTIVE_MAX_ORDER", n,
                       "the for-all-C check enumerates every actor set")
-        rows, end = _chunk_rows(n), 1 << n
-        chunks = (np.arange(lo, min(lo + rows, end))
-                  for lo in range(1, end, rows))
-        exh, sizes = _EXHAUSTIVE, [side.fold().pops.__getitem__
-                                   for side in (left, right)]
-    for chunk in chunks:
-        lhs, rhs = (size_of(chunk) for size_of in sizes)
+        step, end = _chunk_rows(n), 1 << n
+        chunks = ((np.arange(lo, min(lo + step, end)), None)
+                  for lo in range(1, end, step))
+        exh = _EXHAUSTIVE
+        sizes = [lambda chunk, _rows, pops=side.fold().pops: pops[chunk]
+                 for side in (left, right)]
+    for chunk, rows in chunks:
+        lhs, rhs = (size_of(chunk, rows) for size_of in sizes)
         ok, first, _checked = check_pair_ratio(lhs, rhs, alpha.numerator,
                                                alpha.denominator)
         if not ok:

@@ -691,3 +691,80 @@ def test_search_resume_via_cli(tmp_path):
     head = json.loads(o2.read_text())
     tail = json.loads(o3.read_text())
     assert head["findings"] + tail["findings"] == full["findings"]
+
+
+_TOP_HELP = """\
+usage: subaction [-h] {run,search,report} ...
+
+growth checkers and submodular minimizers for finite group actions
+
+positional arguments:
+  {run,search,report}
+    run                execute a scenario file
+    search             stream seeded instances through a predicate
+    report             reformat a report document
+
+options:
+  -h, --help           show this help message and exit
+"""
+
+_FAMILY_CHOICES = ("{abelian_translation,affine_natural,alternating_natural,"
+                   "cyclic_translation,dihedral_natural,"
+                   "symmetric_conjugation,symmetric_natural}")
+_PREDICATE_CHOICES = ("{fragment_bounds,freiman,hamidoune,kneser,"
+                      "kneser_trivial_stabilizer,murphy,petridis,ruzsa,"
+                      "small_growth,tao_doubling,taod}")
+_SEARCH_HELP = f"""\
+usage: subaction search [-h] --family
+                        {_FAMILY_CHOICES}
+                        --predicate
+                        {_PREDICATE_CHOICES}
+                        --budget BUDGET [--seed SEED] [--cursor CURSOR]
+                        [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --family {_FAMILY_CHOICES}
+  --predicate {_PREDICATE_CHOICES}
+  --budget BUDGET       instance count
+  --seed SEED           default: the DEFAULT_SEED cap
+  --cursor CURSOR       resume position
+  --out OUT             write the report here
+"""
+
+
+def test_two_main_calls_build_one_parser(capsys):
+    cli._build_parser.cache_clear()
+    argv = ["search", "--family", "cyclic_translation", "--predicate",
+            "kneser", "--budget", "2", "--seed"]
+    assert main(argv + ["3"]) == 0
+    assert main(argv + ["4"]) == 0
+    assert cli._build_parser.cache_info().misses == 1
+    first, second = capsys.readouterr().out.split("\n}\n")[:2]
+    assert json.loads(first + "}")["search"]["seed"] == 3
+    assert json.loads(second + "}")["search"]["seed"] == 4
+
+
+@pytest.mark.parametrize("argv, text", [(["--help"], _TOP_HELP),
+                                        (["search", "--help"], _SEARCH_HELP)])
+def test_help_text_of_the_new_and_the_kept_parser(argv, text, monkeypatch,
+                                                  capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._build_parser.cache_clear()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == text
+
+
+def test_bad_family_exits_2_on_the_kept_parser(capsys):
+    cli._build_parser.cache_clear()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--family", "no_such_family", "--predicate",
+                  "kneser", "--budget", "1"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'no_such_family'" in capsys.readouterr().err
+    assert main(["search", "--family", "cyclic_translation", "--predicate",
+                 "kneser", "--budget", "1"]) == 0

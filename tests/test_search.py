@@ -1,15 +1,21 @@
 """Seeded instance streams: determinism, resumability, classification."""
 
+import importlib
 import json
 import random
 
+import numpy as np
 import pytest
 
-from subaction.cli import parse_scenario, run_scenario, to_jsonable
+from subaction import config
+from subaction.cli import main, parse_scenario, run_scenario, to_jsonable
 from subaction.errors import StructuralError
 from subaction.search import (FAMILIES, PREDICATES, _draw, _Pool, _run_drawn,
                               build_action, build_group,
                               build_representation, search)
+
+# the package exports the function `search` under the module's name
+search_module = importlib.import_module("subaction.search")
 
 
 def test_families_and_predicates_declared():
@@ -154,3 +160,38 @@ def test_unknown_family_and_predicate():
         search("no_such_family", "kneser", 5, seed=0)
     with pytest.raises(StructuralError):
         search("symmetric_natural", "no_such_predicate", 5, seed=0)
+
+
+def test_one_instance_search_builds_one_group(monkeypatch):
+    built = []
+    build = search_module.build_group
+    monkeypatch.setattr(search_module, "build_group",
+                        lambda spec: built.append(spec) or build(spec))
+    search("symmetric_natural", "kneser", 1, seed=7)
+    assert built == [{"kind": "symmetric", "n": 2}]
+
+
+def test_lazy_pool_draws_as_an_eager_pool():
+    # an eagerly built list of the same entries, as the pool was before
+    for family, specs in FAMILIES.items():
+        lazy, eager = _Pool(family), [
+            (build_action(build_group(g), a), g, a) for g, a in specs]
+        for cursor in range(60):
+            predicate = PREDICATES[cursor % len(PREDICATES)]
+            got, want = (_draw(random.Random(f"53710:{cursor}"), pool,
+                               predicate) for pool in (lazy, eager))
+            assert got[1] == want[1], (family, cursor)
+            assert np.array_equal(got[0].table, want[0].table)
+        assert len(lazy.built) <= len(specs)
+
+
+def test_group_order_cap_refuses_only_drawn_groups(capsys):
+    # seed 7 draws S2, S2, S4, S4, then S5 (order 120) at cursor 4; only
+    # the drawn groups are built, so the cap refuses only a window with S5
+    argv = ["search", "--family", "symmetric_natural", "--predicate",
+            "kneser", "--seed", "7", "--budget"]
+    with config.overrides({"MAX_GROUP_ORDER": 24}):
+        assert main(argv + ["4"]) == 0
+        assert json.loads(capsys.readouterr().out)["stats"]["instances"] == 4
+        assert main(argv + ["5"]) == 3
+    assert "MAX_GROUP_ORDER=24 (measured 120)" in capsys.readouterr().err

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subaction import config, setfuncs, theorems
-from subaction._kernels import SubsetFold
+from subaction._kernels import SubsetFold, words
 from subaction.actions import (conjugation_action, left_translation_action,
                                natural_action)
 from subaction.cli import _dump, to_jsonable
@@ -1056,6 +1056,25 @@ def test_sampled_for_all_c_matches_the_scalar_stream(data):
     assert got == (_brute_first_violation(
         left, right, alpha, _reference_stream(n, samples, seed)),
         Exhaustiveness("sampled", samples, seed))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_union_sizes_match_brute_force_unions(data):
+    # n up to 150 elements, so each C spans 1-3 words, and masks up to 200
+    # points wide; blocks of 1-3 rows put most C in later blocks
+    n = data.draw(st.integers(1, 150))
+    width = data.draw(st.integers(1, 200))
+    table = data.draw(st.lists(st.integers(0, (1 << width) - 1),
+                               min_size=n, max_size=n))
+    Cs = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                            max_size=8))
+    with pytest.MonkeyPatch.context() as mp:
+        _small_chunks(mp, data.draw(st.integers(1, 3)))
+        got = setfuncs._union_sizes(table)(words(Cs, -(-n // 64)))
+    images = [{x for x in range(width) if m >> x & 1} for m in table]
+    assert got.tolist() == [len(set().union(
+        *(images[c] for c in range(n) if C >> c & 1))) for C in Cs]
 
 
 def test_sampled_comparison_stays_exact_past_int64():

@@ -2,6 +2,8 @@
 
     python3 tools/report_corpus.py CHECKOUT OUT.json
     python3 tools/report_corpus.py --diff OLD.json NEW.json
+    python3 tools/report_corpus.py --write-digest tools/report_corpus.digest.json
+    python3 tools/report_corpus.py --check tools/report_corpus.digest.json
 
 The corpus is every pool scenario of perfbench/data/scenario_mix.json (of
 this checkout) and `search --budget 30` over every family and predicate at
@@ -10,10 +12,15 @@ seeds 7 and 53710. The first form runs each request through CHECKOUT's
 `elapsed_seconds`; an exception that escapes `main` is recorded as the exit
 "crash", and the first form then names every such request and exits 1. The
 second prints each field at which two such files differ, and exits 1 if
+there is one. The last two run every request through this checkout: the
+third writes one sha256 per request over that record, and the fourth
+names each request whose sha256 differs from the digest's (a crash, a
+request missing on either side and a changed result alike) and exits 1 if
 there is one.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -30,23 +37,28 @@ def _strip(doc):
     return [_strip(x) for x in doc] if isinstance(doc, list) else doc
 
 
-def record(checkout: str, out: str) -> list[str]:
-    """Write the corpus's results to `out`; the names of the requests that
-    crashed."""
-    sys.path.insert(0, str(Path(checkout).resolve() / "src"))
-    from subaction.cli import main
+def requests() -> dict:
+    """The corpus by request name: a search's argv, or a run scenario."""
     from subaction.search import FAMILIES, PREDICATES
     pools = json.loads((ROOT / "perfbench/data/scenario_mix.json").read_text())
-    requests = {f"run/{slot}/{i}": item["request"]["scenario"]
-                for slot, entry in sorted(pools["slots"].items())
-                for i, item in enumerate(entry["pool"])}
-    requests.update({f"search/{f}/{p}/{seed}": [
+    out = {f"run/{slot}/{i}": item["request"]["scenario"]
+           for slot, entry in sorted(pools["slots"].items())
+           for i, item in enumerate(entry["pool"])}
+    out.update({f"search/{f}/{p}/{seed}": [
         "search", "--family", f, "--predicate", p, "--budget", "30",
         "--seed", str(seed)] for seed in (7, 53710) for f in FAMILIES
         for p in PREDICATES})
-    results = {}
+    return out
+
+
+def results(checkout: str) -> dict:
+    """Each request's exit code, stderr and report, run through
+    CHECKOUT's `subaction.cli.main`."""
+    sys.path.insert(0, str(Path(checkout).resolve() / "src"))
+    from subaction.cli import main
+    out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv in requests.items():
+        for name, argv in requests().items():
             if isinstance(argv, dict):  # a scenario, run from a file
                 path = Path(tmp, "scenario.json")
                 path.write_text(json.dumps(argv))
@@ -59,12 +71,33 @@ def record(checkout: str, out: str) -> list[str]:
                 except Exception as e:  # a crash is recorded, not raised
                     code, stderr = "crash", io.StringIO(repr(e))
             text = stdout.getvalue()
-            results[name] = {"exit": code, "stderr": stderr.getvalue(),
-                             "report": _strip(json.loads(text)) if text else None}
-    Path(out).write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
-    crashes = [k for k, res in results.items() if res["exit"] == "crash"]
-    print(f"{len(results)} requests, {len(crashes)} crashes -> {out}")
+            out[name] = {"exit": code, "stderr": stderr.getvalue(),
+                         "report": _strip(json.loads(text)) if text else None}
+    return out
+
+
+def record(checkout: str, out: str) -> list[str]:
+    """Write the corpus's results to `out`; the names of the requests that
+    crashed."""
+    res = results(checkout)
+    Path(out).write_text(json.dumps(res, indent=1, sort_keys=True) + "\n")
+    crashes = [k for k, r in res.items() if r["exit"] == "crash"]
+    print(f"{len(res)} requests, {len(crashes)} crashes -> {out}")
     return crashes
+
+
+def digest(res: dict) -> dict:
+    """One sha256 per request, over its result as sorted-key JSON."""
+    return {name: hashlib.sha256(json.dumps(
+        r, sort_keys=True).encode()).hexdigest() for name, r in res.items()}
+
+
+def check(path: str) -> list[str]:
+    """The names of the requests of this checkout, or of the digest at
+    `path`, whose digests differ or that only one of the two holds."""
+    want, got = json.loads(Path(path).read_text()), digest(results(ROOT))
+    return sorted(k for k in set(want) | set(got)
+                  if want.get(k) != got.get(k))
 
 
 def _diff(old, new, path=""):
@@ -82,19 +115,32 @@ def _diff(old, new, path=""):
         yield path, old, new
 
 
-if __name__ == "__main__":
-    if len(sys.argv) == 3:
-        crashed = record(*sys.argv[1:])
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--write-digest":
+        Path(argv[1]).write_text(json.dumps(
+            digest(results(ROOT)), indent=0, sort_keys=True) + "\n")
+        return 0
+    if len(argv) == 2 and argv[0] == "--check":
+        differ = check(argv[1])
+        for name in differ:
+            print(f"differs: {name}")
+        print(f"{len(differ)} requests differ from {argv[1]}")
+        return 1 if differ else 0
+    if len(argv) == 2:
+        crashed = record(*argv)
         for name in crashed:
             print(f"crash: {name}")
-        sys.exit(1 if crashed else 0)
-    elif len(sys.argv) == 4 and sys.argv[1] == "--diff":
-        old, new = (json.loads(Path(p).read_text()) for p in sys.argv[2:])
+        return 1 if crashed else 0
+    if len(argv) == 3 and argv[0] == "--diff":
+        old, new = (json.loads(Path(p).read_text()) for p in argv[1:])
         changes = list(_diff(old, new))
         for path, a, b in changes:
             print(f"{path}: {json.dumps(a)[:100]} -> {json.dumps(b)[:100]}")
         print(f"{len({p.split('.')[1] for p, _a, _b in changes})} of "
               f"{len(old)} requests differ")
-        sys.exit(1 if changes else 0)
-    else:
-        sys.exit(__doc__)
+        return 1 if changes else 0
+    sys.exit(__doc__)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
