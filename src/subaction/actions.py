@@ -4,7 +4,9 @@ An action is stored as a full table ``row[g][x] = g.x`` and is checked at
 construction: identity row, bijective rows, and the homomorphism law for
 every generator against every element. Every non-identity element is
 ``s * parent`` with ``s`` a generator, so induction along that closure
-factorisation gives the law for all pairs.
+factorisation gives the law for all pairs. The law is checked against the
+products ``s * h`` that the group's closure found (``FiniteGroup.mul_row``
+on a generator), so verification looks no element up.
 """
 
 from __future__ import annotations

@@ -2,16 +2,21 @@
 
 Elements are indexed by breadth-first closure order from the input
 generators, so index 0 is always the identity and every element ``g`` has a
-recorded factorisation ``g = gen * earlier_element``. Every element is found
-from its image row: the rows, viewed as fixed-width byte strings, are sorted
-once and searched with ``np.searchsorted``. Multiplication tables are
-materialised only up to a size cap; larger groups compose image rows and
-look the products up in blocks.
+recorded factorisation ``g = gen * earlier_element``. The closure composes
+every generator with every element and records which element each product
+is, so it also yields the rows of left translation by the generators; the
+multiplication table and the verification of actions and representations
+are built from those rows and look nothing up. Any other row is found by
+its bytes: the image rows, viewed as fixed-width byte strings, are sorted
+on the first lookup and searched with ``np.searchsorted``. Multiplication
+tables are materialised only up to a size cap; larger groups compose image
+rows and look the products up in blocks.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -40,50 +45,60 @@ class FiniteGroup:
 
         # breadth-first closure, one frontier level at a time; a level's
         # new elements are its products s * f in (f, s) order, first
-        # occurrences only, so the element order is that of a scalar BFS
+        # occurrences only, so the element order is that of a scalar BFS.
+        # Every product's element index is recorded: edges[f * m + s] is
+        # the index of s * f
         gens = np.array(list(dict.fromkeys(g.images for g in generators)),
                         dtype=np.int32)
         m = len(gens)
         frontier = np.arange(degree, dtype=np.int32)[None]
-        seen = {frontier.tobytes()}
+        index = {frontier.tobytes(): 0}
+        edges = array("i")
+        setdefault, record = index.setdefault, edges.append
         levels, gen_of, parent_of = [frontier], [-1], [-1]
         first, order = 0, 1  # the index of frontier[0], the elements so far
         while len(frontier):
             prods = np.ascontiguousarray(
                 gens[:, frontier].swapaxes(0, 1)).reshape(-1, degree)
             at = []
+            nxt = order
             for i, k in enumerate(prods.view(key)[:, 0].tolist()):
-                if k not in seen:
-                    seen.add(k)
+                j = setdefault(k, nxt)
+                record(j)
+                if j == nxt:
+                    nxt += 1
                     at.append(i)
                     gen_of.append(i % m)
                     parent_of.append(i // m + first)
-            if order + len(at) > order_cap:
+            if nxt > order_cap:
                 raise CapacityError("MAX_GROUP_ORDER", order_cap, order_cap + 1,
                                     hint="closure still growing")
-            if (order + len(at)) * degree > table_cap:
+            if nxt * degree > table_cap:
                 raise CapacityError("MAX_ACT_TABLE_ENTRIES", table_cap,
-                                    (order + len(at)) * degree,
+                                    nxt * degree,
                                     hint="image rows, closure still growing")
-            first, order = order, order + len(at)
+            first, order = order, nxt
             frontier = prods[at]
             levels.append(frontier)
-        del seen  # freed before the element list is built
+        del index  # freed before the element list is built
 
         self.images = np.concatenate(levels)
+        del levels  # freed before the mul table is built
         self.order = order
-        keys = self.images.view(key)[:, 0]
-        self._key_order = np.argsort(keys).astype(np.int32)
-        self._keys = keys[self._key_order]
-        self.generator_indices = tuple(self._lookup(gens).tolist())
+        self._key = key  # for the lookup index, built on first use
+        # row s is left translation by generator s: _gen_rows[s, f] = s * f
+        self._gen_rows = np.ascontiguousarray(
+            np.frombuffer(edges, dtype=np.int32).reshape(order, m).T)
+        self.generator_indices = tuple(self._gen_rows[:, 0].tolist())
         self._gen_of = np.asarray(gen_of, dtype=np.int32)
         self._parent_of = np.asarray(parent_of, dtype=np.int32)
-        self.inv_table = self._lookup(np.argsort(self.images, axis=1))
 
         self.mul_table: np.ndarray | None = None
+        self._row_cache: dict[int, np.ndarray] = {}
         if self.order * self.order <= config.cap("MAX_MUL_TABLE_ENTRIES"):
             self._build_mul_table()
-        self._row_cache: dict[int, np.ndarray] = {}
+        else:
+            self._row_cache.update(zip(self.generator_indices, self._gen_rows))
         self._subgroups: list["Subgroup"] | None = None
 
     @cached_property
@@ -91,6 +106,21 @@ class FiniteGroup:
         """The elements as permutations, in index order, built on first
         read; closure rows are permutations, so they are not re-checked."""
         return [Permutation.unchecked(tuple(r)) for r in self.images.tolist()]
+
+    @cached_property
+    def _key_order(self) -> np.ndarray:
+        """Element indices in order of their row keys, built on first lookup."""
+        return np.argsort(self.images.view(self._key)[:, 0]).astype(np.int32)
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """The row keys, sorted, for ``np.searchsorted``."""
+        return self.images.view(self._key)[:, 0][self._key_order]
+
+    @cached_property
+    def inv_table(self) -> np.ndarray:
+        """Index of each element's inverse, built on first read."""
+        return self._lookup(np.argsort(self.images, axis=1))
 
     def _lookup(self, rows) -> np.ndarray:
         """Element indices of image rows; DomainError names a non-element."""
@@ -123,12 +153,10 @@ class FiniteGroup:
         n = self.order
         table = np.empty((n, n), dtype=np.int32)
         table[0] = np.arange(n, dtype=np.int32)
-        # generator rows by direct lookup, the rest by left-translation
-        # composition along the closure factorisation g = s * parent
-        gen_rows = [self._lookup(self.images[gi][self.images])
-                    for gi in self.generator_indices]
+        # every row by left-translation composition along the closure
+        # factorisation g = s * parent, from the generator rows it recorded
         for g in range(1, n):
-            s_row = gen_rows[self._gen_of[g]]
+            s_row = self._gen_rows[self._gen_of[g]]
             table[g] = s_row[table[self._parent_of[g]]]
         self.mul_table = table
 
@@ -143,7 +171,8 @@ class FiniteGroup:
         return int(self.inv_table[i])
 
     def mul_row(self, g: int) -> np.ndarray:
-        """Row of left translation by g: ``row[h] = index(g * h)``."""
+        """Row of left translation by g: ``row[h] = index(g * h)``; without
+        a table, the closure's generator rows are cached from the start."""
         if self.mul_table is not None:
             return self.mul_table[g]
         row = self._row_cache.get(g)
@@ -431,10 +460,10 @@ def direct_product(G1: FiniteGroup, G2: FiniteGroup) -> FiniteGroup:
     d1, d2 = G1.degree, G2.degree
     gens = []
     for gi in G1.generator_indices:
-        imgs = tuple(G1.elements[gi].images) + tuple(range(d1, d1 + d2))
+        imgs = tuple(G1.images[gi].tolist()) + tuple(range(d1, d1 + d2))
         gens.append(Permutation(imgs))
     for gi in G2.generator_indices:
-        imgs = tuple(range(d1)) + tuple(x + d1 for x in G2.elements[gi].images)
+        imgs = tuple(range(d1)) + tuple((G2.images[gi] + d1).tolist())
         gens.append(Permutation(imgs))
     G = FiniteGroup(gens, name=f"{G1.name}x{G2.name}")
     if G.order != G1.order * G2.order:

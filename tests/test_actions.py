@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subaction import config
 from subaction.actions import (GroupAction, action_from_table,
                                affine_line_action, conjugation_action,
                                coset_action, left_translation_action,
@@ -131,6 +132,48 @@ def test_left_translation_check_matches_all_elements(data):
         assert is_left_translation(action) == all(
             np.array_equal(action.table[g], G.mul_row(g))
             for g in range(G.order))
+
+
+def test_tableless_verification_catches_swapped_rows():
+    # S7 has no mul table at the default caps; rows 100 and 4000 are not
+    # generators, and the swapped table still has bijective rows
+    G = symmetric(7)
+    assert G.mul_table is None
+    table = G.images.copy()
+    table[[100, 4000]] = table[[4000, 100]]
+    assert (np.sort(table, axis=1) == np.arange(7)).all()
+    with pytest.raises(InvariantError, match="homomorphism law fails"):
+        action_from_table(G, 7, table)
+
+
+def test_left_translation_check_refuses_right_translation():
+    # g.h = h * g^-1 is an action of a nonabelian group other than L
+    for G in (symmetric(4), alternating(5)):
+        for cap in (10_000_000, 1):  # with and without a mul table
+            with config.overrides({"MAX_MUL_TABLE_ENTRIES": cap}):
+                H = FiniteGroup([G.elements[g] for g in G.generator_indices])
+            assert (H.mul_table is None) == (cap == 1)
+            ar = np.arange(H.order)
+            right = action_from_table(H, H.order,
+                                      H._products(ar, H.inv_table).T)
+            assert not is_left_translation(right)
+            assert is_left_translation(left_translation_action(H))
+
+
+def test_group_and_natural_action_build_looks_nothing_up(monkeypatch):
+    calls = []
+    lookup = FiniteGroup._lookup
+
+    def counted(self, rows):
+        calls.append(self.name)
+        return lookup(self, rows)
+
+    monkeypatch.setattr(FiniteGroup, "_lookup", counted)
+    for build in (lambda: symmetric(4), lambda: alternating(8)):
+        G = build()
+        natural_action(G)
+    assert G.mul_table is None  # A8 has none at the default caps
+    assert calls == []
 
 
 def test_act_set_oracle():

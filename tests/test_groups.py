@@ -38,6 +38,13 @@ def test_direct_product_order():
     assert not H.is_abelian()
 
 
+def test_direct_product_reads_factor_rows_without_elements():
+    G1, G2 = symmetric(4), cyclic(3)
+    G = direct_product(G1, G2)
+    assert G.order == 72
+    assert "elements" not in vars(G1) and "elements" not in vars(G2)
+
+
 def test_affine_needs_prime():
     with pytest.raises(DomainError):
         affine_gl1(6)
@@ -57,7 +64,15 @@ def _tableless(build):
     return G
 
 
-_PAIRS = {name: (build(), _tableless(build))
+def _tabled(build):
+    # the default cap, set here so that it wins over the environment
+    with config.overrides({"MAX_MUL_TABLE_ENTRIES": 10_000_000}):
+        G = build()
+    assert G.mul_table is not None
+    return G
+
+
+_PAIRS = {name: (_tabled(build), _tableless(build))
           for name, build in _BUILDERS.items()}
 
 
@@ -154,6 +169,8 @@ def _oracle_closure(generators: list[Permutation]) -> dict:
         frontier = nxt
     return {"images": elements, "_gen_of": gen_of, "_parent_of": parent_of,
             "generator_indices": [index[g] for g in gens],
+            "_gen_rows": [[index[tuple(s[y] for y in f)] for f in elements]
+                          for s in gens],
             "inv_table": [index[Permutation(p).inverse().images]
                           for p in elements]}
 
@@ -186,6 +203,30 @@ def test_element_order_matches_reference_closure(case, monkeypatch):
     for attr, value in want.items():
         assert np.array_equal(np.asarray(getattr(G, attr)), value), attr
     assert G.order == len(want["images"])
+
+
+# the pairs with and without a table, and S7, tableless at the default caps
+_GEN_ROW_GROUPS = {f"{name} {kind}": G for name, pair in _PAIRS.items()
+                   for kind, G in zip(("tabled", "tableless"), pair)}
+_GEN_ROW_GROUPS["S7"] = symmetric(7)
+
+
+@pytest.mark.parametrize("case", sorted(_GEN_ROW_GROUPS))
+def test_generator_rows_match_lookup(case):
+    G = _GEN_ROW_GROUPS[case]
+    for s, g in enumerate(G.generator_indices):
+        want = G._lookup(G.images[g][G.images])
+        assert np.array_equal(G._gen_rows[s], want), (s, g)
+        assert np.array_equal(G.mul_row(g), want), (s, g)
+
+
+def test_lookup_index_and_inverses_built_on_first_use():
+    G = symmetric(4)
+    assert not {"_key_order", "_keys", "inv_table"} & set(vars(G))
+    assert G.element_index(from_cycles(4, [(0, 1)])) == G.generator_indices[0]
+    assert {"_key_order", "_keys"} <= set(vars(G))
+    assert "inv_table" not in vars(G)
+    assert all(G.mul(g, G.inv(g)) == 0 for g in range(G.order))
 
 
 def test_from_generators_rejects_mixed_degrees():

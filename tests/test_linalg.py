@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subaction import config
 from subaction.errors import (CapacityError, DomainError, InvariantError,
                               StructuralError)
 from subaction.groups import (affine_gl1, alternating, cyclic, dihedral,
@@ -20,6 +21,7 @@ from subaction.linalg import (LatticeFunction, Representation, Subspace,
                               minimize_on_lattice, permutation_representation,
                               representation_from_generator_matrices,
                               subspace_count)
+from subaction.perms import from_cycles
 from subaction.setfuncs import check_submodular, minimize_nonempty
 
 
@@ -199,6 +201,19 @@ def test_representation_verifies_homomorphism(data):
             else _matrix(data, p, G.degree)
     assert (_raised(lambda: Representation(G, p, mats)) is None) == \
         (_raised(lambda: _reference_verify(G, p, mats)) is None)
+
+
+def test_tableless_representation_catches_a_broken_relation():
+    # S5 on 1 x 1 matrices over F_3: the sign character is a
+    # representation; sending the 5-cycle to -1 breaks its order 5
+    with config.overrides({"MAX_MUL_TABLE_ENTRIES": 1}):
+        G = symmetric(5)
+    assert G.mul_table is None
+    swap, turn = G.generator_indices
+    assert G.elements[turn] == from_cycles(5, [(0, 1, 2, 3, 4)])
+    assert representation_from_generator_matrices(G, 3, [[[2]], [[1]]]).dim == 1
+    with pytest.raises(InvariantError, match="homomorphism law fails"):
+        representation_from_generator_matrices(G, 3, [[[2]], [[2]]])
 
 
 def test_representation_rejects_singular():
