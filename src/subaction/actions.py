@@ -128,36 +128,34 @@ class GroupAction:
         members = frozenset(np.flatnonzero(self.table[:, x] == x).tolist())
         return Subgroup(self.group, members, _verified=True)
 
-    def set_stabilizer(self, Y: Iterable[int]) -> Subgroup:
+    def _overlaps(self, Y: Iterable[int], what: str
+                  ) -> tuple[np.ndarray, int]:
+        """|g.Y meet Y| for every element g, and |Y|."""
         y = self._point_indices(Y)
         if y.size == 0:
-            raise DomainError("set stabilizer needs a nonempty set")
+            raise DomainError(f"{what} needs a nonempty set")
         memb = np.zeros(self.domain_size, dtype=bool)
         memb[y] = True
-        keep = memb[self.table[:, y]].all(axis=1)
-        return Subgroup(self.group, frozenset(np.flatnonzero(keep).tolist()),
+        return memb[self.table[:, y]].sum(axis=1), int(y.size)
+
+    def set_stabilizer(self, Y: Iterable[int]) -> Subgroup:
+        """Elements g with |g.Y meet Y| = |Y|."""
+        counts, size = self._overlaps(Y, "set stabilizer")
+        return Subgroup(self.group,
+                        frozenset(np.flatnonzero(counts == size).tolist()),
                         _verified=True)
 
     def symmetry_set(self, Y: Iterable[int], alpha) -> frozenset[int]:
-        """Elements g with |g.Y meet Y| >= alpha * |Y| (alpha an exact rational)."""
+        """Elements g with |g.Y meet Y| >= alpha |Y| (alpha an exact
+        rational)."""
         a = _exact_ratio(alpha)
-        y = self._point_indices(Y)
-        if y.size == 0:
-            raise DomainError("symmetry set needs a nonempty set")
-        memb = np.zeros(self.domain_size, dtype=bool)
-        memb[y] = True
-        counts = memb[self.table[:, y]].sum(axis=1)
-        keep = counts * a.denominator >= a.numerator * int(y.size)
+        counts, size = self._overlaps(Y, "symmetry set")
+        keep = counts * a.denominator >= a.numerator * size
         return frozenset(np.flatnonzero(keep).tolist())
 
     def weak_stabilizer(self, Y: Iterable[int]) -> frozenset[int]:
-        """Elements whose translate of Y meets Y."""
-        y = self._point_indices(Y)
-        if y.size == 0:
-            raise DomainError("weak stabilizer needs a nonempty set")
-        memb = np.zeros(self.domain_size, dtype=bool)
-        memb[y] = True
-        counts = memb[self.table[:, y]].sum(axis=1)
+        """Elements g with |g.Y meet Y| >= 1."""
+        counts, _size = self._overlaps(Y, "weak stabilizer")
         return frozenset(np.flatnonzero(counts >= 1).tolist())
 
     def profile(self) -> "ActionProfile":

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -69,33 +70,12 @@ def to_jsonable(obj):
                 "basis": [list(r) for r in obj.rows]}
     if isinstance(obj, Exhaustiveness):
         return obj.to_json()
-    if isinstance(obj, theorems.CheckReport):
-        return {
-            "statement_id": obj.statement_id,
-            "hypotheses_hold": obj.hypotheses_hold,
-            "conclusion_holds": obj.conclusion_holds,
-            "witnesses": to_jsonable(obj.witnesses),
-            "counterexample": to_jsonable(obj.counterexample),
-            "exhaustiveness": obj.exhaustiveness.to_json(),
-            "details": to_jsonable(obj.details),
-        }
-    if isinstance(obj, MinimizationResult):
-        return {
-            "label": obj.label, "ground_size": obj.ground_size,
-            "min_value": to_jsonable(obj.min_value),
-            "fragment_count": obj.fragment_count,
-            "fragments": to_jsonable(obj.fragments),
-            "fragments_truncated": obj.fragments_truncated,
-            "atoms": to_jsonable(obj.atoms), "atom_size": obj.atom_size,
-        }
-    if isinstance(obj, CoreResult):
-        return {"atoms": to_jsonable(obj.atoms),
-                "union": to_jsonable(obj.union), "disjoint": obj.disjoint}
-    if isinstance(obj, MuResult):
-        return {"mu": to_jsonable(obj.mu),
-                "witness": to_jsonable(obj.witness),
-                "methods": to_jsonable(obj.methods),
-                "dinkelbach_iterations": obj.dinkelbach_iterations}
+    if isinstance(obj, (theorems.CheckReport, MinimizationResult, CoreResult,
+                        MuResult)):
+        # every field in declaration order, but those marked unreported
+        return {f.name: to_jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)
+                if f.metadata.get("reported", True)}
     if isinstance(obj, OrbitDecomposition):
         return {"representatives": to_jsonable(obj.representatives),
                 "orbits": to_jsonable(obj.orbits),
@@ -260,7 +240,7 @@ def parse_scenario(text: str) -> dict:
     for name, val in caps.items():
         if name not in config.snapshot():
             raise ScenarioError(f"scenario.caps: unknown cap {name!r}")
-        if not _is_int(val) or val < 1:
+        if not _is_int(val) or not config.allows(name, val):
             raise ScenarioError(f"scenario.caps.{name}: caps must be "
                                 f"positive integers")
 

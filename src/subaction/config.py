@@ -47,6 +47,12 @@ def overrides(caps: dict[str, int]):
         _OVERRIDES.reset(token)
 
 
+def allows(name: str, value: int) -> bool:
+    """Whether `value` may stand for cap `name`: a positive integer, or
+    any integer for DEFAULT_SEED."""
+    return value >= 1 or name == "DEFAULT_SEED"
+
+
 def cap(name: str) -> int:
     if name not in _DEFAULTS:
         raise KeyError(f"unknown cap {name!r}")
@@ -60,7 +66,7 @@ def cap(name: str) -> int:
     except ValueError:
         raise StructuralError(f"SUBACTION_{name}={raw!r} is not an "
                               f"integer") from None
-    if value < 1 and name != "DEFAULT_SEED":
+    if not allows(name, value):
         raise StructuralError(f"SUBACTION_{name}={raw!r}: caps must be "
                               f"positive integers")
     return value

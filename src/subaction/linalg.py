@@ -272,25 +272,24 @@ class Representation:
             if self.act_subspace(g, W).rows == W.rows)
         return Subgroup(self.group, members, _verified=True)
 
+    def _overlaps(self, W: Subspace, what: str) -> list[int]:
+        """dim(g.W meet W) for every element g."""
+        if W.is_zero():
+            raise DomainError(f"{what} needs a nonzero subspace")
+        return [self.act_subspace(g, W).intersect(W).dim
+                for g in range(self.group.order)]
+
     def symmetry_set(self, W: Subspace, alpha) -> frozenset[int]:
         """Elements g with dim(g.W meet W) >= alpha * dim W."""
         a = exact_fraction(alpha)
-        if W.is_zero():
-            raise DomainError("symmetry set needs a nonzero subspace")
-        out = []
-        for g in range(self.group.order):
-            inter = self.act_subspace(g, W).intersect(W)
-            if inter.dim * a.denominator >= a.numerator * W.dim:
-                out.append(g)
-        return frozenset(out)
+        return frozenset(
+            g for g, d in enumerate(self._overlaps(W, "symmetry set"))
+            if d * a.denominator >= a.numerator * W.dim)
 
     def weak_stabilizer(self, W: Subspace) -> frozenset[int]:
-        """Elements whose translate of W meets W nontrivially."""
-        if W.is_zero():
-            raise DomainError("weak stabilizer needs a nonzero subspace")
-        return frozenset(
-            g for g in range(self.group.order)
-            if not self.act_subspace(g, W).intersect(W).is_zero())
+        """Elements g with dim(g.W meet W) >= 1."""
+        return frozenset(g for g, d in enumerate(
+            self._overlaps(W, "weak stabilizer")) if d >= 1)
 
     def _match(self, W: Subspace) -> None:
         if W.p != self.p or W.ambient_dim != self.dim:

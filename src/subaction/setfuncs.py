@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -307,14 +307,13 @@ class MinimizationResult:
     fragments_truncated: bool
     atoms: list[frozenset[int]]
     atom_size: int
-    largest_size: int  # of a fragment; not serialised
+    largest_size: int = field(metadata={"reported": False})  # of a fragment
 
 
 @dataclass(frozen=True)
 class CoreResult:
     atoms: list[frozenset[int]]
     union: frozenset[int]
-    disjoint: bool
 
 
 @dataclass(frozen=True)
@@ -322,8 +321,7 @@ class MuResult:
     mu: Fraction
     witness: frozenset[int]
     methods: dict
-    agreed: bool
-    dinkelbach_iterations: int
+    agreed: bool = field(metadata={"reported": False})
 
 
 # -- submodularity -------------------------------------------------------------
@@ -495,7 +493,7 @@ def core_set(f: SetFunction) -> CoreResult:
     if sum(map(len, res.atoms)) != len(union):
         raise InvariantError(
             f"atoms of {f.label} are not pairwise disjoint")
-    return CoreResult(atoms=res.atoms, union=union, disjoint=True)
+    return CoreResult(atoms=res.atoms, union=union)
 
 
 def identity_atom(f: SetFunction | None, group: FiniteGroup,
@@ -584,7 +582,7 @@ def min_image_ratio(action: GroupAction, Y: Iterable[int]) -> MuResult:
             f"{ {k: format_fraction(v['value']) for k, v in methods.items()} }")
     primary = next(iter(methods.values()))
     return MuResult(mu=mu, witness=primary["witness"], methods=methods,
-                    agreed=True, dinkelbach_iterations=1)
+                    agreed=True)
 
 
 def _coset_union_ratio(images: list[int]) -> dict:

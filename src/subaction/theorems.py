@@ -207,6 +207,25 @@ def _failed(statement_id: str, details: dict) -> CheckReport:
                        details=details)
 
 
+def _verdict(statement_id: str, holds: bool | dict, witnesses: dict,
+             details: dict, counterexample: dict | None = None,
+             exhaustiveness: Exhaustiveness = _EXHAUSTIVE) -> CheckReport:
+    """The report of an instance whose hypotheses hold.
+
+    `holds` is the conclusion, or a dict of named checks that must all
+    hold; then the counterexample is {"failed_checks": the false names,
+    sorted} followed by the entries of `counterexample`. The
+    counterexample is kept only when the conclusion fails."""
+    if isinstance(holds, dict):
+        bad = sorted(k for k, v in holds.items() if not v)
+        holds, counterexample = not bad, {"failed_checks": bad,
+                                          **(counterexample or {})}
+    return CheckReport(statement_id=statement_id, hypotheses_hold=True,
+                       conclusion_holds=holds, witnesses=witnesses,
+                       counterexample=None if holds else counterexample,
+                       exhaustiveness=exhaustiveness, details=details)
+
+
 def is_left_translation(action: GroupAction) -> bool:
     """True when the table is exactly left multiplication on element
     indices. Both are homomorphisms into Sym(G), so they are equal when
@@ -311,18 +330,14 @@ def check_kneser(action: GroupAction, A: Iterable[int], Y: Iterable[int]
     HY = action.act_set(stab.member_tuple, Y)
     HA = action.group.product_set(stab.member_tuple, A)
     variant_holds = lhs >= len(HY) + len(HA)
-    return CheckReport(
-        statement_id="kneser", hypotheses_hold=True,
-        conclusion_holds=holds,
-        witnesses={"product_set": AY, "stabilizer": stab,
-                   "stabilized_target": HY, "stabilized_actor": HA},
-        counterexample=None if holds else {
-            "A": A, "Y": Y, "lhs": lhs, "rhs": len(A) + len(Y)},
-        exhaustiveness=_EXHAUSTIVE,
-        details={"actor_size": len(A), "target_size": len(Y),
-                 "product_size": len(AY), "stabilizer_order": stab.order,
-                 "variant_holds": variant_holds,
-                 "variant_rhs": len(HY) + len(HA)})
+    return _verdict(
+        "kneser", holds,
+        {"product_set": AY, "stabilizer": stab, "stabilized_target": HY,
+         "stabilized_actor": HA},
+        {"actor_size": len(A), "target_size": len(Y),
+         "product_size": len(AY), "stabilizer_order": stab.order,
+         "variant_holds": variant_holds, "variant_rhs": len(HY) + len(HA)},
+        {"A": A, "Y": Y, "lhs": lhs, "rhs": len(A) + len(Y)})
 
 
 def kneser_example_instance(n: int, k: int, ell: int
@@ -366,7 +381,6 @@ def check_murphy(obj: GroupAction | Representation, A: Iterable[int],
     quotient = G.product_set(G.inverse_set(A), A)
     H = G.generated_subgroup(quotient)
     GY = t.stabilizer(t.Y)
-    holds = H.members <= GY.members
     outside = sorted(H.members - GY.members)
     witnesses = t.keyed({"generated_subgroup": H, "set_stabilizer": GY})
     details = {"quotient_set_size": len(quotient), "subgroup_order": H.order}
@@ -382,11 +396,8 @@ def check_murphy(obj: GroupAction | Representation, A: Iterable[int],
                 seen |= orbits[-1]
         witnesses["orbits"] = tuple(orbits)
         details["orbit_count"] = len(orbits)
-    return CheckReport(
-        statement_id="murphy", hypotheses_hold=True, conclusion_holds=holds,
-        witnesses=witnesses,
-        counterexample=None if holds else {"element": outside[0]},
-        exhaustiveness=_EXHAUSTIVE, details=details)
+    return _verdict("murphy", not outside, witnesses, details,
+                    {"element": outside[0]} if outside else None)
 
 
 # -- small growth -> symmetry sets ---------------------------------------------
@@ -411,12 +422,10 @@ def check_small_growth(obj: GroupAction | Representation, A, Y, alpha
     if outside and not t.linear:
         counterexample["overlap"] = len(obj.act_point_set(outside[0], t.Y)
                                         & frozenset(t.Y))
-    return CheckReport(
-        statement_id="small_growth", hypotheses_hold=True,
-        conclusion_holds=not outside,
-        witnesses={"quotient_set": quotient, "symmetry_set": sym},
-        counterexample=counterexample, exhaustiveness=_EXHAUSTIVE,
-        details=t.keyed({"product_size": size, "bound": bound}))
+    return _verdict("small_growth", not outside,
+                    {"quotient_set": quotient, "symmetry_set": sym},
+                    t.keyed({"product_size": size, "bound": bound}),
+                    counterexample)
 
 
 # -- freiman 3/2 ----------------------------------------------------------------
@@ -460,14 +469,9 @@ def check_freiman(obj: GroupAction | Representation, A, Y, alpha
                 checks["remark_subgroup"] = G.generated_set(Q) == Q
         details.update(bound=bound, corollary_applies=corollary_applies,
                        remark_applies=remark_applies)
-    holds = all(checks.values())
-    bad = sorted(k for k, v in checks.items() if not v)
-    return CheckReport(
-        statement_id="freiman", hypotheses_hold=True, conclusion_holds=holds,
-        witnesses={"quotient_set": Q, "quotient_square": Q2,
-                   "symmetry_set": sym},
-        counterexample=None if holds else {"failed_checks": bad},
-        exhaustiveness=_EXHAUSTIVE, details=details)
+    return _verdict("freiman", checks, {"quotient_set": Q,
+                                        "quotient_square": Q2,
+                                        "symmetry_set": sym}, details)
 
 
 # -- ruzsa triple ----------------------------------------------------------------
@@ -493,18 +497,12 @@ def check_ruzsa_triple(action: GroupAction, A, B, Y) -> CheckReport:
         AY_size = action.image_size(A, Y)
         checks["commuting_bound"] = \
             len(ABY) ** 2 <= len(AB) * len(BY) * AY_size
-    holds = all(checks.values())
-    bad = sorted(k for k, v in checks.items() if not v)
-    return CheckReport(
-        statement_id="ruzsa", hypotheses_hold=True, conclusion_holds=holds,
-        witnesses={"product_actors": AB, "product_set": ABY,
-                   "b_images": per_b},
-        counterexample=None if holds else {"failed_checks": bad},
-        exhaustiveness=_EXHAUSTIVE,
-        details={"lhs": len(ABY) ** 2,
-                 "rhs": len(AB) * len(BY) * worst,
-                 "max_single_image": worst, "commuting": commuting,
-                 "actor_image_size": AY_size})
+    return _verdict(
+        "ruzsa", checks,
+        {"product_actors": AB, "product_set": ABY, "b_images": per_b},
+        {"lhs": len(ABY) ** 2, "rhs": len(AB) * len(BY) * worst,
+         "max_single_image": worst, "commuting": commuting,
+         "actor_image_size": AY_size})
 
 
 # -- hamidoune -------------------------------------------------------------------
@@ -519,12 +517,12 @@ def check_hamidoune(obj: GroupAction | Representation, Y, lam, A0=None
     f(G) / |G| (`group_image_ratio` on the set side): f is monotone,
     submodular and left-invariant with f(empty) = 0, and each element lies
     in exactly |A| of the translates gA, so fractional subadditivity gives
-    f(G) <= sum over g of f(gA) / |A| = |G| f(A) / |A|. On the set side one `actor_growth_cut` gives
-    the minimum growth and H, its least minimiser containing e, at every
-    order. On the linear side one fold of g.W, built once lam is known to
-    lie in range, gives the minimum growth, its first fragment and H,
-    refused past LINEAR_EXHAUSTIVE_MAX_ORDER. At lam = 0, H is the
-    stabilizer."""
+    f(G) <= sum over g of f(gA) / |A| = |G| f(A) / |A|. On the set side
+    one `actor_growth_cut` gives the minimum growth and H, its least
+    minimiser containing e, at every order. On the linear side one fold
+    of g.W, built once lam is known to lie in range, gives the minimum
+    growth, its first fragment and H, refused past
+    LINEAR_EXHAUSTIVE_MAX_ORDER. At lam = 0, H is the stabilizer."""
     t = _Target(obj, Y)
     if A0 is not None and t.linear:
         raise DomainError("A0 is not supported on representations: the "
@@ -552,10 +550,9 @@ def check_hamidoune(obj: GroupAction | Representation, Y, lam, A0=None
         minimum, A = actor_growth_cut(obj, t.Y, lam)
         H = Subgroup(G, A) if lam else GY
     cH = t.size(t.image(H.member_tuple, t.Y)) - lam * H.order
-    below = None if minimum >= cH else (A, minimum)
     checks = {"stabilizer_in_subgroup": GY.members <= H.members,
               "floor_bound": cH >= t.target_size - lam * H.order,
-              "minimum_at_subgroup": below is None}
+              "minimum_at_subgroup": minimum >= cH}
     details: dict = {"mu": mu, "lambda": lam, "subgroup_growth": cH,
                      "checks": checks}
     if not t.linear:
@@ -572,14 +569,11 @@ def check_hamidoune(obj: GroupAction | Representation, Y, lam, A0=None
             details["corollary_product_size"] = len(A0Y)
         elif A0 is not None:
             details["corollary_skipped"] = "corollary requires lambda > 0"
-    holds = all(checks.values())
-    return CheckReport(
-        statement_id="hamidoune", hypotheses_hold=True,
-        conclusion_holds=holds,
-        witnesses=t.keyed({"subgroup": H, "set_stabilizer": GY}),
-        counterexample=None if below is None else {
-            "A": below[0], "growth": below[1], "subgroup_growth": cH},
-        exhaustiveness=_EXHAUSTIVE, details=details)
+    return _verdict(
+        "hamidoune", all(checks.values()),
+        t.keyed({"subgroup": H, "set_stabilizer": GY}), details,
+        None if minimum >= cH else {"A": A, "growth": minimum,
+                                    "subgroup_growth": cH})
 
 
 # -- petridis --------------------------------------------------------------------
@@ -612,16 +606,11 @@ def find_petridis_witness(obj: GroupAction | Representation, A, Y, alpha,
         t.side(t.translates(BY)),
         _masks([_mask_of(G.translate_set(c, B)) for c in range(G.order)]),
         alpha, seed)
-
-    holds = counterexample is None and ratio <= alpha
-    return CheckReport(
-        statement_id="petridis", hypotheses_hold=True,
-        conclusion_holds=holds,
-        witnesses=t.keyed({"B": frozenset(B), "witness_product": BY}),
-        counterexample=counterexample,
-        exhaustiveness=exh,
-        details={"witness_ratio": ratio, "alpha": alpha,
-                 "witness_size": len(B)})
+    return _verdict(
+        "petridis", counterexample is None and ratio <= alpha,
+        t.keyed({"B": frozenset(B), "witness_product": BY}),
+        {"witness_ratio": ratio, "alpha": alpha, "witness_size": len(B)},
+        counterexample, exh)
 
 
 # -- tao small doubling ------------------------------------------------------------
@@ -660,16 +649,10 @@ def check_tao_small_doubling(action: GroupAction, A, Y, eps) -> CheckReport:
         "image_size": Fraction(len(HY)) <= mu * budget,
         "orbit_union": action.act_set(H.member_tuple, HY) == HY,
     }
-    holds = all(checks.values())
-    bad = sorted(k for k, v in checks.items() if not v)
-    return CheckReport(
-        statement_id="tao_doubling", hypotheses_hold=True,
-        conclusion_holds=holds,
-        witnesses={"subgroup": H, "subgroup_image": HY},
-        counterexample=None if holds else {"failed_checks": bad},
-        exhaustiveness=_EXHAUSTIVE,
-        details={"mu": mu, "lambda": lam, "size_budget": budget,
-                 "checks": checks})
+    return _verdict("tao_doubling", checks,
+                    {"subgroup": H, "subgroup_image": HY},
+                    {"mu": mu, "lambda": lam, "size_budget": budget,
+                     "checks": checks})
 
 
 # -- taod (Abelian transfer to the target side) --------------------------------------
@@ -723,17 +706,11 @@ def find_taod_witness(obj: GroupAction | Representation, A, Y, alpha,
     for k in range(1, n_max + 1):
         Ak = G.product_set(Ak, A)  # A^k = A^(k-1) A
         powers[k] = t.size(t.image(Ak, Z)) <= alpha ** k * t.size(Z)
-    holds = counterexample is None and all(powers.values())
-    if holds is False and counterexample is None:
-        counterexample = {"failed_powers":
-                          sorted(k for k, v in powers.items() if not v)}
-    return CheckReport(
-        statement_id="taod", hypotheses_hold=True, conclusion_holds=holds,
-        witnesses={"Z": Z},
-        counterexample=counterexample,
-        exhaustiveness=exh,
-        details={"witness_ratio": ratio, "alpha": alpha,
-                 "power_checks": powers})
+    return _verdict(
+        "taod", counterexample is None and all(powers.values()), {"Z": Z},
+        {"witness_ratio": ratio, "alpha": alpha, "power_checks": powers},
+        counterexample or {"failed_powers": sorted(
+            k for k, v in powers.items() if not v)}, exh)
 
 
 # -- fragment size bounds -------------------------------------------------------
@@ -773,18 +750,11 @@ def check_fragment_bounds(action: GroupAction, A, lam, mu_param=None
         checks["upper_bound"] = hi <= size
     if part2:
         checks["lower_bound"] = Fraction(lo) >= mu_param * size
-    holds = all(checks.values())
-    bad = sorted(k for k, v in checks.items() if not v)
-    return CheckReport(
-        statement_id="fragment_bounds", hypotheses_hold=True,
-        conclusion_holds=holds,
-        witnesses={"atoms": tuple(res.atoms),
-                   "fragments": tuple(res.fragments)},
-        counterexample=None if holds else {
-            "failed_checks": bad, "smallest_fragment": lo,
-            "largest_fragment": hi},
-        exhaustiveness=_EXHAUSTIVE,
-        details={"part1_applies": part1, "part2_applies": part2,
-                 "part2_threshold": threshold, "minimum": res.min_value,
-                 "fragment_count": res.fragment_count,
-                 "smallest_fragment": lo, "largest_fragment": hi})
+    return _verdict(
+        "fragment_bounds", checks,
+        {"atoms": tuple(res.atoms), "fragments": tuple(res.fragments)},
+        {"part1_applies": part1, "part2_applies": part2,
+         "part2_threshold": threshold, "minimum": res.min_value,
+         "fragment_count": res.fragment_count, "smallest_fragment": lo,
+         "largest_fragment": hi},
+        {"smallest_fragment": lo, "largest_fragment": hi})

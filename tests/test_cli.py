@@ -158,6 +158,27 @@ def test_to_jsonable_subgroup_and_subspace():
     assert out == {"p": 3, "ambient_dim": 2, "dim": 1, "basis": [[1, 2]]}
 
 
+def test_result_types_report_their_fields_but_the_unreported():
+    sc = _minimal(group={"kind": "cyclic", "n": 6},
+                  action={"kind": "left_translation"},
+                  sets={"A": [0, 1], "Y": [0, 3]},
+                  tasks=[{"task": "kneser", "A": "A", "Y": "Y"},
+                         {"task": "minimize", "function": "actor_growth",
+                          "Y": "Y", "lambda": "0"},
+                         {"task": "core", "function": "actor_growth",
+                          "Y": "Y", "lambda": "0"},
+                         {"task": "mu", "Y": "Y"}])
+    report, minimized, core, mu = run_scenario(_parse(sc))["results"]
+    assert list(report["report"]) == [
+        "statement_id", "hypotheses_hold", "conclusion_holds", "witnesses",
+        "counterexample", "exhaustiveness", "details"]
+    assert list(minimized["result"]) == [
+        "label", "ground_size", "min_value", "fragment_count", "fragments",
+        "fragments_truncated", "atoms", "atom_size"]
+    assert list(core["result"]) == ["atoms", "union"]
+    assert list(mu["result"]) == ["mu", "witness", "methods"]
+
+
 def test_report_is_json_clean():
     report = run_scenario(_parse(_minimal()))
     text = json.dumps(report, sort_keys=True)
@@ -667,6 +688,38 @@ def test_cap_variable_below_one_exits_2(tmp_path, capsys, monkeypatch, raw):
             with pytest.raises(StructuralError, match=f"SUBACTION_{name}="):
                 config.cap(name)
         monkeypatch.delenv(f"SUBACTION_{name}")
+
+
+def test_scenario_caps_take_any_integer_seed(monkeypatch):
+    # order 16 is above PETRIDIS_EXHAUSTIVE_MAX_ORDER, so the check samples
+    for name in list(os.environ):
+        if name.startswith("SUBACTION_"):
+            monkeypatch.delenv(name)
+    sc = {"group": {"kind": "cyclic", "n": 16},
+          "action": {"kind": "left_translation"},
+          "sets": {"A": [0, 1], "Y": [0, 1]},
+          "caps": {"SAMPLE_COUNT": 40, "DEFAULT_SEED": -3},
+          "tasks": [{"task": "petridis", "A": "A", "Y": "Y", "alpha": "3"}]}
+    by_caps = run_scenario(_parse(sc))
+    by_caps.pop("elapsed_seconds")
+    (result,) = by_caps["results"]
+    assert result["report"]["exhaustiveness"] == {
+        "kind": "sampled", "samples": 40, "seed": -3}
+    assert by_caps["caps"]["DEFAULT_SEED"] == -3
+
+    # the same run with the seed from the environment
+    monkeypatch.setenv("SUBACTION_DEFAULT_SEED", "-3")
+    del sc["caps"]["DEFAULT_SEED"]
+    by_env = run_scenario(_parse(sc))
+    by_env.pop("elapsed_seconds")
+    assert by_env["results"] == by_caps["results"]
+    assert by_env["caps"] == by_caps["caps"]
+
+    for name, val in [("MAX_GROUP_ORDER", 0), ("DEFAULT_SEED", True)]:
+        with pytest.raises(ScenarioError) as ei:
+            _parse(_minimal(caps={name: val}))
+        assert str(ei.value) == \
+            f"scenario.caps.{name}: caps must be positive integers"
 
 
 def test_cli_report_roundtrip(tmp_path, capsys):

@@ -285,6 +285,25 @@ def test_subspace_stabilizer_and_symmetry():
     assert rep.weak_stabilizer(W) == frozenset({0})
 
 
+def test_symmetry_thresholds_match_counted_overlaps():
+    # dim(g.W meet W) read from the count of vectors g.W and W share
+    rep = permutation_representation(natural_action(symmetric(4)), 2)
+    W = Subspace.from_vectors(2, 4, [[1, 1, 0, 0], [0, 0, 1, 0]])
+    inside = set(W.vectors())
+    dims = [len(inside & set(rep.act_subspace(g, W).vectors())).bit_length()
+            - 1 for g in range(24)]
+    assert sorted(set(dims)) == [0, 1, 2]
+    for alpha in ("1/2", "1"):
+        assert rep.symmetry_set(W, alpha) == frozenset(
+            g for g, d in enumerate(dims) if d >= Fraction(alpha) * W.dim)
+    assert rep.weak_stabilizer(W) == frozenset(
+        g for g, d in enumerate(dims) if d >= 1)
+    assert rep.symmetry_set(W, 1) == rep.subspace_stabilizer(W).members
+    for check in (lambda Z: rep.symmetry_set(Z, "1/2"), rep.weak_stabilizer):
+        with pytest.raises(DomainError, match="needs a nonzero subspace"):
+            check(Subspace.zero(2, 4))
+
+
 # -- lattice functions --------------------------------------------------------------
 
 

@@ -25,7 +25,7 @@ from subaction.groups import (FiniteGroup, cyclic, dihedral, direct_product,
 from subaction.linalg import (Representation, Subspace, actor_growth_linear,
                               enumerate_subspaces, permutation_representation,
                               representation_from_generator_matrices)
-from subaction.search import search
+from subaction.search import FAMILIES, _draw, _Pool, _run_drawn, search
 from subaction.setfuncs import Exhaustiveness, identity_atom
 from subaction.theorems import (STATEMENT_IDS, check_fragment_bounds,
                                 check_freiman, check_hamidoune, check_kneser,
@@ -1295,3 +1295,46 @@ def test_set_and_linear_variants_agree_on_coordinate_subspaces(data):
             for key, value in fields[0].items():
                 if key in _SAME and _SAME[key] in fields[1]:
                     assert fields[1][_SAME[key]] == value, (statement, key)
+
+
+# -- the verdict rule ---------------------------------------------------------
+
+
+def test_verdict_lists_the_failed_checks_after_their_names():
+    failing = theorems._verdict("x", {"b": False, "a": True, "c": False},
+                                {"w": 1}, {"d": 2}, {"extra": 3})
+    assert (failing.hypotheses_hold, failing.conclusion_holds) == (True, False)
+    assert list(failing.counterexample.items()) == [
+        ("failed_checks", ["b", "c"]), ("extra", 3)]
+    assert (failing.witnesses, failing.details) == ({"w": 1}, {"d": 2})
+    assert theorems._verdict("x", {"a": False}, {}, {}).counterexample == \
+        {"failed_checks": ["a"]}
+    holding = theorems._verdict("x", {"a": True}, {}, {}, {"extra": 3})
+    assert (holding.conclusion_holds, holding.counterexample) == (True, None)
+    # a plain conclusion passes its counterexample through, when it fails
+    assert theorems._verdict("x", False, {}, {}, {"C": [0]}
+                             ).counterexample == {"C": [0]}
+    assert theorems._verdict("x", True, {}, {}, {"C": [0]}
+                             ).counterexample is None
+
+
+@pytest.mark.parametrize("statement", STATEMENT_IDS)
+def test_holding_reports_carry_no_counterexample(statement):
+    # the first 30 instances of every family at seed 7, as search draws them
+    held = 0
+    for family in sorted(FAMILIES):
+        pool = _Pool(family)
+        for cursor in range(30):
+            action, scenario = _draw(random.Random(f"7:{cursor}"), pool,
+                                     statement)
+            if statement == "taod" and not action.group.is_abelian():
+                continue
+            report = _run_drawn(action, scenario)
+            assert report.statement_id == statement
+            if not report.hypotheses_hold:
+                assert (report.conclusion_holds, report.counterexample,
+                        report.witnesses) == (None, None, {}), scenario
+            elif report.conclusion_holds:
+                held += 1
+                assert report.counterexample is None, scenario
+    assert held
