@@ -2,9 +2,8 @@
 fragments, atoms, and growth-theorem checkers."""
 
 from .actions import (ActionProfile, GroupAction, OrbitDecomposition,
-                      OrbitReduction, action_from_table, affine_line_action,
                       conjugation_action, coset_action, left_translation_action,
-                      natural_action, orbit_reduction_bounds, product_action)
+                      natural_action)
 from .config import cap, snapshot
 from .errors import (CapacityError, DomainError, InvariantError,
                      StructuralError)
@@ -40,12 +39,11 @@ __all__ = [
     "CosetDecomposition", "DomainError", "Exhaustiveness", "FAMILIES",
     "FiniteGroup", "GroupAction", "InvariantError", "LatticeFunction",
     "LatticeMinimizationResult", "MinimizationResult", "MuResult",
-    "OrbitDecomposition", "OrbitReduction", "PREDICATES", "Permutation",
+    "OrbitDecomposition", "PREDICATES", "Permutation",
     "PropertyReport", "Representation", "STATEMENT_IDS", "SearchRecord",
     "SearchResult", "SetFunction", "StructuralError", "Subgroup",
-    "Subspace", "action_from_table",
-    "actor_growth", "actor_growth_linear", "affine_gl1",
-    "affine_line_action", "alternating", "build_action", "build_group",
+    "Subspace", "actor_growth", "actor_growth_linear", "affine_gl1",
+    "alternating", "build_action", "build_group",
     "build_representation", "cap", "check_fragment_bounds",
     "check_freiman", "check_hamidoune", "check_invariance",
     "check_kneser", "check_lattice_invariance", "check_lattice_submodular",
@@ -59,8 +57,8 @@ __all__ = [
     "identity_atom",
     "kneser_example_instance", "left_translation_action",
     "min_image_ratio", "minimize_nonempty", "minimize_on_lattice",
-    "natural_action", "orbit_reduction_bounds", "permutation_representation",
-    "product_action", "representation_from_generator_matrices", "search",
+    "natural_action", "permutation_representation",
+    "representation_from_generator_matrices", "search",
     "snapshot", "subspace_count", "subtract_modular", "symmetric",
     "target_growth",
 ]

@@ -116,9 +116,6 @@ class SubsetFold:
         fold.cards = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
         return fold
 
-    def union_pop(self, subset_mask: int) -> int:
-        return int(self.pops[subset_mask])
-
     def _histogram(self):
         """(pop, card, count) int64 arrays over the occupied bins of the
         nonempty subsets; counted on the first query, then kept."""

@@ -12,14 +12,13 @@ on a generator), so verification looks no element up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
 from . import config
 from .errors import CapacityError, DomainError, InvariantError, StructuralError
-from .groups import FiniteGroup, Subgroup, affine_gl1, direct_product
+from .groups import FiniteGroup, Subgroup
 from .rationals import exact_fraction as _exact_ratio
 
 
@@ -118,16 +117,6 @@ class GroupAction:
         self._orbits = OrbitDecomposition(tuple(reps), orbit_of, orbits)
         return self._orbits
 
-    def orbit_of_point(self, x: int) -> frozenset[int]:
-        dec = self.orbit_decomposition()
-        return dec.orbits[int(dec.orbit_of[x])]
-
-    def point_stabilizer(self, x: int) -> Subgroup:
-        if not 0 <= x < self.domain_size:
-            raise DomainError(f"point {x} outside domain")
-        members = frozenset(np.flatnonzero(self.table[:, x] == x).tolist())
-        return Subgroup(self.group, members, _verified=True)
-
     def _overlaps(self, Y: Iterable[int], what: str
                   ) -> tuple[np.ndarray, int]:
         """|g.Y meet Y| for every element g, and |Y|."""
@@ -201,66 +190,6 @@ class ActionProfile:
     kernel: frozenset[int]
 
 
-@dataclass(frozen=True)
-class OrbitReduction:
-    """Per-orbit transporter decomposition of |A.Y| with its two-sided bound."""
-    lower: Fraction
-    exact: int
-    upper: int
-    pieces: list[dict]
-
-    def holds(self) -> bool:
-        return self.lower <= self.exact <= self.upper
-
-
-def orbit_reduction_bounds(action: GroupAction, A: Iterable[int],
-                           Y: Iterable[int]) -> OrbitReduction:
-    """Bound |A.Y| orbit by orbit through transporter sets.
-
-    For each orbit piece Y_i = Y meet O_i with base point x_i, the coset
-    representatives B_i carrying x_i into Y_i satisfy
-    |A B_i| / |Stab(x_i)| <= |A.Y_i| <= |A B_i|.
-    """
-    G = action.group
-    a = G._as_indices(A)
-    y = action._point_indices(Y)
-    if a.size == 0 or y.size == 0:
-        raise DomainError("need nonempty A and Y")
-    dec = action.orbit_decomposition()
-    pieces = []
-    lower = Fraction(0)
-    upper = 0
-    exact = 0
-    yset = set(y.tolist())
-    for oi, orbit in enumerate(dec.orbits):
-        part = sorted(orbit & yset)
-        if not part:
-            continue
-        x_i = part[0]
-        stab = action.point_stabilizer(x_i)
-        cosets = G.left_cosets(stab)
-        B_i = [r for r in cosets.representatives if action.act(r, x_i) in orbit and
-               action.act(r, x_i) in yset]
-        AB_i = G.product_set(a.tolist(), B_i)
-        image = action.act_set(AB_i, [x_i])
-        lower += Fraction(len(AB_i), stab.order)
-        upper += len(AB_i)
-        exact += len(image)
-        pieces.append({
-            "orbit_representative": dec.representatives[oi],
-            "base_point": x_i,
-            "piece_size": len(part),
-            "transporter_size": len(B_i),
-            "product_size": len(AB_i),
-            "stabilizer_order": stab.order,
-            "image_size": len(image),
-        })
-    result = OrbitReduction(lower=lower, exact=exact, upper=upper, pieces=pieces)
-    if not result.holds():
-        raise InvariantError("orbit reduction bounds violated")
-    return result
-
-
 # -- constructors -----------------------------------------------------------
 
 
@@ -291,30 +220,3 @@ def coset_action(G: FiniteGroup, H: Subgroup) -> GroupAction:
     rows = cd.rep_position[G._products(np.arange(G.order),
                                        cd.representatives)]
     return GroupAction(G, cd.index, rows, name=f"cosets<{G.name}/{H.order}>")
-
-
-def affine_line_action(p: int) -> GroupAction:
-    G = affine_gl1(p)
-    act = natural_action(G)
-    act.name = f"affine_line<{p}>"
-    return act
-
-
-def product_action(a1: GroupAction, a2: GroupAction) -> GroupAction:
-    """Componentwise action of the direct product on the cartesian domain."""
-    G1, G2 = a1.group, a2.group
-    d1, d2 = a1.domain_size, a2.domain_size
-    _check_table_cap(G1.order * G2.order, d1 * d2)
-    G = direct_product(G1, G2)
-    deg1 = G1.degree
-    g1 = G1._lookup(G.images[:, :deg1])
-    g2 = G2._lookup(G.images[:, deg1:] - deg1)
-    grid1, grid2 = np.divmod(np.arange(d1 * d2), d2)
-    rows = a1.table[g1][:, grid1] * d2 + a2.table[g2][:, grid2]
-    return GroupAction(G, d1 * d2, rows, name=f"product<{a1.name},{a2.name}>")
-
-
-def action_from_table(group: FiniteGroup, domain_size: int,
-                      table, *, name: str | None = None) -> GroupAction:
-    return GroupAction(group, domain_size, np.asarray(table, dtype=np.int32),
-                       name=name)

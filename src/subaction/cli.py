@@ -241,8 +241,7 @@ def parse_scenario(text: str) -> dict:
         if name not in config.snapshot():
             raise ScenarioError(f"scenario.caps: unknown cap {name!r}")
         if not _is_int(val) or not config.allows(name, val):
-            raise ScenarioError(f"scenario.caps.{name}: caps must be "
-                                f"positive integers")
+            raise ScenarioError(f"scenario.caps.{name}: {config.rule(name)}")
 
     tasks = sc["tasks"]
     if not isinstance(tasks, list) or not tasks:

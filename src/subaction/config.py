@@ -53,6 +53,12 @@ def allows(name: str, value: int) -> bool:
     return value >= 1 or name == "DEFAULT_SEED"
 
 
+def rule(name: str) -> str:
+    """What `allows` asks of a value for cap `name`, as refusals word it."""
+    return ("expected an integer" if name == "DEFAULT_SEED"
+            else "caps must be positive integers")
+
+
 def cap(name: str) -> int:
     if name not in _DEFAULTS:
         raise KeyError(f"unknown cap {name!r}")
@@ -67,8 +73,7 @@ def cap(name: str) -> int:
         raise StructuralError(f"SUBACTION_{name}={raw!r} is not an "
                               f"integer") from None
     if not allows(name, value):
-        raise StructuralError(f"SUBACTION_{name}={raw!r}: caps must be "
-                              f"positive integers")
+        raise StructuralError(f"SUBACTION_{name}={raw!r}: {rule(name)}")
     return value
 
 

@@ -167,9 +167,6 @@ class FiniteGroup:
             return int(self.mul_table[i, j])
         return int(self._products([i], [j])[0, 0])
 
-    def inv(self, i: int) -> int:
-        return int(self.inv_table[i])
-
     def mul_row(self, g: int) -> np.ndarray:
         """Row of left translation by g: ``row[h] = index(g * h)``; without
         a table, the closure's generator rows are cached from the start."""
@@ -182,9 +179,6 @@ class FiniteGroup:
 
     def element_index(self, p: Permutation) -> int:
         return int(self._lookup([p.images])[0])
-
-    def conjugate(self, g: int, x: int) -> int:
-        return self.mul(self.mul(g, x), self.inv(g))
 
     @property
     def identity_index(self) -> int:
@@ -217,28 +211,8 @@ class FiniteGroup:
     def inverse_set(self, A: Iterable[int]) -> frozenset[int]:
         return frozenset(self.inv_table[self._as_indices(A)].tolist())
 
-    def product_power(self, A: Iterable[int], k: int) -> frozenset[int]:
-        """k-fold product set; ``k == 0`` gives the identity singleton."""
-        if k < 0:
-            raise DomainError("power must be nonnegative")
-        out: frozenset[int] = frozenset({0})
-        a = frozenset(self._as_indices(A).tolist())
-        for _ in range(k):
-            out = self.product_set(out, a)
-        return out
-
     def translate_set(self, g: int, A: Iterable[int]) -> frozenset[int]:
         return frozenset(self._products([g], self._as_indices(A))[0].tolist())
-
-    def conjugate_set(self, g: int, A: Iterable[int]) -> frozenset[int]:
-        return frozenset(self.conjugate(g, int(x)) for x in self._as_indices(A))
-
-    def is_conjugation_stable(self, A: Iterable[int]) -> bool:
-        """Whether gAg^-1 = A for every g; the elements that fix A under
-        conjugation form a subgroup, so the generators decide it."""
-        a = frozenset(self._as_indices(A).tolist())
-        return all(self.conjugate_set(g, a) == a
-                   for g in self.generator_indices)
 
     def generated_set(self, S: Iterable[int]) -> frozenset[int]:
         """Element set of the subgroup generated by S (empty S gives trivial)."""
@@ -329,12 +303,6 @@ class Subgroup:
     def member_tuple(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
 
-    def contains(self, g: int) -> bool:
-        return g in self.members
-
-    def is_normal(self) -> bool:
-        return self.group.is_conjugation_stable(self.members)
-
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.group.name})"
 
@@ -362,10 +330,6 @@ class CosetDecomposition:
     @property
     def index(self) -> int:
         return len(self.representatives)
-
-    def coset_of(self, g: int) -> int:
-        """Representative (element index) of the coset gH."""
-        return self.representatives[int(self.rep_position[g])]
 
 
 # -- constructors -----------------------------------------------------------

@@ -86,13 +86,6 @@ class Subspace:
         _check_prime(p)
         return Subspace(p, ambient_dim, ())
 
-    @staticmethod
-    def full(p: int, ambient_dim: int) -> "Subspace":
-        rows = tuple(tuple(1 if j == i else 0 for j in range(ambient_dim))
-                     for i in range(ambient_dim))
-        _check_prime(p)
-        return Subspace(p, ambient_dim, rows)
-
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -240,10 +233,6 @@ class Representation:
             if not np.array_equal(prods, self.mats[row]):
                 raise InvariantError(f"homomorphism law fails at generator {g}")
 
-    def act_vector(self, g: int, v: Sequence[int]) -> tuple[int, ...]:
-        arr = np.asarray([int(x) % self.p for x in v], dtype=np.int64)
-        return tuple(int(x) for x in (self.mats[g] @ arr) % self.p)
-
     def act_subspace(self, g: int, W: Subspace) -> Subspace:
         self._match(W)
         if W.is_zero():
@@ -272,24 +261,15 @@ class Representation:
             if self.act_subspace(g, W).rows == W.rows)
         return Subgroup(self.group, members, _verified=True)
 
-    def _overlaps(self, W: Subspace, what: str) -> list[int]:
-        """dim(g.W meet W) for every element g."""
-        if W.is_zero():
-            raise DomainError(f"{what} needs a nonzero subspace")
-        return [self.act_subspace(g, W).intersect(W).dim
-                for g in range(self.group.order)]
-
     def symmetry_set(self, W: Subspace, alpha) -> frozenset[int]:
         """Elements g with dim(g.W meet W) >= alpha * dim W."""
         a = exact_fraction(alpha)
+        if W.is_zero():
+            raise DomainError("symmetry set needs a nonzero subspace")
         return frozenset(
-            g for g, d in enumerate(self._overlaps(W, "symmetry set"))
-            if d * a.denominator >= a.numerator * W.dim)
-
-    def weak_stabilizer(self, W: Subspace) -> frozenset[int]:
-        """Elements g with dim(g.W meet W) >= 1."""
-        return frozenset(g for g, d in enumerate(
-            self._overlaps(W, "weak stabilizer")) if d >= 1)
+            g for g in range(self.group.order)
+            if self.act_subspace(g, W).intersect(W).dim * a.denominator
+            >= a.numerator * W.dim)
 
     def _match(self, W: Subspace) -> None:
         if W.p != self.p or W.ambient_dim != self.dim:

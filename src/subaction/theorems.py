@@ -570,7 +570,7 @@ def check_hamidoune(obj: GroupAction | Representation, Y, lam, A0=None
         elif A0 is not None:
             details["corollary_skipped"] = "corollary requires lambda > 0"
     return _verdict(
-        "hamidoune", all(checks.values()),
+        "hamidoune", checks,
         t.keyed({"subgroup": H, "set_stabilizer": GY}), details,
         None if minimum >= cH else {"A": A, "growth": minimum,
                                     "subgroup_growth": cH})
@@ -607,7 +607,8 @@ def find_petridis_witness(obj: GroupAction | Representation, A, Y, alpha,
         _masks([_mask_of(G.translate_set(c, B)) for c in range(G.order)]),
         alpha, seed)
     return _verdict(
-        "petridis", counterexample is None and ratio <= alpha,
+        "petridis", {"forall_actor_sets": counterexample is None,
+                     "witness_ratio_within_alpha": ratio <= alpha},
         t.keyed({"B": frozenset(B), "witness_product": BY}),
         {"witness_ratio": ratio, "alpha": alpha, "witness_size": len(B)},
         counterexample, exh)

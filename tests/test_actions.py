@@ -6,29 +6,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subaction import config
-from subaction.actions import (GroupAction, action_from_table,
-                               affine_line_action, conjugation_action,
+from subaction.actions import (GroupAction, conjugation_action,
                                coset_action, left_translation_action,
-                               natural_action, orbit_reduction_bounds,
-                               product_action)
+                               natural_action)
 from subaction.errors import CapacityError, DomainError, InvariantError
 from subaction.groups import (FiniteGroup, affine_gl1, alternating, cyclic,
-                              dihedral, symmetric)
+                              dihedral, direct_product, symmetric)
 from subaction.perms import from_cycles
 from subaction.theorems import is_left_translation
+
+
+def _product_action(a1, a2):
+    """Componentwise action of the direct product on the cartesian domain."""
+    G = direct_product(a1.group, a2.group)
+    deg1, d2 = a1.group.degree, a2.domain_size
+    g1 = a1.group._lookup(G.images[:, :deg1])
+    g2 = a2.group._lookup(G.images[:, deg1:] - deg1)
+    x1, x2 = np.divmod(np.arange(a1.domain_size * d2), d2)
+    return GroupAction(G, a1.domain_size * d2,
+                       a1.table[g1][:, x1] * d2 + a2.table[g2][:, x2],
+                       name=f"product<{a1.name},{a2.name}>")
 
 
 def _sample_actions():
     S4 = symmetric(4)
     D5 = dihedral(5)
+    Aff5 = affine_gl1(5)
     return [
         natural_action(S4),
         left_translation_action(D5),
         conjugation_action(S4),
         coset_action(S4, S4.generated_subgroup(
             [S4.element_index(from_cycles(4, [(0, 1)]))])),
-        affine_line_action(5),
-        product_action(natural_action(symmetric(3)), natural_action(cyclic(3))),
+        GroupAction(Aff5, 5, Aff5.images, name="affine_line<5>"),
+        _product_action(natural_action(symmetric(3)),
+                        natural_action(cyclic(3))),
     ]
 
 
@@ -89,11 +101,11 @@ def test_table_verification(data):
     G = cyclic(3)
     bad = np.zeros((3, 2), dtype=np.int64)  # constant rows: not bijective
     with pytest.raises(InvariantError):
-        action_from_table(G, 2, bad)
+        GroupAction(G, 2, bad)
     # bijective rows that are not a homomorphism
     bad2 = np.array([[0, 1, 2], [1, 0, 2], [0, 2, 1]], dtype=np.int64)
     with pytest.raises(InvariantError):
-        action_from_table(G, 3, bad2)
+        GroupAction(G, 3, bad2)
 
     # a valid table with up to three rows corrupted: the generator check
     # raises exactly when the all-pairs reference does, with its message
@@ -115,7 +127,7 @@ def test_table_verification(data):
             table[r, data.draw(st.integers(0, d - 1))] = \
                 data.draw(st.integers(0, d - 1))
     expected = _raised(lambda: _reference_verify(G, table))
-    assert _raised(lambda: action_from_table(G, d, table)) == expected
+    assert _raised(lambda: GroupAction(G, d, table)) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -126,8 +138,9 @@ def test_left_translation_check_matches_all_elements(data):
     # conjugation action
     G = data.draw(st.sampled_from(_VERIFY_GROUPS))
     z = data.draw(st.integers(0, G.order - 1))
-    twisted = action_from_table(G, G.order, [
-        G.mul_row(G.conjugate(z, g)) for g in range(G.order)])
+    z_inv = int(G.inv_table[z])
+    twisted = GroupAction(G, G.order, [
+        G.mul_row(G.mul(G.mul(z, g), z_inv)) for g in range(G.order)])
     for action in (twisted, conjugation_action(G)):
         assert is_left_translation(action) == all(
             np.array_equal(action.table[g], G.mul_row(g))
@@ -143,7 +156,7 @@ def test_tableless_verification_catches_swapped_rows():
     table[[100, 4000]] = table[[4000, 100]]
     assert (np.sort(table, axis=1) == np.arange(7)).all()
     with pytest.raises(InvariantError, match="homomorphism law fails"):
-        action_from_table(G, 7, table)
+        GroupAction(G, 7, table)
 
 
 def test_left_translation_check_refuses_right_translation():
@@ -154,8 +167,7 @@ def test_left_translation_check_refuses_right_translation():
                 H = FiniteGroup([G.elements[g] for g in G.generator_indices])
             assert (H.mul_table is None) == (cap == 1)
             ar = np.arange(H.order)
-            right = action_from_table(H, H.order,
-                                      H._products(ar, H.inv_table).T)
+            right = GroupAction(H, H.order, H._products(ar, H.inv_table).T)
             assert not is_left_translation(right)
             assert is_left_translation(left_translation_action(H))
 
@@ -230,10 +242,11 @@ def test_orbit_sizes_divide_group_order():
 
 def test_orbit_stabilizer_theorem():
     for action in _sample_actions():
+        dec = action.orbit_decomposition()
         for x in range(action.domain_size):
-            stab = action.point_stabilizer(x)
-            orbit = action.orbit_of_point(x)
-            assert stab.order * len(orbit) == action.group.order
+            stab_order = int((action.table[:, x] == x).sum())
+            orbit = dec.orbits[int(dec.orbit_of[x])]
+            assert stab_order * len(orbit) == action.group.order
 
 
 # -- stabilizers -----------------------------------------------------------------
@@ -292,7 +305,7 @@ def test_symmetry_set_inverse_closed():
     action = natural_action(symmetric(4))
     Y = (0, 1)
     sym = action.symmetry_set(Y, "1/2")
-    assert sym == frozenset(action.group.inv(g) for g in sym)
+    assert action.group.inverse_set(sym) == sym
 
 
 def test_symmetry_set_at_one_is_stabilizer():
@@ -330,52 +343,29 @@ def test_profile_kernel_conjugation_abelian():
     assert not conj.faithful
 
 
-# -- orbit reduction -------------------------------------------------------------
-
-
-def test_orbit_reduction_sandwich():
-    S4 = symmetric(4)
-    action = coset_action(
-        S4, S4.generated_subgroup(
-            [S4.element_index(from_cycles(4, [(0, 1, 2)]))]))
-    A = (0, 3, 5, 7, 11)
-    Y = (0, 2, 4)
-    red = orbit_reduction_bounds(action, A, Y)
-    assert red.exact == action.image_size(A, Y)
-    assert red.lower <= red.exact <= red.upper
-    assert red.holds
-
-
 def _table_builds() -> dict:
-    """Each builder with its cap, its table entries and the group method its
-    table build calls; the groups are built before that method is patched."""
+    """Each builder with its cap and its table entries; the groups are
+    built before `FiniteGroup._products` is patched."""
     S4 = symmetric(4)
     H = S4.generated_subgroup([S4.element_index(from_cycles(4, [(0, 1)]))])
-    S3, C3 = natural_action(symmetric(3)), natural_action(cyclic(3))
     return {
         # 24 x 24 tables: 576 entries
         "left_translation_action": (lambda: left_translation_action(S4),
-                                    500, 576, "_products"),
-        "conjugation_action": (lambda: conjugation_action(S4),
-                               500, 576, "_products"),
+                                    500, 576),
+        "conjugation_action": (lambda: conjugation_action(S4), 500, 576),
         # S4 on the 12 cosets of an order-2 subgroup: 288 entries
-        "coset_action": (lambda: coset_action(S4, H), 100, 288, "_products"),
-        # S3 x C3 on 3 x 3 points: 162 entries; the product group is not
-        # closed either, since its closure looks up inverses
-        "product_action": (lambda: product_action(S3, C3),
-                           100, 162, "_lookup"),
+        "coset_action": (lambda: coset_action(S4, H), 100, 288),
     }
 
 
 @pytest.mark.parametrize("name", ["left_translation_action",
-                                  "conjugation_action", "coset_action",
-                                  "product_action"])
+                                  "conjugation_action", "coset_action"])
 def test_order_squared_tables_refused_before_they_are_built(name,
                                                             monkeypatch):
-    build, limit, entries, method = _table_builds()[name]
+    build, limit, entries = _table_builds()[name]
     monkeypatch.setenv("SUBACTION_MAX_ACT_TABLE_ENTRIES", str(limit))
     calls = []
-    monkeypatch.setattr(FiniteGroup, method,
+    monkeypatch.setattr(FiniteGroup, "_products",
                         lambda self, *args: calls.append(args))
     with pytest.raises(CapacityError) as ei:
         build()

@@ -715,11 +715,12 @@ def test_scenario_caps_take_any_integer_seed(monkeypatch):
     assert by_env["results"] == by_caps["results"]
     assert by_env["caps"] == by_caps["caps"]
 
-    for name, val in [("MAX_GROUP_ORDER", 0), ("DEFAULT_SEED", True)]:
+    for name, val, rule in [
+            ("MAX_GROUP_ORDER", 0, "caps must be positive integers"),
+            ("DEFAULT_SEED", True, "expected an integer")]:
         with pytest.raises(ScenarioError) as ei:
             _parse(_minimal(caps={name: val}))
-        assert str(ei.value) == \
-            f"scenario.caps.{name}: caps must be positive integers"
+        assert str(ei.value) == f"scenario.caps.{name}: {rule}"
 
 
 def test_cli_report_roundtrip(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Group constructors, multiplication tables, and subset algebra."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,8 +89,8 @@ def test_inverse_table():
     G = dihedral(6)
     e = G.identity_index
     for i in range(G.order):
-        assert G.mul(i, G.inv(i)) == e
-        assert G.mul(G.inv(i), i) == e
+        assert G.mul(i, int(G.inv_table[i])) == e
+        assert G.mul(int(G.inv_table[i]), i) == e
 
 
 def test_elements_built_on_first_read_from_the_closure_rows():
@@ -133,6 +134,18 @@ def test_group_order_cap():
         err = ei.value
         assert (err.cap_name, err.cap_value, err.measured) == \
             ("MAX_GROUP_ORDER", cap, cap + 1)
+
+
+def test_closure_peak_memory_stays_below_four_image_tables():
+    # C3000 keeps 36 MB of image rows; building it peaked at 3.03 times
+    # that, with and without a mul table
+    tracemalloc.start()
+    try:
+        G = cyclic(3000)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * G.images.nbytes
 
 
 def test_element_index_refuses_non_members():
@@ -226,7 +239,7 @@ def test_lookup_index_and_inverses_built_on_first_use():
     assert G.element_index(from_cycles(4, [(0, 1)])) == G.generator_indices[0]
     assert {"_key_order", "_keys"} <= set(vars(G))
     assert "inv_table" not in vars(G)
-    assert all(G.mul(g, G.inv(g)) == 0 for g in range(G.order))
+    assert all(G.mul(g, int(G.inv_table[g])) == 0 for g in range(G.order))
 
 
 def test_from_generators_rejects_mixed_degrees():
@@ -257,21 +270,7 @@ def test_product_set_random(data):
 def test_inverse_set():
     G = symmetric(4)
     A = (3, 7, 11)
-    assert G.inverse_set(A) == frozenset(G.inv(a) for a in A)
-
-
-def test_product_power():
-    G = symmetric(4)
-    A = (0, 1, 5)
-    P1 = G.product_power(A, 1)
-    P2 = G.product_power(A, 2)
-    P3 = G.product_power(A, 3)
-    assert P1 == frozenset(A)
-    assert P2 == G.product_set(A, A)
-    assert P3 == G.product_set(P2, A)
-    assert G.product_power(A, 0) == frozenset({G.identity_index})
-    with pytest.raises(DomainError):
-        G.product_power(A, -1)
+    assert G.inverse_set(A) == frozenset(int(G.inv_table[a]) for a in A)
 
 
 def test_translate_set_is_left_translation():
@@ -279,14 +278,6 @@ def test_translate_set_is_left_translation():
     A = (1, 4)
     g = 2
     assert G.translate_set(g, A) == frozenset(G.mul(g, a) for a in A)
-
-
-def test_conjugate_set():
-    G = symmetric(3)
-    A = (1, 2)
-    g = 3
-    expected = frozenset(G.mul(G.mul(g, a), G.inv(g)) for a in A)
-    assert G.conjugate_set(g, A) == expected
 
 
 def test_tableless_build_matches_tabled(monkeypatch):
@@ -349,7 +340,7 @@ def test_generated_subgroup_properties():
     r = G.element_index(from_cycles(4, [(0, 1, 2)]))
     H = G.generated_subgroup([r])
     assert H.order == 3
-    assert H.contains(G.identity_index)
+    assert G.identity_index in H.members
     members = sorted(H.members)
     for a in members:
         for b in members:
@@ -371,37 +362,6 @@ def test_subgroup_orders_divide():
         assert G.order % H.order == 0
 
 
-def test_normality():
-    G = symmetric(3)
-    a3 = G.generated_subgroup([G.element_index(from_cycles(3, [(0, 1, 2)]))])
-    flip = G.generated_subgroup([G.element_index(from_cycles(3, [(0, 1)]))])
-    assert a3.is_normal()
-    assert not flip.is_normal()
-
-
-_CONJ_GROUPS = [cyclic(6), dihedral(4), dihedral(5), symmetric(3),
-                symmetric(4), alternating(4), affine_gl1(5)]
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_conjugation_stable_matches_all_elements(data):
-    # sets closed under conjugation by some of the generators, so a check
-    # that skips a generator is caught, and subgroups for is_normal
-    G = data.draw(st.sampled_from(_CONJ_GROUPS))
-    gens = data.draw(st.sets(st.sampled_from(G.generator_indices)))
-    A = set(data.draw(st.sets(st.integers(0, G.order - 1), max_size=4)))
-    frontier = set(A)
-    while frontier:
-        frontier = {G.conjugate(s, a) for s in gens for a in frontier} - A
-        A |= frontier
-    H = G.generated_subgroup(A)
-    for S, stable in ((A, G.is_conjugation_stable(A)), (H.members,
-                                                        H.is_normal())):
-        assert stable == all(G.conjugate_set(g, S) == S
-                             for g in range(G.order))
-
-
 def test_left_cosets_partition():
     G = symmetric(4)
     H = G.generated_subgroup(
@@ -415,7 +375,7 @@ def test_left_cosets_partition():
         seen |= coset
     assert len(seen) == G.order
     for g in range(G.order):
-        rep = dec.coset_of(g)
+        rep = dec.representatives[int(dec.rep_position[g])]
         assert g in G.translate_set(rep, H.member_tuple)
 
 
@@ -434,4 +394,4 @@ def test_dihedral_relations():
     ss = [g for g, k in orders.items() if k == 2]
     assert rs and ss
     r, s = rs[0], ss[0]
-    assert G.mul(G.mul(s, r), s) == G.inv(r)
+    assert G.mul(G.mul(s, r), s) == int(G.inv_table[r])

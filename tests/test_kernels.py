@@ -273,7 +273,7 @@ def test_size_table_fold_matches_brute(scale):
         sizes = [0] + [scale * rng.randint(0, 9) + rng.randint(0, 2)
                        for _ in range((1 << n) - 1)]
         fold = SubsetFold.from_sizes(sizes)
-        assert [fold.union_pop(s) for s in range(1 << n)] == sizes
+        assert fold.pops.tolist() == sizes
         num, den = rng.randint(-3, 5 * scale), rng.randint(1, 4)
         best, hits, atoms, atom_size, largest = \
             _brute_min_affine(None, num, den, sizes)
@@ -283,14 +283,6 @@ def test_size_table_fold_matches_brute(scale):
         best, winner = _brute_min_ratio(None, sizes)
         p, q, wit = fold.min_ratio()
         assert (Fraction(p, q), wit) == (best, winner)
-
-
-def test_union_pop():
-    fold = SubsetFold([0b011, 0b110])
-    assert fold.union_pop(0b00) == 0
-    assert fold.union_pop(0b01) == 2
-    assert fold.union_pop(0b10) == 2
-    assert fold.union_pop(0b11) == 3
 
 
 def test_input_validation():

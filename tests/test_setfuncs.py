@@ -13,9 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subaction import _kernels, config, setfuncs
-from subaction.actions import (coset_action, conjugation_action,
-                               left_translation_action,
-                               natural_action, product_action)
+from subaction.actions import (GroupAction, coset_action, conjugation_action,
+                               left_translation_action, natural_action)
 from subaction.errors import (CapacityError, DomainError, InvariantError,
                               StructuralError)
 from subaction.groups import (affine_gl1, alternating, cyclic, dihedral,
@@ -514,6 +513,17 @@ def test_mu_routes_follow_cap_override_on_one_action(monkeypatch):
     assert min_image_ratio(action, (0,)) == first
 
 
+def _product_action(a1, a2):
+    """Componentwise action of the direct product on the cartesian domain."""
+    G = direct_product(a1.group, a2.group)
+    deg1, d2 = a1.group.degree, a2.domain_size
+    g1 = a1.group._lookup(G.images[:, :deg1])
+    g2 = a2.group._lookup(G.images[:, deg1:] - deg1)
+    x1, x2 = np.divmod(np.arange(a1.domain_size * d2), d2)
+    return GroupAction(G, a1.domain_size * d2,
+                       a1.table[g1][:, x1] * d2 + a2.table[g2][:, x2])
+
+
 @functools.cache
 def _mu_actions() -> list:
     """The action of every search family entry, a coset action, and
@@ -524,10 +534,10 @@ def _mu_actions() -> list:
     return [build_action(build_group(gspec), aspec)
             for gspec, aspec in specs.values()] + [
         coset_action(D6, next(K for K in D6.subgroups() if K.order == 2)),
-        product_action(natural_action(cyclic(2)),
-                       conjugation_action(cyclic(3))),
-        product_action(natural_action(dihedral(4)),
-                       conjugation_action(symmetric(3)))]
+        _product_action(natural_action(cyclic(2)),
+                        conjugation_action(cyclic(3))),
+        _product_action(natural_action(dihedral(4)),
+                        conjugation_action(symmetric(3)))]
 
 
 @settings(max_examples=100, deadline=None)

@@ -727,14 +727,15 @@ def test_taod_witness_and_powers():
     powers = rep.details["power_checks"]
     assert set(powers) == {1, 2, 3, 4, 5}
     assert all(powers.values())
-    for k in (1, 2, 5):
-        Ak = sorted(G.product_power(A, k))
+    Ak = frozenset(A)
+    for k in range(1, 6):
         assert action.image_size(Ak, sorted(Z)) <= 1 * len(Z)
+        Ak = G.product_set(Ak, A)
 
 
 def test_taod_builds_each_power_once(monkeypatch):
     # A^k = A^(k-1) A: one product_set per k, and the same checks as the
-    # powers built from scratch
+    # powers built here
     G = cyclic(12)
     action = left_translation_action(G)
     A, Y, n_max = (0, 1, 5), (0, 2, 3, 7), 7
@@ -745,9 +746,11 @@ def test_taod_builds_each_power_once(monkeypatch):
     rep = find_taod_witness(action, A, Y, "3", n_max=n_max)
     assert len(calls) == n_max
     Z = sorted(rep.witnesses["Z"])
-    assert rep.details["power_checks"] == {
-        k: action.image_size(sorted(G.product_power(A, k)), Z)
-        <= 3 ** k * len(Z) for k in range(1, n_max + 1)}
+    checks, Ak = {}, frozenset(A)
+    for k in range(1, n_max + 1):
+        checks[k] = action.image_size(Ak, Z) <= 3 ** k * len(Z)
+        Ak = G.product_set(Ak, A)
+    assert rep.details["power_checks"] == checks
 
 
 def test_taod_product_group():
@@ -1316,6 +1319,36 @@ def test_verdict_lists_the_failed_checks_after_their_names():
                              ).counterexample == {"C": [0]}
     assert theorems._verdict("x", True, {}, {}, {"C": [0]}
                              ).counterexample is None
+
+
+def _hamidoune_with_corollary():
+    return check_hamidoune(natural_action(symmetric(4)), (0,), "1/6", (0, 1))
+
+
+def _petridis_on_c6():
+    return find_petridis_witness(left_translation_action(cyclic(6)), (0, 3),
+                                 (0, 1), "2")
+
+
+@pytest.mark.parametrize("check,run", [
+    ("stabilizer_in_subgroup", _hamidoune_with_corollary),
+    ("floor_bound", _hamidoune_with_corollary),
+    ("minimum_at_subgroup", _hamidoune_with_corollary),
+    ("corollary_bound", _hamidoune_with_corollary),
+    ("forall_actor_sets", _petridis_on_c6),
+    ("witness_ratio_within_alpha", _petridis_on_c6)])
+def test_failed_conclusions_name_the_failed_check(check, run, monkeypatch):
+    # each named check is forced false as the checker hands it to _verdict
+    verdict = theorems._verdict
+
+    def forced(statement_id, holds, *args):
+        assert holds[check]
+        return verdict(statement_id, {**holds, check: False}, *args)
+
+    monkeypatch.setattr(theorems, "_verdict", forced)
+    report = run()
+    assert not report.conclusion_holds
+    assert report.counterexample["failed_checks"] == [check]
 
 
 @pytest.mark.parametrize("statement", STATEMENT_IDS)
