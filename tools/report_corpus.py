@@ -6,8 +6,10 @@
     python3 tools/report_corpus.py --check tools/report_corpus.digest.json
 
 The corpus is every pool scenario of perfbench/data/scenario_mix.json (of
-this checkout) and `search --budget 30` over every family and predicate at
-seeds 7 and 53710. The first form runs each request through CHECKOUT's
+this checkout), `search --budget 30` over every family and predicate at
+seeds 7 and 53710, and the named linear scenarios of `LINEAR`: folds of
+span dimensions over F_5 on 12 and 13 elements, and sampled linear
+for-all-C streams on C15 and C16, past PETRIDIS_EXHAUSTIVE_MAX_ORDER. The first form runs each request through CHECKOUT's
 `subaction.cli.main` and writes its exit code, stderr and report, without
 `elapsed_seconds`; an exception that escapes `main` is recorded as the exit
 "crash", and the first form then names every such request and exits 1. The
@@ -37,6 +39,49 @@ def _strip(doc):
     return [_strip(x) for x in doc] if isinstance(doc, list) else doc
 
 
+def _linear(n: int, p: int, W: list, task: dict, A: list | None = None,
+            caps: dict | None = None) -> dict:
+    """A run scenario of one task on the F_p permutation representation of
+    C_n acting on itself, with subspace W spanned by the rows of `W`, each
+    given by its nonzero entries {coordinate: value}, and actor set A."""
+    rows = [[row.get(i, 0) for i in range(n)] for row in W]
+    scenario = {"group": {"kind": "cyclic", "n": n},
+                "action": {"kind": "left_translation"},
+                "representation": {"kind": "permutation", "p": p},
+                "sets": {"A": A} if A else {}, "subspaces": {"W": rows},
+                "tasks": [{**task, "W": "W", **({"A": "A"} if A else {})}]}
+    return {**scenario, "caps": caps} if caps else scenario
+
+
+_SAMPLED = {"SAMPLE_COUNT": 300}
+LINEAR = {
+    "hamidoune_p5_c12": _linear(12, 5, [{0: 1, 1: 2}],
+                                {"task": "hamidoune", "lambda": "1/3"}),
+    "hamidoune_p5_c12_stab": _linear(12, 5, [{0: 1, 6: 1}],
+                                     {"task": "hamidoune", "lambda": "1/4"}),
+    "hamidoune_p5_c13": _linear(13, 5, [{0: 1, 2: 4, 12: 3}, {1: 1, 2: 1}],
+                                {"task": "hamidoune", "lambda": "1/2"}),
+    "petridis_p5_c12": _linear(12, 5, [{0: 1, 1: 3}],
+                               {"task": "petridis", "alpha": "2"},
+                               list(range(12))),
+    "petridis_p5_c13": _linear(13, 5, [{0: 2, 2: 1}],
+                               {"task": "petridis", "alpha": "3/2"},
+                               list(range(12))),
+    "petridis_sampled_c15": _linear(15, 3, [{0: 1, 1: 1}],
+                                    {"task": "petridis", "alpha": "2"},
+                                    [0, 1, 3, 7], _SAMPLED),
+    "petridis_sampled_c16": _linear(16, 5, [{0: 1, 2: 2}, {4: 1}],
+                                    {"task": "petridis", "alpha": "2"},
+                                    [0, 2, 5], _SAMPLED),
+    "taod_sampled_c15": _linear(15, 2, [{0: 1}, {3: 1}],
+                                {"task": "taod", "alpha": "3"}, [0, 1, 4],
+                                _SAMPLED),
+    "taod_sampled_c16": _linear(16, 3, [{0: 1, 1: 2}, {5: 1}],
+                                {"task": "taod", "alpha": "2"}, [0, 3],
+                                _SAMPLED),
+}
+
+
 def requests() -> dict:
     """The corpus by request name: a search's argv, or a run scenario."""
     from subaction.search import FAMILIES, PREDICATES
@@ -48,6 +93,7 @@ def requests() -> dict:
         "search", "--family", f, "--predicate", p, "--budget", "30",
         "--seed", str(seed)] for seed in (7, 53710) for f in FAMILIES
         for p in PREDICATES})
+    out.update({f"run/linear/{name}": sc for name, sc in LINEAR.items()})
     return out
 
 
