@@ -56,6 +56,7 @@ class FiniteGroup:
         edges = array("i")
         setdefault, record = index.setdefault, edges.append
         levels, gen_of, parent_of = [frontier], [-1], [-1]
+        starts = [0, 1]  # the index of each level's first element, and the end
         first, order = 0, 1  # the index of frontier[0], the elements so far
         while len(frontier):
             prods = np.ascontiguousarray(
@@ -78,6 +79,7 @@ class FiniteGroup:
                                     nxt * degree,
                                     hint="image rows, closure still growing")
             first, order = order, nxt
+            starts.append(order)
             frontier = prods[at]
             levels.append(frontier)
         del index  # freed before the element list is built
@@ -92,6 +94,7 @@ class FiniteGroup:
         self.generator_indices = tuple(self._gen_rows[:, 0].tolist())
         self._gen_of = np.asarray(gen_of, dtype=np.int32)
         self._parent_of = np.asarray(parent_of, dtype=np.int32)
+        self._level_starts = starts
 
         self.mul_table: np.ndarray | None = None
         self._row_cache: dict[int, np.ndarray] = {}
@@ -119,8 +122,29 @@ class FiniteGroup:
 
     @cached_property
     def inv_table(self) -> np.ndarray:
-        """Index of each element's inverse, built on first read."""
-        return self._lookup(np.argsort(self.images, axis=1))
+        """Index of each element's inverse, built on first read along the
+        closure factorisation g = s * f, one level at a time, looking
+        nothing up.
+
+        Row s of ``right`` is right translation by the inverse of
+        generator s: it maps e to s^-1, found by walking the powers of s,
+        and s' * f to s' * (f * s^-1), the generator row of s' at the
+        parent's entry. Then (s * f)^-1 = f^-1 * s^-1 is row s at f^-1."""
+        rows, gen_of, parent_of = self._gen_rows, self._gen_of, \
+            self._parent_of
+        right = np.empty((len(rows), self.order), dtype=np.int32)
+        for s, row in enumerate(rows):
+            x = 0
+            while (y := int(row[x])) != 0:  # s * x, until s * x = e
+                x = y
+            right[s, 0] = x
+        levels = list(zip(self._level_starts[1:], self._level_starts[2:]))
+        for lo, hi in levels:
+            right[:, lo:hi] = rows[gen_of[lo:hi], right[:, parent_of[lo:hi]]]
+        inv = np.zeros(self.order, dtype=np.int32)
+        for lo, hi in levels:
+            inv[lo:hi] = right[gen_of[lo:hi], inv[parent_of[lo:hi]]]
+        return inv
 
     def _lookup(self, rows) -> np.ndarray:
         """Element indices of image rows; DomainError names a non-element."""

@@ -142,6 +142,107 @@ class Subspace:
         return f"Subspace(F{self.p}^{self.ambient_dim}, dim={self.dim}, rows={self.rows})"
 
 
+_SPAN_BLOCK = 1 << 20  # echelon-stack entries per block of span_dims
+
+
+def basis_table(spaces: Sequence[Subspace]) -> np.ndarray:
+    """The n x k x d int64 table of the subspaces' RREF bases, k the
+    largest dimension, each basis padded with zero rows."""
+    k = max((W.dim for W in spaces), default=0)
+    table = np.zeros((len(spaces), k, spaces[0].ambient_dim), dtype=np.int64)
+    for basis, W in zip(table, spaces):
+        if W.rows:
+            basis[:W.dim] = W.rows
+    return table
+
+
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p, in [0, p), for an int64 array: numpy divides an array by
+    a scalar several times faster than it takes the remainder."""
+    x -= x // p * p
+    return x
+
+
+def _inverses(p: int, x: np.ndarray) -> np.ndarray:
+    """x^(p-2) mod p for an int64 array of nonzero residues: the inverses,
+    by square and multiply, every product below p^2."""
+    out, e = np.ones_like(x), p - 2
+    while e:
+        if e & 1:
+            out = _mod(out * x, p)
+        x, e = _mod(x * x, p), e >> 1
+    return out
+
+
+def span_dims(p: int, bases: np.ndarray, rows: np.ndarray | None = None
+              ) -> np.ndarray:
+    """dim span(bases[c] for c in C) over F_p for each subset C of the
+    table's n entries, in the least unsigned dtype that holds d.
+
+    `bases` is an n x k x d array of residues (`basis_table`), zero rows
+    spanning nothing. The subsets C are given as uint64 word rows
+    (`_kernels.words`), or, when `rows` is None, are every subset in
+    ascending mask order (n < 64), each block's rows made as it is reached.
+
+    A block of subsets holds one pivot-indexed echelon stack per subset,
+    d x B x d entries in all, at most _SPAN_BLOCK of them: stack[c, b] is
+    subset b's row with pivot c, zero before it, its pivot 1. Each vector
+    of each entry is inserted into the stacks of the subsets holding the
+    entry, one column step at a time over those subsets together: where a
+    subset has a pivot at c, the vector is reduced by it; where it has
+    none and the vector is nonzero at c, the vector is normalised and
+    becomes that pivot. A column that is zero for every subset is
+    skipped, and the steps stop once every vector is placed. A subset's
+    dimension is its pivot count. All arithmetic is int64: residues stay
+    below p, so every product is below p^2, which `_check_field` keeps
+    below 2^63.
+    """
+    n, _k, d = bases.shape
+    vectors = [(i, v, int(v.nonzero()[0][0]))
+               for i in range(n) for v in bases[i] if v.any()]
+    total = 1 << n if rows is None else len(rows)
+    out = np.zeros(total, dtype=np.min_scalar_type(d))
+    step = max(1, min(total, _SPAN_BLOCK // (d * d)))
+    stack = np.empty((d, step, d), dtype=np.int64)  # one block's, reused
+    held = np.empty((d, step), dtype=bool)
+    for lo in range(0, total, step):
+        hi = min(lo + step, total)
+        block = (np.arange(lo, hi, dtype=np.uint64)[:, None]
+                 if rows is None else rows[lo:hi])
+        stack.fill(0)
+        held.fill(False)
+        rank = out[lo:hi]
+        for i, v, lead in vectors:
+            # the subsets of the block that hold entry i, less the full ones
+            at = (block[:, i >> 6] >> np.uint64(i & 63) & np.uint64(1)
+                  ).nonzero()[0]
+            at = at[rank[at] < d]
+            x = np.repeat(v[None], at.size, axis=0)
+            for c in range(lead, d):
+                if not at.size:
+                    break
+                col = x[:, c]
+                live = col.nonzero()[0]
+                if not live.size:
+                    continue
+                pivot = held[c, at[live]]
+                red = live[pivot]
+                if red.size:
+                    x[red, c:] = _mod(x[red, c:] - col[red, None]
+                                      * stack[c, at[red], c:], p)
+                new = live[~pivot]
+                if new.size:
+                    placed = at[new]
+                    stack[c, placed, c:] = _mod(x[new, c:] * _inverses(
+                        p, x[new, c])[:, None], p)
+                    held[c, placed] = True
+                    rank[placed] += 1
+                    keep = np.ones(at.size, dtype=bool)
+                    keep[new] = False
+                    at, x = at[keep], x[keep]
+    return out
+
+
 def gaussian_binomial(n: int, k: int, p: int) -> int:
     """Number of k-dimensional subspaces of F_p^n."""
     if k < 0 or k > n:

@@ -16,14 +16,14 @@ point set Y under an action and for a subspace W under a representation
 alike. Each is written once, over a `_Target` built from (action, Y) or
 (representation, W): it supplies the image A.Z (`act_set` or
 `module_span`), its size (`len` or `dim`), the stabilizer, the
-per-element tables of the for-all-C verifier (int masks or subspaces,
-with their join and size), the witness fold (masks, or span dimensions)
-and the linear side's report key names (`span_dim`, `target_dim`,
-`subspace_stabilizer`, ...). What only one side has stays in one marked
-branch: murphy's orbits, small_growth's overlap, freiman's corollary and
-left-translation remark, hamidoune's A0 corollary and its minimisation (a
-min cut on the set side, a fold of span dimensions on the linear side),
-and taod's witness candidates.
+per-element tables of the for-all-C verifier (int masks, or bases whose
+spans `linalg.span_dims` measures), the witness fold (of masks, or of
+span dimensions) and the linear side's report key names (`span_dim`,
+`target_dim`, `subspace_stabilizer`, ...). What only one side has stays
+in one marked branch: murphy's orbits, small_growth's overlap, freiman's
+corollary and left-translation remark, hamidoune's A0 corollary and its
+minimisation (a min cut on the set side, a fold of span dimensions on
+the linear side), and taod's witness candidates.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -42,7 +42,8 @@ from ._kernels import MAX_COEFF, SubsetFold, check_pair_ratio, words
 from .actions import GroupAction, natural_action
 from .errors import DomainError, StructuralError
 from .groups import FiniteGroup, Subgroup, symmetric
-from .linalg import Representation, Subspace, enumerate_subspaces
+from .linalg import (Representation, Subspace, basis_table,
+                     enumerate_subspaces, span_dims)
 from .rationals import exact_fraction, format_fraction
 from .setfuncs import (_EXHAUSTIVE, Exhaustiveness,
                        _check_ground, _chunk_rows,
@@ -118,55 +119,38 @@ def _sampled_sets(n: int, seed: int | None
 
 
 class _Side(NamedTuple):
-    """One side of a for-all-C bound: an entry per group element, the
-    empty join, the join and the size of a join.
+    """One side of a for-all-C bound: an int mask of points per group
+    element or, over F_p (p > 0), a `basis_table` of a subspace per group
+    element. The join of C is the union of its masks, measured by
+    popcount, or the span of its subspaces, measured by dimension.
 
-    Its join sizes are read two ways, and this module builds either only
+    Its join sizes are read two ways, and this module reads them only
     here: `fold`, over every subset of the table, and `chunk_sizes`, over
-    chunks of sampled masks."""
-    table: list
-    empty: object
-    join: Callable
-    size: Callable
+    chunks of sampled masks given as word rows."""
+    table: list[int] | np.ndarray
+    p: int = 0
 
     def fold(self) -> SubsetFold:
         """The fold of the join sizes of every subset: the kernel's mask
-        fold for masks, else the joins of subspaces m = 0, 1, 2, ... by
-        doubling, each from m without its lowest bit."""
-        if self.join is operator.or_:
-            return SubsetFold(self.table)
-        joins = [self.empty]
-        for m in range(1, 1 << len(self.table)):
-            low = m & -m
-            joins.append(self.join(joins[m ^ low],
-                                   self.table[low.bit_length() - 1]))
-        return SubsetFold.from_sizes([self.size(j) for j in joins])
+        fold, or `span_dims` of every mask."""
+        if self.p:
+            return SubsetFold.from_sizes(span_dims(self.p, self.table))
+        return SubsetFold(self.table)
 
-    def chunk_sizes(self) -> Callable[[Sequence[int], np.ndarray],
-                                      np.ndarray]:
-        """The map from a chunk of masks C over the table's indices, given
-        both as ints and as word rows, to the array of join sizes:
-        `_union_sizes` of the word rows for masks, else one join per C."""
-        if self.join is operator.or_:
-            union_sizes = _union_sizes(self.table)
-            return lambda chunk, rows: union_sizes(rows)
-        return lambda chunk, rows: np.array([self.size(reduce(
-            self.join, (self.table[c] for c in _set_of(m)), self.empty))
-            for m in chunk], dtype=np.int64)
-
-
-def _masks(table: list[int]) -> _Side:
-    """A side of int masks, joined by OR and measured by popcount."""
-    return _Side(table, 0, operator.or_, int.bit_count)
+    def chunk_sizes(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The map from word rows of masks C over the table's indices to
+        the array of join sizes: `_union_sizes` or `span_dims`."""
+        if self.p:
+            return partial(span_dims, self.p, self.table)
+        return _union_sizes(self.table)
 
 
 def _forall_actor_sets(left: _Side, right: _Side, alpha: Fraction,
                        seed: int | None
                        ) -> tuple[dict | None, Exhaustiveness]:
-    """The first nonempty C with left.size(join of left.table[c], c in C)
-    > alpha * right.size(join of right.table[c], c in C), as a
-    counterexample {"C", "lhs", "rhs"} or None, with the stream's
-    exhaustiveness.
+    """The first nonempty C whose left join size exceeds alpha times its
+    right join size (`_Side`), as a counterexample {"C", "lhs", "rhs"} or
+    None, with the stream's exhaustiveness.
 
     Up to PETRIDIS_EXHAUSTIVE_MAX_ORDER elements the stream is every C in
     ascending mask order, its sizes read from each side's fold; past the
@@ -185,13 +169,12 @@ def _forall_actor_sets(left: _Side, right: _Side, alpha: Fraction,
         _check_ground("PETRIDIS_EXHAUSTIVE_MAX_ORDER", n,
                       "the for-all-C check enumerates every actor set")
         step, end = _chunk_rows(n), 1 << n
-        chunks = ((np.arange(lo, min(lo + step, end)), None)
-                  for lo in range(1, end, step))
+        chunks = ((chunk, chunk) for chunk in (
+            np.arange(lo, min(lo + step, end)) for lo in range(1, end, step)))
         exh = _EXHAUSTIVE
-        sizes = [lambda chunk, _rows, pops=side.fold().pops: pops[chunk]
-                 for side in (left, right)]
-    for chunk, rows in chunks:
-        lhs, rhs = (size_of(chunk, rows) for size_of in sizes)
+        sizes = [side.fold().pops.__getitem__ for side in (left, right)]
+    for chunk, key in chunks:
+        lhs, rhs = (size_of(key) for size_of in sizes)
         ok, first, _checked = check_pair_ratio(lhs, rhs, alpha.numerator,
                                                alpha.denominator)
         if not ok:
@@ -259,8 +242,8 @@ class _Target:
     On the set side an image A.Z is `act_set`, measured by `len`, with
     for-all-C tables of int masks and witness folds of masks under
     MAX_EXHAUSTIVE_GROUND. On the linear side it is `module_span`,
-    measured by `dim`, with tables of subspaces and folds of span
-    dimensions under LINEAR_EXHAUSTIVE_MAX_ORDER.
+    measured by `dim`, with tables of subspace bases and folds of span
+    dimensions (`span_dims`) under LINEAR_EXHAUSTIVE_MAX_ORDER.
     """
 
     def __init__(self, obj: GroupAction | Representation, Y):
@@ -272,7 +255,6 @@ class _Target:
                 raise StructuralError("W must be nonzero")
             self.Y, self.image, self.size = Y, obj.module_span, _dim
             self.stabilizer = obj.subspace_stabilizer
-            self._zero = Subspace.zero(obj.p, obj.dim)
         else:
             self.Y, self.image, self.size = _point_subset(obj, Y), \
                 obj.act_set, len
@@ -295,8 +277,8 @@ class _Target:
     def side(self, items: list) -> _Side:
         """The for-all-C side of `items` (point sets, or subspaces)."""
         if self.linear:
-            return _Side(items, self._zero, Subspace.sum, _dim)
-        return _masks([_mask_of(x) for x in items])
+            return _Side(basis_table(items), self.obj.p)
+        return _Side([_mask_of(x) for x in items])
 
     def fold(self, elements: Sequence[int], hint: str) -> SubsetFold:
         """The fold of g.Y over the subsets of `elements`: of masks, or of
@@ -604,7 +586,7 @@ def find_petridis_witness(obj: GroupAction | Representation, A, Y, alpha,
     BY = t.image(B, t.Y)
     counterexample, exh = _forall_actor_sets(
         t.side(t.translates(BY)),
-        _masks([_mask_of(G.translate_set(c, B)) for c in range(G.order)]),
+        _Side([_mask_of(G.translate_set(c, B)) for c in range(G.order)]),
         alpha, seed)
     return _verdict(
         "petridis", {"forall_actor_sets": counterexample is None,
@@ -695,8 +677,8 @@ def find_taod_witness(obj: GroupAction | Representation, A, Y, alpha,
     else:
         _check_ground("MAX_EXHAUSTIVE_GROUND", len(t.Y),
                       "witness search enumerates subsets of Y")
-        p, q, wmask = _masks([_mask_of(obj.act_set(A, (pt,)))
-                              for pt in t.Y]).fold().min_ratio()
+        p, q, wmask = _Side([_mask_of(obj.act_set(A, (pt,)))
+                             for pt in t.Y]).fold().min_ratio()
         Z = frozenset(y for i, y in enumerate(t.Y) if (wmask >> i) & 1)
         ratio = Fraction(p, q)
     CZ = t.translates(Z)

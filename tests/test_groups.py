@@ -240,6 +240,35 @@ def test_lookup_index_and_inverses_built_on_first_use():
     assert {"_key_order", "_keys"} <= set(vars(G))
     assert "inv_table" not in vars(G)
     assert all(G.mul(g, int(G.inv_table[g])) == 0 for g in range(G.order))
+    # the inverse table itself looks nothing up
+    H = symmetric(4)
+    H.inv_table
+    assert not {"_key_order", "_keys"} & set(vars(H))
+
+
+_INVERSE_CASES = {
+    "S1": lambda: symmetric(1),  # its one generator is the identity
+    "e, (0 1 2), (0 1)": lambda: from_generators([
+        identity(4), from_cycles(4, [(0, 1, 2)]), from_cycles(4, [(0, 1)])]),
+    **{f"C{n}": lambda n=n: cyclic(n) for n in (1, 2, 7, 12, 60)},
+    **{f"D{n}": lambda n=n: dihedral(n) for n in (3, 4, 9)},
+    **{f"S{n}": lambda n=n: symmetric(n) for n in (4, 5, 6, 7)},
+    **{f"A{n}": lambda n=n: alternating(n) for n in (4, 5, 6, 7, 8)},
+    **{f"Aff({p})": lambda p=p: affine_gl1(p) for p in (2, 5, 7)},
+    "C3xC4": lambda: direct_product(cyclic(3), cyclic(4)),
+    "S3xC2": lambda: direct_product(symmetric(3), cyclic(2)),
+    "D4xA4": lambda: direct_product(dihedral(4), alternating(4)),
+}
+
+
+@pytest.mark.parametrize("tables", ["default caps", "no mul table"])
+@pytest.mark.parametrize("case", sorted(_INVERSE_CASES))
+def test_inverse_table_matches_lookup_of_inverted_rows(case, tables):
+    caps = {"MAX_MUL_TABLE_ENTRIES": 1} if tables == "no mul table" else {}
+    with config.overrides(caps):
+        G = _INVERSE_CASES[case]()
+    assert np.array_equal(G.inv_table,
+                          G._lookup(np.argsort(G.images, axis=1)))
 
 
 def test_from_generators_rejects_mixed_degrees():

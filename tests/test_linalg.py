@@ -1,6 +1,7 @@
 """Subspaces over F_p, representations, module spans, and the subspace lattice."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,19 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subaction import config
+from subaction import config, linalg
+from subaction._kernels import words
 from subaction.errors import (CapacityError, DomainError, InvariantError,
                               StructuralError)
 from subaction.groups import (affine_gl1, alternating, cyclic, dihedral,
                               symmetric)
 from subaction.actions import left_translation_action, natural_action
 from subaction.linalg import (LatticeFunction, Representation, Subspace,
-                              actor_growth_linear, check_lattice_invariance,
+                              actor_growth_linear, basis_table,
+                              check_lattice_invariance,
                               check_lattice_submodular, enumerate_subspaces,
                               gaussian_binomial, grassmannian,
                               minimize_on_lattice, permutation_representation,
                               representation_from_generator_matrices,
-                              subspace_count)
+                              span_dims, subspace_count)
 from subaction.perms import from_cycles
 from subaction.setfuncs import check_submodular, minimize_nonempty
 
@@ -422,3 +425,113 @@ def test_lattice_atoms_intersect_trivially():
     res = minimize_on_lattice(fn)
     for U, V in itertools.combinations(res.atoms, 2):
         assert U.intersect(V).is_zero()
+
+
+# -- span dimensions of subsets -----------------------------------------------
+
+
+def _doubling_dims(spaces):
+    """dim of the span of every subset m of `spaces`, by Subspace.sum from
+    the subset m without its lowest bit."""
+    joins = [Subspace.zero(spaces[0].p, spaces[0].ambient_dim)]
+    for m in range(1, 1 << len(spaces)):
+        low = m & -m
+        joins.append(joins[m ^ low].sum(spaces[low.bit_length() - 1]))
+    return [W.dim for W in joins]
+
+
+def _span_table(data, p, d, n):
+    """n subspaces of F_p^d: zero, full, spanned by a few random vectors,
+    a repeat of an earlier one, or spanned by combinations of the rows of
+    earlier ones (so that a vector lies in the span of several others).
+    Entries are uniform residues."""
+    rng = data.draw(st.randoms(use_true_random=False))
+    out = []
+    for _ in range(n):
+        kind = data.draw(st.sampled_from(
+            ("zero", "full", "random", "repeat", "combination")))
+        rows = [r for W in out for r in W.rows]
+        if kind == "repeat" and out:
+            out.append(data.draw(st.sampled_from(out)))
+        elif kind == "combination" and rows:
+            combos = [[rng.randrange(p) for _ in rows]
+                      for _ in range(rng.randint(1, 2))]
+            out.append(Subspace.from_vectors(p, d, [
+                [sum(c * r[j] for c, r in zip(cs, rows)) for j in range(d)]
+                for cs in combos]))
+        elif kind == "full":
+            out.append(Subspace.from_vectors(p, d, np.eye(d, dtype=int)))
+        else:
+            out.append(Subspace.from_vectors(p, d, [
+                [rng.randrange(p) for _ in range(d)]
+                for _ in range(0 if kind == "zero" else rng.randint(1, 3))]))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), p=st.sampled_from((2, 3, 5, 17, 2**31 - 1)))
+def test_span_dims_match_subspace_sums(data, p):
+    d, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 7))
+    spaces = _span_table(data, p, d, n)
+    table = basis_table(spaces)
+    want = _doubling_dims(spaces)
+    # a block of one subset or a few, or the default size
+    rows = data.draw(st.sampled_from((1, 3, None)))
+    with pytest.MonkeyPatch.context() as mp:
+        if rows:
+            mp.setattr(linalg, "_SPAN_BLOCK", rows * d * d)
+        assert span_dims(p, table).tolist() == want
+        masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=9))
+        got = span_dims(p, table, words(masks, 1))
+        assert got.tolist() == [want[m] for m in masks]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), p=st.sampled_from((2, 3, 5, 17)))
+def test_span_dims_of_masks_wider_than_64_bits(data, p):
+    d, n = data.draw(st.integers(1, 4)), data.draw(st.integers(65, 140))
+    spaces = _span_table(data, p, d, n)
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                               max_size=6))
+    masks.append(1 << (n - 1))  # the highest entry alone
+    got = span_dims(p, basis_table(spaces), words(masks, -(-n // 64)))
+    assert got.tolist() == [Subspace.from_vectors(p, d, [
+        r for c in range(n) if m >> c & 1 for r in spaces[c].rows]).dim
+        for m in masks]
+
+
+def test_span_dims_reduce_by_normalised_pivots():
+    # over F_3, e_0 + 2e_1 + e_2 meets the pivot of e_0 and becomes the
+    # pivot (0, 2, 1) of column 1; 2(0, 2, 1) = (0, 1, 2) must reduce to
+    # zero by it, which it does only once that pivot is normalised
+    spaces = [Subspace.from_vectors(3, 3, [v])
+              for v in ([1, 0, 0], [1, 2, 1], [0, 1, 2])]
+    assert span_dims(3, basis_table(spaces)).tolist() == \
+        _doubling_dims(spaces) == [0, 1, 1, 2, 1, 2, 2, 2]
+
+
+def test_span_dims_of_an_all_zero_table():
+    zero = Subspace.zero(3, 4)
+    assert basis_table([zero, zero]).shape == (2, 0, 4)
+    assert span_dims(3, basis_table([zero, zero])).tolist() == [0] * 4
+
+
+def test_span_fold_memory_is_bounded_by_the_block():
+    # C12 on 60 coordinates, five 12-cycles: all 2^12 stacks at once would
+    # hold 2^12 * 60^2 int64 entries (118 MB); a block holds _SPAN_BLOCK
+    G = cyclic(12)
+    shift = np.zeros((60, 60), dtype=np.int64)
+    for x in range(60):
+        shift[x // 12 * 12 + (x + 1) % 12, x] = 1
+    rep = representation_from_generator_matrices(G, 3, [shift])
+    W = Subspace.from_vectors(3, 60, np.eye(60, dtype=int)[[0, 13, 26]])
+    table = basis_table([rep.act_subspace(g, W) for g in range(G.order)])
+    tracemalloc.start()
+    try:
+        dims = span_dims(3, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the translates g.W are spanned by distinct coordinate vectors
+    assert dims.tolist() == [3 * m.bit_count() for m in range(1 << 12)]
+    assert peak < 1.5 * 8 * linalg._SPAN_BLOCK + dims.nbytes

@@ -23,7 +23,8 @@ from subaction.errors import CapacityError, DomainError, StructuralError
 from subaction.groups import (FiniteGroup, cyclic, dihedral, direct_product,
                               symmetric)
 from subaction.linalg import (Representation, Subspace, actor_growth_linear,
-                              enumerate_subspaces, permutation_representation,
+                              basis_table, enumerate_subspaces,
+                              permutation_representation,
                               representation_from_generator_matrices)
 from subaction.search import FAMILIES, _draw, _Pool, _run_drawn, search
 from subaction.setfuncs import Exhaustiveness, identity_atom
@@ -927,9 +928,8 @@ def _forall(left, right, *args):
     """`_forall_actor_sets` on raw tables of subspaces or int masks."""
     def side(table):
         if isinstance(table[0], Subspace):
-            return theorems._Side(table, Subspace.zero(table[0].p, 3),
-                                  Subspace.sum, operator.attrgetter("dim"))
-        return theorems._masks(table)
+            return theorems._Side(basis_table(table), table[0].p)
+        return theorems._Side(table)
     return theorems._forall_actor_sets(side(left), side(right), *args)
 
 
@@ -1010,6 +1010,25 @@ def test_forall_actor_sets_exact_for_alpha_past_int64(alpha, data):
     assert got == (_brute_first_violation(
         left, right, alpha, _reference_stream(n, samples, seed)),
         Exhaustiveness("sampled", samples, seed))
+
+
+def test_linear_joins_are_read_from_span_dims(monkeypatch):
+    # the linear fold and the sampled linear stream measure spans with the
+    # span_dims kernel; neither joins subspaces one subset at a time
+    def refuse(*args):
+        raise AssertionError("Subspace.sum called")
+    monkeypatch.setattr(Subspace, "sum", refuse)
+    rep = permutation_representation(left_translation_action(cyclic(15)), 3)
+    W = Subspace.from_vectors(3, 15, [[1, 2] + [0] * 13])
+    with config.overrides({"SAMPLE_COUNT": 50}):
+        pet = find_petridis_witness(rep, [0, 1, 4], W, 2)
+        taod = find_taod_witness(rep, [0, 3], W, 2)
+    assert pet.exhaustiveness.kind == taod.exhaustiveness.kind == "sampled"
+    assert pet.conclusion_holds and taod.conclusion_holds
+    small = permutation_representation(left_translation_action(cyclic(8)), 5)
+    U = Subspace.from_vectors(5, 8, [[1, 3] + [0] * 6])
+    ham = check_hamidoune(small, U, "1/2")
+    assert ham.exhaustiveness.kind == "exhaustive" and ham.conclusion_holds
 
 
 def _small_chunks(mp, rows):
