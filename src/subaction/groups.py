@@ -5,12 +5,13 @@ generators, so index 0 is always the identity and every element ``g`` has a
 recorded factorisation ``g = gen * earlier_element``. The closure composes
 every generator with every element and records which element each product
 is, so it also yields the rows of left translation by the generators; the
-multiplication table and the verification of actions and representations
-are built from those rows and look nothing up. Any other row is found by
-its bytes: the image rows, viewed as fixed-width byte strings, are sorted
-on the first lookup and searched with ``np.searchsorted``. Multiplication
-tables are materialised only up to a size cap; larger groups compose image
-rows and look the products up in blocks.
+multiplication table, the inverse table and the verification of actions
+and representations are built from those rows and look nothing up. Any
+other row is found by its bytes: the image rows, viewed as fixed-width
+byte strings, are sorted on the first lookup and searched with
+``np.searchsorted``. Multiplication tables are materialised only up to a
+size cap; larger groups compose image rows and look the products up in
+blocks.
 """
 
 from __future__ import annotations

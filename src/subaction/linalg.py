@@ -157,8 +157,8 @@ def basis_table(spaces: Sequence[Subspace]) -> np.ndarray:
 
 
 def _mod(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p, in [0, p), for an int64 array: numpy divides an array by
-    a scalar several times faster than it takes the remainder."""
+    """x mod p, in [0, p), for an int64 array, in place: numpy divides an
+    array by a scalar several times faster than it takes the remainder."""
     x -= x // p * p
     return x
 
@@ -192,8 +192,9 @@ def span_dims(p: int, bases: np.ndarray, rows: np.ndarray | None = None
     subset has a pivot at c, the vector is reduced by it; where it has
     none and the vector is nonzero at c, the vector is normalised and
     becomes that pivot. A column that is zero for every subset is
-    skipped, and the steps stop once every vector is placed. A subset's
-    dimension is its pivot count. All arithmetic is int64: residues stay
+    skipped, the steps stop once every vector is placed, and a subset
+    whose stack is full takes no more vectors. A subset's dimension is its
+    pivot count. All arithmetic is int64: residues stay
     below p, so every product is below p^2, which `_check_field` keeps
     below 2^63.
     """
@@ -202,15 +203,13 @@ def span_dims(p: int, bases: np.ndarray, rows: np.ndarray | None = None
                for i in range(n) for v in bases[i] if v.any()]
     total = 1 << n if rows is None else len(rows)
     out = np.zeros(total, dtype=np.min_scalar_type(d))
-    step = max(1, min(total, _SPAN_BLOCK // (d * d)))
-    stack = np.empty((d, step, d), dtype=np.int64)  # one block's, reused
-    held = np.empty((d, step), dtype=bool)
+    step = max(1, _SPAN_BLOCK // (d * d))
     for lo in range(0, total, step):
         hi = min(lo + step, total)
         block = (np.arange(lo, hi, dtype=np.uint64)[:, None]
                  if rows is None else rows[lo:hi])
-        stack.fill(0)
-        held.fill(False)
+        stack = np.zeros((d, hi - lo, d), dtype=np.int64)
+        held = np.zeros((d, hi - lo), dtype=bool)
         rank = out[lo:hi]
         for i, v, lead in vectors:
             # the subsets of the block that hold entry i, less the full ones
@@ -240,6 +239,7 @@ def span_dims(p: int, bases: np.ndarray, rows: np.ndarray | None = None
                     keep = np.ones(at.size, dtype=bool)
                     keep[new] = False
                     at, x = at[keep], x[keep]
+        del stack, held  # before the next block's are made
     return out
 
 
