@@ -209,7 +209,6 @@ def span_dims(p: int, bases: np.ndarray, rows: np.ndarray | None = None
         block = (np.arange(lo, hi, dtype=np.uint64)[:, None]
                  if rows is None else rows[lo:hi])
         stack = np.zeros((d, hi - lo, d), dtype=np.int64)
-        held = np.zeros((d, hi - lo), dtype=bool)
         rank = out[lo:hi]
         for i, v, lead in vectors:
             # the subsets of the block that hold entry i, less the full ones
@@ -224,7 +223,7 @@ def span_dims(p: int, bases: np.ndarray, rows: np.ndarray | None = None
                 live = col.nonzero()[0]
                 if not live.size:
                     continue
-                pivot = held[c, at[live]]
+                pivot = stack[c, at[live], c] != 0
                 red = live[pivot]
                 if red.size:
                     x[red, c:] = _mod(x[red, c:] - col[red, None]
@@ -234,12 +233,11 @@ def span_dims(p: int, bases: np.ndarray, rows: np.ndarray | None = None
                     placed = at[new]
                     stack[c, placed, c:] = _mod(x[new, c:] * _inverses(
                         p, x[new, c])[:, None], p)
-                    held[c, placed] = True
                     rank[placed] += 1
                     keep = np.ones(at.size, dtype=bool)
                     keep[new] = False
                     at, x = at[keep], x[keep]
-        del stack, held  # before the next block's are made
+        del stack  # before the next block's is made
     return out
 
 
