@@ -185,18 +185,21 @@ def span_dims(p: int, bases: np.ndarray, rows: np.ndarray | None = None
     ascending mask order (n < 64), each block's rows made as it is reached.
 
     A block of subsets holds one pivot-indexed echelon stack per subset,
-    d x B x d entries in all, at most _SPAN_BLOCK of them: stack[c, b] is
-    subset b's row with pivot c, zero before it, its pivot 1. Each vector
-    of each entry is inserted into the stacks of the subsets holding the
-    entry, one column step at a time over those subsets together: where a
+    d x B x d entries in all, at most max(_SPAN_BLOCK, d^2) of them (one
+    subset per block when d^2 > _SPAN_BLOCK): stack[c, b] is subset b's
+    row with pivot c, zero before it, its pivot 1. Each vector of each
+    entry is inserted into the stacks of the subsets holding the entry,
+    one column step at a time over those subsets together: where a
     subset has a pivot at c, the vector is reduced by it; where it has
     none and the vector is nonzero at c, the vector is normalised and
     becomes that pivot. A column that is zero for every subset is
-    skipped, the steps stop once every vector is placed, and a subset
-    whose stack is full takes no more vectors. A subset's dimension is its
-    pivot count. All arithmetic is int64: residues stay
-    below p, so every product is below p^2, which `_check_field` keeps
-    below 2^63.
+    skipped, the steps stop once every vector is placed or the columns
+    run out, and a subset whose stack is full takes no more vectors. A
+    vector reduced to zero stays in the steps, found at no column, to the
+    last one: dropping it costs more numpy calls per step than its column
+    scans. A subset's dimension is its pivot count. All arithmetic is int64:
+    residues stay below p, so every product is below p^2, which
+    `_check_field` keeps below 2^63.
     """
     n, _k, d = bases.shape
     vectors = [(i, v, int(v.nonzero()[0][0]))

@@ -32,7 +32,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -40,7 +40,7 @@ import numpy as np
 from . import config
 from ._kernels import MAX_COEFF, SubsetFold, check_pair_ratio, words
 from .actions import GroupAction, natural_action
-from .errors import DomainError, StructuralError
+from .errors import DomainError, InvariantError, StructuralError
 from .groups import FiniteGroup, Subgroup, symmetric
 from .linalg import (Representation, Subspace, basis_table,
                      enumerate_subspaces, span_dims)
@@ -282,15 +282,25 @@ class _Target:
 
     def fold(self, elements: Sequence[int], hint: str) -> SubsetFold:
         """The fold of g.Y over the subsets of `elements`: of masks, or of
-        span dimensions, each refused past its ground cap."""
-        if self.linear:
-            _check_ground("LINEAR_EXHAUSTIVE_MAX_ORDER", len(elements), hint)
-            images = [self.obj.act_subspace(g, self.Y) for g in elements]
-        else:
+        span dimensions, each refused past its ground cap. A fold of span
+        dimensions is checked at its last entry, the span of every image,
+        against the join of the images by `Subspace.sum`: n - 1 RREFs beside
+        the kernel's 2^n spans, so a kernel fault raises InvariantError
+        before any witness is read from the fold."""
+        if not self.linear:
             _check_ground("MAX_EXHAUSTIVE_GROUND", len(elements), hint)
             images = self.obj.table[np.ix_(list(elements),
                                            list(self.Y))].tolist()
-        return self.side(images).fold()
+            return self.side(images).fold()
+        _check_ground("LINEAR_EXHAUSTIVE_MAX_ORDER", len(elements), hint)
+        images = [self.obj.act_subspace(g, self.Y) for g in elements]
+        fold = self.side(images).fold()
+        join = reduce(Subspace.sum, images)
+        if int(fold.pops[-1]) != join.dim:
+            raise InvariantError(
+                f"span_dims gives the span of all {len(images)} images "
+                f"dimension {int(fold.pops[-1])}, their join {join.dim}")
+        return fold
 
 
 # -- kneser -------------------------------------------------------------------

@@ -19,7 +19,8 @@ from subaction._kernels import SubsetFold, words
 from subaction.actions import (conjugation_action, left_translation_action,
                                natural_action)
 from subaction.cli import _dump, to_jsonable
-from subaction.errors import CapacityError, DomainError, StructuralError
+from subaction.errors import (CapacityError, DomainError, InvariantError,
+                              StructuralError)
 from subaction.groups import (FiniteGroup, cyclic, dihedral, direct_product,
                               symmetric)
 from subaction.linalg import (Representation, Subspace, actor_growth_linear,
@@ -452,6 +453,25 @@ def test_hamidoune_linear_lambda_too_wide_for_the_kernel():
     with pytest.raises(DomainError, match="too wide for the int64 kernel"):
         check_hamidoune(_swap_rep(), Subspace.from_vectors(3, 2, [[1, 1]]),
                         Fraction(1, 2 ** 40))
+
+
+def test_linear_folds_check_the_kernel_against_the_reference_join(
+        monkeypatch):
+    # a kernel that loses one dimension of the span of every image is
+    # refused before hamidoune or petridis reads a witness from its fold
+    real = theorems.span_dims
+
+    def short(p, bases, rows=None):
+        out = real(p, bases, rows)
+        out[-1] -= 1
+        return out
+    rep, W = _swap_rep(), Subspace.from_vectors(3, 2, [[1, 0]])
+    assert check_hamidoune(rep, W, "1/2").conclusion_holds
+    monkeypatch.setattr(theorems, "span_dims", short)
+    with pytest.raises(InvariantError, match="dimension 1, their join 2"):
+        check_hamidoune(rep, W, "1/2")
+    with pytest.raises(InvariantError, match="dimension 1, their join 2"):
+        find_petridis_witness(rep, [0, 1], W, 2)
 
 
 def test_linear_checkers_keep_span_dimensions_past_255():
@@ -1014,21 +1034,29 @@ def test_forall_actor_sets_exact_for_alpha_past_int64(alpha, data):
 
 def test_linear_joins_are_read_from_span_dims(monkeypatch):
     # the linear fold and the sampled linear stream measure spans with the
-    # span_dims kernel; neither joins subspaces one subset at a time
-    def refuse(*args):
-        raise AssertionError("Subspace.sum called")
-    monkeypatch.setattr(Subspace, "sum", refuse)
+    # span_dims kernel; neither joins subspaces one subset at a time, and
+    # Subspace.sum runs only in a fold's reference join, n - 1 times
+    calls = []
+    real = Subspace.sum
+
+    def counted(U, V):
+        calls.append(1)
+        return real(U, V)
+    monkeypatch.setattr(Subspace, "sum", counted)
     rep = permutation_representation(left_translation_action(cyclic(15)), 3)
     W = Subspace.from_vectors(3, 15, [[1, 2] + [0] * 13])
     with config.overrides({"SAMPLE_COUNT": 50}):
         pet = find_petridis_witness(rep, [0, 1, 4], W, 2)
+        assert len(calls) == 2  # the witness fold over A; none sampled
         taod = find_taod_witness(rep, [0, 3], W, 2)
+        assert len(calls) == 2
     assert pet.exhaustiveness.kind == taod.exhaustiveness.kind == "sampled"
     assert pet.conclusion_holds and taod.conclusion_holds
     small = permutation_representation(left_translation_action(cyclic(8)), 5)
     U = Subspace.from_vectors(5, 8, [[1, 3] + [0] * 6])
     ham = check_hamidoune(small, U, "1/2")
     assert ham.exhaustiveness.kind == "exhaustive" and ham.conclusion_holds
+    assert len(calls) == 2 + 7
 
 
 def _small_chunks(mp, rows):
