@@ -18,7 +18,7 @@ import numpy as np
 
 from . import config
 from .errors import CapacityError, DomainError, InvariantError, StructuralError
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, _index_array, _membership
 from .rationals import exact_fraction as _exact_ratio
 
 
@@ -43,6 +43,7 @@ class GroupAction:
         self.table = table
         self.name = name or f"action<{group.name} on {domain_size}>"
         self._orbits: OrbitDecomposition | None = None
+        self._profile: ActionProfile | None = None
         self._verify()
 
     def _verify(self) -> None:
@@ -68,10 +69,7 @@ class GroupAction:
         return self.table[g]
 
     def _point_indices(self, Y: Iterable[int]) -> np.ndarray:
-        arr = np.unique(np.fromiter((int(y) for y in Y), dtype=np.int64))
-        if arr.size and (arr[0] < 0 or arr[-1] >= self.domain_size):
-            raise DomainError(f"point index outside 0..{self.domain_size - 1}")
-        return arr
+        return _index_array(Y, self.domain_size, "point")
 
     def act_point_set(self, g: int, Y: Iterable[int]) -> frozenset[int]:
         return frozenset(self.table[g][self._point_indices(Y)].tolist())
@@ -79,9 +77,8 @@ class GroupAction:
     def act_set(self, A: Iterable[int], Y: Iterable[int]) -> frozenset[int]:
         """The product set A.Y of all images of Y under elements of A."""
         a, y = self.group._as_indices(A), self._point_indices(Y)
-        if a.size == 0 or y.size == 0:
-            return frozenset()
-        return frozenset(np.unique(self.table[np.ix_(a, y)]).tolist())
+        member = _membership(self.domain_size, self.table[a[:, None], y])
+        return frozenset(np.flatnonzero(member).tolist())
 
     def image_size(self, A: Iterable[int], Y: Iterable[int]) -> int:
         return len(self.act_set(A, Y))
@@ -123,8 +120,7 @@ class GroupAction:
         y = self._point_indices(Y)
         if y.size == 0:
             raise DomainError(f"{what} needs a nonempty set")
-        memb = np.zeros(self.domain_size, dtype=bool)
-        memb[y] = True
+        memb = _membership(self.domain_size, y)
         return memb[self.table[:, y]].sum(axis=1), int(y.size)
 
     def set_stabilizer(self, Y: Iterable[int]) -> Subgroup:
@@ -148,13 +144,15 @@ class GroupAction:
         return frozenset(np.flatnonzero(counts >= 1).tolist())
 
     def profile(self) -> "ActionProfile":
+        if self._profile is not None:
+            return self._profile
         dec = self.orbit_decomposition()
         ar = np.arange(self.domain_size)
         fixes = (self.table == ar).all(axis=1)
         kernel = frozenset(np.flatnonzero(fixes).tolist())
         has_fix = (self.table == ar).any(axis=1)
         is_free = not has_fix[1:].any() if self.group.order > 1 else True
-        return ActionProfile(
+        self._profile = ActionProfile(
             group_order=self.group.order,
             domain_size=self.domain_size,
             orbit_sizes=tuple(sorted(len(o) for o in dec.orbits)),
@@ -163,6 +161,7 @@ class GroupAction:
             free=bool(is_free),
             kernel=kernel,
         )
+        return self._profile
 
     def __repr__(self) -> str:
         return f"GroupAction({self.name})"

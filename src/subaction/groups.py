@@ -31,6 +31,23 @@ from .perms import Permutation, from_cycles, identity
 _PRODUCT_BLOCK = 1 << 20  # composed image entries per lookup block
 
 
+def _index_array(items: Iterable[int], size: int, what: str) -> np.ndarray:
+    """The distinct entries of `items` as a sorted int64 array, sorted
+    from a Python set; DomainError if one lies outside 0..size-1."""
+    distinct = sorted({int(i) for i in items})
+    if distinct and (distinct[0] < 0 or distinct[-1] >= size):
+        raise DomainError(f"{what} index outside 0..{size - 1}")
+    return np.array(distinct, dtype=np.int64)
+
+
+def _membership(size: int, indices) -> np.ndarray:
+    """The boolean array over 0..size-1 that is True at every entry of
+    `indices`, an index array of any shape with repeats allowed."""
+    member = np.zeros(size, dtype=bool)
+    member[indices] = True
+    return member
+
+
 class FiniteGroup:
     def __init__(self, generators: Sequence[Permutation], *, name: str | None = None):
         if not generators:
@@ -222,16 +239,12 @@ class FiniteGroup:
     # -- subsets -----------------------------------------------------------
 
     def _as_indices(self, A: Iterable[int]) -> np.ndarray:
-        arr = np.unique(np.fromiter((int(a) for a in A), dtype=np.int64))
-        if arr.size and (arr[0] < 0 or arr[-1] >= self.order):
-            raise DomainError(f"element index outside 0..{self.order - 1}")
-        return arr
+        return _index_array(A, self.order, "element")
 
     def product_set(self, A: Iterable[int], B: Iterable[int]) -> frozenset[int]:
         a, b = self._as_indices(A), self._as_indices(B)
-        if a.size == 0 or b.size == 0:
-            return frozenset()
-        return frozenset(np.unique(self._products(a, b)).tolist())
+        member = _membership(self.order, self._products(a, b))
+        return frozenset(np.flatnonzero(member).tolist())
 
     def inverse_set(self, A: Iterable[int]) -> frozenset[int]:
         return frozenset(self.inv_table[self._as_indices(A)].tolist())
@@ -335,12 +348,12 @@ class Subgroup:
 def _verify_subgroup(G: FiniteGroup, members: frozenset[int]) -> None:
     if 0 not in members:
         raise InvariantError("subgroup must contain the identity")
-    arr = np.fromiter(sorted(members), dtype=np.int64)
-    if arr.size and (arr[0] < 0 or arr[-1] >= G.order):
+    if min(members) < 0 or max(members) >= G.order:
         raise DomainError("member index out of range")
-    if not set(G.inv_table[arr].tolist()) <= members:
+    arr = np.fromiter(members, dtype=np.int64, count=len(members))
+    if not members.issuperset(G.inv_table[arr].tolist()):
         raise InvariantError("set is not inverse-closed")
-    if not set(np.unique(G._products(arr, arr)).tolist()) <= members:
+    if not _membership(G.order, arr)[G._products(arr, arr)].all():
         raise InvariantError("set is not product-closed")
 
 

@@ -25,7 +25,7 @@ from . import config
 from ._kernels import MAX_COEFF, MAX_N, SubsetFold, words
 from .actions import GroupAction
 from .errors import CapacityError, DomainError, InvariantError, StructuralError
-from .groups import _PRODUCT_BLOCK, FiniteGroup, Subgroup
+from .groups import _PRODUCT_BLOCK, FiniteGroup, Subgroup, _membership
 from .rationals import exact_fraction, format_fraction
 
 
@@ -193,8 +193,7 @@ def target_growth(action: GroupAction, A: Iterable[int], lam) -> SetFunction:
     a = action.group._as_indices(A)
     if a.size == 0:
         raise DomainError("actor set must be nonempty")
-    masks = [_mask_of(np.unique(action.table[a, x]).tolist())
-             for x in range(action.domain_size)]
+    masks = [_mask_of(column) for column in action.table[a].T.tolist()]
     label = f"target_growth[{action.name}, |A|={a.size}, lam={format_fraction(lam)}]"
     return SetFunction(action.domain_size, label, kind="union",
                        union_masks=masks, lam=lam)
@@ -533,7 +532,8 @@ def group_image_ratio(action: GroupAction, Y: Iterable[int]) -> Fraction:
     y = action._point_indices(Y)
     if y.size == 0:
         raise DomainError("target set must be nonempty")
-    return Fraction(np.unique(action.table[:, y]).size, action.group.order)
+    images = _membership(action.domain_size, action.table[:, y])
+    return Fraction(int(np.count_nonzero(images)), action.group.order)
 
 
 def min_image_ratio(action: GroupAction, Y: Iterable[int]) -> MuResult:

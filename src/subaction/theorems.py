@@ -289,8 +289,8 @@ class _Target:
         before any witness is read from the fold."""
         if not self.linear:
             _check_ground("MAX_EXHAUSTIVE_GROUND", len(elements), hint)
-            images = self.obj.table[np.ix_(list(elements),
-                                           list(self.Y))].tolist()
+            rows = np.array(list(elements), dtype=np.int64)
+            images = self.obj.table[rows[:, None], list(self.Y)].tolist()
             return self.side(images).fold()
         _check_ground("LINEAR_EXHAUSTIVE_MAX_ORDER", len(elements), hint)
         images = [self.obj.act_subspace(g, self.Y) for g in elements]

@@ -1,18 +1,23 @@
 """Action tables, orbits, stabilizers, and symmetry sets."""
 
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subaction import config
+from subaction import actions, config
 from subaction.actions import (GroupAction, conjugation_action,
                                coset_action, left_translation_action,
                                natural_action)
 from subaction.errors import CapacityError, DomainError, InvariantError
-from subaction.groups import (FiniteGroup, affine_gl1, alternating, cyclic,
-                              dihedral, direct_product, symmetric)
+from subaction.groups import (FiniteGroup, Subgroup, affine_gl1, alternating,
+                              cyclic, dihedral, direct_product, symmetric)
 from subaction.perms import from_cycles
+from subaction.search import FAMILIES, build_action, build_group, search
+from subaction.setfuncs import group_image_ratio, target_growth
 from subaction.theorems import is_left_translation
 
 
@@ -206,6 +211,114 @@ def test_act_set_random(data):
     assert action.act_set(A, Y) == brute
 
 
+# every pool action of the search families, and the tableless S7 and A8
+_ALGEBRA_SPECS = {json.dumps(spec): spec
+                  for pool in FAMILIES.values() for spec in pool}
+_ALGEBRA_SPECS.update({name: ({"kind": kind, "n": n}, {"kind": "natural"})
+                       for name, kind, n in (("S7", "symmetric", 7),
+                                             ("A8", "alternating", 8))})
+_ALGEBRA_BUILT: dict = {}
+
+
+def _algebra_case(name: str, tables: str):
+    """The action, its table as Python lists and its group's elements as
+    permutations, built once per case; S7 and A8 have no multiplication
+    table at the default caps either."""
+    if (name, tables) not in _ALGEBRA_BUILT:
+        gspec, aspec = _ALGEBRA_SPECS[name]
+        caps = {"MAX_MUL_TABLE_ENTRIES": 1} if tables == "no mul table" \
+            else {}
+        with config.overrides(caps):
+            action = build_action(build_group(gspec), aspec)
+        _ALGEBRA_BUILT[name, tables] = (action, action.table.tolist(),
+                                        action.group.elements)
+    return _ALGEBRA_BUILT[name, tables]
+
+
+def _indices(data, n: int) -> list:
+    """Indices below n, repeats and any order allowed, as Python and numpy
+    ints; possibly none."""
+    index = st.builds(lambda kind, i: kind(i),
+                      st.sampled_from([int, np.int32, np.int64]),
+                      st.integers(0, n - 1))
+    return data.draw(st.lists(index, max_size=8))
+
+
+def _with_bad_index(data, items: list, n: int) -> list:
+    bad = data.draw(st.integers(-3, -1) | st.integers(n, n + 3))
+    at = data.draw(st.integers(0, len(items)))
+    return items[:at] + [bad] + items[at:]
+
+
+def _mask(points) -> int:
+    return sum(1 << x for x in set(points))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_set_algebra_matches_python_sets(data):
+    name = data.draw(st.sampled_from(sorted(_ALGEBRA_SPECS)))
+    tables = data.draw(st.sampled_from(["default caps", "no mul table"]))
+    action, rows, elements = _algebra_case(name, tables)
+    G, d = action.group, action.domain_size
+    A, B, Y = _indices(data, G.order), _indices(data, G.order), \
+        _indices(data, d)
+    g = data.draw(st.integers(0, G.order - 1))
+
+    def mul(a, b):
+        return G.element_index(elements[a] * elements[b])
+
+    for got, items in ((G._as_indices(A), A), (action._point_indices(Y), Y)):
+        assert got.dtype == np.int64
+        assert got.tolist() == sorted({int(i) for i in items})
+    assert action.act_set(A, Y) == {rows[a][y] for a in A for y in Y}
+    assert G.product_set(A, B) == {mul(a, b) for a in A for b in B}
+    assert G.translate_set(g, A) == {mul(g, a) for a in A}
+    if A:
+        assert target_growth(action, A, 1).union_masks == \
+            [_mask(rows[a][x] for a in A) for x in range(d)]
+    if Y:
+        image = {row[y] for row in rows for y in Y}
+        assert group_image_ratio(action, Y) == Fraction(len(image), G.order)
+
+    S = frozenset(int(a) for a in A) | {0}
+    if not all(G.element_index(elements[a].inverse()) in S for a in S):
+        refusal = (InvariantError, "set is not inverse-closed")
+    elif not all(mul(a, b) in S for a in S for b in S):
+        refusal = (InvariantError, "set is not product-closed")
+    else:
+        refusal = None
+    for members, expect in (
+            (S, refusal), (G.generated_set([g]), None),
+            (S | {_with_bad_index(data, [], G.order)[0]},
+             (DomainError, "member index out of range")),
+            (S - {0} or frozenset({1}),
+             (InvariantError, "subgroup must contain the identity"))):
+        if expect is None:
+            assert Subgroup(G, members).members == members
+            continue
+        with pytest.raises(expect[0]) as err:
+            Subgroup(G, members)
+        assert str(err.value) == expect[1]
+
+    bad_A, bad_Y = _with_bad_index(data, A, G.order), \
+        _with_bad_index(data, Y, d)
+    for text, calls in (
+            (f"element index outside 0..{G.order - 1}",
+             (lambda: G._as_indices(bad_A), lambda: G.product_set(bad_A, B),
+              lambda: G.translate_set(g, bad_A),
+              lambda: action.act_set(bad_A, Y),
+              lambda: target_growth(action, bad_A, 1))),
+            (f"point index outside 0..{d - 1}",
+             (lambda: action._point_indices(bad_Y),
+              lambda: action.act_set(A, bad_Y),
+              lambda: group_image_ratio(action, bad_Y)))):
+        for call in calls:
+            with pytest.raises(DomainError) as err:
+                call()
+            assert str(err.value) == text
+
+
 def test_empty_and_range_handling():
     action = natural_action(symmetric(3))
     assert action.act_set((), (0,)) == frozenset()
@@ -335,6 +448,47 @@ def test_profile_flags():
     assert not conj.transitive and not conj.free
     assert conj.kernel == frozenset({0})  # trivial centre
     assert conj.faithful
+
+
+class _NoTable:
+    """Stands for an action table that must not be read."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"table read: .{name}")
+
+    def __getitem__(self, key):
+        raise AssertionError("table read: []")
+
+    def __eq__(self, other):
+        raise AssertionError("table read: ==")
+
+
+def test_profile_is_kept_on_the_action():
+    action = conjugation_action(symmetric(4))
+    first = action.profile()
+    action.table = _NoTable()
+    assert action.profile() is first
+
+
+def test_search_builds_each_pool_profile_once(monkeypatch):
+    calls, built = [], []
+    profile, ActionProfile = GroupAction.profile, actions.ActionProfile
+
+    def counted(self):
+        calls.append(self)
+        return profile(self)
+
+    def kept(**fields):
+        built.append(fields["group_order"])
+        return ActionProfile(**fields)
+
+    monkeypatch.setattr(GroupAction, "profile", counted)
+    monkeypatch.setattr(actions, "ActionProfile", kept)
+    search("cyclic_translation", "fragment_bounds", 30, seed=7)
+    # each pool action is C_n on itself, so its order names it
+    assert len(calls) == 30
+    assert sorted(built) == sorted({a.group.order for a in calls})
+    assert len(built) < len(calls)
 
 
 def test_profile_kernel_conjugation_abelian():
