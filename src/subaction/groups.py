@@ -6,13 +6,25 @@ recorded factorisation ``g = gen * earlier_element``. The closure composes
 every generator with every element and records which element each product
 is, so it also yields the rows of left translation by the generators; the
 multiplication table, the inverse table and the verification of actions
-and representations are built from those rows and look nothing up. Any
-other row is found by its bytes: the image rows, viewed as fixed-width
+and representations are built from those rows and look nothing up.
+
+The closure runs one level at a time, on one of two paths chosen by the
+level's size. A level with fewer than 512 products (``_NUMPY_LEVEL``)
+looks each product's image row up by its bytes in a dict. From the first
+level that reaches 512 products, the rest runs in numpy: each product's
+key is read from its images of a base (an element of a permutation group
+is determined by them), and a dense table maps the key to the one kept
+row that may equal the product. Every match is compared with that row, so
+the key only speeds lookups: the base starts empty and grows by a point
+wherever two distinct rows share a key, and if the table would pass
+``_KEY_TABLE_ENTRIES`` entries the closure rebuilds the dict and finishes
+on it. Both paths give the same elements in the same order.
+
+Any other row is found by its bytes: the image rows, viewed as fixed-width
 byte strings, are sorted on the first lookup and searched with
 ``np.searchsorted``. Multiplication tables are materialised only up to a
 size cap; larger groups compose image rows and look the products up in
-blocks.
-"""
+blocks."""
 
 from __future__ import annotations
 
@@ -29,6 +41,8 @@ from .errors import CapacityError, DomainError, InvariantError, StructuralError
 from .perms import Permutation, from_cycles, identity
 
 _PRODUCT_BLOCK = 1 << 20  # composed image entries per lookup block
+_NUMPY_LEVEL = 512  # products in the first closure level closed in numpy
+_KEY_TABLE_ENTRIES = 1 << 22  # entries of the base-image key table, at most
 
 
 def _index_array(items: Iterable[int], size: int, what: str) -> np.ndarray:
@@ -48,6 +62,201 @@ def _membership(size: int, indices) -> np.ndarray:
     return member
 
 
+class _BaseKeys:
+    """Element indices of image rows, keyed by their images of a base.
+
+    A row's key is the mixed-radix number whose digits are the positions
+    of its base images in their orbits; a dense int32 table maps each key
+    to the kept row that has it, or -1. Equal rows have equal keys, so a
+    key the table lacks is a new row, and a key it holds names the one
+    kept row that the product may equal; every such match is compared row
+    against row, so the key only speeds lookups. The base starts empty and
+    grows by a point where two distinct rows share a key. ``level``
+    returns None when the table would pass ``_KEY_TABLE_ENTRIES``."""
+
+    def __init__(self, gens: np.ndarray):
+        images = gens.T.tolist()  # images[x]: the generators' images of x
+        pos, size = [-1] * len(images), [0] * len(images)
+        for x in range(len(images)):
+            if pos[x] < 0:
+                pos[x], orbit = 0, [x]
+                for y in orbit:
+                    for z in images[y]:
+                        if pos[z] < 0:
+                            pos[z] = len(orbit)
+                            orbit.append(z)
+                for y in orbit:
+                    size[y] = len(orbit)
+        self._pos = np.array(pos, dtype=np.int64)  # place in its orbit
+        self._size = size
+        # (base point, each image's value as that point's key digit)
+        self._weights: list[tuple[int, np.ndarray]] = []
+        self._entries = 1
+        self._table: np.ndarray | None = None  # None until indexed
+
+    def _keys(self, rows: np.ndarray) -> np.ndarray:
+        keys = np.zeros(len(rows), dtype=np.int64)
+        for point, weight in self._weights:
+            keys += weight.take(rows[:, point])
+        return keys
+
+    def _extend(self, p: np.ndarray, q: np.ndarray) -> bool:
+        """Add a point where rows p and q differ to the base; False if the
+        table would then pass its bound."""
+        x = int(np.flatnonzero(p != q)[0])
+        entries = self._entries * self._size[x]
+        if entries > _KEY_TABLE_ENTRIES:
+            return False
+        self._weights.append((x, self._pos * self._entries))
+        self._entries = entries
+        self._table = None
+        return True
+
+    def _index(self, kept: np.ndarray) -> bool:
+        """Table the kept rows, extending the base until their keys differ."""
+        at = np.arange(len(kept), dtype=np.int32)
+        while True:
+            keys = self._keys(kept)
+            table = np.full(self._entries, -1, dtype=np.int32)
+            table[keys[::-1]] = at[::-1]  # a reversed scatter keeps the first
+            clash = np.flatnonzero(table[keys] != at)
+            if not clash.size:
+                self._table = table
+                return True
+            i = clash[0]
+            if not self._extend(kept[i], kept[table[keys[i]]]):
+                return False
+
+    def level(self, prods: np.ndarray, kept: np.ndarray):
+        """The element index of every product in `prods`, a level after
+        the rows `kept`, and the positions of its new elements' first
+        occurrences, whose indices follow len(kept) in product order; None
+        if the table would pass its bound."""
+        order = len(kept)
+        while self._table is not None or self._index(kept):
+            table = self._table
+            keys = self._keys(prods)
+            found = table[keys]
+            hit = np.flatnonzero(found >= 0)
+            clash = _first_clash(prods.take(hit, axis=0),
+                                 kept.take(found[hit], axis=0))
+            if clash is not None:
+                i = hit[clash]
+                if not self._extend(prods[i], kept[found[i]]):
+                    return None
+                continue
+            miss = np.flatnonzero(found < 0)
+            new_keys = keys[miss]
+            table[new_keys[::-1]] = -2 - miss[::-1]  # each key's first product
+            firsts = -2 - table[new_keys]
+            clash = _first_clash(prods.take(miss, axis=0),
+                                 prods.take(firsts, axis=0))
+            if clash is not None:
+                if not self._extend(prods[miss[clash]], prods[firsts[clash]]):
+                    return None
+                continue
+            at = miss[firsts == miss]
+            table[keys[at]] = np.arange(order, order + len(at), dtype=np.int32)
+            found[miss] = table[new_keys]
+            return found, at
+        return None
+
+
+def _first_clash(a: np.ndarray, b: np.ndarray) -> int | None:
+    """The first row where `a` and `b` differ, or None if they are equal."""
+    if np.array_equal(a, b):
+        return None
+    return int(np.argmax((a != b).any(axis=1)))
+
+
+def _grown(rows: np.ndarray, kept: int, need: int, limit: int) -> np.ndarray:
+    """`rows`, whose first `kept` rows count, in a buffer of at least `need`
+    rows: twice as many, but never more than `limit`."""
+    if need <= len(rows):
+        return rows
+    out = np.empty((min(max(2 * len(rows), need), limit), rows.shape[1]),
+                   dtype=rows.dtype)
+    out[:kept] = rows[:kept]
+    return out
+
+
+def _closure(gens: np.ndarray, order_cap: int, table_cap: int):
+    """Breadth-first closure of the generator rows `gens`, one frontier
+    level at a time: the image rows, every product's element index
+    (edges[f * m + s] is the index of s * f), each element's generator and
+    parent, and the index where each level starts, with the end.
+
+    A level's new elements are its products s * f in (f, s) order, first
+    occurrences only, so the element order is that of a scalar BFS. Levels
+    with fewer than _NUMPY_LEVEL products look each product's bytes up in
+    a dict; from the first level that reaches it, the rest runs in numpy on
+    _BaseKeys, until its table would pass its bound: then the dict is
+    rebuilt from the kept rows and the closure finishes on it."""
+    m, degree = gens.shape
+    key = np.dtype((np.void, 4 * degree))  # an image row as bytes
+    limit = min(order_cap, table_cap // degree)  # the rows the caps admit
+    gens_t = np.ascontiguousarray(gens.T)
+    frontier = np.arange(degree, dtype=np.int32)[None]
+    index: dict | None = {frontier.tobytes(): 0}
+    levels, rows, base = [frontier], None, None
+    switch = _NUMPY_LEVEL  # never again once the closure has switched
+    edges, gen_of, parent_of = array("i"), array("i", [-1]), array("i", [-1])
+    starts = [0, 1]  # the index of each level's first element, and the end
+    first, order = 0, 1  # the index of frontier[0], the elements so far
+    while len(frontier):
+        prods = np.ascontiguousarray(  # gens_t[y, s] = gens[s, y]
+            gens_t.take(frontier, axis=0).swapaxes(1, 2)).reshape(-1, degree)
+        if len(prods) >= switch:
+            switch = math.inf
+            rows, levels, index = np.concatenate(levels), None, None
+            base = _BaseKeys(gens)
+        if base is not None:
+            step = base.level(prods, rows[:order])
+            if step is None:  # the key table would pass its bound
+                base, levels = None, [rows[:order]]
+                index = dict(zip(levels[0].view(key)[:, 0].tolist(),
+                                 range(order)))
+        if base is None:
+            at = []
+            nxt = order
+            setdefault, record = index.setdefault, edges.append
+            for i, k in enumerate(prods.view(key)[:, 0].tolist()):
+                j = setdefault(k, nxt)
+                record(j)
+                if j == nxt:
+                    nxt += 1
+                    at.append(i)
+                    gen_of.append(i % m)
+                    parent_of.append(i // m + first)
+        else:
+            found, at = step
+            nxt = order + len(at)
+            edges.frombytes(found.tobytes())
+            gen_of.frombytes((at % m).astype(np.int32).tobytes())
+            parent_of.frombytes((at // m + first).astype(np.int32).tobytes())
+        if nxt > order_cap:
+            raise CapacityError("MAX_GROUP_ORDER", order_cap, order_cap + 1,
+                                hint="closure still growing")
+        if nxt * degree > table_cap:
+            raise CapacityError("MAX_ACT_TABLE_ENTRIES", table_cap,
+                                nxt * degree,
+                                hint="image rows, closure still growing")
+        frontier = prods.take(at, axis=0)
+        if base is None:
+            levels.append(frontier)
+        else:
+            rows = _grown(rows, order, nxt, limit)
+            rows[order:nxt] = frontier
+        first, order = order, nxt
+        starts.append(order)
+    del index, base  # freed before the element list is built
+    if levels is not None:
+        rows = np.concatenate(levels)
+    elif len(rows) > order:
+        rows = rows[:order].copy()
+    return rows, edges, gen_of, parent_of, starts
+
+
 class FiniteGroup:
     def __init__(self, generators: Sequence[Permutation], *, name: str | None = None):
         if not generators:
@@ -59,60 +268,19 @@ class FiniteGroup:
         table_cap = config.cap("MAX_ACT_TABLE_ENTRIES")
         self.degree = degree
         self.name = name or "gen<" + ", ".join(str(g) for g in generators) + ">"
-        key = np.dtype((np.void, 4 * degree))  # an image row as bytes
-
-        # breadth-first closure, one frontier level at a time; a level's
-        # new elements are its products s * f in (f, s) order, first
-        # occurrences only, so the element order is that of a scalar BFS.
-        # Every product's element index is recorded: edges[f * m + s] is
-        # the index of s * f
         gens = np.array(list(dict.fromkeys(g.images for g in generators)),
                         dtype=np.int32)
         m = len(gens)
-        frontier = np.arange(degree, dtype=np.int32)[None]
-        index = {frontier.tobytes(): 0}
-        edges = array("i")
-        setdefault, record = index.setdefault, edges.append
-        levels, gen_of, parent_of = [frontier], [-1], [-1]
-        starts = [0, 1]  # the index of each level's first element, and the end
-        first, order = 0, 1  # the index of frontier[0], the elements so far
-        while len(frontier):
-            prods = np.ascontiguousarray(
-                gens[:, frontier].swapaxes(0, 1)).reshape(-1, degree)
-            at = []
-            nxt = order
-            for i, k in enumerate(prods.view(key)[:, 0].tolist()):
-                j = setdefault(k, nxt)
-                record(j)
-                if j == nxt:
-                    nxt += 1
-                    at.append(i)
-                    gen_of.append(i % m)
-                    parent_of.append(i // m + first)
-            if nxt > order_cap:
-                raise CapacityError("MAX_GROUP_ORDER", order_cap, order_cap + 1,
-                                    hint="closure still growing")
-            if nxt * degree > table_cap:
-                raise CapacityError("MAX_ACT_TABLE_ENTRIES", table_cap,
-                                    nxt * degree,
-                                    hint="image rows, closure still growing")
-            first, order = order, nxt
-            starts.append(order)
-            frontier = prods[at]
-            levels.append(frontier)
-        del index  # freed before the element list is built
-
-        self.images = np.concatenate(levels)
-        del levels  # freed before the mul table is built
-        self.order = order
-        self._key = key  # for the lookup index, built on first use
+        self.images, edges, gen_of, parent_of, self._level_starts = _closure(
+            gens, order_cap, table_cap)
+        order = self.order = len(self.images)
+        self._key = np.dtype((np.void, 4 * degree))  # for the lookup index
         # row s is left translation by generator s: _gen_rows[s, f] = s * f
         self._gen_rows = np.ascontiguousarray(
             np.frombuffer(edges, dtype=np.int32).reshape(order, m).T)
         self.generator_indices = tuple(self._gen_rows[:, 0].tolist())
-        self._gen_of = np.asarray(gen_of, dtype=np.int32)
-        self._parent_of = np.asarray(parent_of, dtype=np.int32)
-        self._level_starts = starts
+        self._gen_of = np.frombuffer(gen_of, dtype=np.int32)
+        self._parent_of = np.frombuffer(parent_of, dtype=np.int32)
 
         self.mul_table: np.ndarray | None = None
         self._row_cache: dict[int, np.ndarray] = {}

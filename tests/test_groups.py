@@ -120,6 +120,16 @@ def test_abelian_flag():
     assert not dihedral(3).is_abelian()
 
 
+def _a8_generators() -> list[Permutation]:
+    """alternating(8)'s generators, closed without its order check."""
+    return [from_cycles(8, [(i, i + 1, i + 2)]) for i in range(6)]
+
+
+# A8's level ends: its first level of at least 512 products ends at 533,
+# so a cap from 157 on stops the closure after it has switched to numpy
+_A8_STARTS = alternating(8)._level_starts
+
+
 def test_group_order_cap():
     with pytest.raises(CapacityError) as ei:
         symmetric(9)
@@ -127,13 +137,57 @@ def test_group_order_cap():
     gens = [from_cycles(4, [(0, 1)]), from_cycles(4, [(0, 1, 2, 3)])]
     with config.overrides({"MAX_GROUP_ORDER": 24}):
         assert from_generators(gens).order == 24
-    for cap in (1, 10, 23):
-        with config.overrides({"MAX_GROUP_ORDER": cap}), \
-                pytest.raises(CapacityError) as ei:
-            from_generators(gens)
-        err = ei.value
-        assert (err.cap_name, err.cap_value, err.measured) == \
-            ("MAX_GROUP_ORDER", cap, cap + 1)
+    with config.overrides({"MAX_GROUP_ORDER": 20160}):
+        assert from_generators(_a8_generators()).order == 20160
+    for gens, caps in ((gens, (1, 10, 23)),
+                       (_a8_generators(), (1, 200, 5000, 20159))):
+        for cap in caps:
+            with config.overrides({"MAX_GROUP_ORDER": cap}), \
+                    pytest.raises(CapacityError) as ei:
+                from_generators(gens)
+            err = ei.value
+            assert (err.cap_name, err.cap_value, err.measured) == \
+                ("MAX_GROUP_ORDER", cap, cap + 1)
+
+
+@pytest.mark.parametrize("cap", [100, 2000, 40_000, 161_279])
+def test_image_row_cap_on_a8(cap):
+    # the measured value is the image entries of the first level end
+    # past the cap, on either closure path
+    want = 8 * min(s for s in _A8_STARTS if 8 * s > cap)
+    with config.overrides({"MAX_ACT_TABLE_ENTRIES": cap}), \
+            pytest.raises(CapacityError) as ei:
+        from_generators(_a8_generators())
+    err = ei.value
+    assert (err.cap_name, err.cap_value, err.measured) == \
+        ("MAX_ACT_TABLE_ENTRIES", cap, want)
+
+
+@pytest.mark.parametrize("caps", [
+    {}, {"MAX_GROUP_ORDER": 20160}, {"MAX_GROUP_ORDER": 5000},
+    {"MAX_ACT_TABLE_ENTRIES": 161_280}, {"MAX_ACT_TABLE_ENTRIES": 40_000}],
+    ids=lambda caps: ",".join(f"{k}={v}" for k, v in caps.items()) or
+    "default caps")
+def test_closure_row_buffer_stays_within_the_caps(caps, monkeypatch):
+    # the rows kept on the numpy path grow in a buffer; every buffer it
+    # allocates holds no more rows than the caps admit
+    sizes = []
+    grown = groups._grown
+
+    def spy(rows, kept, need, limit):
+        out = grown(rows, kept, need, limit)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(groups, "_grown", spy)
+    with config.overrides(caps):
+        admitted = min(config.cap("MAX_GROUP_ORDER"),
+                       config.cap("MAX_ACT_TABLE_ENTRIES") // 8)
+        try:
+            from_generators(_a8_generators())
+        except CapacityError:
+            assert admitted < 20160
+    assert sizes and max(sizes) <= admitted
 
 
 def test_closure_peak_memory_stays_below_four_image_tables():
@@ -146,6 +200,21 @@ def test_closure_peak_memory_stays_below_four_image_tables():
     finally:
         tracemalloc.stop()
     assert peak < 4 * G.images.nbytes
+
+
+@pytest.mark.parametrize("build,factor", [
+    (lambda: alternating(8), 8), (lambda: symmetric(7), 8)],
+    ids=["A8", "S7"])
+def test_numpy_closure_peak_memory(build, factor):
+    # A8 and S7 close their large levels in numpy; building them peaked
+    # at 6.72 and 7.27 times their image rows
+    tracemalloc.start()
+    try:
+        G = build()
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < factor * G.images.nbytes
 
 
 def test_element_index_refuses_non_members():
@@ -205,17 +274,77 @@ def _with_generators(build, monkeypatch) -> tuple[FiniteGroup, list]:
 
 _ORDER_CASES = {build_group(g).name: lambda g=g: build_group(g)
                 for specs in FAMILIES.values() for g, _a in specs}
-_ORDER_CASES.update({"S7": lambda: symmetric(7),
-                     "A8": lambda: alternating(8)})
+_ORDER_CASES.update({
+    "S7": lambda: symmetric(7), "A8": lambda: alternating(8),
+    # several orbits, so the base key's digits have several radices
+    "S4xA5": lambda: direct_product(symmetric(4), alternating(5)),
+    "C2^4": lambda: direct_product(direct_product(cyclic(2), cyclic(2)),
+                                   direct_product(cyclic(2), cyclic(2))),
+    "D8xC9": lambda: direct_product(dihedral(8), cyclic(9)),
+    "Aff(31)": lambda: affine_gl1(31)})
+_ORACLES: dict[str, tuple[list, dict]] = {}
+
+
+def _closed_with_oracle(case, monkeypatch) -> tuple[FiniteGroup, dict]:
+    """The group of `case` and its reference closure, computed once."""
+    G, gens = _with_generators(_ORDER_CASES[case], monkeypatch)
+    if case not in _ORACLES:
+        _ORACLES[case] = (gens, _oracle_closure(gens))
+    assert gens == _ORACLES[case][0]
+    return G, _ORACLES[case][1]
+
+
+def _assert_closure(G: FiniteGroup, want: dict) -> None:
+    for attr, value in want.items():
+        assert np.array_equal(np.asarray(getattr(G, attr)), value), attr
+    assert G.order == len(want["images"])
 
 
 @pytest.mark.parametrize("case", sorted(_ORDER_CASES))
 def test_element_order_matches_reference_closure(case, monkeypatch):
-    G, gens = _with_generators(_ORDER_CASES[case], monkeypatch)
-    want = _oracle_closure(gens)
-    for attr, value in want.items():
-        assert np.array_equal(np.asarray(getattr(G, attr)), value), attr
-    assert G.order == len(want["images"])
+    _assert_closure(*_closed_with_oracle(case, monkeypatch))
+
+
+# the level from which the closure runs in numpy: the default, the first
+# level, or none
+_SWITCHES = {"default": groups._NUMPY_LEVEL, "numpy": 1, "byte keys": math.inf}
+
+
+@pytest.mark.parametrize("switch", ["numpy", "byte keys"])
+@pytest.mark.parametrize("case", sorted(_ORDER_CASES))
+def test_each_closure_path_matches_reference_closure(case, switch,
+                                                      monkeypatch):
+    # every case closed by one path alone, from the first level
+    monkeypatch.setattr(groups, "_NUMPY_LEVEL", _SWITCHES[switch])
+    _assert_closure(*_closed_with_oracle(case, monkeypatch))
+
+
+@pytest.mark.parametrize("bound", [8, 100, 4096])
+@pytest.mark.parametrize("switch", ["default", "numpy"])
+@pytest.mark.parametrize("case", ["S7", "A8", "S4xA5"])
+def test_closure_hands_back_to_byte_keys_past_the_key_table_bound(
+        case, switch, bound, monkeypatch):
+    # S7, A8 and S4xA5 need 6 base points, for 7^6, 8^6 and 4^3 * 5^3
+    # table entries, so every bound here stops the numpy path and the dict
+    # finishes the closure
+    calls = []  # per closure, what each numpy level returned
+    closure, level = groups._closure, groups._BaseKeys.level
+
+    def closure_spy(*args):
+        calls.append([])
+        return closure(*args)
+
+    def level_spy(self, prods, kept):
+        calls[-1].append(level(self, prods, kept))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(groups, "_closure", closure_spy)
+    monkeypatch.setattr(groups._BaseKeys, "level", level_spy)
+    monkeypatch.setattr(groups, "_KEY_TABLE_ENTRIES", bound)
+    monkeypatch.setattr(groups, "_NUMPY_LEVEL", _SWITCHES[switch])
+    _assert_closure(*_closed_with_oracle(case, monkeypatch))
+    # the group's own closure handed back once, and never switched again
+    assert calls[-1][-1] is None and calls[-1].count(None) == 1
 
 
 # the pairs with and without a table, and S7, tableless at the default caps
