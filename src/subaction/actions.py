@@ -11,14 +11,15 @@ on a generator), so verification looks no element up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
 from . import config
 from .errors import CapacityError, DomainError, InvariantError, StructuralError
-from .groups import FiniteGroup, Subgroup, _index_array, _membership
+from .groups import (FiniteGroup, Subgroup, _index_array, _membership,
+                     _orbits)
 from .rationals import exact_fraction as _exact_ratio
 
 
@@ -86,32 +87,14 @@ class GroupAction:
     # -- orbits and stabilizers ----------------------------------------------
 
     def orbit_decomposition(self) -> "OrbitDecomposition":
-        if self._orbits is not None:
-            return self._orbits
-        d = self.domain_size
-        orbit_of = np.full(d, -1, dtype=np.int32)
-        reps: list[int] = []
-        orbits: list[frozenset[int]] = []
-        gen_rows = [self.table[g] for g in self.group.generator_indices]
-        for x in range(d):
-            if orbit_of[x] >= 0:
-                continue
-            seen = {x}
-            frontier = [x]
-            while frontier:
-                nxt = []
-                for y in frontier:
-                    for row in gen_rows:
-                        z = int(row[y])
-                        if z not in seen:
-                            seen.add(z)
-                            nxt.append(z)
-                frontier = nxt
-            idx = len(reps)
-            reps.append(x)
-            orbits.append(frozenset(seen))
-            orbit_of[np.fromiter(seen, dtype=np.int64)] = idx
-        self._orbits = OrbitDecomposition(tuple(reps), orbit_of, orbits)
+        if self._orbits is None:
+            orbits = _orbits(self.table[list(self.group.generator_indices)])
+            orbit_of = np.empty(self.domain_size, dtype=np.int32)
+            for i, orbit in enumerate(orbits):
+                orbit_of[orbit] = i
+            self._orbits = OrbitDecomposition(
+                tuple(o[0] for o in orbits), orbit_of,
+                [frozenset(o) for o in orbits], len(orbits))
         return self._orbits
 
     def _overlaps(self, Y: Iterable[int], what: str
@@ -147,18 +130,15 @@ class GroupAction:
         if self._profile is not None:
             return self._profile
         dec = self.orbit_decomposition()
-        ar = np.arange(self.domain_size)
-        fixes = (self.table == ar).all(axis=1)
-        kernel = frozenset(np.flatnonzero(fixes).tolist())
-        has_fix = (self.table == ar).any(axis=1)
-        is_free = not has_fix[1:].any() if self.group.order > 1 else True
+        fixed = self.table == np.arange(self.domain_size)  # g.x == x
+        kernel = frozenset(np.flatnonzero(fixed.all(axis=1)).tolist())
         self._profile = ActionProfile(
             group_order=self.group.order,
             domain_size=self.domain_size,
             orbit_sizes=tuple(sorted(len(o) for o in dec.orbits)),
-            transitive=len(dec.orbits) == 1,
+            transitive=dec.count == 1,
             faithful=len(kernel) == 1,
-            free=bool(is_free),
+            free=not fixed[1:].any(),
             kernel=kernel,
         )
         return self._profile
@@ -169,13 +149,10 @@ class GroupAction:
 
 @dataclass(frozen=True)
 class OrbitDecomposition:
-    representatives: tuple[int, ...]
-    orbit_of: np.ndarray  # point -> orbit position
+    representatives: tuple[int, ...]  # each orbit's least point
+    orbit_of: np.ndarray = field(metadata={"reported": False})  # point's orbit
     orbits: list[frozenset[int]]
-
-    @property
-    def count(self) -> int:
-        return len(self.orbits)
+    count: int
 
 
 @dataclass(frozen=True)

@@ -71,15 +71,11 @@ def to_jsonable(obj):
     if isinstance(obj, Exhaustiveness):
         return obj.to_json()
     if isinstance(obj, (theorems.CheckReport, MinimizationResult, CoreResult,
-                        MuResult)):
+                        MuResult, OrbitDecomposition)):
         # every field in declaration order, but those marked unreported
         return {f.name: to_jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)
                 if f.metadata.get("reported", True)}
-    if isinstance(obj, OrbitDecomposition):
-        return {"representatives": to_jsonable(obj.representatives),
-                "orbits": to_jsonable(obj.orbits),
-                "count": obj.count}
     if isinstance(obj, ActionProfile):
         return {"group_order": obj.group_order,
                 "domain_size": obj.domain_size,

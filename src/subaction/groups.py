@@ -40,7 +40,7 @@ from . import config
 from .errors import CapacityError, DomainError, InvariantError, StructuralError
 from .perms import Permutation, from_cycles, identity
 
-_PRODUCT_BLOCK = 1 << 20  # composed image entries per lookup block
+_PRODUCT_BLOCK = 1 << 20  # composed entries per lookup, products per check
 _NUMPY_LEVEL = 512  # products in the first closure level closed in numpy
 _KEY_TABLE_ENTRIES = 1 << 22  # entries of the base-image key table, at most
 
@@ -62,6 +62,25 @@ def _membership(size: int, indices) -> np.ndarray:
     return member
 
 
+def _orbits(rows) -> list[list[int]]:
+    """The orbits on 0..d-1 of the group generated by the permutation rows
+    `rows` (m x d), in order of least point, each listed breadth-first from
+    its least point with the rows taken in order."""
+    images = np.asarray(rows).T.tolist()  # images[x]: the rows' images of x
+    seen = [False] * len(images)
+    orbits = []
+    for x in range(len(images)):
+        if not seen[x]:
+            seen[x], orbit = True, [x]
+            for y in orbit:
+                for z in images[y]:
+                    if not seen[z]:
+                        seen[z] = True
+                        orbit.append(z)
+            orbits.append(orbit)
+    return orbits
+
+
 class _BaseKeys:
     """Element indices of image rows, keyed by their images of a base.
 
@@ -75,18 +94,10 @@ class _BaseKeys:
     returns None when the table would pass ``_KEY_TABLE_ENTRIES``."""
 
     def __init__(self, gens: np.ndarray):
-        images = gens.T.tolist()  # images[x]: the generators' images of x
-        pos, size = [-1] * len(images), [0] * len(images)
-        for x in range(len(images)):
-            if pos[x] < 0:
-                pos[x], orbit = 0, [x]
-                for y in orbit:
-                    for z in images[y]:
-                        if pos[z] < 0:
-                            pos[z] = len(orbit)
-                            orbit.append(z)
-                for y in orbit:
-                    size[y] = len(orbit)
+        pos, size = [0] * gens.shape[1], [0] * gens.shape[1]
+        for orbit in _orbits(gens):
+            for i, y in enumerate(orbit):
+                pos[y], size[y] = i, len(orbit)
         self._pos = np.array(pos, dtype=np.int64)  # place in its orbit
         self._size = size
         # (base point, each image's value as that point's key digit)
@@ -521,8 +532,11 @@ def _verify_subgroup(G: FiniteGroup, members: frozenset[int]) -> None:
     arr = np.fromiter(members, dtype=np.int64, count=len(members))
     if not members.issuperset(G.inv_table[arr].tolist()):
         raise InvariantError("set is not inverse-closed")
-    if not _membership(G.order, arr)[G._products(arr, arr)].all():
-        raise InvariantError("set is not product-closed")
+    member = _membership(G.order, arr)
+    step = max(1, _PRODUCT_BLOCK // arr.size)  # rows of products per block
+    for lo in range(0, arr.size, step):
+        if not member[G._products(arr[lo:lo + step], arr)].all():
+            raise InvariantError("set is not product-closed")
 
 
 @dataclass(frozen=True)

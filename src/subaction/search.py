@@ -22,8 +22,8 @@ from .actions import (GroupAction, conjugation_action, coset_action,
                       left_translation_action, natural_action)
 from .errors import (DomainError, InvariantError, ScenarioError,
                      StructuralError)
-from .groups import (FiniteGroup, affine_gl1, alternating, cyclic, dihedral,
-                     direct_product, symmetric)
+from .groups import (FiniteGroup, _orbits, affine_gl1, alternating, cyclic,
+                     dihedral, direct_product, symmetric)
 from .linalg import Representation, permutation_representation, \
     representation_from_generator_matrices
 from .rationals import exact_fraction
@@ -359,20 +359,11 @@ def _biased_actor(rng: random.Random, action: GroupAction) -> tuple[int, ...]:
 
 def _orbit_union(rng: random.Random, action: GroupAction,
                  A: tuple[int, ...]) -> tuple[int, ...]:
-    """Union of orbits of the subgroup generated by A, for equality cases."""
-    members = action.group.generated_set(A)
-    seen: set[int] = set()
-    blocks: list[frozenset[int]] = []
-    for x in range(action.domain_size):
-        if x not in seen:
-            orb = action.act_set(members, (x,))
-            blocks.append(orb)
-            seen |= orb
+    """Union of orbits of the subgroup generated by A, for equality cases;
+    they are the orbits of the group that A's rows generate."""
+    blocks = _orbits(action.table[list(A)])
     count = rng.randint(1, len(blocks))
-    chosen: set[int] = set()
-    for blk in rng.sample(blocks, count):
-        chosen |= blk
-    return tuple(sorted(chosen))
+    return tuple(sorted(x for blk in rng.sample(blocks, count) for x in blk))
 
 
 def _draw(rng: random.Random, pool: _Pool, predicate: str

@@ -1,6 +1,7 @@
 """Action tables, orbits, stabilizers, and symmetry sets."""
 
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subaction import actions, config
+from subaction import actions, config, groups
 from subaction.actions import (GroupAction, conjugation_action,
                                coset_action, left_translation_action,
                                natural_action)
@@ -360,6 +361,78 @@ def test_orbit_stabilizer_theorem():
             stab_order = int((action.table[:, x] == x).sum())
             orbit = dec.orbits[int(dec.orbit_of[x])]
             assert stab_order * len(orbit) == action.group.order
+
+
+def _reference_orbits(rows, d: int):
+    """Representatives, orbit_of and orbits of the group generated by the
+    permutation rows `rows` on 0..d-1: the level-by-level set BFS that
+    `orbit_decomposition` once ran itself, from each least unseen point."""
+    orbit_of = np.full(d, -1, dtype=np.int32)
+    reps: list[int] = []
+    orbits: list[frozenset[int]] = []
+    for x in range(d):
+        if orbit_of[x] >= 0:
+            continue
+        seen = {x}
+        frontier = [x]
+        while frontier:
+            nxt = []
+            for y in frontier:
+                for row in rows:
+                    z = int(row[y])
+                    if z not in seen:
+                        seen.add(z)
+                        nxt.append(z)
+            frontier = nxt
+        orbit_of[np.fromiter(seen, dtype=np.int64)] = len(reps)
+        reps.append(x)
+        orbits.append(frozenset(seen))
+    return tuple(reps), orbit_of, orbits
+
+
+# every search pool action, and natural actions with several orbits
+_ORBIT_CASES = {f"{g} {a}": lambda g=g, a=a: build_action(build_group(g), a)
+                for specs in FAMILIES.values() for g, a in specs}
+_ORBIT_CASES.update({
+    "S7 natural": lambda: natural_action(symmetric(7)),
+    "A8 natural": lambda: natural_action(alternating(8)),
+    "S4 conjugation": lambda: conjugation_action(symmetric(4)),
+    "S5 conjugation": lambda: conjugation_action(symmetric(5)),
+    "S4xA5 natural": lambda: natural_action(
+        direct_product(symmetric(4), alternating(5))),
+    "C2^4 natural": lambda: natural_action(
+        direct_product(direct_product(cyclic(2), cyclic(2)),
+                       direct_product(cyclic(2), cyclic(2)))),
+    "D8xC9 natural": lambda: natural_action(
+        direct_product(dihedral(8), cyclic(9)))})
+
+
+@pytest.mark.parametrize("case", sorted(_ORBIT_CASES))
+def test_orbit_walk_matches_reference_bfs(case):
+    action = _ORBIT_CASES[case]()
+    G, d = action.group, action.domain_size
+    gens = action.table[list(G.generator_indices)]
+    reps, orbit_of, orbits = _reference_orbits(gens, d)
+    walked = groups._orbits(gens)
+    # in order of least point, each listed from it, every point once
+    assert [o[0] for o in walked] == list(reps)
+    assert [frozenset(o) for o in walked] == orbits
+    assert sorted(x for o in walked for x in o) == list(range(d))
+    dec = action.orbit_decomposition()
+    assert (dec.representatives, dec.orbits, dec.count) == \
+        (reps, orbits, len(orbits))
+    assert np.array_equal(dec.orbit_of, orbit_of)
+    # the rows of actor sets of at most 8 elements, as the search draws
+    # them: their orbits are those of the subgroup they generate
+    rng = random.Random(case)
+    for _ in range(10):
+        A = rng.sample(range(G.order), rng.randint(1, min(8, G.order)))
+        walked = groups._orbits(action.table[A])
+        reps, _orbit_of, orbits = _reference_orbits(action.table[A], d)
+        assert [o[0] for o in walked] == list(reps)
+        assert [frozenset(o) for o in walked] == orbits
+        members = G.generated_set(A)
+        assert [action.act_set(members, (x,)) for x in reps] == orbits
 
 
 # -- stabilizers -----------------------------------------------------------------

@@ -167,8 +167,10 @@ def test_result_types_report_their_fields_but_the_unreported():
                           "Y": "Y", "lambda": "0"},
                          {"task": "core", "function": "actor_growth",
                           "Y": "Y", "lambda": "0"},
-                         {"task": "mu", "Y": "Y"}])
-    report, minimized, core, mu = run_scenario(_parse(sc))["results"]
+                         {"task": "mu", "Y": "Y"},
+                         {"task": "orbits"}, {"task": "profile"}])
+    report, minimized, core, mu, orbits, profile = run_scenario(
+        _parse(sc))["results"]
     assert list(report["report"]) == [
         "statement_id", "hypotheses_hold", "conclusion_holds", "witnesses",
         "counterexample", "exhaustiveness", "details"]
@@ -177,6 +179,12 @@ def test_result_types_report_their_fields_but_the_unreported():
         "fragments_truncated", "atoms", "atom_size"]
     assert list(core["result"]) == ["atoms", "union"]
     assert list(mu["result"]) == ["mu", "witness", "methods"]
+    # orbit_of is unreported; the profile is written explicitly, with the
+    # kernel's order in place of the kernel
+    assert list(orbits["result"]) == ["representatives", "orbits", "count"]
+    assert list(profile["result"]) == [
+        "group_order", "domain_size", "orbit_sizes", "transitive", "faithful",
+        "free", "kernel_order"]
 
 
 def test_report_is_json_clean():

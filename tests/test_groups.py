@@ -347,6 +347,35 @@ def test_closure_hands_back_to_byte_keys_past_the_key_table_bound(
     assert calls[-1][-1] is None and calls[-1].count(None) == 1
 
 
+def _reference_orbit_positions(gens: np.ndarray) -> tuple[list, list]:
+    """Each point's place in its orbit under the rows `gens`, and the
+    orbit's size: the breadth-first walk the base key once ran itself,
+    from each orbit's least point, the rows taken in order."""
+    images = gens.T.tolist()
+    pos, size = [-1] * len(images), [0] * len(images)
+    for x in range(len(images)):
+        if pos[x] < 0:
+            pos[x], orbit = 0, [x]
+            for y in orbit:
+                for z in images[y]:
+                    if pos[z] < 0:
+                        pos[z] = len(orbit)
+                        orbit.append(z)
+            for y in orbit:
+                size[y] = len(orbit)
+    return pos, size
+
+
+@pytest.mark.parametrize("case", sorted(_ORDER_CASES))
+def test_base_key_positions_match_reference_walk(case, monkeypatch):
+    _G, gens = _with_generators(_ORDER_CASES[case], monkeypatch)
+    rows = np.array(list(dict.fromkeys(g.images for g in gens)),
+                    dtype=np.int32)
+    base = groups._BaseKeys(rows)
+    assert (base._pos.tolist(), base._size) == \
+        _reference_orbit_positions(rows)
+
+
 # the pairs with and without a table, and S7, tableless at the default caps
 _GEN_ROW_GROUPS = {f"{name} {kind}": G for name, pair in _PAIRS.items()
                    for kind, G in zip(("tabled", "tableless"), pair)}
@@ -518,6 +547,37 @@ def test_subgroup_orders_divide():
     G = dihedral(6)
     for H in G.subgroups():
         assert G.order % H.order == 0
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 20])
+def test_subgroup_check_in_product_blocks(block, monkeypatch):
+    # blocks of one row of products up to the whole check at once
+    monkeypatch.setattr(groups, "_PRODUCT_BLOCK", block)
+    G = symmetric(4)
+    for H in G.subgroups():
+        assert Subgroup(G, H.members).members == H.members
+    # {e, (0 1), (2 3)} is inverse-closed but not product-closed
+    bad = frozenset({0, G.element_index(from_cycles(4, [(0, 1)])),
+                     G.element_index(from_cycles(4, [(2, 3)]))})
+    with pytest.raises(InvariantError, match="set is not product-closed"):
+        Subgroup(G, bad)
+
+
+def test_subgroup_check_peak_memory_is_block_bounded():
+    # the point stabilizer A7 inside A8, with no multiplication table:
+    # all 2520^2 products in one array peaked at 33.5 MB, and checking
+    # them in blocks of _PRODUCT_BLOCK products at 13.2 MB
+    G = alternating(8)
+    assert G.mul_table is None
+    members = frozenset(np.flatnonzero(G.images[:, 7] == 7).tolist())
+    tracemalloc.start()
+    try:
+        H = Subgroup(G, members)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert H.order == 2520
+    assert peak < 20 * 2 ** 20
 
 
 def test_left_cosets_partition():

@@ -3,13 +3,17 @@
 import importlib
 import json
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from subaction import config
-from subaction.cli import main, parse_scenario, run_scenario, to_jsonable
+from subaction.actions import GroupAction
+from subaction.cli import (_search_report, main, parse_scenario, run_scenario,
+                           to_jsonable)
 from subaction.errors import StructuralError
+from subaction.groups import FiniteGroup
 from subaction.search import (FAMILIES, PREDICATES, _draw, _Pool, _run_drawn,
                               build_action, build_group,
                               build_representation, search)
@@ -183,6 +187,59 @@ def test_lazy_pool_draws_as_an_eager_pool():
             assert got[1] == want[1], (family, cursor)
             assert np.array_equal(got[0].table, want[0].table)
         assert len(lazy.built) <= len(specs)
+
+
+def _reference_orbit_union(rng, action, A):
+    """The orbit union as drawn before the orbit walk: <A> closed by
+    generated_set, then one act_set per orbit, in order of least point."""
+    members = action.group.generated_set(A)
+    seen: set[int] = set()
+    blocks: list[frozenset[int]] = []
+    for x in range(action.domain_size):
+        if x not in seen:
+            blocks.append(action.act_set(members, (x,)))
+            seen |= blocks[-1]
+    chosen: set[int] = set()
+    for blk in rng.sample(blocks, rng.randint(1, len(blocks))):
+        chosen |= blk
+    return tuple(sorted(chosen))
+
+
+@pytest.mark.parametrize("family,predicate", [
+    ("abelian_translation", "murphy"),
+    ("symmetric_conjugation", "tao_doubling")])
+def test_orbit_union_walks_the_rows_and_keeps_the_stream(family, predicate,
+                                                         monkeypatch):
+    walk = search_module._orbit_union
+    inside = [False]
+    calls: Counter = Counter()  # (method, called inside the walk)
+    for cls, name in ((FiniteGroup, "generated_set"),
+                      (GroupAction, "act_set")):
+        def counted(*args, _fn=getattr(cls, name), _name=name, **kwargs):
+            calls[_name, inside[0]] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+    unions = []
+
+    def spy(rng, action, A):
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        want = _reference_orbit_union(twin, action, A)
+        inside[0] = True
+        try:
+            got = walk(rng, action, A)
+        finally:
+            inside[0] = False
+        assert got == want and rng.getstate() == twin.getstate()
+        unions.append(got)
+        return got
+
+    monkeypatch.setattr(search_module, "_orbit_union", _reference_orbit_union)
+    want = _search_report(search(family, predicate, 30, seed=7), 0)
+    monkeypatch.setattr(search_module, "_orbit_union", spy)
+    assert _search_report(search(family, predicate, 30, seed=7), 0) == want
+    assert unions and calls["act_set", False] > 0
+    assert calls["generated_set", True] == calls["act_set", True] == 0
 
 
 def test_group_order_cap_refuses_only_drawn_groups(capsys):
