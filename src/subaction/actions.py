@@ -1,12 +1,19 @@
 """Verified group actions on finite point sets.
 
 An action is stored as a full table ``row[g][x] = g.x`` and is checked at
-construction: identity row, bijective rows, and the homomorphism law for
-every generator against every element. Every non-identity element is
-``s * parent`` with ``s`` a generator, so induction along that closure
-factorisation gives the law for all pairs. The law is checked against the
-products ``s * h`` that the group's closure found (``FiniteGroup.mul_row``
-on a generator), so verification looks no element up.
+construction: the identity row, the generator rows as bijections, and the
+homomorphism law ``row[s * h] = row[s][row[h]]`` for every generator ``s``
+against every element ``h``. Every non-identity element is ``s * parent``
+with ``s`` a generator and the parent earlier in closure order, so
+induction along that factorisation gives the law for all pairs and makes
+every row a composition of generator rows, so a bijection. The law reads
+entries clipped to the domain, so it never indexes outside it, and the
+first bad row in closure order fails its own (s, parent) comparison. When
+the law fails, every row is checked as a bijection first, so a table is
+refused with the message of an all-rows, all-pairs check. The law is
+checked against the products ``s * h`` that the group's closure found
+(``FiniteGroup.mul_row`` on a generator), so verification looks no
+element up.
 """
 
 from __future__ import annotations
@@ -30,6 +37,11 @@ def _check_table_cap(order: int, domain_size: int) -> None:
         raise CapacityError("MAX_ACT_TABLE_ENTRIES", limit, entries)
 
 
+def _check_bijections(rows: np.ndarray) -> None:
+    if not (np.sort(rows, axis=1) == np.arange(rows.shape[1])).all():
+        raise InvariantError("some row is not a bijection of the domain")
+
+
 class GroupAction:
     def __init__(self, group: FiniteGroup, domain_size: int, table: np.ndarray,
                  *, name: str | None = None):
@@ -48,15 +60,18 @@ class GroupAction:
         self._verify()
 
     def _verify(self) -> None:
-        ar = np.arange(self.domain_size, dtype=np.int32)
-        if not np.array_equal(self.table[0], ar):
+        table, gens = self.table, self.group.generator_indices
+        if not np.array_equal(table[0], np.arange(self.domain_size)):
             raise InvariantError("identity row does not fix the domain")
-        if not np.all(np.sort(self.table, axis=1) == ar):
-            raise InvariantError("some row is not a bijection of the domain")
-        for g in self.group.generator_indices:
-            lhs = self.table[self.group.mul_row(g)]
-            rhs = self.table[g][self.table]
+        _check_bijections(table.take(gens, axis=0))
+        # one pair of buffers serves every generator, as fresh ones cost
+        # page faults; "clip" also keeps take from buffering its output
+        lhs, rhs = np.empty_like(table), np.empty_like(table)
+        for g in gens:
+            table.take(self.group.mul_row(g), axis=0, out=lhs, mode="clip")
+            table[g].take(table, out=rhs, mode="clip")
             if not np.array_equal(lhs, rhs):
+                _check_bijections(table)
                 h = int(np.nonzero((lhs != rhs).any(axis=1))[0][0])
                 raise InvariantError(
                     f"homomorphism law fails at (g, h) = ({g}, {h})")
@@ -78,7 +93,8 @@ class GroupAction:
     def act_set(self, A: Iterable[int], Y: Iterable[int]) -> frozenset[int]:
         """The product set A.Y of all images of Y under elements of A."""
         a, y = self.group._as_indices(A), self._point_indices(Y)
-        member = _membership(self.domain_size, self.table[a[:, None], y])
+        member = _membership(self.domain_size,
+                             self.table.take(a, axis=0).take(y, axis=1))
         return frozenset(np.flatnonzero(member).tolist())
 
     def image_size(self, A: Iterable[int], Y: Iterable[int]) -> int:
@@ -104,7 +120,7 @@ class GroupAction:
         if y.size == 0:
             raise DomainError(f"{what} needs a nonempty set")
         memb = _membership(self.domain_size, y)
-        return memb[self.table[:, y]].sum(axis=1), int(y.size)
+        return memb.take(self.table.take(y, axis=1)).sum(axis=1), int(y.size)
 
     def set_stabilizer(self, Y: Iterable[int]) -> Subgroup:
         """Elements g with |g.Y meet Y| = |Y|."""

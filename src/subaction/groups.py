@@ -20,11 +20,21 @@ wherever two distinct rows share a key, and if the table would pass
 ``_KEY_TABLE_ENTRIES`` entries the closure rebuilds the dict and finishes
 on it. Both paths give the same elements in the same order.
 
-Any other row is found by its bytes: the image rows, viewed as fixed-width
-byte strings, are sorted on the first lookup and searched with
-``np.searchsorted``. Multiplication tables are materialised only up to a
-size cap; larger groups compose image rows and look the products up in
-blocks."""
+Lookups use the closure's key. The closure hands back its base without
+the dense table, and the first lookup tables every element on it in one
+pass (a group whose closure never switched to numpy grows a base from its
+generator rows then). The key then separates all elements, so the base is
+a base in Sims's sense, and a product's key needs only base images,
+(a * b)(x) = a(b(x)): a block of products costs one gather per base point,
+composes no rows, and is read from the table as it is, since every
+product of elements is an element; so are the rows of ``mul_row``.
+``element_index``, given any row, compares it with the element its key
+names. Where the table would pass ``_KEY_TABLE_ENTRIES``, as where the
+closure hands back to the dict, rows are found by their bytes instead:
+the image rows, viewed as fixed-width byte strings, are sorted on the
+first such lookup and searched with ``np.searchsorted``, and products
+are composed and looked up. Multiplication tables are materialised only
+up to a size cap; larger groups find products in blocks."""
 
 from __future__ import annotations
 
@@ -40,7 +50,9 @@ from . import config
 from .errors import CapacityError, DomainError, InvariantError, StructuralError
 from .perms import Permutation, from_cycles, identity
 
-_PRODUCT_BLOCK = 1 << 20  # composed entries per lookup, products per check
+# a block of tableless products holds at most this many products times
+# the degree; a subgroup check, this many products
+_PRODUCT_BLOCK = 1 << 20
 _NUMPY_LEVEL = 512  # products in the first closure level closed in numpy
 _KEY_TABLE_ENTRIES = 1 << 22  # entries of the base-image key table, at most
 
@@ -91,7 +103,11 @@ class _BaseKeys:
     kept row that the product may equal; every such match is compared row
     against row, so the key only speeds lookups. The base starts empty and
     grows by a point where two distinct rows share a key. ``level``
-    returns None when the table would pass ``_KEY_TABLE_ENTRIES``."""
+    returns None when the table would pass ``_KEY_TABLE_ENTRIES``.
+
+    Once ``_index`` has tabled every element of a group, the base
+    separates them, and ``products`` reads products' indices from their
+    base images alone."""
 
     def __init__(self, gens: np.ndarray):
         pos, size = [0] * gens.shape[1], [0] * gens.shape[1]
@@ -106,10 +122,32 @@ class _BaseKeys:
         self._table: np.ndarray | None = None  # None until indexed
 
     def _keys(self, rows: np.ndarray) -> np.ndarray:
+        # an entry outside the domain is clipped: such a row is no
+        # element, which the comparison after every lookup finds
         keys = np.zeros(len(rows), dtype=np.int64)
         for point, weight in self._weights:
-            keys += weight.take(rows[:, point])
+            keys += weight.take(rows[:, point], mode="clip")
         return keys
+
+    def find(self, rows: np.ndarray) -> np.ndarray:
+        """The table's entry at each row's key: the kept row it may equal.
+        A row that maps a base point out of its orbit is no element, and
+        its key may pass the table's end, so it is clipped."""
+        return self._table.take(self._keys(rows), mode="clip")
+
+    @property
+    def points(self) -> list[int]:
+        return [point for point, _weight in self._weights]
+
+    def products(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """The element index of l * r for every image row l of `left` and
+        every element r given by its images of the base points, the rows
+        of `right`: (l * r)(x) = l(r(x)), one gather per point. The table
+        must hold every element."""
+        keys = np.zeros((len(left), len(right)), dtype=np.int64)
+        for (_point, weight), images in zip(self._weights, right.T):
+            keys += weight.take(left.take(images, axis=1))
+        return self._table.take(keys)
 
     def _extend(self, p: np.ndarray, q: np.ndarray) -> bool:
         """Add a point where rows p and q differ to the base; False if the
@@ -202,7 +240,9 @@ def _closure(gens: np.ndarray, order_cap: int, table_cap: int):
     with fewer than _NUMPY_LEVEL products look each product's bytes up in
     a dict; from the first level that reaches it, the rest runs in numpy on
     _BaseKeys, until its table would pass its bound: then the dict is
-    rebuilt from the kept rows and the closure finishes on it."""
+    rebuilt from the kept rows and the closure finishes on it. The last
+    value returned is the _BaseKeys the closure finished on, its dense
+    table freed, or None if it finished on the dict."""
     m, degree = gens.shape
     key = np.dtype((np.void, 4 * degree))  # an image row as bytes
     limit = min(order_cap, table_cap // degree)  # the rows the caps admit
@@ -260,12 +300,14 @@ def _closure(gens: np.ndarray, order_cap: int, table_cap: int):
             rows[order:nxt] = frontier
         first, order = order, nxt
         starts.append(order)
-    del index, base  # freed before the element list is built
+    del index  # freed before the element list is built, as is the key table
+    if base is not None:
+        base._table = None
     if levels is not None:
         rows = np.concatenate(levels)
     elif len(rows) > order:
         rows = rows[:order].copy()
-    return rows, edges, gen_of, parent_of, starts
+    return rows, edges, gen_of, parent_of, starts, base
 
 
 class FiniteGroup:
@@ -282,10 +324,9 @@ class FiniteGroup:
         gens = np.array(list(dict.fromkeys(g.images for g in generators)),
                         dtype=np.int32)
         m = len(gens)
-        self.images, edges, gen_of, parent_of, self._level_starts = _closure(
-            gens, order_cap, table_cap)
+        (self.images, edges, gen_of, parent_of, self._level_starts,
+         self._base) = _closure(gens, order_cap, table_cap)
         order = self.order = len(self.images)
-        self._key = np.dtype((np.void, 4 * degree))  # for the lookup index
         # row s is left translation by generator s: _gen_rows[s, f] = s * f
         self._gen_rows = np.ascontiguousarray(
             np.frombuffer(edges, dtype=np.int32).reshape(order, m).T)
@@ -308,14 +349,24 @@ class FiniteGroup:
         return [Permutation.unchecked(tuple(r)) for r in self.images.tolist()]
 
     @cached_property
-    def _key_order(self) -> np.ndarray:
-        """Element indices in order of their row keys, built on first lookup."""
-        return np.argsort(self.images.view(self._key)[:, 0]).astype(np.int32)
+    def _key_index(self) -> _BaseKeys | None:
+        """Every element tabled by its base-image key, built on the first
+        lookup in one pass, on the closure's base or, if the closure never
+        switched to numpy, on one grown from the generator rows; None if
+        the table would pass _KEY_TABLE_ENTRIES."""
+        base = self._base or _BaseKeys(
+            self.images.take(self.generator_indices, axis=0))
+        return base if base._index(self.images) else None
 
     @cached_property
     def _keys(self) -> np.ndarray:
-        """The row keys, sorted, for ``np.searchsorted``."""
-        return self.images.view(self._key)[:, 0][self._key_order]
+        """The image rows as bytes, for lookups past _KEY_TABLE_ENTRIES."""
+        return self.images.view(np.dtype((np.void, 4 * self.degree)))[:, 0]
+
+    @cached_property
+    def _key_order(self) -> np.ndarray:
+        """Element indices in order of their row bytes."""
+        return np.argsort(self._keys).astype(np.int32)
 
     @cached_property
     def inv_table(self) -> np.ndarray:
@@ -336,38 +387,62 @@ class FiniteGroup:
                 x = y
             right[s, 0] = x
         levels = list(zip(self._level_starts[1:], self._level_starts[2:]))
+        # rows and right are read flat: entry x of row s is at s * order + x
+        start = gen_of.astype(np.int64) * self.order
+        flat = rows.ravel()
         for lo, hi in levels:
-            right[:, lo:hi] = rows[gen_of[lo:hi], right[:, parent_of[lo:hi]]]
+            right[:, lo:hi] = flat.take(
+                start[lo:hi] + right.take(parent_of[lo:hi], axis=1))
         inv = np.zeros(self.order, dtype=np.int32)
+        flat = right.ravel()
         for lo, hi in levels:
-            inv[lo:hi] = right[gen_of[lo:hi], inv[parent_of[lo:hi]]]
+            inv[lo:hi] = flat.take(start[lo:hi] + inv.take(parent_of[lo:hi]))
         return inv
 
     def _lookup(self, rows) -> np.ndarray:
-        """Element indices of image rows; DomainError names a non-element."""
+        """Element indices of image rows; DomainError names a non-element.
+        Each row's key names the one element it may be, and the row is
+        compared with that element's."""
         rows = np.ascontiguousarray(rows, dtype=np.int32)
         if rows.shape[-1] == self.degree:
-            keys = rows.view(self._keys.dtype)[..., 0]
-            pos = np.minimum(np.searchsorted(self._keys, keys), self.order - 1)
-            found = self._keys[pos] == keys
-            if found.all():
-                return self._key_order[pos]
-            rows = rows[~found]
+            flat = rows.reshape(-1, self.degree)
+            index = self._key_index
+            if index is not None:
+                # a row that is no element may read -1, the last element,
+                # or another one, clipped: the comparison finds it
+                found = index.find(flat)
+            else:
+                pos = np.searchsorted(self._keys, flat.view(self._keys.dtype),
+                                      sorter=self._key_order)[:, 0]
+                found = self._key_order.take(np.minimum(pos, self.order - 1))
+            match = (self.images.take(found, axis=0) == flat).all(axis=1)
+            if match.all():
+                return found.reshape(rows.shape[:-1])
+            rows = flat[~match]
         bad = Permutation(tuple(rows.reshape(-1, rows.shape[-1])[0].tolist()))
         raise DomainError(f"{bad} is not an element of {self.name}")
 
     def _products(self, a, b) -> np.ndarray:
-        """The |a| x |b| array of element indices ``a[i] * b[j]``."""
+        """The |a| x |b| array of element indices ``a[i] * b[j]``; without
+        a table, in blocks of at most _PRODUCT_BLOCK // (|b| * degree) rows
+        of a."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if self.mul_table is not None:
-            return self.mul_table[a[:, None], b]
+            return self.mul_table.take(a, axis=0).take(b, axis=1)
         out = np.empty((a.size, b.size), dtype=np.int32)
-        right = self.images[b]
-        step = max(1, _PRODUCT_BLOCK // max(1, right.size))
+        step = max(1, _PRODUCT_BLOCK // max(1, b.size * self.degree))
+        index = self._key_index
+        if index is not None:
+            right = self.images.take(b, axis=0).take(index.points, axis=1)
+            for lo in range(0, a.size, step):
+                out[lo:lo + step] = index.products(
+                    self.images.take(a[lo:lo + step], axis=0), right)
+            return out
+        right = self.images.take(b, axis=0)
         for lo in range(0, a.size, step):
-            out[lo:lo + step] = self._lookup(
-                np.take(self.images[a[lo:lo + step]], right, axis=1))
+            out[lo:lo + step] = self._lookup(self.images.take(
+                a[lo:lo + step], axis=0).take(right, axis=1))
         return out
 
     def _build_mul_table(self) -> None:
@@ -376,9 +451,10 @@ class FiniteGroup:
         table[0] = np.arange(n, dtype=np.int32)
         # every row by left-translation composition along the closure
         # factorisation g = s * parent, from the generator rows it recorded
-        for g in range(1, n):
-            s_row = self._gen_rows[self._gen_of[g]]
-            table[g] = s_row[table[self._parent_of[g]]]
+        rows = self._gen_rows
+        for g, s, f in zip(range(1, n), self._gen_of[1:].tolist(),
+                           self._parent_of[1:].tolist()):
+            rows[s].take(table[f], out=table[g])
         self.mul_table = table
 
     # -- element arithmetic ------------------------------------------------
@@ -395,7 +471,8 @@ class FiniteGroup:
             return self.mul_table[g]
         row = self._row_cache.get(g)
         if row is None:
-            row = self._row_cache[g] = self._lookup(self.images[g][self.images])
+            row = self._row_cache[g] = self._products(
+                [g], np.arange(self.order))[0]
         return row
 
     def element_index(self, p: Permutation) -> int:

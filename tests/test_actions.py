@@ -136,6 +136,32 @@ def test_table_verification(data):
     assert _raised(lambda: GroupAction(G, d, table)) == expected
 
 
+@pytest.mark.parametrize("value", ["d", "-1"])
+@pytest.mark.parametrize("tables", ["default caps", "no mul table"])
+@pytest.mark.parametrize("name", ["S4", "D5", "A5", "S7"])
+def test_entry_outside_the_domain_in_a_non_generator_row(name, tables, value):
+    # the generator rows are bijections, so only the law reads the bad
+    # row, with its entries clipped; the full check then names it
+    build = {"S4": lambda: symmetric(4), "D5": lambda: dihedral(5),
+             "A5": lambda: alternating(5), "S7": lambda: symmetric(7)}[name]
+    caps = {"MAX_MUL_TABLE_ENTRIES": 1} if tables == "no mul table" else {}
+    with config.overrides(caps):
+        G = build()
+    actions_of = [natural_action]
+    if G.order < 1000:
+        actions_of.append(left_translation_action)
+    for action_of in actions_of:
+        action = action_of(G)
+        d = action.domain_size
+        for r in (G.order // 2, G.order - 1):
+            assert r not in G.generator_indices
+            table = action.table.copy()
+            table[r, d // 2] = d if value == "d" else -1
+            with pytest.raises(InvariantError,
+                               match="^some row is not a bijection"):
+                GroupAction(G, d, table)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_left_translation_check_matches_all_elements(data):

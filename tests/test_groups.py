@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -393,15 +394,134 @@ def test_generator_rows_match_lookup(case):
 
 def test_lookup_index_and_inverses_built_on_first_use():
     G = symmetric(4)
-    assert not {"_key_order", "_keys", "inv_table"} & set(vars(G))
+    assert not {"_key_index", "inv_table"} & set(vars(G))
     assert G.element_index(from_cycles(4, [(0, 1)])) == G.generator_indices[0]
-    assert {"_key_order", "_keys"} <= set(vars(G))
+    assert "_key_index" in vars(G)
+    # under _KEY_TABLE_ENTRIES no byte keys are built
+    assert not {"_key_order", "_keys"} & set(vars(G))
     assert "inv_table" not in vars(G)
     assert all(G.mul(g, int(G.inv_table[g])) == 0 for g in range(G.order))
     # the inverse table itself looks nothing up
     H = symmetric(4)
     H.inv_table
-    assert not {"_key_order", "_keys"} & set(vars(H))
+    assert "_key_index" not in vars(H)
+    # A8 closes in numpy: it keeps the closure's base, without its table
+    A8 = alternating(8)
+    assert "_key_index" not in vars(A8)
+    assert A8._base is not None and A8._base._table is None
+
+
+# -- lookups and products: the byte-key oracle -----------------------------------
+
+
+def _oracle_lookup(G: FiniteGroup, rows) -> np.ndarray:
+    """Element indices of image rows found by their bytes: the rows, as
+    fixed-width byte strings, sorted and searched with np.searchsorted;
+    DomainError names the first non-element."""
+    key = np.dtype((np.void, 4 * G.degree))
+    order = np.argsort(G.images.view(key)[:, 0]).astype(np.int32)
+    keys = G.images.view(key)[:, 0][order]
+    rows = np.ascontiguousarray(rows, dtype=np.int32)
+    if rows.shape[-1] == G.degree:
+        want = rows.view(key)[..., 0]
+        pos = np.minimum(np.searchsorted(keys, want), G.order - 1)
+        found = keys[pos] == want
+        if found.all():
+            return order[pos]
+        rows = rows[~found]
+    bad = Permutation(tuple(rows.reshape(-1, rows.shape[-1])[0].tolist()))
+    raise DomainError(f"{bad} is not an element of {G.name}")
+
+
+def _oracle_products(G: FiniteGroup, a, b) -> np.ndarray:
+    """a[i] * b[j] from the composed image rows, found by their bytes."""
+    return _oracle_lookup(G, np.take(G.images[a], G.images[b], axis=1))
+
+
+def _outcome(lookup, rows):
+    """The indices `lookup` finds for `rows`, or its DomainError's text."""
+    try:
+        return lookup(rows).tolist()
+    except DomainError as e:
+        return str(e)
+
+
+# the base key, and the byte-key search the lookups keep past the bound
+_KEY_BOUNDS = {"base keys": groups._KEY_TABLE_ENTRIES, "byte keys": 8}
+
+
+@pytest.mark.parametrize("keys", sorted(_KEY_BOUNDS))
+@pytest.mark.parametrize("tables", ["default caps", "no mul table"])
+@pytest.mark.parametrize("case", sorted(_ORDER_CASES))
+def test_lookups_and_products_match_byte_key_oracle(case, tables, keys,
+                                                    monkeypatch):
+    monkeypatch.setattr(groups, "_KEY_TABLE_ENTRIES", _KEY_BOUNDS[keys])
+    caps = {"MAX_MUL_TABLE_ENTRIES": 1} if tables == "no mul table" else {}
+    with config.overrides(caps):
+        G = _ORDER_CASES[case]()
+    if keys == "byte keys" and G.order > 8:  # a table holds every element
+        assert G._key_index is None
+    rng = np.random.default_rng(G.order)
+    every = rng.permutation(G.order)
+    assert np.array_equal(G._lookup(G.images[every]), every)
+    assert np.array_equal(_oracle_lookup(G, G.images[every]), every)
+    a = rng.integers(0, G.order, min(G.order, 40))
+    b = rng.integers(0, G.order, min(G.order, 300))
+    assert np.array_equal(G._products(a, b), _oracle_products(G, a, b))
+    for g in a[:3].tolist():
+        assert np.array_equal(G.mul_row(g), _oracle_products(
+            G, [g], np.arange(G.order))[0])
+    # permutations drawn at random, most of them no element; and a row of
+    # the wrong degree
+    drawn = rng.permuted(np.tile(np.arange(G.degree), (20, 1)), axis=1)
+    for rows in [*drawn[:, None], drawn, np.arange(G.degree + 1)[None]]:
+        assert _outcome(G._lookup, rows) == _outcome(
+            partial(_oracle_lookup, G), rows)
+
+
+@pytest.mark.parametrize("keys", sorted(_KEY_BOUNDS))
+@pytest.mark.parametrize("case", ["A8", "S4xA5", "C2^4", "D8xC9"])
+def test_lookup_compares_rows_that_share_an_elements_base_images(
+        case, keys, monkeypatch):
+    # a row that agrees with an element on the base points but swaps the
+    # images of two other points: its key names that element, and only
+    # the comparison of rows finds that it is no element
+    G = _ORDER_CASES[case]()
+    base = groups._BaseKeys(G.images.take(G.generator_indices, axis=0))
+    assert base._index(G.images)
+    monkeypatch.setattr(groups, "_KEY_TABLE_ENTRIES", _KEY_BOUNDS[keys])
+    G = _ORDER_CASES[case]()
+    assert (G._key_index is None) == (keys == "byte keys")
+    x, y = sorted(set(range(G.degree)) - set(base.points))[:2]
+    for g in range(G.order):
+        row = G.images[g].copy()
+        row[[x, y]] = row[[y, x]]
+        text = _outcome(partial(_oracle_lookup, G), row[None])
+        if isinstance(text, str):
+            break
+    else:
+        pytest.fail("no such row")
+    assert base.find(row[None]).tolist() == [g]
+    assert text == f"{Permutation(tuple(row.tolist()))} is not an element " \
+        f"of {G.name}"
+    assert _outcome(G._lookup, row[None]) == text
+    assert _outcome(G._lookup, np.vstack([G.images[:3], row])) == text
+    with pytest.raises(DomainError, match="is not an element"):
+        G.element_index(Permutation(tuple(row.tolist())))
+
+
+def test_first_lookup_peak_memory():
+    # A8's first lookup tables its elements on the closure's base: 8^6
+    # int32 entries, 1.63 times its image rows; the lookup peaked at 2.16
+    # times them
+    G = alternating(8)
+    tracemalloc.start()
+    try:
+        G.element_index(from_cycles(8, [(0, 1, 2)]))
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * G.images.nbytes
 
 
 _INVERSE_CASES = {
