@@ -330,8 +330,10 @@ def run_scenario(sc: dict) -> dict:
         sets = resolve_sets(G, sc.get("sets", {}))
         subspaces = {name: Subspace.from_vectors(rep.p, rep.dim, rows)
                      for name, rows in sc.get("subspaces", {}).items()}
+        natural_sn = sc["group"]["kind"] == "symmetric" \
+            and sc.get("action", {}).get("kind") == "natural"
         bindings = Bindings(action, rep, sets, subspaces,
-                            sc.get("params", {}), sc.get("seed"))
+                            sc.get("params", {}), sc.get("seed"), natural_sn)
         results = [_exec_task(task, bindings) for task in sc["tasks"]]
         caps = config.snapshot()
     return {"version": VERSION, "scenario": sc, "results": results,

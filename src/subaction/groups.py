@@ -529,8 +529,24 @@ class FiniteGroup:
     def subgroups(self) -> list["Subgroup"]:
         """All subgroups, sorted by (order, member tuple).
 
-        Bottom-up lattice search: each known subgroup is extended by one
-        representative of every double coset of outside elements.
+        Bottom-up search over one queued subgroup per conjugacy class. A
+        queued H is extended by one g from each double coset HgH outside
+        it (all of HgH give the same K = <H, g>). A new K has all its
+        conjugates t^-1 K t marked seen at once, and K alone is queued.
+
+        This is exact. A nontrivial K has a subgroup H maximal in it, and
+        K = <H, g> for any g in K - H. If H = x^-1 H' x for the queued H'
+        of its class, then x K x^-1 = <H', x g x^-1> is reached from H';
+        so, by induction on the order, every class is found, and marking
+        the conjugates finds all its members.
+
+        <H, g> is closed coset by coset (after Dimino) from H's queued
+        generators and g, as a union of right cosets H r, from H itself.
+        For each representative r and generator s, r s lies in the union
+        exactly when H r s does, since right cosets partition the group;
+        if not, H r s joins it and r s becomes a representative. Then
+        every h r s lies in the union, which holds e and so, being closed
+        under right multiplication by the generators, is <H, g>.
         """
         limit = config.cap("MAX_SUBGROUP_ENUM_ORDER")
         if self.order > limit:
@@ -539,25 +555,54 @@ class FiniteGroup:
             return list(self._subgroups)
         n = self.order
         seen: set[frozenset[int]] = {frozenset({0})}
-        queue: list[frozenset[int]] = [frozenset({0})]
+        # a class representative and its generators
+        queue = [(np.zeros(1, dtype=np.int64), ())]
         while queue:
-            H = queue.pop()
-            harr = np.fromiter(sorted(H), dtype=np.int64)
-            covered = np.zeros(n, dtype=bool)
-            covered[harr] = True
-            for g in range(n):
+            harr, gens = queue.pop()
+            # row x: the right coset H x (intp, for fast scatters)
+            right = self._products(harr, np.arange(n)).T.astype(np.intp)
+            in_h = _membership(n, harr)
+            covered = in_h.copy()
+            for g in np.flatnonzero(~in_h).tolist():
                 if covered[g]:
                     continue
-                gH = self._products([g], harr)[0]
-                covered[self._products(harr, gH)] = True  # the double coset HgH
-                K = self.generated_set(list(H) + [g])
-                if K not in seen:
-                    seen.add(K)
-                    queue.append(K)
+                # the double coset HgH
+                covered[right[self._products([g], harr)[0]]] = True
+                kgens, member = gens + (g,), in_h.copy()
+                self._coset_closure(right, member, kgens)
+                karr = np.flatnonzero(member)
+                if frozenset(karr.tolist()) not in seen:
+                    seen.update(map(frozenset, self._conjugates(karr)))
+                    queue.append((karr, kgens))
         subs = [Subgroup(self, m, _verified=True) for m in seen]
         subs.sort(key=lambda s: (s.order, s.member_tuple))
         self._subgroups = subs
         return list(subs)
+
+    def _coset_closure(self, right: np.ndarray, member: np.ndarray,
+                       gens: tuple[int, ...]) -> list[int]:
+        """One representative of each right coset of H in <gens>, which
+        must hold H, starting from e; `right[x]` lists the coset H x, and
+        `member`, H's membership array, is filled to that of <gens>."""
+        reps, level = [0], [0]
+        while level:  # the representatives found last
+            new = []
+            for x in self._products(level, gens).ravel().tolist():
+                if not member[x]:
+                    member[right[x]] = True
+                    new.append(x)
+            reps += new
+            level = new
+        return reps
+
+    def _conjugates(self, K: np.ndarray) -> list[list[int]]:
+        """Row t is t^-1 K t, for every element t, as a list of indices."""
+        inv, table = self.inv_table, self.mul_table
+        if table is not None:  # [t, k] = t^-1 * (k * t)
+            return table[inv[:, None], table[K].T].tolist()
+        right = self._products(K, np.arange(self.order)).T
+        return [self._products([t], kt)[0].tolist()
+                for t, kt in zip(inv.tolist(), right)]
 
     def left_cosets(self, H: "Subgroup") -> "CosetDecomposition":
         if H.group is not self:

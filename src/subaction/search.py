@@ -108,7 +108,9 @@ def resolve_sets(G: FiniteGroup, sets_spec: dict) -> dict:
 @dataclass
 class Bindings:
     """What a scenario's tasks run against: the built action and
-    representation, sets and subspaces by name, params and the seed."""
+    representation, sets and subspaces by name, params and the seed;
+    `symmetric_natural` says that the action is the natural action of a
+    group of kind symmetric, which the kneser example then reuses."""
 
     action: GroupAction | None
     rep: Representation | None = None
@@ -116,6 +118,7 @@ class Bindings:
     subspaces: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
     seed: int | None = None
+    symmetric_natural: bool = False
 
     def on(self, task: dict) -> GroupAction | Representation:
         """The representation for a linear variant (the task gives W),
@@ -180,7 +183,8 @@ def _kneser(b: Bindings, t: dict):
     k, ell = t["example"]["k"], t["example"]["ell"]
     if not 1 <= k <= ell < n:
         raise ScenarioError("kneser example needs 1 <= k <= ell < n")
-    ex_action, A, Y, expected = theorems.kneser_example_instance(n, k, ell)
+    ex_action, A, Y, expected = theorems.kneser_example_instance(
+        n, k, ell, action if b.symmetric_natural else None)
     report = theorems.check_kneser(ex_action, A, Y)
     return {"report": report, "expected": expected,
             "matches_expected": {key: report.details[key] == expected[key]

@@ -485,9 +485,10 @@ def _fold_minimum(fold: SubsetFold, lam: Fraction, fragment_cap: int,
 
 def core_set(f: SetFunction) -> CoreResult:
     """Union of the atoms. For invariant submodular functions the atoms are
-    pairwise disjoint; violation raises.
+    pairwise disjoint; violation raises. Only the atoms are asked for: the
+    minimiser lists no fragment.
     """
-    res = minimize_nonempty(f)
+    res = minimize_nonempty(f, fragment_cap=0)
     union = frozenset().union(*res.atoms)
     if sum(map(len, res.atoms)) != len(union):
         raise InvariantError(

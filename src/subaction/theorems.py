@@ -332,7 +332,8 @@ def check_kneser(action: GroupAction, A: Iterable[int], Y: Iterable[int]
         {"A": A, "Y": Y, "lhs": lhs, "rhs": len(A) + len(Y)})
 
 
-def kneser_example_instance(n: int, k: int, ell: int
+def kneser_example_instance(n: int, k: int, ell: int,
+                            action: GroupAction | None = None
                             ) -> tuple[GroupAction, tuple[int, ...],
                                        tuple[int, ...], dict]:
     """S_n natural action with A = every g mapping {0..k-1} into {0..ell-1}.
@@ -340,10 +341,12 @@ def kneser_example_instance(n: int, k: int, ell: int
     Returns (action, A, Y, expected) where expected holds the closed counts
     |A| = ell!/(ell-k)! * (n-k)!, |A.Y| = ell, |G_{A.Y}| = ell! * (n-ell)!.
     The kneser inequality on these instances holds exactly when ell == k.
+    `action`, if given, must be ``natural_action(symmetric(n))``, which is
+    then not built again.
     """
     if not 1 <= k <= ell < n:
         raise DomainError("need 1 <= k <= ell < n")
-    action = natural_action(symmetric(n))
+    action = action or natural_action(symmetric(n))
     Y = tuple(range(k))
     inside = set(range(ell))
     A = tuple(g for g in range(action.group.order)

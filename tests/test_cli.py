@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from subaction import cli, config, theorems
+from subaction import cli, config, groups, theorems
 from subaction.cli import (ScenarioError, main, parse_scenario, run_scenario,
                            to_jsonable)
 from subaction.errors import StructuralError
@@ -208,6 +208,25 @@ def test_run_scenario_kneser_example():
         "actor_size": True, "product_size": True, "stabilizer_order": True}
     assert res["expected"] == {
         "actor_size": 12, "product_size": 2, "stabilizer_order": 4}
+
+
+@pytest.mark.parametrize("group,closures", [
+    ({"kind": "symmetric", "n": 6}, 1),
+    # S3 with other generators, so other element indices: the example
+    # builds its own S3
+    ({"kind": "dihedral", "n": 3}, 2)])
+def test_kneser_example_reuses_only_the_scenarios_natural_sn(
+        group, closures, monkeypatch):
+    real, calls = groups._closure, []
+    monkeypatch.setattr(groups, "_closure",
+                        lambda *a: calls.append(1) or real(*a))
+    sc = _parse({"group": group, "action": {"kind": "natural"},
+                 "tasks": [{"task": "kneser",
+                            "example": {"k": 1, "ell": 2}}]})
+    res = run_scenario(sc)["results"][0]
+    assert len(calls) == closures
+    assert res["matches_expected"] == {
+        "actor_size": True, "product_size": True, "stabilizer_order": True}
 
 
 def test_run_scenario_generate_sets():

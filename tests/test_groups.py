@@ -663,6 +663,113 @@ def test_subgroup_counts():
     assert len(direct_product(cyclic(2), cyclic(2)).subgroups()) == 5
 
 
+def _oracle_subgroups(G: FiniteGroup) -> list[tuple[int, tuple[int, ...]]]:
+    """Every subgroup as (order, member tuple), sorted, by the plain
+    lattice search: every subgroup found, not one per conjugacy class, is
+    extended by one element g of each double coset HgH outside it, and
+    <H, g> is closed breadth-first by generated_set."""
+    seen = {frozenset({0})}
+    queue = [frozenset({0})]
+    while queue:
+        H = queue.pop()
+        harr = np.array(sorted(H), dtype=np.int64)
+        covered = np.zeros(G.order, dtype=bool)
+        covered[harr] = True
+        for g in range(G.order):
+            if covered[g]:
+                continue
+            gH = G._products([g], harr)[0]
+            covered[G._products(harr, gH)] = True
+            K = G.generated_set(list(H) + [g])
+            if K not in seen:
+                seen.add(K)
+                queue.append(K)
+    return sorted((len(K), tuple(sorted(K))) for K in seen)
+
+
+def _lattice(G: FiniteGroup) -> list[tuple[int, tuple[int, ...]]]:
+    return [(H.order, H.member_tuple) for H in G.subgroups()]
+
+
+def _conjugacy_class(G: FiniteGroup, members) -> tuple[int, ...]:
+    """The least member tuple among the conjugates of a subgroup, the same
+    for every subgroup of one class."""
+    conj = conjugation_action(G).table[:, sorted(members)]
+    return min(map(tuple, np.sort(conj, axis=1).tolist()))
+
+
+_SMALL = st.one_of(st.integers(2, 4).map(lambda n: partial(cyclic, n)),
+                   st.sampled_from([partial(dihedral, 3),
+                                    partial(dihedral, 4)]))
+_LATTICE_GROUPS = st.one_of(
+    st.integers(2, 16).map(lambda n: partial(cyclic, n)),
+    st.integers(3, 10).map(lambda n: partial(dihedral, n)),
+    st.sampled_from([partial(symmetric, 4), partial(alternating, 4),
+                     partial(affine_gl1, 5), partial(affine_gl1, 7)]),
+    st.tuples(_SMALL, _SMALL).map(
+        lambda ab: lambda: direct_product(ab[0](), ab[1]())))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_LATTICE_GROUPS, st.booleans())
+def test_subgroups_match_the_oracle(build, tables):
+    G = (_tabled if tables else _tableless)(build)
+    assert _lattice(G) == _oracle_subgroups(G)
+
+
+@pytest.mark.parametrize("tables", [True, False])
+def test_each_extension_is_closed_coset_by_coset(tables, monkeypatch):
+    # one representative per right coset of H in K = <H, g>: marking r s
+    # alone, not its coset H r s, reaches every element too, but walks
+    # |K| - |H| + 1 representatives
+    G = (_tabled if tables else _tableless)(partial(symmetric, 4))
+    real, walks = FiniteGroup._coset_closure, []
+
+    def closure(self, right, member, gens):
+        h = int(member.sum())
+        reps = real(self, right, member, gens)
+        walks.append((len(reps), h, int(member.sum())))
+        assert set(right[reps].ravel().tolist()) == \
+            set(np.flatnonzero(member).tolist())
+        return reps
+
+    monkeypatch.setattr(FiniteGroup, "_coset_closure", closure)
+    assert _lattice(G) == _oracle_subgroups(G)
+    assert all(reps * h == k for reps, h, k in walks)
+    assert any(1 < h < k for _reps, h, k in walks)
+
+
+_NAMED = {"S4": partial(symmetric, 4), "A5": partial(alternating, 5),
+          "S5": partial(symmetric, 5), "S6": partial(symmetric, 6),
+          "D6": partial(dihedral, 6), "Aff(5)": partial(affine_gl1, 5),
+          "C2xD4": lambda: direct_product(cyclic(2), dihedral(4))}
+
+
+@pytest.mark.parametrize("name,count", [
+    ("S4", 30), ("A5", 59), ("S5", 156),
+    ("S6", 1455)])  # S6 takes about 0.5 s
+def test_subgroup_counts_at_the_default_caps(name, count):
+    assert len(_tabled(_NAMED[name]).subgroups()) == count
+
+
+@pytest.mark.parametrize("tables", [True, False])
+@pytest.mark.parametrize("name", ["S4", "A5", "D6", "Aff(5)", "C2xD4"])
+def test_one_subgroup_per_conjugacy_class_is_queued(name, tables,
+                                                    monkeypatch):
+    G = (_tabled if tables else _tableless)(_NAMED[name])
+    want = _oracle_subgroups(G)
+    # a subgroup's conjugates are marked when it is queued; the trivial
+    # subgroup is queued first, without them
+    real, queued = FiniteGroup._conjugates, []
+    monkeypatch.setattr(FiniteGroup, "_conjugates",
+                        lambda self, K: queued.append(K) or real(self, K))
+    assert _lattice(G) == want
+    classes = {_conjugacy_class(G, members) for _order, members in want}
+    assert len(queued) + 1 == len(classes) < len(want)
+    assert len({_conjugacy_class(G, K) for K in queued} | {(0,)}) \
+        == len(classes)
+
+
 def test_subgroup_orders_divide():
     G = dihedral(6)
     for H in G.subgroups():

@@ -398,6 +398,26 @@ def test_core_set():
     assert core.union == frozenset().union(*core.atoms)
 
 
+def test_core_set_decodes_no_fragment(monkeypatch):
+    # on C16 at lambda = 1, |A.Y| - |Y| is 0 for every Y: all 2^16 - 1
+    # subsets minimise, and the full result decodes FRAGMENT_LIST_CAP
+    f = target_growth(left_translation_action(cyclic(16)), (5,), "1")
+    asked = []
+
+    def minimize(g, **kw):
+        asked.append(res := minimize_nonempty(g, **kw))
+        return res
+
+    monkeypatch.setattr(setfuncs, "minimize_nonempty", minimize)
+    core = core_set(f)
+    (res,) = asked
+    assert res.fragments == [] and res.fragment_count == (1 << 16) - 1
+    full = minimize_nonempty(f)
+    assert len(full.fragments) == config.cap("FRAGMENT_LIST_CAP")
+    assert core.atoms == full.atoms
+    assert core.union == frozenset().union(*full.atoms)
+
+
 def test_identity_atom_is_subgroup():
     G = cyclic(6)
     action = left_translation_action(G)

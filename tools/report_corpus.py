@@ -7,18 +7,20 @@
 
 The corpus is every pool scenario of perfbench/data/scenario_mix.json (of
 this checkout), `search --budget 30` over every family and predicate at
-seeds 7 and 53710, and the named linear scenarios of `LINEAR`: folds of
+seeds 7 and 53710, the named linear scenarios of `LINEAR`: folds of
 span dimensions over F_5 on 12 and 13 elements, and sampled linear
-for-all-C streams on C15 and C16, past PETRIDIS_EXHAUSTIVE_MAX_ORDER. The first form runs each request through CHECKOUT's
-`subaction.cli.main` and writes its exit code, stderr and report, without
-`elapsed_seconds`; an exception that escapes `main` is recorded as the exit
-"crash", and the first form then names every such request and exits 1. The
-second prints each field at which two such files differ, and exits 1 if
-there is one. The last two run every request through this checkout: the
-third writes one sha256 per request over that record, and the fourth
-names each request whose sha256 differs from the digest's (a crash, a
-request missing on either side and a changed result alike) and exits 1 if
-there is one.
+for-all-C streams on C15 and C16, past PETRIDIS_EXHAUSTIVE_MAX_ORDER, and
+the named mu scenarios of `LATTICE`, whose subgroup lattices (S5, A5,
+Aff(7), D8xC9) are larger than the pools' order-20 ones. The first form
+runs each request through CHECKOUT's `subaction.cli.main` and writes its
+exit code, stderr and report, without `elapsed_seconds`; an exception that
+escapes `main` is recorded as the exit "crash", and the first form then
+names every such request and exits 1. The second prints each field at
+which two such files differ, and exits 1 if there is one. The last two run
+every request through this checkout: the third writes one sha256 per
+request over that record, and the fourth names each request whose sha256
+differs from the digest's (a crash, a request missing on either side and a
+changed result alike) and exits 1 if there is one.
 """
 
 import contextlib
@@ -82,6 +84,22 @@ LINEAR = {
 }
 
 
+def _mu(group: dict, Y: list) -> dict:
+    """A run scenario of the mu task on `group`'s natural action."""
+    return {"group": group, "action": {"kind": "natural"}, "sets": {"Y": Y},
+            "tasks": [{"task": "mu", "Y": "Y"}]}
+
+
+LATTICE = {
+    "mu_s5": _mu({"kind": "symmetric", "n": 5}, [0, 1]),
+    "mu_a5": _mu({"kind": "alternating", "n": 5}, [0, 2, 3]),
+    "mu_aff7": _mu({"kind": "affine_gl1", "p": 7}, [1, 2, 4]),
+    "mu_d8xc9": _mu({"kind": "direct_product",
+                     "left": {"kind": "dihedral", "n": 8},
+                     "right": {"kind": "cyclic", "n": 9}}, [9, 12]),
+}
+
+
 def requests() -> dict:
     """The corpus by request name: a search's argv, or a run scenario."""
     from subaction.search import FAMILIES, PREDICATES
@@ -94,6 +112,7 @@ def requests() -> dict:
         "--seed", str(seed)] for seed in (7, 53710) for f in FAMILIES
         for p in PREDICATES})
     out.update({f"run/linear/{name}": sc for name, sc in LINEAR.items()})
+    out.update({f"run/lattice/{name}": sc for name, sc in LATTICE.items()})
     return out
 
 
