@@ -10,6 +10,10 @@ to the elapsed_seconds field. Rationals travel as "num/den" strings; floats
 are rejected everywhere. Exit codes: 0 all conclusions hold (a failed kneser
 inequality is a finding, not an error), 1 a proved statement was violated,
 2 usage or validation errors, 3 capacity refusal.
+
+One writer, `_dump`, writes every JSON report. Its bytes are those of
+`json.dumps(doc, sort_keys=True, indent=2)` and a newline, written in one
+recursive pass rather than by json's pure-Python indenting encoder.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -46,7 +51,22 @@ VERSION = "0.1.0"
 # -- json serialization ---------------------------------------------------------
 
 
+def _ints(items) -> bool:
+    """Whether every item is an exact int (so no bool)."""
+    for x in items:
+        if type(x) is not int:
+            return False
+    return True
+
+
 def to_jsonable(obj):
+    t = type(obj)
+    if t is int or t is str or t is bool or obj is None:
+        return obj
+    if (t is frozenset or t is set) and _ints(obj):
+        return sorted(obj)
+    if (t is list or t is tuple) and _ints(obj):
+        return list(obj)
     if obj is None or isinstance(obj, (bool, str)):
         return obj
     if isinstance(obj, (int, np.integer)):
@@ -414,8 +434,53 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+_string = json.encoder.encode_basestring_ascii
+
+
+def _write(obj, nl: str, out: list) -> None:
+    """Append `obj`'s JSON text to `out`, its items indented past `nl`."""
+    t = type(obj)
+    if t is str:
+        out.append(_string(obj))
+    elif t is int:
+        out.append(int.__repr__(obj))
+    elif (t is list or t is dict) and not obj:
+        out.append("[]" if t is list else "{}")
+    elif t is list:
+        inner = nl + "  "
+        if _ints(obj):
+            out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, obj))}"
+                       f"{nl}]")
+            return
+        out.append("[")
+        for i, x in enumerate(obj):
+            out.append("," + inner if i else inner)
+            _write(x, inner, out)
+        out.append(nl + "]")
+    elif t is dict:
+        inner = nl + "  "
+        out.append("{")
+        for i, k in enumerate(sorted(obj)):
+            out.append(f"{',' if i else ''}{inner}{_string(k)}: ")
+            _write(obj[k], inner, out)
+        out.append(nl + "}")
+    elif obj is None or t is bool:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif t is float:
+        out.append(float.__repr__(obj) if math.isfinite(obj) else
+                   "NaN" if obj != obj else "Infinity" if obj > 0 else
+                   "-Infinity")
+    else:
+        raise TypeError(f"no JSON form for {t.__name__}")
+
+
 def _dump(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """`report` as `json.dumps(report, sort_keys=True, indent=2) + "\\n"`
+    writes it, for any value that `to_jsonable` or `json.loads` gives."""
+    out = []
+    _write(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 @functools.cache

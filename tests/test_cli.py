@@ -1,22 +1,30 @@
 """Scenario validation, report serialization, exit codes, determinism."""
 
+import dataclasses
 import io
 import itertools
 import json
+import math
 import os
 import sys
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from subaction import cli, config, groups, theorems
+from subaction.actions import ActionProfile, OrbitDecomposition
 from subaction.cli import (ScenarioError, main, parse_scenario, run_scenario,
                            to_jsonable)
 from subaction.errors import StructuralError
-from subaction.groups import symmetric
+from subaction.groups import Subgroup, symmetric
 from subaction.linalg import Subspace
 from subaction.rationals import format_fraction
+from subaction.setfuncs import (CoreResult, Exhaustiveness,
+                                MinimizationResult, MuResult)
 
 
 def _minimal(**extra):
@@ -191,6 +199,188 @@ def test_report_is_json_clean():
     report = run_scenario(_parse(_minimal()))
     text = json.dumps(report, sort_keys=True)
     assert json.loads(text) == json.loads(text)
+
+
+def _oracle_to_jsonable(obj):
+    """`to_jsonable` as an isinstance chain, without its exact-type fast
+    paths."""
+    if obj is None or isinstance(obj, (bool, str)):
+        return obj
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, Fraction):
+        return format_fraction(obj)
+    if isinstance(obj, float):
+        raise TypeError("refusing to serialize a float; use Fraction")
+    if isinstance(obj, (frozenset, set)):
+        return sorted(_oracle_to_jsonable(x) for x in obj)
+    if isinstance(obj, (list, tuple)):
+        return [_oracle_to_jsonable(x) for x in obj]
+    if isinstance(obj, np.ndarray):
+        return [_oracle_to_jsonable(x) for x in obj.tolist()]
+    if isinstance(obj, dict):
+        return {str(k): _oracle_to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, Subgroup):
+        return {"order": obj.order, "members": sorted(obj.members)}
+    if isinstance(obj, Subspace):
+        return {"p": obj.p, "ambient_dim": obj.ambient_dim, "dim": obj.dim,
+                "basis": [list(r) for r in obj.rows]}
+    if isinstance(obj, Exhaustiveness):
+        return obj.to_json()
+    if isinstance(obj, (theorems.CheckReport, MinimizationResult, CoreResult,
+                        MuResult, OrbitDecomposition)):
+        return {f.name: _oracle_to_jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)
+                if f.metadata.get("reported", True)}
+    if isinstance(obj, ActionProfile):
+        return {"group_order": obj.group_order,
+                "domain_size": obj.domain_size,
+                "orbit_sizes": _oracle_to_jsonable(obj.orbit_sizes),
+                "transitive": obj.transitive, "faithful": obj.faithful,
+                "free": obj.free, "kernel_order": len(obj.kernel)}
+    raise TypeError(f"no JSON form for {type(obj).__name__}")
+
+
+def _same(a, b) -> bool:
+    # json.dumps keeps key order and tells bools from ints
+    return a == b and json.dumps(a) == json.dumps(b)
+
+
+@pytest.mark.parametrize("value", [
+    frozenset(np.int64(x) for x in (5, -1, 3)),
+    [True, 3, Fraction(1, 2), False, 0],
+    tuple(np.int32(x) for x in (4, -2)),
+    np.array([[1, 2], [3, 4]]),
+    {1: [2, 3], "a": frozenset({True}), 2: (5, 4)},
+    [frozenset(), [], (), {2, 1}, (7, 2**70)],
+    frozenset({True, 2})])
+def test_to_jsonable_matches_the_isinstance_chain(value):
+    assert _same(to_jsonable(value), _oracle_to_jsonable(value))
+
+
+def test_to_jsonable_matches_the_isinstance_chain_on_every_run_result(
+        monkeypatch):
+    seen, real = [], cli.to_jsonable
+    monkeypatch.setattr(cli, "to_jsonable",
+                        lambda obj: seen.append(obj) or real(obj))
+    tasks = [
+        {"task": "kneser"}, {"task": "murphy"},
+        {"task": "small_growth", "alpha": "1/4"},
+        {"task": "freiman", "alpha": "1"}, {"task": "ruzsa", "B": "B"},
+        {"task": "petridis", "alpha": "2"},
+        {"task": "tao_doubling", "epsilon": "1"},
+        {"task": "taod", "alpha": "1"}]
+    run_scenario(_parse({
+        "group": {"kind": "cyclic", "n": 6},
+        "action": {"kind": "left_translation"},
+        "sets": {"A": [0, 1], "B": [1, 2], "Y": [0, 3]},
+        "tasks": [{**t, "A": "A", "Y": "Y"} for t in tasks] + [
+            {"task": "hamidoune", "Y": "Y", "lambda": "1/2"},
+            {"task": "fragment_bounds", "A": "A", "lambda": "1/4",
+             "mu_param": "1/2"},
+            {"task": "minimize", "function": "actor_growth", "Y": "Y",
+             "lambda": "0"},
+            {"task": "core", "function": "cut"}, {"task": "mu", "Y": "Y"},
+            {"task": "orbits"}, {"task": "profile"}]}))
+    run_scenario(_parse({
+        "group": {"kind": "cyclic", "n": 6},
+        "action": {"kind": "left_translation"},
+        "representation": {"kind": "permutation", "p": 3},
+        "sets": {"A": [0, 4, 5]}, "subspaces": {"W": [[1, 0, 1, 0, 1, 0]]},
+        "tasks": [{"task": "hamidoune", "W": "W", "lambda": "1/8"}] + [
+            {**t, "A": "A", "W": "W"} for t in tasks
+            if t["task"] in {"murphy", "small_growth", "freiman", "petridis",
+                             "taod"}]}))
+    run_scenario(_parse({"group": {"kind": "symmetric", "n": 4},
+                         "action": {"kind": "natural"},
+                         "tasks": [{"task": "kneser",
+                                    "example": {"k": 1, "ell": 2}}]}))
+    monkeypatch.undo()
+    assert {type(x).__name__ for x in seen} >= {
+        "CheckReport", "MinimizationResult", "CoreResult", "MuResult",
+        "OrbitDecomposition", "ActionProfile", "Exhaustiveness", "Subspace",
+        "dict", "frozenset", "list", "tuple", "Fraction", "bool", "int"}
+    for obj in seen:
+        assert _same(to_jsonable(obj), _oracle_to_jsonable(obj))
+
+
+# -- the report writer against json.dumps ------------------------------------------
+
+
+def _canonical(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+_text = st.text() | st.text(
+    alphabet='"\\/\x00\x1f\x7f\n\t\u00e9\u20ac\U0001f600a')
+_scalars = (st.none() | st.booleans() | st.integers()
+            | st.integers(min_value=2**64) | st.integers(max_value=-2**64)
+            | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf,
+                                              -0.0, 1e300]) | _text)
+_documents = st.recursive(
+    _scalars | st.lists(st.integers() | st.booleans()),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(_text, kids, max_size=4), max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents)
+@example([3, True, -2**70, False])
+@example({"b": 1, "a": {"d": [], "c": {}}, "": [[], {}]})
+@example(["\u00e9\U0001f600", {"\"\\\x7f": "\x00\n"}])
+def test_dump_writes_what_json_dumps_writes(doc):
+    assert cli._dump(doc) == _canonical(doc)
+
+
+def test_dump_of_a_minimize_report_at_the_fragment_list_cap():
+    # all 65,535 nonempty subsets of C16 minimise
+    report = run_scenario(_parse({
+        "group": {"kind": "cyclic", "n": 16},
+        "action": {"kind": "left_translation"}, "sets": {"A": [6]},
+        "tasks": [{"task": "minimize", "function": "target_growth",
+                   "A": "A", "lambda": "1"}]}))
+    result = report["results"][0]["result"]
+    assert result["fragment_count"] == 65535
+    assert len(result["fragments"]) == config.cap("FRAGMENT_LIST_CAP")
+    assert cli._dump(report) == _canonical(report)
+
+
+def test_report_json_rewrites_run_and_search_reports_byte_for_byte(
+        tmp_path, capsys):
+    run_out, search_out = tmp_path / "run.json", tmp_path / "search.json"
+    assert main(["run", _write(tmp_path, _minimal()),
+                 "--out", str(run_out)]) == 0
+    assert main(["search", "--family", "affine_natural", "--predicate",
+                 "kneser", "--budget", "10", "--seed", "2",
+                 "--out", str(search_out)]) == 0
+    for path in (run_out, search_out):
+        text = path.read_text()
+        doc = json.loads(text)
+        assert type(doc["elapsed_seconds"]) is float
+        assert text == _canonical(doc)
+        # the floats read back are written again as they were
+        assert main(["report", "--format", "json", "--in", str(path)]) == 0
+        assert capsys.readouterr().out == text
+
+
+def test_report_json_writes_the_deepest_list_it_decodes(capsys,
+                                                        monkeypatch):
+    # the decoder stops at the interpreter's recursion limit, less the
+    # frames already on the stack; the writer reaches as deep
+    def report(depth):
+        monkeypatch.setattr(sys, "stdin",
+                            io.StringIO("[" * depth + "]" * depth))
+        return main(["report"])
+
+    depth = sys.getrecursionlimit()
+    while report(depth) == 2:
+        assert "nested too deeply" in capsys.readouterr().err
+        depth -= 1
+    assert depth > sys.getrecursionlimit() - 100
+    lines = ["  " * i + "[" for i in range(depth - 1)]
+    assert capsys.readouterr().out == "\n".join(
+        lines + ["  " * (depth - 1) + "[]"] + [
+            line.replace("[", "]") for line in reversed(lines)]) + "\n"
 
 
 # -- execution ---------------------------------------------------------------------

@@ -50,3 +50,19 @@ def test_check_names_each_request_that_differs(corpus, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "differs: run/orbits", "differs: search/dihedral",
         "differs: search/gone", f"3 requests differ from {path}"]
+
+
+def test_check_names_each_report_not_written_as_json_dumps_writes_it(
+        corpus, tmp_path, capsys, monkeypatch):
+    # dropping one indent space keeps every document; the byte check still
+    # names each request
+    from subaction import cli
+    path = tmp_path / "digest.json"
+    assert corpus.main(["--write-digest", str(path)]) == 0
+    dump = cli._dump
+    monkeypatch.setattr(cli, "_dump",
+                        lambda doc: dump(doc).replace("\n  ", "\n ", 1))
+    assert corpus.main(["--check", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: run/orbits", "differs: search/cyclic",
+        "differs: search/dihedral", f"3 requests differ from {path}"]

@@ -15,8 +15,11 @@ Aff(7), D8xC9) are larger than the pools' order-20 ones. The first form
 runs each request through CHECKOUT's `subaction.cli.main` and writes its
 exit code, stderr and report, without `elapsed_seconds`; an exception that
 escapes `main` is recorded as the exit "crash", and the first form then
-names every such request and exits 1. The second prints each field at
-which two such files differ, and exits 1 if there is one. The last two run
+names every such request and exits 1. A report whose text is not byte for
+byte `json.dumps(doc, sort_keys=True, indent=2)` of its own document is
+marked "noncanonical", so a writer that changes only whitespace or
+escaping differs too. The second prints each field at which two such
+files differ, and exits 1 if there is one. The last two run
 every request through this checkout: the third writes one sha256 per
 request over that record, and the fourth names each request whose sha256
 differs from the digest's (a crash, a request missing on either side and a
@@ -118,7 +121,8 @@ def requests() -> dict:
 
 def results(checkout: str) -> dict:
     """Each request's exit code, stderr and report, run through
-    CHECKOUT's `subaction.cli.main`."""
+    CHECKOUT's `subaction.cli.main`; a report written other than as
+    `json.dumps` writes its document adds the key "noncanonical"."""
     sys.path.insert(0, str(Path(checkout).resolve() / "src"))
     from subaction.cli import main
     out = {}
@@ -136,8 +140,12 @@ def results(checkout: str) -> dict:
                 except Exception as e:  # a crash is recorded, not raised
                     code, stderr = "crash", io.StringIO(repr(e))
             text = stdout.getvalue()
+            doc = json.loads(text) if text else None
             out[name] = {"exit": code, "stderr": stderr.getvalue(),
-                         "report": _strip(json.loads(text)) if text else None}
+                         "report": _strip(doc)}
+            if text and text != json.dumps(doc, sort_keys=True,
+                                           indent=2) + "\n":
+                out[name]["noncanonical"] = True
     return out
 
 
