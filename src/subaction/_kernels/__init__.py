@@ -7,7 +7,7 @@ and trace records.
 from __future__ import annotations
 
 from . import numpy_backend
-from .numpy_backend import (MAX_COEFF, MAX_N, SubsetFold, check_pair_ratio,
+from .numpy_backend import (MAX_N, SubsetFold, check_pair_ratio, exact_dtype,
                             words)
 
 

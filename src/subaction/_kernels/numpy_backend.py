@@ -20,6 +20,7 @@ count then come from the bins alone. One ascending scan in
 stopping as soon as it holds every subset it must return.
 
 ``check_pair_ratio`` compares two arrays of join sizes against a ratio.
+Both are exact for coefficients of any size (``exact_dtype``).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import operator
 import numpy as np
 
 MAX_N = 26
-MAX_COEFF = 1 << 40  # keeps den*pop - num*card inside int64
 _LOW_BITS = 20  # masks whose unions are built once per fold
 _CHUNK = 1 << 20  # subsets per block of a query scan
 
@@ -51,6 +51,13 @@ def _lex_min(subsets: np.ndarray) -> int:
     return int(subsets[0])
 
 
+def exact_dtype(bound: int):
+    """int64 when every value of an integer computation is at most
+    ``bound`` in absolute value and ``bound`` < 2^63, else object, whose
+    entries are Python ints: the dtype that keeps the computation exact."""
+    return np.int64 if bound < 1 << 63 else object
+
+
 def words(masks, count: int) -> np.ndarray:
     """The len(masks) x count uint64 array whose row i holds the 64-point
     words of the nonnegative int masks[i], low word first."""
@@ -62,7 +69,7 @@ class SubsetFold:
     """Caches join sizes and cardinalities for repeated exact-min queries.
 
     The join of S is the union of ``base`` and the masks in S, so the
-    empty set's join is ``base``.
+    empty set's join is ``base``; ``top`` bounds every join size.
     """
 
     def __init__(self, masks: list[int], base: int = 0):
@@ -74,12 +81,12 @@ class SubsetFold:
         top = functools.reduce(operator.or_, self.masks, int(base))
         if top < 0:
             raise ValueError("masks must be nonnegative")
-        self._top = top.bit_count()
+        self.top = top.bit_count()
         count = max(1, -(-top.bit_length() // 64))
         rows = words([*self.masks, int(base)], count)
         low = min(n, max(0, _LOW_BITS - (count - 1).bit_length()))
         block = 1 << low
-        self.pops = np.empty(1 << n, dtype=np.min_scalar_type(self._top))
+        self.pops = np.empty(1 << n, dtype=np.min_scalar_type(self.top))
         self.cards = np.empty(1 << n, dtype=np.uint8)
         cards = np.bitwise_count(np.arange(block, dtype=np.uint32),
                                  out=self.cards[:block])
@@ -111,8 +118,8 @@ class SubsetFold:
         if not 1 <= n <= MAX_N or len(sizes) != 1 << n:
             raise ValueError(f"need 2^n sizes, 1 <= n <= {MAX_N}")
         fold = cls.__new__(cls)
-        fold.n, fold._top, fold._bins = n, int(max(sizes)), None
-        fold.pops = np.asarray(sizes, dtype=np.min_scalar_type(fold._top))
+        fold.n, fold.top, fold._bins = n, int(max(sizes)), None
+        fold.pops = np.asarray(sizes, dtype=np.min_scalar_type(fold.top))
         fold.cards = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
         return fold
 
@@ -121,7 +128,7 @@ class SubsetFold:
         nonempty subsets; counted on the first query, then kept."""
         if self._bins is None:
             width = self.n + 1
-            hist = np.zeros((self._top + 1) * width, dtype=np.int64)
+            hist = np.zeros((self.top + 1) * width, dtype=np.int64)
             key_type = np.min_scalar_type(hist.size)
             for lo in range(0, 1 << self.n, _CHUNK):
                 key = np.multiply(self.pops[lo:lo + _CHUNK], width,
@@ -151,12 +158,12 @@ class SubsetFold:
         Returns (min_scaled, fragment_count, fragments, truncated, atoms,
         atom_size, largest_size): subset bitmasks in ascending order,
         fragments cut at list_cap, atoms complete, and the least and the
-        greatest |S| of a minimiser.
+        greatest |S| of a minimiser. The bins are scored exactly, in
+        int64 while den*top + |num|*n fits it.
         """
-        if abs(num) >= MAX_COEFF or abs(den) >= MAX_COEFF:
-            raise ValueError("coefficients too large for the int64 kernel")
         pops, cards, counts = self._histogram()
-        vals = den * pops - num * cards
+        dtype = exact_dtype(den * max(self.top, 1) + abs(num) * self.n)
+        vals = den * pops.astype(dtype) - num * cards.astype(dtype)
         best = int(vals.min())
         on = vals == best
         count = int(counts[on].sum())
@@ -220,9 +227,8 @@ def check_pair_ratio(lhs, rhs, num: int, den: int):
     if len(lhs) != len(rhs):
         raise ValueError("size arrays must have equal length")
     lhs, rhs = np.asarray(lhs), np.asarray(rhs)
-    wide = max(den * int(lhs.max(initial=1)),
-               num * int(rhs.max(initial=1))) >= 1 << 63
-    dtype = object if wide else np.int64
+    dtype = exact_dtype(max(den * int(lhs.max(initial=1)),
+                            num * int(rhs.max(initial=1))))
     bad = np.flatnonzero(den * lhs.astype(dtype) > num * rhs.astype(dtype))
     if bad.size:
         first = int(bad[0])

@@ -155,6 +155,7 @@ class GroupAction:
             transitive=dec.count == 1,
             faithful=len(kernel) == 1,
             free=not fixed[1:].any(),
+            kernel_order=len(kernel),
             kernel=kernel,
         )
         return self._profile
@@ -179,7 +180,8 @@ class ActionProfile:
     transitive: bool
     faithful: bool
     free: bool
-    kernel: frozenset[int]
+    kernel_order: int
+    kernel: frozenset[int] = field(metadata={"reported": False})
 
 
 # -- constructors -----------------------------------------------------------
@@ -199,10 +201,8 @@ def left_translation_action(G: FiniteGroup) -> GroupAction:
 
 def conjugation_action(G: FiniteGroup) -> GroupAction:
     _check_table_cap(G.order, G.order)
-    # row g holds g * (x * g^-1) for every x
-    right = G._products(np.arange(G.order), G.inv_table)
-    rows = np.vstack([G._products([g], right[:, g])[0]
-                      for g in range(G.order)])
+    # row g holds g x g^-1 for every x: row g^-1 of the conjugates
+    rows = G._conjugates(np.arange(G.order))[G.inv_table]
     return GroupAction(G, G.order, rows, name=f"conj<{G.name}>")
 
 

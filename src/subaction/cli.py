@@ -67,8 +67,6 @@ def to_jsonable(obj):
         return sorted(obj)
     if (t is list or t is tuple) and _ints(obj):
         return list(obj)
-    if obj is None or isinstance(obj, (bool, str)):
-        return obj
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, Fraction):
@@ -91,17 +89,11 @@ def to_jsonable(obj):
     if isinstance(obj, Exhaustiveness):
         return obj.to_json()
     if isinstance(obj, (theorems.CheckReport, MinimizationResult, CoreResult,
-                        MuResult, OrbitDecomposition)):
+                        MuResult, OrbitDecomposition, ActionProfile)):
         # every field in declaration order, but those marked unreported
         return {f.name: to_jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)
                 if f.metadata.get("reported", True)}
-    if isinstance(obj, ActionProfile):
-        return {"group_order": obj.group_order,
-                "domain_size": obj.domain_size,
-                "orbit_sizes": to_jsonable(obj.orbit_sizes),
-                "transitive": obj.transitive, "faithful": obj.faithful,
-                "free": obj.free, "kernel_order": len(obj.kernel)}
     raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 
@@ -117,7 +109,6 @@ _ACTION_KEYS = {"natural": set(), "left_translation": set(),
 _REP_KEYS = {"permutation": {"p"}, "matrices": {"p", "generators"},
              "swap": {"p"}}
 _PARAM_KEYS = {"lambda", "alpha", "epsilon", "mu_param", "n_max"}
-_RATIONAL_TASK_KEYS = {"alpha", "lambda", "epsilon", "mu_param"}
 
 
 def _reject_float(text: str):
@@ -133,7 +124,14 @@ def _check_keys(where: str, given: dict, allowed: set[str]) -> None:
                             f"(allowed: {', '.join(sorted(allowed))})")
 
 
-def _check_rational(where: str, value) -> None:
+def _check_param(where: str, key: str, value) -> None:
+    """Check a value of one of _PARAM_KEYS, in params or in a task:
+    n_max a positive integer, every other key a rational."""
+    where = f"{where}.{key}"
+    if key == "n_max":
+        if not _is_int(value) or value < 1:
+            raise ScenarioError(f"{where}: expected a positive integer")
+        return
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ScenarioError(f"{where}: rationals must be ints or "
                             f"\"num/den\" strings, got {value!r}")
@@ -240,12 +238,7 @@ def parse_scenario(text: str) -> dict:
         raise ScenarioError("scenario.params: expected an object")
     _check_keys("scenario.params", params, _PARAM_KEYS)
     for key, val in params.items():
-        if key == "n_max":
-            if not _is_int(val) or val < 1:
-                raise ScenarioError("scenario.params.n_max: expected a "
-                                    "positive integer")
-        else:
-            _check_rational(f"scenario.params.{key}", val)
+        _check_param("scenario.params", key, val)
 
     if "seed" in sc and not _is_int(sc["seed"]):
         raise ScenarioError("scenario.seed: expected an integer")
@@ -273,8 +266,8 @@ def parse_scenario(text: str) -> dict:
                                 f"(known: {', '.join(sorted(TASKS))})")
         _check_keys(where, task, TASKS[name].keys | {"task"})
         for key, val in task.items():
-            if key in _RATIONAL_TASK_KEYS:
-                _check_rational(f"{where}.{key}", val)
+            if key in _PARAM_KEYS:
+                _check_param(where, key, val)
             elif key in ("A", "B", "Y", "A0"):
                 if not isinstance(val, str):
                     raise ScenarioError(f"{where}.{key}: expected a set name")
@@ -285,10 +278,6 @@ def parse_scenario(text: str) -> dict:
                 if not isinstance(val, str) or val not in subspaces:
                     raise ScenarioError(f"{where}.W: dangling subspace "
                                         f"reference {val!r}")
-            elif key == "n_max":
-                if not _is_int(val) or val < 1:
-                    raise ScenarioError(f"{where}.n_max: expected a "
-                                        f"positive integer")
             elif key == "example":
                 if not isinstance(val, dict):
                     raise ScenarioError(f"{where}.example: expected an object")

@@ -247,9 +247,9 @@ def _closure(gens: np.ndarray, order_cap: int, table_cap: int):
     key = np.dtype((np.void, 4 * degree))  # an image row as bytes
     limit = min(order_cap, table_cap // degree)  # the rows the caps admit
     gens_t = np.ascontiguousarray(gens.T)
-    frontier = np.arange(degree, dtype=np.int32)[None]
+    frontier = rows = np.arange(degree, dtype=np.int32)[None]
     index: dict | None = {frontier.tobytes(): 0}
-    levels, rows, base = [frontier], None, None
+    base = None
     switch = _NUMPY_LEVEL  # never again once the closure has switched
     edges, gen_of, parent_of = array("i"), array("i", [-1]), array("i", [-1])
     starts = [0, 1]  # the index of each level's first element, and the end
@@ -258,14 +258,12 @@ def _closure(gens: np.ndarray, order_cap: int, table_cap: int):
         prods = np.ascontiguousarray(  # gens_t[y, s] = gens[s, y]
             gens_t.take(frontier, axis=0).swapaxes(1, 2)).reshape(-1, degree)
         if len(prods) >= switch:
-            switch = math.inf
-            rows, levels, index = np.concatenate(levels), None, None
-            base = _BaseKeys(gens)
+            switch, index, base = math.inf, None, _BaseKeys(gens)
         if base is not None:
             step = base.level(prods, rows[:order])
             if step is None:  # the key table would pass its bound
-                base, levels = None, [rows[:order]]
-                index = dict(zip(levels[0].view(key)[:, 0].tolist(),
+                base = None
+                index = dict(zip(rows[:order].view(key)[:, 0].tolist(),
                                  range(order)))
         if base is None:
             at = []
@@ -293,19 +291,14 @@ def _closure(gens: np.ndarray, order_cap: int, table_cap: int):
                                 nxt * degree,
                                 hint="image rows, closure still growing")
         frontier = prods.take(at, axis=0)
-        if base is None:
-            levels.append(frontier)
-        else:
-            rows = _grown(rows, order, nxt, limit)
-            rows[order:nxt] = frontier
+        rows = _grown(rows, order, nxt, limit)
+        rows[order:nxt] = frontier
         first, order = order, nxt
         starts.append(order)
     del index  # freed before the element list is built, as is the key table
     if base is not None:
         base._table = None
-    if levels is not None:
-        rows = np.concatenate(levels)
-    elif len(rows) > order:
+    if len(rows) > order:
         rows = rows[:order].copy()
     return rows, edges, gen_of, parent_of, starts, base
 
@@ -572,7 +565,8 @@ class FiniteGroup:
                 self._coset_closure(right, member, kgens)
                 karr = np.flatnonzero(member)
                 if frozenset(karr.tolist()) not in seen:
-                    seen.update(map(frozenset, self._conjugates(karr)))
+                    seen.update(map(frozenset,
+                                    self._conjugates(karr).tolist()))
                     queue.append((karr, kgens))
         subs = [Subgroup(self, m, _verified=True) for m in seen]
         subs.sort(key=lambda s: (s.order, s.member_tuple))
@@ -595,14 +589,14 @@ class FiniteGroup:
             level = new
         return reps
 
-    def _conjugates(self, K: np.ndarray) -> list[list[int]]:
-        """Row t is t^-1 K t, for every element t, as a list of indices."""
+    def _conjugates(self, K: np.ndarray) -> np.ndarray:
+        """Row t is t^-1 K t, for every element t, as element indices."""
         inv, table = self.inv_table, self.mul_table
         if table is not None:  # [t, k] = t^-1 * (k * t)
-            return table[inv[:, None], table[K].T].tolist()
+            return table[inv[:, None], table[K].T]
         right = self._products(K, np.arange(self.order)).T
-        return [self._products([t], kt)[0].tolist()
-                for t, kt in zip(inv.tolist(), right)]
+        return np.vstack([self._products([t], kt)
+                          for t, kt in zip(inv.tolist(), right)])
 
     def left_cosets(self, H: "Subgroup") -> "CosetDecomposition":
         if H.group is not self:

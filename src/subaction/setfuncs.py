@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import config
-from ._kernels import MAX_COEFF, MAX_N, SubsetFold, words
+from ._kernels import MAX_N, SubsetFold, exact_dtype, words
 from .actions import GroupAction
 from .errors import CapacityError, DomainError, InvariantError, StructuralError
 from .groups import _PRODUCT_BLOCK, FiniteGroup, Subgroup, _membership
@@ -77,11 +77,6 @@ def _union_sizes(table: Sequence[int]) -> Callable[[np.ndarray],
             out[lo:lo + step] = np.count_nonzero(meets, axis=1)
         return out
     return sizes
-
-
-def _fits_kernel(lam: Fraction) -> bool:
-    """Whether lam's numerator and denominator are kernel coefficients."""
-    return max(abs(lam.numerator), lam.denominator) < MAX_COEFF
 
 
 def _check_ground(cap_name: str, size: int, hint: str = "") -> None:
@@ -236,13 +231,17 @@ def subtract_modular(f: SetFunction, weights: Sequence, constant=0) -> SetFuncti
 
 
 def _scaled_table(f: SetFunction) -> tuple[np.ndarray, int]:
-    """All 2^n values as (int64 array, denominator): value = table/den. Exact."""
+    """All 2^n values as (table, denominator): value = table/den. Exact:
+    the table is int64 while twice its largest value fits (so a sum of two
+    entries does too), and holds Python ints past that."""
     n = f.ground_size
     size = 1 << n
-    if f.kind == "union" and _fits_kernel(f.lam):
-        fold, den = SubsetFold(f.union_masks), f.lam.denominator
-        return (fold.pops.astype(np.int64) * den
-                - fold.cards.astype(np.int64) * f.lam.numerator), den
+    if f.kind == "union":
+        fold = SubsetFold(f.union_masks)
+        num, den = f.lam.numerator, f.lam.denominator
+        dtype = exact_dtype(2 * (den * max(fold.top, 1) + abs(num) * n))
+        return (fold.pops.astype(dtype) * den
+                - fold.cards.astype(dtype) * num), den
     if f.kind == "cut":
         # by doubling: cut(S + b) = cut(S) + rowsum[b] - W[b, b]
         #   - sum over w in S of (W[w, b] + W[b, w])
@@ -258,15 +257,10 @@ def _scaled_table(f: SetFunction) -> tuple[np.ndarray, int]:
             grown += int(W[b].sum()) - int(W[b, b])
         return table, 1
     vals = [f.value_mask(m) for m in range(size)]
-    den = 1
-    for v in vals:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    if den >= MAX_COEFF:
-        raise DomainError(
-            f"common denominator {den} of the values is too large for the "
-            f"int64 table (limit {MAX_COEFF})")
-    table = np.fromiter((int(v * den) for v in vals), dtype=np.int64, count=size)
-    return table, den
+    den = math.lcm(*(v.denominator for v in vals))
+    scaled = [v.numerator * (den // v.denominator) for v in vals]
+    dtype = exact_dtype(2 * max(map(abs, scaled)))
+    return np.array(scaled, dtype=dtype), den
 
 
 # -- reports -------------------------------------------------------------------
@@ -449,7 +443,7 @@ def minimize_nonempty(f: SetFunction, *, fragment_cap: int | None = None
     n = f.ground_size
     _check_ground("MAX_EXHAUSTIVE_GROUND", n)
     cap = config.cap("FRAGMENT_LIST_CAP") if fragment_cap is None else fragment_cap
-    if f.kind == "union" and _fits_kernel(f.lam):
+    if f.kind == "union":
         return _fold_minimum(SubsetFold(f.union_masks), f.lam, cap, f.label)
     # table path: exact scaled values
     table, den = _scaled_table(f)
@@ -472,7 +466,7 @@ def minimize_nonempty(f: SetFunction, *, fragment_cap: int | None = None
 def _fold_minimum(fold: SubsetFold, lam: Fraction, fragment_cap: int,
                  label: str) -> MinimizationResult:
     """`minimize_nonempty` of |join S| - lam*|S| over the subsets S of a
-    fold; lam must pass `_fits_kernel`."""
+    fold, exact for every rational lam."""
     num, den = lam.numerator, lam.denominator
     scaled, count, frags, truncated, atoms, atom_size, largest = \
         fold.min_affine(num, den, fragment_cap)

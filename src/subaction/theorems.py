@@ -38,16 +38,15 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import config
-from ._kernels import MAX_COEFF, SubsetFold, check_pair_ratio, words
+from ._kernels import SubsetFold, check_pair_ratio, words
 from .actions import GroupAction, natural_action
 from .errors import DomainError, InvariantError, StructuralError
-from .groups import FiniteGroup, Subgroup, symmetric
+from .groups import Subgroup, symmetric
 from .linalg import (Representation, Subspace, basis_table,
                      enumerate_subspaces, span_dims)
 from .rationals import exact_fraction, format_fraction
-from .setfuncs import (_EXHAUSTIVE, Exhaustiveness,
-                       _check_ground, _chunk_rows,
-                       _fits_kernel, _fold_minimum, _mask_of, _sampling,
+from .setfuncs import (_EXHAUSTIVE, Exhaustiveness, _check_ground,
+                       _chunk_rows, _fold_minimum, _mask_of, _sampling,
                        _set_of, _union_sizes, actor_growth_cut,
                        group_image_ratio, identity_atom, minimize_nonempty,
                        target_growth)
@@ -82,23 +81,15 @@ class CheckReport:
 # -- shared helpers -----------------------------------------------------------
 
 
-def _group_subset(G: FiniteGroup, A: Iterable[int], name: str = "A"
-                  ) -> tuple[int, ...]:
-    items = sorted({int(a) for a in A})
+def _subset(items: Iterable[int], size: int, name: str = "A",
+            what: str = "an element index") -> tuple[int, ...]:
+    """The distinct items, sorted, of a nonempty subset of range(size):
+    an actor set by default, or a point set named with what="a point"."""
+    items = sorted({int(x) for x in items})
     if not items:
         raise StructuralError(f"{name} must be nonempty")
-    if items[0] < 0 or items[-1] >= G.order:
-        raise DomainError(f"{name} contains an element index out of range")
-    return tuple(items)
-
-
-def _point_subset(action: GroupAction, Y: Iterable[int], name: str = "Y"
-                  ) -> tuple[int, ...]:
-    items = sorted({int(y) for y in Y})
-    if not items:
-        raise StructuralError(f"{name} must be nonempty")
-    if items[0] < 0 or items[-1] >= action.domain_size:
-        raise DomainError(f"{name} contains a point out of range")
+    if items[0] < 0 or items[-1] >= size:
+        raise DomainError(f"{name} contains {what} out of range")
     return tuple(items)
 
 
@@ -256,8 +247,8 @@ class _Target:
             self.Y, self.image, self.size = Y, obj.module_span, _dim
             self.stabilizer = obj.subspace_stabilizer
         else:
-            self.Y, self.image, self.size = _point_subset(obj, Y), \
-                obj.act_set, len
+            self.Y = _subset(Y, obj.domain_size, "Y", "a point")
+            self.image, self.size = obj.act_set, len
             self.stabilizer = obj.set_stabilizer
         self.target_size = self.size(self.Y)
 
@@ -313,8 +304,8 @@ def check_kneser(action: GroupAction, A: Iterable[int], Y: Iterable[int]
     Both inequalities can fail for general actions; a False conclusion is a
     finding, not an error.
     """
-    A = _group_subset(action.group, A)
-    Y = _point_subset(action, Y)
+    A = _subset(A, action.group.order)
+    Y = _subset(Y, action.domain_size, "Y", "a point")
     AY = action.act_set(A, Y)
     stab = action.set_stabilizer(AY)
     lhs = stab.order + len(AY)
@@ -367,7 +358,7 @@ def check_murphy(obj: GroupAction | Representation, A: Iterable[int],
                  Y: Iterable[int] | Subspace) -> CheckReport:
     """|A.Y| = |Y| forces <A^-1 A> inside the setwise stabilizer of Y."""
     G = obj.group
-    A = _group_subset(G, A)
+    A = _subset(A, G.order)
     t = _Target(obj, Y)
     AY = t.image(A, t.Y)
     if t.size(AY) != t.target_size:
@@ -403,7 +394,7 @@ def check_small_growth(obj: GroupAction | Representation, A, Y, alpha
     """|A.Y| <= (2 - alpha)|Y| forces A^-1 A inside Sym_alpha(Y)."""
     alpha = _unit_range(exact_fraction(alpha))
     G = obj.group
-    A = _group_subset(G, A)
+    A = _subset(A, G.order)
     t = _Target(obj, Y)
     size, bound = t.size(t.image(A, t.Y)), (2 - alpha) * t.target_size
     if size > bound:
@@ -437,7 +428,7 @@ def check_freiman(obj: GroupAction | Representation, A, Y, alpha
     """
     alpha = _unit_range(exact_fraction(alpha))
     G = obj.group
-    A = _group_subset(G, A)
+    A = _subset(A, G.order)
     t = _Target(obj, Y)
     Ainv = G.inverse_set(A)
     size, bound = t.size(t.image(Ainv, t.Y)), (3 - alpha) / 2 * t.target_size
@@ -476,9 +467,9 @@ def check_ruzsa_triple(action: GroupAction, A, B, Y) -> CheckReport:
     """|AB.Y|^2 <= |AB| |B.Y| max_b |Ab.Y|; with |A.Y| instead of the max
     when every element of A commutes with every element of B."""
     G = action.group
-    A = _group_subset(G, A, "A")
-    B = _group_subset(G, B, "B")
-    Y = _point_subset(action, Y)
+    A = _subset(A, G.order)
+    B = _subset(B, G.order, "B")
+    Y = _subset(Y, action.domain_size, "Y", "a point")
     AB = G.product_set(A, B)
     ABY = action.act_set(AB, Y)
     BY = action.act_set(B, Y)
@@ -531,11 +522,6 @@ def check_hamidoune(obj: GroupAction | Representation, Y, lam, A0=None
             f"got {format_fraction(lam)}")
     GY = t.stabilizer(t.Y)
     if t.linear:
-        if not _fits_kernel(lam):
-            raise DomainError(
-                f"lambda {format_fraction(lam)} is too wide for the int64 "
-                f"kernel: numerator and denominator must be below "
-                f"{MAX_COEFF}")
         res = _fold_minimum(
             t.fold(range(n), "linear variant enumerates all actor sets"),
             lam, 1, f"actor_growth[{obj.name}]")
@@ -554,7 +540,7 @@ def check_hamidoune(obj: GroupAction | Representation, Y, lam, A0=None
         # the subgroup order and the A0 corollary are reported for actions
         details["subgroup_order"] = H.order
         if A0 is not None and lam > 0:
-            A0 = _group_subset(G, A0, "A0")
+            A0 = _subset(A0, G.order, "A0")
             A0Y = obj.act_set(A0, t.Y)
             M = frozenset(g for g in range(n)
                           if obj.act_point_set(g, t.Y) <= A0Y)
@@ -585,7 +571,7 @@ def find_petridis_witness(obj: GroupAction | Representation, A, Y, alpha,
     if alpha < 0:
         raise DomainError("alpha must be nonnegative")
     G = obj.group
-    A = _group_subset(G, A)
+    A = _subset(A, G.order)
     t = _Target(obj, Y)
     size = t.size(t.image(A, t.Y))
     if size > alpha * len(A):
@@ -620,8 +606,8 @@ def check_tao_small_doubling(action: GroupAction, A, Y, eps) -> CheckReport:
     eps = exact_fraction(eps)
     if eps <= 0:
         raise DomainError("epsilon must be positive")
-    A = _group_subset(G, A)
-    Y = _point_subset(action, Y)
+    A = _subset(A, G.order)
+    Y = _subset(Y, action.domain_size, "Y", "a point")
     mu = group_image_ratio(action, Y)
     AY = action.act_set(A, Y)
     clauses = {
@@ -670,7 +656,7 @@ def find_taod_witness(obj: GroupAction | Representation, A, Y, alpha,
         raise DomainError(
             "G must be Abelian: the target growth d_A is only "
             "G-invariant when actors commute")
-    A = _group_subset(G, A)
+    A = _subset(A, G.order)
     t = _Target(obj, Y)
     size = t.size(t.image(A, t.Y))
     if size > alpha * t.target_size:
@@ -722,7 +708,7 @@ def check_fragment_bounds(action: GroupAction, A, lam, mu_param=None
     """
     G = action.group
     lam = exact_fraction(lam)
-    A = _group_subset(G, A)
+    A = _subset(A, G.order)
     size = len(A)
     domain = action.domain_size
     part1 = lam < Fraction(1, size)

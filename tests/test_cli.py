@@ -187,8 +187,8 @@ def test_result_types_report_their_fields_but_the_unreported():
         "fragments_truncated", "atoms", "atom_size"]
     assert list(core["result"]) == ["atoms", "union"]
     assert list(mu["result"]) == ["mu", "witness", "methods"]
-    # orbit_of is unreported; the profile is written explicitly, with the
-    # kernel's order in place of the kernel
+    # orbit_of and the profile's kernel are unreported; the profile
+    # reports the kernel's order in its place
     assert list(orbits["result"]) == ["representatives", "orbits", "count"]
     assert list(profile["result"]) == [
         "group_order", "domain_size", "orbit_sizes", "transitive", "faithful",

@@ -192,7 +192,7 @@ def test_closure_row_buffer_stays_within_the_caps(caps, monkeypatch):
 
 
 def test_closure_peak_memory_stays_below_four_image_tables():
-    # C3000 keeps 36 MB of image rows; building it peaked at 3.03 times
+    # C3000 keeps 36 MB of image rows; building it peaked at 3.13 times
     # that, with and without a mul table
     tracemalloc.start()
     try:
@@ -208,7 +208,7 @@ def test_closure_peak_memory_stays_below_four_image_tables():
     ids=["A8", "S7"])
 def test_numpy_closure_peak_memory(build, factor):
     # A8 and S7 close their large levels in numpy; building them peaked
-    # at 6.72 and 7.27 times their image rows
+    # at 6.72 and 6.77 times their image rows
     tracemalloc.start()
     try:
         G = build()
@@ -764,6 +764,7 @@ def test_one_subgroup_per_conjugacy_class_is_queued(name, tables,
     monkeypatch.setattr(FiniteGroup, "_conjugates",
                         lambda self, K: queued.append(K) or real(self, K))
     assert _lattice(G) == want
+    monkeypatch.undo()  # _conjugacy_class reads _conjugates too
     classes = {_conjugacy_class(G, members) for _order, members in want}
     assert len(queued) + 1 == len(classes) < len(want)
     assert len({_conjugacy_class(G, K) for K in queued} | {(0,)}) \

@@ -374,10 +374,36 @@ def test_cut_table_matches_value_mask():
         assert table.tolist() == [f.value_mask(m) for m in range(1 << n)]
 
 
-def test_table_denominator_too_large_is_a_domain_error():
-    f = SetFunction(2, "tiny", fn=lambda m: Fraction(m, 1 << 41))
-    with pytest.raises(DomainError):
-        minimize_nonempty(f)
+_WIDE = (Fraction(1, 2 ** 41), Fraction(2 ** 62 + 1, 2 ** 62),
+         Fraction(2 ** 70 + 1))
+
+
+@pytest.mark.parametrize("lam", _WIDE)
+@pytest.mark.parametrize("family", ["actor", "target", "shifted"])
+def test_wide_lambda_minima_match_the_fraction_oracle(lam, family):
+    # no coefficient limit: the union folds score their bins, and the
+    # shifted (generic) function its table, in Python ints once den*|join|
+    # or num*|S| passes int64; every value is read against value_mask
+    f = {"actor": lambda: actor_growth(natural_action(dihedral(5)),
+                                       (0, 2), lam),
+         "target": lambda: target_growth(left_translation_action(
+             cyclic(12)), (0, 1, 4), lam),
+         "shifted": lambda: subtract_modular(
+             actor_growth(left_translation_action(cyclic(8)), (0, 3), lam),
+             [Fraction(i, 2 ** 62 + 1) for i in range(8)],
+             Fraction(1, 3))}[family]()
+    best, frags = _brute_min(f)
+    least = min(m.bit_count() for m in frags)
+    res = minimize_nonempty(f)
+    assert res.min_value == best
+    assert res.fragment_count == len(frags)
+    assert [_mask_of(fr) for fr in res.fragments] == frags
+    assert [_mask_of(a) for a in res.atoms] == [
+        m for m in frags if m.bit_count() == least]
+    assert (res.atom_size, res.largest_size) == (
+        least, max(m.bit_count() for m in frags))
+    assert core_set(f).atoms == res.atoms
+    assert check_submodular(f).holds
 
 
 def test_minimize_capacity():
@@ -708,8 +734,8 @@ _CUT_ACTIONS = [f"{kind}:{group}" for kind, groups in (
 @given(st.data())
 def test_cut_matches_the_fold(data):
     # the cut's minimum is minimize_nonempty's, and its least minimiser
-    # containing e is the identity atom; for a lambda too wide for the
-    # kernel the oracle reads the fold's sizes and cardinalities in int64
+    # containing e is the identity atom, also for a lambda whose
+    # denominator passes 2^40
     action = _cut_action(data.draw(st.sampled_from(_CUT_ACTIONS)))
     G, d = action.group, action.domain_size
     Y = sorted(data.draw(st.sets(st.integers(0, d - 1), min_size=1,
@@ -723,19 +749,9 @@ def test_cut_matches_the_fold(data):
         else mu * lam
     minimum, atom = actor_growth_cut(action, Y, lam)
     f = actor_growth(action, Y, lam)
-    if lam.denominator < 2 ** 40:
-        res = minimize_nonempty(f, fragment_cap=0)
-        assert minimum == res.min_value
-        assert atom == identity_atom(f, G, res).members
-        return
-    fold = _kernels.SubsetFold(f.union_masks)
-    values = fold.pops.astype(np.int64) * lam.denominator \
-        - fold.cards.astype(np.int64) * lam.numerator
-    values[0] = np.iinfo(np.int64).max  # the empty set
-    assert minimum == Fraction(int(values.min()), lam.denominator)
-    with_e = np.flatnonzero(values == values.min())
-    with_e = with_e[with_e & 1 == 1]
-    assert _mask_of(atom) == functools.reduce(operator.and_, with_e.tolist())
+    res = minimize_nonempty(f, fragment_cap=0)
+    assert minimum == res.min_value
+    assert atom == identity_atom(f, G, res).members
 
 
 @pytest.mark.parametrize("name", ["s5", "a5", "aff7", "c70"])

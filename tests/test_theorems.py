@@ -447,12 +447,46 @@ def test_hamidoune_linear_mu_is_the_fold_minimum(data):
     assert mu == Fraction(*fold.min_ratio()[:2])
 
 
-def test_hamidoune_linear_lambda_too_wide_for_the_kernel():
-    # a lambda in [0, mu] whose denominator is not a kernel coefficient is
-    # refused as a domain error, not passed to the int64 kernel
-    with pytest.raises(DomainError, match="too wide for the int64 kernel"):
-        check_hamidoune(_swap_rep(), Subspace.from_vectors(3, 2, [[1, 1]]),
-                        Fraction(1, 2 ** 40))
+_WIDE = (Fraction(1, 2 ** 41), Fraction(2 ** 62 + 1, 2 ** 62),
+         Fraction(2 ** 70 + 1))
+
+
+@pytest.mark.parametrize("x", _WIDE)
+@pytest.mark.parametrize("name, p, row", [("c6", 3, {0: 1, 1: 1}),
+                                          ("d4", 2, {0: 1, 3: 1})])
+def test_hamidoune_linear_wide_lambda_matches_the_fraction_oracle(
+        name, p, row, x):
+    # lam = mu x / (1 + x) lies in (0, mu), and its denominator passes
+    # 2^40 (and 2^63 past the first x): no coefficient is refused, and
+    # the subgroup is the least minimiser of dim span(A.W) - lam|A|
+    # containing e, read from the growth of every nonempty A
+    rep_obj = _permutation_rep(name, p)
+    n = rep_obj.group.order
+    W = Subspace.from_vectors(p, n, [[row.get(i, 0) for i in range(n)]])
+    mu = Fraction(rep_obj.module_span(range(n), W).dim, n)
+    lam = mu * x / (1 + x)
+    growth = {m: rep_obj.module_span(
+        [g for g in range(n) if m >> g & 1], W).dim - lam * m.bit_count()
+        for m in range(1, 1 << n)}
+    best = min(growth.values())
+    atom = min((m for m, v in growth.items() if v == best and m & 1),
+               key=int.bit_count)
+    rep = check_hamidoune(rep_obj, W, lam)
+    assert rep.hypotheses_hold and rep.conclusion_holds
+    assert rep.details["mu"] == mu
+    assert rep.details["subgroup_growth"] == best
+    assert rep.witnesses["subgroup"].members == {
+        g for g in range(n) if atom >> g & 1}
+
+
+def test_hamidoune_linear_lambda_past_2_to_the_40():
+    # the F_3 swap representation of C2 with W = <(1, 1)>, which the swap
+    # fixes: mu = 1/2, and the whole group minimises 1 - lam|A|
+    rep = check_hamidoune(_swap_rep(), Subspace.from_vectors(3, 2, [[1, 1]]),
+                          Fraction(1, 2 ** 40))
+    assert rep.hypotheses_hold and rep.conclusion_holds
+    assert rep.witnesses["subgroup"].order == 2
+    assert rep.details["subgroup_growth"] == 1 - Fraction(2, 2 ** 40)
 
 
 def test_linear_folds_check_the_kernel_against_the_reference_join(
@@ -882,6 +916,28 @@ def test_fragment_bounds_neither_regime():
     rep = check_fragment_bounds(action, (0, 1), "3/4")
     assert not rep.hypotheses_hold
     assert rep.conclusion_holds is None
+
+
+@pytest.mark.parametrize("x, mu_param", [
+    (Fraction(1, 2 ** 41), None),  # part 1: lam < 1/|A|
+    (Fraction(2 ** 62 + 1, 2 ** 62), 0),  # part 2 from 1/2
+    (Fraction(2 ** 70 + 1), Fraction(1, 2))])  # part 2 from 2/3
+def test_fragment_bounds_wide_lambda_matches_the_fraction_oracle(
+        x, mu_param):
+    # lam = x / (1 + x) in (0, 1) on C8 with |A| = 4; the minimum, the
+    # fragment count and the fragment sizes are those of every nonempty Y
+    action, A = left_translation_action(cyclic(8)), (0, 1, 2, 5)
+    lam = x / (1 + x)
+    values = {m: len({(a + y) % 8 for a in A for y in range(8) if m >> y & 1})
+              - lam * m.bit_count() for m in range(1, 1 << 8)}
+    best = min(values.values())
+    sizes = [m.bit_count() for m, v in values.items() if v == best]
+    rep = check_fragment_bounds(action, A, lam, mu_param)
+    assert rep.hypotheses_hold and rep.conclusion_holds
+    assert (rep.details["minimum"], rep.details["fragment_count"],
+            rep.details["smallest_fragment"],
+            rep.details["largest_fragment"]) == (
+        best, len(sizes), min(sizes), max(sizes))
 
 
 @functools.cache

@@ -11,7 +11,10 @@ seeds 7 and 53710, the named linear scenarios of `LINEAR`: folds of
 span dimensions over F_5 on 12 and 13 elements, and sampled linear
 for-all-C streams on C15 and C16, past PETRIDIS_EXHAUSTIVE_MAX_ORDER, and
 the named mu scenarios of `LATTICE`, whose subgroup lattices (S5, A5,
-Aff(7), D8xC9) are larger than the pools' order-20 ones. The first form
+Aff(7), D8xC9) are larger than the pools' order-20 ones, and the named
+scenarios of `PATHS`, which reach what no other request does: the
+`matrices` and `swap` representations, a generated set, lambdas whose
+denominators pass 2^40, and exits 2 and 3. The first form
 runs each request through CHECKOUT's `subaction.cli.main` and writes its
 exit code, stderr and report, without `elapsed_seconds`; an exception that
 escapes `main` is recorded as the exit "crash", and the first form then
@@ -103,6 +106,43 @@ LATTICE = {
 }
 
 
+def _scenario(group: dict, task: dict, **rest) -> dict:
+    """A run scenario of one task on `group`, with the other top-level keys
+    (action, representation, sets, subspaces, caps) as given."""
+    return {"group": group, **rest, "tasks": [task]}
+
+
+_C20 = {"kind": "cyclic", "n": 20}
+_LEFT = {"kind": "left_translation"}
+PATHS = {
+    "matrices_hamidoune": _scenario(
+        {"kind": "cyclic", "n": 4}, {"task": "hamidoune", "W": "W",
+                                     "lambda": "1/4"},
+        representation={"kind": "matrices", "p": 5,
+                         "generators": [[[0, 4], [1, 0]]]},
+        subspaces={"W": [[1, 0]]}),
+    "swap_hamidoune_wide": _scenario(
+        {"kind": "cyclic", "n": 2},
+        {"task": "hamidoune", "W": "W", "lambda": "1/1099511627776"},
+        representation={"kind": "swap", "p": 3}, subspaces={"W": [[1, 1]]}),
+    "generate_fragment_bounds": _scenario(
+        {"kind": "symmetric", "n": 4}, {"task": "fragment_bounds", "A": "A",
+                                        "lambda": "1/8"},
+        action={"kind": "natural"}, sets={"A": {"generate": [1]}}),
+    "c20_minimize_wide": _scenario(
+        _C20, {"task": "minimize", "function": "target_growth", "A": "A",
+               "lambda": "1/2199023255552"},
+        action=_LEFT, sets={"A": [0, 1]}),
+    "hamidoune_lambda_out_of_range": _scenario(
+        _C20, {"task": "hamidoune", "Y": "Y", "lambda": "2"},
+        action=_LEFT, sets={"Y": [0, 1]}),
+    "minimize_past_the_ground_cap": _scenario(
+        _C20, {"task": "minimize", "function": "actor_growth", "Y": "Y",
+               "lambda": "1/2"},
+        action=_LEFT, sets={"Y": [0, 1]}, caps={"MAX_EXHAUSTIVE_GROUND": 8}),
+}
+
+
 def requests() -> dict:
     """The corpus by request name: a search's argv, or a run scenario."""
     from subaction.search import FAMILIES, PREDICATES
@@ -116,6 +156,7 @@ def requests() -> dict:
         for p in PREDICATES})
     out.update({f"run/linear/{name}": sc for name, sc in LINEAR.items()})
     out.update({f"run/lattice/{name}": sc for name, sc in LATTICE.items()})
+    out.update({f"run/paths/{name}": sc for name, sc in PATHS.items()})
     return out
 
 
