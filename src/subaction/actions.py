@@ -24,17 +24,10 @@ from typing import Iterable
 import numpy as np
 
 from . import config
-from .errors import CapacityError, DomainError, InvariantError, StructuralError
+from .errors import DomainError, InvariantError, StructuralError
 from .groups import (FiniteGroup, Subgroup, _index_array, _membership,
                      _orbits)
 from .rationals import exact_fraction as _exact_ratio
-
-
-def _check_table_cap(order: int, domain_size: int) -> None:
-    entries = order * domain_size
-    limit = config.cap("MAX_ACT_TABLE_ENTRIES")
-    if entries > limit:
-        raise CapacityError("MAX_ACT_TABLE_ENTRIES", limit, entries)
 
 
 def _check_bijections(rows: np.ndarray) -> None:
@@ -45,7 +38,7 @@ def _check_bijections(rows: np.ndarray) -> None:
 class GroupAction:
     def __init__(self, group: FiniteGroup, domain_size: int, table: np.ndarray,
                  *, name: str | None = None):
-        _check_table_cap(group.order, domain_size)
+        config.require("MAX_ACT_TABLE_ENTRIES", group.order * domain_size)
         table = np.ascontiguousarray(table, dtype=np.int32)
         if table.shape != (group.order, domain_size):
             raise StructuralError(
@@ -193,21 +186,21 @@ def natural_action(G: FiniteGroup) -> GroupAction:
 
 
 def left_translation_action(G: FiniteGroup) -> GroupAction:
-    _check_table_cap(G.order, G.order)
+    config.require("MAX_ACT_TABLE_ENTRIES", G.order * G.order)
     ar = np.arange(G.order)
     rows = G._products(ar, ar)
     return GroupAction(G, G.order, rows, name=f"left<{G.name}>")
 
 
 def conjugation_action(G: FiniteGroup) -> GroupAction:
-    _check_table_cap(G.order, G.order)
+    config.require("MAX_ACT_TABLE_ENTRIES", G.order * G.order)
     # row g holds g x g^-1 for every x: row g^-1 of the conjugates
     rows = G._conjugates(np.arange(G.order))[G.inv_table]
     return GroupAction(G, G.order, rows, name=f"conj<{G.name}>")
 
 
 def coset_action(G: FiniteGroup, H: Subgroup) -> GroupAction:
-    _check_table_cap(G.order, G.order // H.order)
+    config.require("MAX_ACT_TABLE_ENTRIES", G.order * (G.order // H.order))
     cd = G.left_cosets(H)
     rows = cd.rep_position[G._products(np.arange(G.order),
                                        cd.representatives)]

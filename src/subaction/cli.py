@@ -32,7 +32,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import config, theorems
-from .actions import ActionProfile, OrbitDecomposition
 from .errors import (CapacityError, DomainError, InvariantError,
                      ScenarioError, StructuralError)
 from .groups import Subgroup
@@ -41,8 +40,7 @@ from .rationals import exact_fraction, format_fraction
 from .search import (FAMILIES, PREDICATES, SET_FUNCTIONS, TASKS, Bindings,
                      SearchResult, build_action, build_group,
                      build_representation, resolve_sets, search)
-from .setfuncs import (CoreResult, Exhaustiveness, MinimizationResult,
-                       MuResult)
+from .setfuncs import Exhaustiveness
 # perfbench/test_bench.py checks that tracing rebinds cli.min_image_ratio
 from .setfuncs import min_image_ratio  # noqa: F401
 
@@ -88,9 +86,9 @@ def to_jsonable(obj):
                 "basis": [list(r) for r in obj.rows]}
     if isinstance(obj, Exhaustiveness):
         return obj.to_json()
-    if isinstance(obj, (theorems.CheckReport, MinimizationResult, CoreResult,
-                        MuResult, OrbitDecomposition, ActionProfile)):
-        # every field in declaration order, but those marked unreported
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        # any other result: every field in declaration order, but those
+        # marked unreported
         return {f.name: to_jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)
                 if f.metadata.get("reported", True)}

@@ -15,7 +15,7 @@ import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 
-from .errors import StructuralError
+from .errors import CapacityError, StructuralError
 
 _DEFAULTS: dict[str, int] = {
     "MAX_GROUP_ORDER": 20160,
@@ -75,6 +75,14 @@ def cap(name: str) -> int:
     if not allows(name, value):
         raise StructuralError(f"SUBACTION_{name}={raw!r}: {rule(name)}")
     return value
+
+
+def require(name: str, measured: int, hint: str = "") -> None:
+    """Refuse an instance whose `measured` size passes cap `name`; the
+    refusal names the cap this compared."""
+    limit = cap(name)
+    if measured > limit:
+        raise CapacityError(name, limit, measured, hint)
 
 
 def snapshot() -> dict[str, int]:

@@ -541,9 +541,7 @@ class FiniteGroup:
         every h r s lies in the union, which holds e and so, being closed
         under right multiplication by the generators, is <H, g>.
         """
-        limit = config.cap("MAX_SUBGROUP_ENUM_ORDER")
-        if self.order > limit:
-            raise CapacityError("MAX_SUBGROUP_ENUM_ORDER", limit, self.order)
+        config.require("MAX_SUBGROUP_ENUM_ORDER", self.order)
         if self._subgroups is not None:
             return list(self._subgroups)
         n = self.order
@@ -675,13 +673,11 @@ def _check_order(name: str, factors: Iterable[int]) -> None:
     """Refuse a group whose order, the product of `factors`, passes
     MAX_GROUP_ORDER, before any generator is built; the product stops at
     the first partial product past the cap, which divides the order."""
-    limit = config.cap("MAX_GROUP_ORDER")
     order = 1
     for f in factors:
         order *= f
-        if order > limit:
-            raise CapacityError("MAX_GROUP_ORDER", limit, order,
-                                hint=f"a divisor of the order of {name}")
+        config.require("MAX_GROUP_ORDER", order,
+                       hint=f"a divisor of the order of {name}")
 
 
 def symmetric(n: int) -> FiniteGroup:

@@ -15,8 +15,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import config
-from .actions import GroupAction, _check_table_cap
-from .errors import CapacityError, DomainError, InvariantError, StructuralError
+from .actions import GroupAction
+from .errors import DomainError, InvariantError, StructuralError
 from .groups import FiniteGroup, Subgroup, _check_prime
 from .rationals import exact_fraction, format_fraction
 from .setfuncs import _EXHAUSTIVE, PropertyReport, SetFunction
@@ -264,9 +264,7 @@ def grassmannian(p: int, d: int, k: int) -> list[Subspace]:
     """All k-dimensional subspaces, enumerated through canonical RREF forms."""
     _check_prime(p)
     expected = gaussian_binomial(d, k, p)
-    limit = config.cap("MAX_SUBSPACE_COUNT")
-    if expected > limit:
-        raise CapacityError("MAX_SUBSPACE_COUNT", limit, expected)
+    config.require("MAX_SUBSPACE_COUNT", expected)
     if k == 0:
         return [Subspace.zero(p, d)]
     out = []
@@ -288,9 +286,7 @@ def grassmannian(p: int, d: int, k: int) -> list[Subspace]:
 def enumerate_subspaces(p: int, d: int) -> list[Subspace]:
     """Every subspace of F_p^d in (dim, basis) order, capped by total count."""
     expected = subspace_count(p, d)
-    limit = config.cap("MAX_SUBSPACE_COUNT")
-    if expected > limit:
-        raise CapacityError("MAX_SUBSPACE_COUNT", limit, expected)
+    config.require("MAX_SUBSPACE_COUNT", expected)
     out: list[Subspace] = []
     for k in range(d + 1):
         out.extend(grassmannian(p, d, k))
@@ -385,7 +381,7 @@ def permutation_representation(action: GroupAction, p: int) -> Representation:
     """0/1 matrices permuting coordinates as the action permutes points."""
     n, d = action.group.order, action.domain_size
     _check_field(p, d)
-    _check_table_cap(n, d * d)
+    config.require("MAX_ACT_TABLE_ENTRIES", n * d * d)
     mats = np.zeros((n, d, d), dtype=np.int64)
     for g in range(n):
         mats[g, action.table[g], np.arange(d)] = 1
@@ -402,7 +398,7 @@ def representation_from_generator_matrices(
             f"need {len(gens)} generator matrices, got {len(gen_mats)}")
     d = len(gen_mats[0])
     _check_field(p, d)
-    _check_table_cap(group.order, d * d)
+    config.require("MAX_ACT_TABLE_ENTRIES", group.order * d * d)
     mats = np.zeros((group.order, d, d), dtype=np.int64)
     mats[0] = np.eye(d, dtype=np.int64)
     by_gen = {gi: np.array([[int(x) % p for x in row] for row in m],

@@ -84,13 +84,19 @@ def _check_ground(cap_name: str, size: int, hint: str = "") -> None:
     `cap_name` or past the subset-fold kernel's fixed limit of MAX_N
     elements, which no cap override lifts; the refusal names the limit
     that stopped it."""
-    limit = config.cap(cap_name)
-    if size > limit:
-        raise CapacityError(cap_name, limit, size, hint=hint)
+    config.require(cap_name, size, hint)
     fixed = "a fixed limit of the subset-fold kernel, not a cap" \
         + (hint and f"; {hint}")
     if size > MAX_N:
         raise CapacityError("kernel ground size", MAX_N, size, hint=fixed)
+
+
+def _target_points(action: GroupAction, Y: Iterable[int]) -> np.ndarray:
+    """The point indices of a nonempty target set Y."""
+    y = action._point_indices(Y)
+    if y.size == 0:
+        raise DomainError("target set must be nonempty")
+    return y
 
 
 def _set_of(mask: int) -> frozenset[int]:
@@ -172,9 +178,7 @@ def cut_function(action: GroupAction) -> SetFunction:
 def actor_growth(action: GroupAction, Y: Iterable[int], lam) -> SetFunction:
     """On subsets A of the group: |A.Y| - lam*|A|."""
     lam = exact_fraction(lam)
-    y = action._point_indices(Y)
-    if y.size == 0:
-        raise DomainError("target set must be nonempty")
+    y = _target_points(action, Y)
     masks = [_mask_of(action.table[g][y].tolist())
              for g in range(action.group.order)]
     label = f"actor_growth[{action.name}, |Y|={y.size}, lam={format_fraction(lam)}]"
@@ -524,9 +528,7 @@ def group_image_ratio(action: GroupAction, Y: Iterable[int]) -> Fraction:
     hamidoune and tao_doubling statements (Hamidoune, Europ. J. Combin. 5,
     1984, for the group case); `min_image_ratio`'s routes check it.
     """
-    y = action._point_indices(Y)
-    if y.size == 0:
-        raise DomainError("target set must be nonempty")
+    y = _target_points(action, Y)
     images = _membership(action.domain_size, action.table[:, y])
     return Fraction(int(np.count_nonzero(images)), action.group.order)
 
@@ -693,9 +695,7 @@ def actor_growth_cut(action: GroupAction, Y: Iterable[int], lam
     if lam < 0:
         raise DomainError(f"lambda must be nonnegative; got "
                           f"{format_fraction(lam)}")
-    y = action._point_indices(Y)
-    if y.size == 0:
-        raise DomainError("target set must be nonempty")
+    y = _target_points(action, Y)
     n = action.group.order
     images = action.table[:, y]
     points = np.unique(images)

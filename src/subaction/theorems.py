@@ -443,16 +443,18 @@ def check_freiman(obj: GroupAction | Representation, A, Y, alpha
               "quotient_in_symmetry": Q <= sym}
     details = t.keyed({"inverse_product_size": size, "checks": checks})
     if not t.linear:
-        # the corollary and the remark are stated for actions
+        # the corollary and the remark are stated for actions. Q = AA^-1
+        # holds e, so Q <= QQ; a finite set closed under products is a
+        # subgroup, so <Q> = Q exactly when QQ <= Q, that is when Q2 == Q
         corollary_applies = sym <= Q
         if corollary_applies:
-            checks["corollary_subgroup"] = G.generated_set(Q) == Q
+            checks["corollary_subgroup"] = Q2 == Q
         remark_applies = is_left_translation(obj)
         if remark_applies:
             checks["weak_stabilizer_equals_quotient"] = \
                 obj.weak_stabilizer(A) == Q
             if 2 * len(G.product_set(Ainv, A)) < 3 * len(A):
-                checks["remark_subgroup"] = G.generated_set(Q) == Q
+                checks["remark_subgroup"] = Q2 == Q
         details.update(bound=bound, corollary_applies=corollary_applies,
                        remark_applies=remark_applies)
     return _verdict("freiman", checks, {"quotient_set": Q,

@@ -195,6 +195,23 @@ def test_result_types_report_their_fields_but_the_unreported():
         "free", "kernel_order"]
 
 
+def test_any_dataclass_result_is_written_by_its_reported_fields():
+    @dataclasses.dataclass(frozen=True)
+    class Result:
+        size: int
+        cache: dict = dataclasses.field(metadata={"reported": False})
+        ratio: Fraction
+        members: frozenset
+
+    out = to_jsonable(Result(3, {"x": 0.5}, Fraction(2, 3),
+                             frozenset({2, 0})))
+    assert list(out.items()) == [("size", 3), ("ratio", "2/3"),
+                                 ("members", [0, 2])]
+    # a dataclass type is not a result
+    with pytest.raises(TypeError):
+        to_jsonable(Result)
+
+
 def test_report_is_json_clean():
     report = run_scenario(_parse(_minimal()))
     text = json.dumps(report, sort_keys=True)

@@ -134,7 +134,11 @@ _A8_STARTS = alternating(8)._level_starts
 def test_group_order_cap():
     with pytest.raises(CapacityError) as ei:
         symmetric(9)
-    assert ei.value.cap_name == "MAX_GROUP_ORDER"
+    # the product 2 * 3 * ... stops at 8!, the first partial product past
+    # the default cap
+    err = ei.value
+    assert (err.cap_name, err.cap_value, err.measured) == \
+        ("MAX_GROUP_ORDER", config.cap("MAX_GROUP_ORDER"), 40320)
     gens = [from_cycles(4, [(0, 1)]), from_cycles(4, [(0, 1, 2, 3)])]
     with config.overrides({"MAX_GROUP_ORDER": 24}):
         assert from_generators(gens).order == 24

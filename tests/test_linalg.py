@@ -118,9 +118,12 @@ def test_grassmannian_matches_filter():
 
 
 def test_subspace_count_capacity():
-    from subaction.errors import CapacityError
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError) as ei:
         enumerate_subspaces(5, 9)
+    err = ei.value
+    assert (err.cap_name, err.cap_value, err.measured) == \
+        ("MAX_SUBSPACE_COUNT", config.cap("MAX_SUBSPACE_COUNT"),
+         subspace_count(5, 9))
 
 
 # -- representations --------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import json
 import math
 import operator
 import random
@@ -27,7 +28,8 @@ from subaction.linalg import (Representation, Subspace, actor_growth_linear,
                               basis_table, enumerate_subspaces,
                               permutation_representation,
                               representation_from_generator_matrices)
-from subaction.search import FAMILIES, _draw, _Pool, _run_drawn, search
+from subaction.search import (FAMILIES, _draw, _Pool, _run_drawn,
+                              build_group, search)
 from subaction.setfuncs import Exhaustiveness, identity_atom
 from subaction.theorems import (STATEMENT_IDS, check_fragment_bounds,
                                 check_freiman, check_hamidoune, check_kneser,
@@ -249,6 +251,27 @@ def test_freiman_corollary_subgroup():
     checks = rep.details["checks"]
     if "corollary_subgroup" in checks:
         assert checks["corollary_subgroup"]
+
+
+def test_freiman_square_equals_quotient_exactly_when_it_is_a_subgroup():
+    # check_freiman reads <AA^-1> = AA^-1 as (AA^-1)^2 = AA^-1; the
+    # groups of every pool action
+    rng = random.Random(449)
+    seen = set()
+    for gspec in {json.dumps(g): g for pool in FAMILIES.values()
+                  for g, _a in pool}.values():
+        G = build_group(gspec)
+        for _ in range(20):
+            A = rng.sample(range(G.order), rng.randint(1, min(G.order, 4)))
+            if rng.random() < 0.5:
+                # a right coset Hg: AA^-1 = H, a subgroup
+                H = G.generated_set(A[1:])
+                A = G.product_set(H, A[:1])
+            Q = G.product_set(A, G.inverse_set(A))
+            closed = G.generated_set(Q) == Q
+            assert (G.product_set(Q, Q) == Q) == closed, (gspec, A)
+            seen.add(closed)
+    assert seen == {True, False}
 
 
 def test_freiman_linear():

@@ -14,9 +14,10 @@ the named mu scenarios of `LATTICE`, whose subgroup lattices (S5, A5,
 Aff(7), D8xC9) are larger than the pools' order-20 ones, and the named
 scenarios of `PATHS`, which reach what no other request does: the
 `matrices` and `swap` representations, a generated set, lambdas whose
-denominators pass 2^40, and exits 2 and 3. The first form
-runs each request through CHECKOUT's `subaction.cli.main` and writes its
-exit code, stderr and report, without `elapsed_seconds`; an exception that
+denominators pass 2^40, exits 2 and 3, and D70xD72, whose base-key
+table would pass 2^22 entries, so that its closure, lookups and products
+fall back to row bytes. The first form runs each request through
+CHECKOUT's `subaction.cli.main` and writes its exit code, stderr and report, without `elapsed_seconds`; an exception that
 escapes `main` is recorded as the exit "crash", and the first form then
 names every such request and exits 1. A report whose text is not byte for
 byte `json.dumps(doc, sort_keys=True, indent=2)` of its own document is
@@ -114,6 +115,8 @@ def _scenario(group: dict, task: dict, **rest) -> dict:
 
 _C20 = {"kind": "cyclic", "n": 20}
 _LEFT = {"kind": "left_translation"}
+_D70xD72 = {"kind": "direct_product", "left": {"kind": "dihedral", "n": 70},
+            "right": {"kind": "dihedral", "n": 72}}
 PATHS = {
     "matrices_hamidoune": _scenario(
         {"kind": "cyclic", "n": 4}, {"task": "hamidoune", "W": "W",
@@ -140,6 +143,12 @@ PATHS = {
         _C20, {"task": "minimize", "function": "actor_growth", "Y": "Y",
                "lambda": "1/2"},
         action=_LEFT, sets={"Y": [0, 1]}, caps={"MAX_EXHAUSTIVE_GROUND": 8}),
+    "byte_keys_kneser": _scenario(
+        _D70xD72, {"task": "kneser", "A": "A", "Y": "Y"},
+        action={"kind": "natural"}, sets={"A": [0, 1], "Y": [0, 1, 70]}),
+    "byte_keys_murphy": _scenario(
+        _D70xD72, {"task": "murphy", "A": "A", "Y": "Y"},
+        action={"kind": "natural"}, sets={"A": [0], "Y": [0, 1, 70]}),
 }
 
 
