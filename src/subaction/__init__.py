@@ -12,9 +12,9 @@ from .groups import (CosetDecomposition, FiniteGroup, Subgroup, affine_gl1,
                      from_generators, symmetric)
 from .linalg import (LatticeFunction, LatticeMinimizationResult,
                      Representation, Subspace, actor_growth_linear,
-                     check_lattice_invariance, check_lattice_submodular,
-                     enumerate_subspaces, gaussian_binomial, grassmannian,
-                     minimize_on_lattice, permutation_representation,
+                     check_lattice_submodular, enumerate_subspaces,
+                     gaussian_binomial, grassmannian, minimize_on_lattice,
+                     permutation_representation,
                      representation_from_generator_matrices, subspace_count)
 from .perms import Permutation, from_cycles, identity
 from .rationals import exact_fraction, format_fraction
@@ -22,10 +22,9 @@ from .search import (FAMILIES, PREDICATES, SearchRecord, SearchResult,
                      build_action, build_group, build_representation, search)
 from .setfuncs import (CoreResult, Exhaustiveness, MinimizationResult,
                        MuResult, PropertyReport, SetFunction, actor_growth,
-                       check_invariance, check_submodular, cone_combination,
-                       core_set, cut_function, group_image_ratio,
-                       identity_atom, min_image_ratio, minimize_nonempty,
-                       subtract_modular, target_growth)
+                       check_invariance, check_submodular, core_set,
+                       cut_function, group_image_ratio, identity_atom,
+                       min_image_ratio, minimize_nonempty, target_growth)
 from .theorems import (STATEMENT_IDS, CheckReport, check_fragment_bounds,
                        check_freiman, check_hamidoune, check_kneser,
                        check_murphy, check_ruzsa_triple, check_small_growth,
@@ -46,9 +45,9 @@ __all__ = [
     "alternating", "build_action", "build_group",
     "build_representation", "cap", "check_fragment_bounds",
     "check_freiman", "check_hamidoune", "check_invariance",
-    "check_kneser", "check_lattice_invariance", "check_lattice_submodular",
+    "check_kneser", "check_lattice_submodular",
     "check_murphy", "check_ruzsa_triple", "check_small_growth",
-    "check_submodular", "check_tao_small_doubling", "cone_combination",
+    "check_submodular", "check_tao_small_doubling",
     "conjugation_action", "core_set", "coset_action", "cut_function",
     "cyclic", "dihedral", "direct_product", "enumerate_subspaces",
     "exact_fraction", "find_petridis_witness", "find_taod_witness",
@@ -59,6 +58,6 @@ __all__ = [
     "min_image_ratio", "minimize_nonempty", "minimize_on_lattice",
     "natural_action", "permutation_representation",
     "representation_from_generator_matrices", "search",
-    "snapshot", "subspace_count", "subtract_modular", "symmetric",
+    "snapshot", "subspace_count", "symmetric",
     "target_growth",
 ]

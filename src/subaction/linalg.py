@@ -491,14 +491,3 @@ def check_lattice_submodular(fn: LatticeFunction) -> PropertyReport:
                     "U": U, "V": V, "lhs": lhs, "rhs": rhs})
     return PropertyReport(True, _EXHAUSTIVE)
 
-
-def check_lattice_invariance(fn: LatticeFunction) -> PropertyReport:
-    """fn(g.W) == fn(W) for every g and every subspace W, checked on the
-    generators, which come first in element order, so the first failing g
-    is the first failing element."""
-    subs = enumerate_subspaces(fn.rep.p, fn.rep.dim)
-    for g in fn.rep.group.generator_indices:
-        for W in subs:
-            if fn.value(fn.rep.act_subspace(g, W)) != fn.value(W):
-                return PropertyReport(False, _EXHAUSTIVE, {"g": g, "W": W})
-    return PropertyReport(True, _EXHAUSTIVE)

@@ -40,12 +40,6 @@ class Permutation:
             )
         return Permutation(tuple(self.images[y] for y in other.images))
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for x, y in enumerate(self.images):
-            inv[y] = x
-        return Permutation(tuple(inv))
-
     def is_identity(self) -> bool:
         return all(y == x for x, y in enumerate(self.images))
 

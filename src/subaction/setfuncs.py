@@ -198,39 +198,6 @@ def target_growth(action: GroupAction, A: Iterable[int], lam) -> SetFunction:
                        union_masks=masks, lam=lam)
 
 
-def cone_combination(parts: Sequence[tuple[object, SetFunction]]) -> SetFunction:
-    """Nonnegative rational combination; preserves submodularity and invariance."""
-    if not parts:
-        raise DomainError("need at least one term")
-    coefs = [exact_fraction(c) for c, _ in parts]
-    fns = [f for _, f in parts]
-    if any(c < 0 for c in coefs):
-        raise DomainError("coefficients must be nonnegative")
-    n = fns[0].ground_size
-    if any(f.ground_size != n for f in fns):
-        raise StructuralError("terms live on different ground sets")
-    label = " + ".join(f"{format_fraction(c)}*{f.label}" for c, f in zip(coefs, fns))
-
-    def fn(mask: int) -> Fraction:
-        return sum((c * f.value_mask(mask) for c, f in zip(coefs, fns)),
-                   Fraction(0))
-
-    return SetFunction(n, label, kind="generic", fn=fn)
-
-
-def subtract_modular(f: SetFunction, weights: Sequence, constant=0) -> SetFunction:
-    """f minus the modular function S -> constant + sum of point weights."""
-    w = [exact_fraction(x) for x in weights]
-    c = exact_fraction(constant)
-    if len(w) != f.ground_size:
-        raise StructuralError("need one weight per ground point")
-
-    def fn(mask: int) -> Fraction:
-        return f.value_mask(mask) - c - sum(w[b] for b in _set_of(mask))
-
-    return SetFunction(f.ground_size, f"{f.label} - modular", kind="generic", fn=fn)
-
-
 # -- exact scaled tables -------------------------------------------------------
 
 

@@ -258,7 +258,7 @@ def _oracle_closure(generators: list[Permutation]) -> dict:
             "generator_indices": [index[g] for g in gens],
             "_gen_rows": [[index[tuple(s[y] for y in f)] for f in elements]
                           for s in gens],
-            "inv_table": [index[Permutation(p).inverse().images]
+            "inv_table": [index[tuple(np.argsort(p).tolist())]
                           for p in elements]}
 
 

@@ -18,7 +18,6 @@ from subaction.groups import (affine_gl1, alternating, cyclic, dihedral,
 from subaction.actions import left_translation_action, natural_action
 from subaction.linalg import (LatticeFunction, Representation, Subspace,
                               actor_growth_linear, basis_table,
-                              check_lattice_invariance,
                               check_lattice_submodular, enumerate_subspaces,
                               gaussian_binomial, grassmannian,
                               minimize_on_lattice, permutation_representation,
@@ -323,7 +322,6 @@ def test_lattice_function_submodular_and_invariant():
     rep = _swap_rep()
     fn = LatticeFunction(rep, [0, 1], "1/2")
     assert check_lattice_submodular(fn).holds
-    assert check_lattice_invariance(fn).holds
 
 
 def test_lattice_submodularity_counterexample_detected():
@@ -380,25 +378,6 @@ def test_minimize_on_lattice_matches_brute_force(cap):
                     ([W for W in hits if W.dim == least], least)
     fn = LatticeFunction(rep_f2, range(6), "1")
     assert len({W.dim for W in minimize_on_lattice(fn).fragments}) == 3
-
-
-def test_lattice_invariance_failure_names_the_failing_generator():
-    # "holds e_2" is kept by the transposition (0 1) of S3 but not by the
-    # 3-cycle (0 1 2)
-    G = symmetric(3)
-    rep = permutation_representation(natural_action(G), 2)
-    turn = G.generator_indices[1]
-
-    class HoldsE2(LatticeFunction):
-        def value(self, W):
-            return Fraction(int(W.contains((0, 0, 1))))
-
-    report = check_lattice_invariance(HoldsE2(rep, [0], "0"))
-    assert not report.holds
-    assert report.counterexample["g"] == turn
-    W = report.counterexample["W"]
-    assert W.contains((0, 0, 1)) != rep.act_subspace(turn, W).contains(
-        (0, 0, 1))
 
 
 def test_large_primes_refused_before_int64_overflow():

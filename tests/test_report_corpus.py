@@ -66,3 +66,20 @@ def test_check_names_each_report_not_written_as_json_dumps_writes_it(
     assert capsys.readouterr().out.splitlines() == [
         "differs: run/orbits", "differs: search/cyclic",
         "differs: search/dihedral", f"3 requests differ from {path}"]
+
+
+def test_csv_requests_record_the_csv_text_of_an_earlier_report(
+        corpus, monkeypatch):
+    from subaction import cli
+    listed = corpus.requests()
+    monkeypatch.setattr(corpus, "CSV", ("run/orbits", "search/dihedral"))
+    monkeypatch.setattr(corpus, "requests", lambda: {**listed, **{
+        f"report/csv/{name}": ["report", "--format", "csv", "--in", name]
+        for name in corpus.CSV}})
+    res = corpus.results(corpus.ROOT)
+    for name, header in (("run/orbits", "index,task,"),
+                         ("search/dihedral", "kind,cursor,")):
+        csv_text = cli._to_csv(res[name]["report"])
+        assert csv_text.startswith(header)
+        assert res[f"report/csv/{name}"] == {
+            "exit": 0, "stderr": "", "report": csv_text}

@@ -23,10 +23,9 @@ from subaction.perms import from_cycles
 from subaction.search import FAMILIES, build_action, build_group
 from subaction.setfuncs import (Exhaustiveness, SetFunction, actor_growth,
                                 actor_growth_cut, check_invariance,
-                                check_submodular, cone_combination, core_set,
-                                cut_function, group_image_ratio,
-                                identity_atom, min_image_ratio,
-                                minimize_nonempty, subtract_modular,
+                                check_submodular, core_set, cut_function,
+                                group_image_ratio, identity_atom,
+                                min_image_ratio, minimize_nonempty,
                                 target_growth)
 from subaction.setfuncs import _scaled_table
 from subaction.theorems import check_hamidoune
@@ -275,46 +274,6 @@ def test_package_exports_resolve_once():
     assert "PropertyReport" in subaction.__all__
 
 
-def test_modular_shift_preserves_submodularity():
-    action = natural_action(symmetric(3))
-    f = cut_function(action)
-    g = subtract_modular(f, [Fraction(1, 2)] * f.ground_size, constant=3)
-    assert check_submodular(g).holds
-    assert g.value(()) == -3
-
-
-def test_cone_combination():
-    action = natural_action(symmetric(3))
-    f1, f2 = cut_function(action), target_growth(action, (0, 1), "1/2")
-    h = cone_combination([(2, f1), ("1/3", f2)])
-    m = 0b101
-    assert h.value_mask(m) == 2 * f1.value_mask(m) \
-        + Fraction(1, 3) * f2.value_mask(m)
-    with pytest.raises(DomainError):
-        cone_combination([(-1, f1)])
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.data())
-def test_random_cone_combinations_submodular(data):
-    # translation action: P(X) and P(G) coincide, so cut and growth mix
-    action = left_translation_action(cyclic(4))
-    parts = []
-    for _ in range(data.draw(st.integers(1, 3))):
-        coeff = Fraction(data.draw(st.integers(0, 4)),
-                         data.draw(st.integers(1, 3)))
-        kind = data.draw(st.sampled_from(["cut", "actor"]))
-        if kind == "cut":
-            parts.append((coeff, cut_function(action)))
-        else:
-            Y = tuple(data.draw(st.sets(st.integers(0, 3), min_size=1)))
-            lam = Fraction(data.draw(st.integers(0, 3)),
-                           data.draw(st.integers(1, 2)))
-            parts.append((coeff, actor_growth(action, Y, lam)))
-    h = cone_combination(parts)
-    assert check_submodular(h).holds
-
-
 # -- minimisation ---------------------------------------------------------------
 
 
@@ -374,6 +333,15 @@ def test_cut_table_matches_value_mask():
         assert table.tolist() == [f.value_mask(m) for m in range(1 << n)]
 
 
+def _shifted(f, weights, constant):
+    # a generic-kind SetFunction: f minus the modular S -> constant + w(S)
+    def fn(mask):
+        return f.value_mask(mask) - constant - sum(
+            w for b, w in enumerate(weights) if mask >> b & 1)
+    return SetFunction(f.ground_size, f"{f.label} - modular",
+                       kind="generic", fn=fn)
+
+
 _WIDE = (Fraction(1, 2 ** 41), Fraction(2 ** 62 + 1, 2 ** 62),
          Fraction(2 ** 70 + 1))
 
@@ -388,7 +356,7 @@ def test_wide_lambda_minima_match_the_fraction_oracle(lam, family):
                                        (0, 2), lam),
          "target": lambda: target_growth(left_translation_action(
              cyclic(12)), (0, 1, 4), lam),
-         "shifted": lambda: subtract_modular(
+         "shifted": lambda: _shifted(
              actor_growth(left_translation_action(cyclic(8)), (0, 3), lam),
              [Fraction(i, 2 ** 62 + 1) for i in range(8)],
              Fraction(1, 3))}[family]()

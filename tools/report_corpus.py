@@ -16,7 +16,9 @@ scenarios of `PATHS`, which reach what no other request does: the
 `matrices` and `swap` representations, a generated set, lambdas whose
 denominators pass 2^40, exits 2 and 3, and D70xD72, whose base-key
 table would pass 2^22 entries, so that its closure, lookups and products
-fall back to row bytes. The first form runs each request through
+fall back to row bytes, and `report --format csv` over the reports of the
+requests named in `CSV`, a run and a search, whose csv text is recorded
+as is. The first form runs each request through
 CHECKOUT's `subaction.cli.main` and writes its exit code, stderr and report, without `elapsed_seconds`; an exception that
 escapes `main` is recorded as the exit "crash", and the first form then
 names every such request and exits 1. A report whose text is not byte for
@@ -152,6 +154,12 @@ PATHS = {
 }
 
 
+# requests whose report `report --format csv --in` reads: a run's theorem
+# results and a search's findings
+CSV = ("run/paths/generate_fragment_bounds",
+       "search/dihedral_natural/kneser/53710")
+
+
 def requests() -> dict:
     """The corpus by request name: a search's argv, or a run scenario."""
     from subaction.search import FAMILIES, PREDICATES
@@ -166,22 +174,29 @@ def requests() -> dict:
     out.update({f"run/linear/{name}": sc for name, sc in LINEAR.items()})
     out.update({f"run/lattice/{name}": sc for name, sc in LATTICE.items()})
     out.update({f"run/paths/{name}": sc for name, sc in PATHS.items()})
+    out.update({f"report/csv/{name}": ["report", "--format", "csv", "--in",
+                                       name] for name in CSV})
     return out
 
 
 def results(checkout: str) -> dict:
     """Each request's exit code, stderr and report, run through
     CHECKOUT's `subaction.cli.main`; a report written other than as
-    `json.dumps` writes its document adds the key "noncanonical"."""
+    `json.dumps` writes its document adds the key "noncanonical"; a
+    `report --format csv` request's report is its csv text."""
     sys.path.insert(0, str(Path(checkout).resolve() / "src"))
     from subaction.cli import main
-    out = {}
+    out, texts = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in requests().items():
             if isinstance(argv, dict):  # a scenario, run from a file
                 path = Path(tmp, "scenario.json")
                 path.write_text(json.dumps(argv))
                 argv = ["run", str(path)]
+            elif argv[0] == "report":  # the report an earlier request wrote
+                path = Path(tmp, "report.json")
+                path.write_text(texts[argv[-1]])
+                argv = [*argv[:-1], str(path)]
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), \
                     contextlib.redirect_stderr(stderr):
@@ -190,6 +205,12 @@ def results(checkout: str) -> dict:
                 except Exception as e:  # a crash is recorded, not raised
                     code, stderr = "crash", io.StringIO(repr(e))
             text = stdout.getvalue()
+            if name in CSV:
+                texts[name] = text
+            if argv[0] == "report":
+                out[name] = {"exit": code, "stderr": stderr.getvalue(),
+                             "report": text}
+                continue
             doc = json.loads(text) if text else None
             out[name] = {"exit": code, "stderr": stderr.getvalue(),
                          "report": _strip(doc)}
