@@ -22,8 +22,8 @@ span dimensions) and the linear side's report key names (`span_dim`,
 `target_dim`, `subspace_stabilizer`, ...). What only one side has stays
 in one marked branch: murphy's orbits, small_growth's overlap, freiman's
 corollary and left-translation remark, hamidoune's A0 corollary and its
-minimisation (a min cut on the set side, a fold of span dimensions on
-the linear side), and taod's witness candidates.
+minimisation (`actor_growth_cut` on the set side, a fold of span
+dimensions on the linear side), and taod's witness candidates.
 """
 
 from __future__ import annotations
@@ -38,16 +38,16 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import config
-from ._kernels import SubsetFold, check_pair_ratio, words
+from ._kernels import SubsetFold, check_pair_ratio
 from .actions import GroupAction, natural_action
 from .errors import DomainError, InvariantError, StructuralError
-from .groups import Subgroup, symmetric
+from .groups import Subgroup, _membership, symmetric
 from .linalg import (Representation, Subspace, basis_table,
                      enumerate_subspaces, span_dims)
 from .rationals import exact_fraction, format_fraction
 from .setfuncs import (_EXHAUSTIVE, Exhaustiveness, _check_ground,
                        _chunk_rows, _fold_minimum, _mask_of, _sampling,
-                       _set_of, _union_sizes, actor_growth_cut,
+                       _saturated, _set_of, _union_sizes, actor_growth_cut,
                        group_image_ratio, identity_atom, minimize_nonempty,
                        target_growth)
 # perfbench/test_bench.py checks that tracing rebinds theorems.min_image_ratio
@@ -94,18 +94,43 @@ def _subset(items: Iterable[int], size: int, name: str = "A",
 
 
 def _sampled_sets(n: int, seed: int | None
-                  ) -> tuple[Iterator[list[int]], Exhaustiveness]:
+                  ) -> tuple[Iterator[np.ndarray], Exhaustiveness]:
     """The SAMPLE_COUNT cap's count of seeded random nonempty subsets of
-    range(n) as int masks, in draw order, in chunks of `_chunk_rows(n)`
-    masks; each chunk is drawn when the previous one has been used. `seed`
-    defaults to the DEFAULT_SEED cap."""
-    rng, exh = _sampling(seed)
-    rows, count = _chunk_rows(n), exh.samples
+    range(n) as word rows (`words`), in draw order, in chunks of at most
+    `_chunk_rows(n)` rows; each chunk is drawn when the previous one has
+    been used. `seed` defaults to the DEFAULT_SEED cap.
 
-    def chunks() -> Iterator[list[int]]:
-        for lo in range(0, count, rows):
-            yield [rng.getrandbits(n) or 1 << rng.randrange(n)
-                   for _ in range(min(rows, count - lo))]
+    The stream is that of `rng.getrandbits(n) or 1 << rng.randrange(n)`
+    per set. getrandbits(n) takes the next k = ceil(n/32) 32-bit outputs
+    of the generator, low word first, and shifts the last one right by
+    32k - n; getrandbits(32km) takes the next km outputs unshifted, so one
+    call draws m sets as the m rows of a k-column block. A row that is 0
+    ends its chunk there: the generator is set back and advanced past that
+    row, and the row becomes the point randrange(n) draws."""
+    rng, exh = _sampling(seed)
+    k, count = -(-n // 32), exh.samples
+    width = 2 * -(-n // 64)  # 32-bit halves of the 64-point words
+
+    def chunks() -> Iterator[np.ndarray]:
+        lo = 0
+        while lo < count:
+            m = min(_chunk_rows(n), count - lo)
+            state = rng.getstate()
+            block = np.zeros((m, width), dtype="<u4")
+            block[:, :k] = np.frombuffer(
+                rng.getrandbits(32 * k * m).to_bytes(4 * k * m, "little"),
+                dtype="<u4").reshape(m, k)
+            block[:, k - 1] >>= 32 * k - n
+            empty = (~block.any(axis=1)).nonzero()[0]
+            if empty.size:
+                m = int(empty[0]) + 1
+                rng.setstate(state)
+                rng.getrandbits(32 * k * m)
+                block = block[:m]
+                b = rng.randrange(n)
+                block[-1, b // 32] = 1 << b % 32
+            lo += m
+            yield block.view("<u8")
     return chunks(), exh
 
 
@@ -147,29 +172,30 @@ def _forall_actor_sets(left: _Side, right: _Side, alpha: Fraction,
     ascending mask order, its sizes read from each side's fold; past the
     kernel's MAX_N elements it is refused. Above the cap it is the seeded
     `_sampled_sets` stream in draw order, its sizes from each side's
-    `chunk_sizes`; each chunk becomes word rows once, for both sides. Each
+    `chunk_sizes`; each chunk is drawn as word rows, read by both sides. Each
     chunk of the stream goes through one `check_pair_ratio`, drawn only
     until one has a violation.
     """
     n = len(left.table)
     if n > config.cap("PETRIDIS_EXHAUSTIVE_MAX_ORDER"):
-        sampled, exh = _sampled_sets(n, seed)
-        chunks = ((chunk, words(chunk, -(-n // 64))) for chunk in sampled)
+        chunks, exh = _sampled_sets(n, seed)
         sizes = [side.chunk_sizes() for side in (left, right)]
     else:
         _check_ground("PETRIDIS_EXHAUSTIVE_MAX_ORDER", n,
                       "the for-all-C check enumerates every actor set")
         step, end = _chunk_rows(n), 1 << n
-        chunks = ((chunk, chunk) for chunk in (
-            np.arange(lo, min(lo + step, end)) for lo in range(1, end, step)))
+        chunks = (np.arange(lo, min(lo + step, end), dtype="<i8")
+                  for lo in range(1, end, step))
         exh = _EXHAUSTIVE
         sizes = [side.fold().pops.__getitem__ for side in (left, right)]
-    for chunk, key in chunks:
-        lhs, rhs = (size_of(key) for size_of in sizes)
+    for chunk in chunks:
+        lhs, rhs = (size_of(chunk) for size_of in sizes)
         ok, first, _checked = check_pair_ratio(lhs, rhs, alpha.numerator,
                                                alpha.denominator)
         if not ok:
-            return {"C": _set_of(int(chunk[first])), "lhs": int(lhs[first]),
+            # C is a mask or a word row: either way its little-endian bytes
+            C = int.from_bytes(chunk[first].tobytes(), "little")
+            return {"C": _set_of(C), "lhs": int(lhs[first]),
                     "rhs": alpha * int(rhs[first])}, exh
     return None, exh
 
@@ -544,11 +570,11 @@ def check_hamidoune(obj: GroupAction | Representation, Y, lam, A0=None
         if A0 is not None and lam > 0:
             A0 = _subset(A0, G.order, "A0")
             A0Y = obj.act_set(A0, t.Y)
-            M = frozenset(g for g in range(n)
-                          if obj.act_point_set(g, t.Y) <= A0Y)
+            M = _saturated(obj.table[:, list(t.Y)],
+                           _membership(obj.domain_size, list(A0Y)))
             checks["corollary_bound"] = \
-                lam * len(M) + t.target_size <= lam * H.order + len(A0Y)
-            details["saturated_actor_size"] = len(M)
+                lam * M.size + t.target_size <= lam * H.order + len(A0Y)
+            details["saturated_actor_size"] = M.size
             details["corollary_product_size"] = len(A0Y)
         elif A0 is not None:
             details["corollary_skipped"] = "corollary requires lambda > 0"

@@ -747,3 +747,89 @@ def test_cut_matches_the_lattice_above_the_ground_cap(name):
 def test_cut_refuses_a_negative_lambda():
     with pytest.raises(DomainError, match="nonnegative"):
         actor_growth_cut(natural_action(symmetric(3)), (0,), "-1/2")
+
+
+# -- the point side ------------------------------------------------------------
+
+
+@functools.cache
+def _route_action(name):
+    """A search pool action ("family:index"), or S6, S7 or A8 natural."""
+    if name in ("s6", "s7", "a8"):
+        return natural_action({"s6": lambda: symmetric(6),
+                               "s7": lambda: symmetric(7),
+                               "a8": lambda: alternating(8)}[name]())
+    family, i = name.split(":")
+    gspec, aspec = FAMILIES[family][int(i)]
+    return build_action(build_group(gspec), aspec)
+
+
+_ROUTE_ACTIONS = [f"{family}:{i}" for family, specs in FAMILIES.items()
+                  for i in range(len(specs))] + ["s6", "s7", "a8"]
+
+
+def _by_route(action, Y, lam, route):
+    """`actor_growth_cut` forced through the point side or the cut."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(setfuncs, "_POINT_SIDE_WORK",
+                   1 << 64 if route == "point" else -1)
+        return actor_growth_cut(action, Y, lam)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_point_side_matches_the_cut(data):
+    # value and least minimiser containing e, on every search family and on
+    # S6, S7 and A8 natural, at lambda = mu {1/4, 1/2, 3/4, 1} and at a
+    # lambda whose denominator passes 2^63 (scored in Python ints)
+    action = _route_action(data.draw(st.sampled_from(_ROUTE_ACTIONS)))
+    d = action.domain_size
+    Y = sorted(data.draw(st.sets(st.integers(0, d - 1), min_size=1,
+                                 max_size=min(d, 5)), label="Y"))
+    free = len(action.act_set(range(action.group.order), Y)) - len(Y)
+    if free > 16:
+        return  # 2^free counts: the point side is the wrong route here
+    mu = group_image_ratio(action, Y)
+    lam = data.draw(st.sampled_from((Fraction(1, 4), Fraction(1, 2),
+                                     Fraction(3, 4), 1, "wide")), label="lam")
+    lam = mu - Fraction(1, 2 ** 64 * mu.denominator) if lam == "wide" \
+        else mu * lam
+    point = _by_route(action, Y, lam, "point")
+    assert point == _by_route(action, Y, lam, "cut")
+    assert actor_growth_cut(action, Y, lam) == point
+
+
+@pytest.mark.parametrize("route", ["point", "cut"])
+def test_zero_lambda_gives_the_identity_not_the_stabilizer(route):
+    # at lam = 0 every U = Y minimises, but the least minimiser containing
+    # e is {e}, not A_Y = G_Y (order 6 here)
+    action = natural_action(symmetric(4))
+    assert action.set_stabilizer((0,)).order == 6
+    assert _by_route(action, (0,), 0, route) == (1, frozenset({0}))
+
+
+def test_point_side_scores_past_a_byte():
+    # C12 translation with |Y| = 7 takes the point side by default; for
+    # q = 24 and 256 the scaled sizes q |U| pass 255, where a uint8
+    # popcount wraps; the answers are the cut's
+    action = left_translation_action(cyclic(12))
+    Y = (0, 1, 2, 3, 5, 7, 8)
+    for lam in (Fraction(11, 12), Fraction(1, 3), Fraction(7, 24),
+                Fraction(255, 256)):
+        assert actor_growth_cut(action, Y, lam) == _by_route(
+            action, Y, lam, "cut")
+
+
+def test_route_rule_keeps_large_point_sets_on_the_cut(monkeypatch):
+    # C20 translation with |Y| = 2: 18 * 2^18 counts past 256 * 20 * 3
+    # arcs, so the cut runs and the point side does not
+    calls = []
+    real = setfuncs._point_side_minimum
+    monkeypatch.setattr(setfuncs, "_point_side_minimum",
+                        lambda *a: calls.append(1) or real(*a))
+    action = left_translation_action(cyclic(20))
+    assert actor_growth_cut(action, (0, 1), Fraction(1, 20)) == (
+        Fraction(39, 20), frozenset({0}))
+    assert calls == []
+    actor_growth_cut(natural_action(dihedral(8)), (0,), Fraction(1, 4))
+    assert calls == [1]

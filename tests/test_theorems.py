@@ -5,7 +5,10 @@ import itertools
 import json
 import math
 import operator
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -15,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subaction import config, setfuncs, theorems
+from subaction import config, groups, setfuncs, theorems
 from subaction._kernels import SubsetFold, words
 from subaction.actions import (conjugation_action, left_translation_action,
                                natural_action)
@@ -727,6 +730,51 @@ def test_tao_doubling_clause_reporting():
     assert "actor_at_least_target" in rep.details["failed_clauses"]
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_hamidoune_saturated_set_is_the_loop(family):
+    # M = {g : g.Y inside A0.Y}, as one gather, on every pool action of
+    # every search family, against the loop over G
+    rng = random.Random(family)
+    pool = _Pool(family)
+    for i in range(len(pool)):
+        action = pool[i][0]
+        G, d = action.group, action.domain_size
+        for _ in range(3):
+            Y = sorted(rng.sample(range(d), rng.randint(1, min(d, 3))))
+            A0 = rng.sample(range(G.order), rng.randint(1, min(G.order, 4)))
+            A0Y = action.act_set(A0, Y)
+            loop = [g for g in range(G.order)
+                    if action.act_point_set(g, Y) <= A0Y]
+            got = setfuncs._saturated(
+                action.table[:, Y], groups._membership(d, list(A0Y)))
+            assert got.tolist() == loop
+            mu = setfuncs.group_image_ratio(action, Y)
+            rep = check_hamidoune(action, Y, mu / 2, A0)
+            assert rep.details["saturated_actor_size"] == len(loop)
+
+
+def test_hamidoune_imports_no_masked_arrays():
+    # the set-side route finds G.Y from a hit array, not np.unique, whose
+    # first call imports numpy.ma
+    code = (
+        "import sys\n"
+        "from subaction.actions import left_translation_action, "
+        "natural_action\n"
+        "from subaction.groups import cyclic, symmetric\n"
+        "from subaction.theorems import check_hamidoune\n"
+        "assert check_hamidoune(natural_action(symmetric(4)), (0, 1), "
+        "'1/12', (1, 2)).conclusion_holds\n"
+        "assert check_hamidoune(left_translation_action(cyclic(12)), (0,), "
+        "'1/2', (1, 2)).conclusion_holds\n"
+        "print('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(theorems.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
+
+
 def test_tao_doubling_epsilon_positive():
     action = left_translation_action(cyclic(4))
     with pytest.raises(DomainError):
@@ -1158,9 +1206,59 @@ def test_sampled_sets_chunk_the_reference_stream(monkeypatch):
     monkeypatch.setattr(theorems, "_chunk_rows", lambda width: 3)
     with config.overrides({"SAMPLE_COUNT": 10}):
         chunks, exh = theorems._sampled_sets(70, 5)
+        chunks = list(chunks)
     assert exh == Exhaustiveness("sampled", 10, 5)
-    got = [list(theorems._set_of(m)) for m in itertools.chain(*chunks)]
-    assert [sorted(C) for C in got] == list(_reference_stream(70, 10, 5))
+    assert all(len(chunk) <= 3 for chunk in chunks)
+    got = [sorted(theorems._set_of(int.from_bytes(row.tobytes(), "little")))
+           for row in np.concatenate(chunks)]
+    assert got == list(_reference_stream(70, 10, 5))
+
+
+def _reference_words(n, samples, seed):
+    """The sampled sets one draw at a time as `words` rows, and the
+    generator's state after the last draw."""
+    rng = random.Random(seed)
+    masks = [rng.getrandbits(n) or 1 << rng.randrange(n)
+             for _ in range(samples)]
+    return words(masks, -(-n // 64)), rng.getstate()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, None])
+def test_block_draws_match_the_per_draw_stream(rows, monkeypatch):
+    # every n in 1..400 (n = 1 draws the empty set half the time, and the
+    # stream redraws it as a point), with chunks of 1-3 rows and of the
+    # default size; the generator ends in the per-draw stream's state
+    if rows:
+        monkeypatch.setattr(theorems, "_chunk_rows", lambda width: rows)
+    states = []
+    real = theorems._sampling
+
+    def sampling(seed):
+        rng, exh = real(seed)
+        states.append(rng)
+        return rng, exh
+    monkeypatch.setattr(theorems, "_sampling", sampling)
+    for n in range(1, 401):
+        seed = n * 7919
+        with config.overrides({"SAMPLE_COUNT": 24}):
+            chunks, _exh = theorems._sampled_sets(n, seed)
+            got = np.concatenate(list(chunks))
+        want, state = _reference_words(n, 24, seed)
+        assert got.dtype == want.dtype and got.shape == want.shape, n
+        assert np.array_equal(got, want), n
+        assert states.pop().getstate() == state, n
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 64])
+def test_getrandbits_of_32m_bits_is_m_words_low_first(m):
+    # the layout the block draw reads: one call of 32m bits is the next m
+    # 32-bit outputs of the generator, the first in the lowest word
+    for seed in (0, 1, 12345):
+        one, many = random.Random(seed), random.Random(seed)
+        block = one.getrandbits(32 * m)
+        assert block == sum(many.getrandbits(32) << 32 * i
+                            for i in range(m))
+        assert one.getstate() == many.getstate()
 
 
 @settings(max_examples=200, deadline=None)
