@@ -647,10 +647,31 @@ def _verify_subgroup(G: FiniteGroup, members: frozenset[int]) -> None:
     if not members.issuperset(G.inv_table[arr].tolist()):
         raise InvariantError("set is not inverse-closed")
     member = _membership(G.order, arr)
-    step = max(1, _PRODUCT_BLOCK // arr.size)  # rows of products per block
-    for lo in range(0, arr.size, step):
-        if not member[G._products(arr[lo:lo + step], arr)].all():
+    if arr.size ** 2 <= _PRODUCT_BLOCK:  # every product, in one block
+        if not member[G._products(arr, arr)].all():
             raise InvariantError("set is not product-closed")
+        return
+    # H is product-closed exactly when it is the subgroup its members
+    # generate. Each generator is the least member outside the subgroup
+    # <S> of those before it, so it at least doubles <S>: at most
+    # log2 |H| generators, and <S> grows by multiplying each element by
+    # each generator once, refused as soon as a product leaves H
+    reached = _membership(G.order, [0])
+    gens: list[int] = []
+    while True:
+        missing = arr[~reached[arr]]
+        if not missing.size:
+            return
+        gens.append(int(missing[0]))
+        # the old elements need only the new generator
+        new, by = np.flatnonzero(reached), gens[-1:]
+        while new.size:
+            prods = G._products(new, by).ravel()
+            if not member[prods].all():
+                raise InvariantError("set is not product-closed")
+            new = np.unique(prods[~reached[prods]])
+            reached[new] = True
+            by = gens
 
 
 @dataclass(frozen=True)

@@ -38,11 +38,11 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import config
-from ._kernels import SubsetFold, check_pair_ratio
+from ._kernels import SubsetFold, check_pair_ratio, words
 from .actions import GroupAction, natural_action
 from .errors import DomainError, InvariantError, StructuralError
 from .groups import Subgroup, _membership, symmetric
-from .linalg import (Representation, Subspace, basis_table,
+from .linalg import (Representation, Subspace, _rref, basis_table,
                      enumerate_subspaces, span_dims)
 from .rationals import exact_fraction, format_fraction
 from .setfuncs import (_EXHAUSTIVE, Exhaustiveness, _check_ground,
@@ -142,7 +142,8 @@ class _Side(NamedTuple):
 
     Its join sizes are read two ways, and this module reads them only
     here: `fold`, over every subset of the table, and `chunk_sizes`, over
-    chunks of sampled masks given as word rows."""
+    chunks of sampled masks given as word rows. `bounds` bounds them from
+    |C| alone."""
     table: list[int] | np.ndarray
     p: int = 0
 
@@ -160,6 +161,37 @@ class _Side(NamedTuple):
             return partial(span_dims, self.p, self.table)
         return _union_sizes(self.table)
 
+    def bounds(self) -> tuple[list[int], list[int]]:
+        """Lists lo and hi with lo[k] <= |join(C)| <= hi[k] for every C
+        of k entries, k = 0..n; the empty join has size 0.
+
+        Let s0 and s1 be the least and the greatest size of one entry
+        (popcount, or dimension) and top the size of the join of all (the
+        popcount of the union, or the rank of all basis rows by one RREF,
+        which is cheaper than a `span_dims` row). The
+        join of C holds each of its k entries and lies in the join of all,
+        so |join(C)| >= s0 and |join(C)| <= min(top, k s1). For masks, let
+        d be the most entries that hold any one point. Counting the pairs
+        (c, x) with c in C and x in row c gives at least k s0 of them, and
+        each point x of the join lies in at most d rows, so d |join(C)| >=
+        k s0 and lo[k] = max(s0, ceil(k s0 / d)); no point is held when
+        d = 0, and then s0 = 0."""
+        n = len(self.table)
+        if self.p:
+            sizes = np.count_nonzero(self.table.any(axis=2), axis=1)
+            rows = self.table.reshape(-1, self.table.shape[2])
+            top, d = len(_rref(self.p, rows[rows.any(axis=1)].tolist())), 0
+        else:
+            union = reduce(operator.or_, self.table)
+            sizes, top = [m.bit_count() for m in self.table], union.bit_count()
+            held = np.unpackbits(words(self.table, max(
+                1, -(-union.bit_length() // 64))).view(np.uint8), axis=1)
+            d = int(held.sum(axis=0, dtype=np.int64).max())
+        s0, s1 = int(min(sizes)), int(max(sizes))
+        lo = [0] + [max(s0, -(-k * s0 // d)) if d else s0
+                    for k in range(1, n + 1)]
+        return lo, [min(top, k * s1) for k in range(n + 1)]
+
 
 def _forall_actor_sets(left: _Side, right: _Side, alpha: Fraction,
                        seed: int | None
@@ -172,29 +204,53 @@ def _forall_actor_sets(left: _Side, right: _Side, alpha: Fraction,
     ascending mask order, its sizes read from each side's fold; past the
     kernel's MAX_N elements it is refused. Above the cap it is the seeded
     `_sampled_sets` stream in draw order, its sizes from each side's
-    `chunk_sizes`; each chunk is drawn as word rows, read by both sides. Each
-    chunk of the stream goes through one `check_pair_ratio`, drawn only
-    until one has a violation.
+    `chunk_sizes`; each chunk is drawn as word rows, read by both sides.
+
+    Counting comes first. A size k is settled when den hi[k] <= num lo[k]
+    for the left side's upper and the right side's lower bound
+    (`_Side.bounds`), alpha = num/den: then every C of k entries has
+    den |left| <= den hi[k] <= num lo[k] <= num |right|. The comparison is
+    in Python ints, exact for any alpha. When every size is settled the
+    exhaustive stream builds no fold; the sampled stream still draws every
+    chunk, so its report's seed and count are those of the sets checked.
+    A violating C is never settled, so the join sizes of only the
+    unsettled C of each chunk go through one `check_pair_ratio`, and each
+    side's fold or chunk reader is built when the first of them is
+    reached; chunks are drawn only until one has a violation.
     """
     n = len(left.table)
-    if n > config.cap("PETRIDIS_EXHAUSTIVE_MAX_ORDER"):
-        chunks, exh = _sampled_sets(n, seed)
-        sizes = [side.chunk_sizes() for side in (left, right)]
-    else:
+    sampled = n > config.cap("PETRIDIS_EXHAUSTIVE_MAX_ORDER")
+    if not sampled:
         _check_ground("PETRIDIS_EXHAUSTIVE_MAX_ORDER", n,
                       "the for-all-C check enumerates every actor set")
+    num, den = alpha.numerator, alpha.denominator
+    upper, lower = left.bounds()[1], right.bounds()[0]
+    unsettled = np.array([den * h > num * l for h, l in zip(upper, lower)])
+    if sampled:
+        chunks, exh = _sampled_sets(n, seed)
+    elif not unsettled.any():
+        return None, _EXHAUSTIVE
+    else:
         step, end = _chunk_rows(n), 1 << n
         chunks = (np.arange(lo, min(lo + step, end), dtype="<i8")
                   for lo in range(1, end, step))
         exh = _EXHAUSTIVE
-        sizes = [side.fold().pops.__getitem__ for side in (left, right)]
+    sizes = None
     for chunk in chunks:
-        lhs, rhs = (size_of(chunk) for size_of in sizes)
-        ok, first, _checked = check_pair_ratio(lhs, rhs, alpha.numerator,
-                                               alpha.denominator)
+        # |C| of each mask, or of each word row
+        cards = np.bitwise_count(chunk).reshape(len(chunk), -1).sum(axis=1)
+        at = np.flatnonzero(unsettled[cards])
+        if not at.size:
+            continue
+        if sizes is None:
+            sizes = [side.chunk_sizes() if sampled
+                     else side.fold().pops.__getitem__
+                     for side in (left, right)]
+        lhs, rhs = (size_of(chunk[at]) for size_of in sizes)
+        ok, first, _checked = check_pair_ratio(lhs, rhs, num, den)
         if not ok:
             # C is a mask or a word row: either way its little-endian bytes
-            C = int.from_bytes(chunk[first].tobytes(), "little")
+            C = int.from_bytes(chunk[at[first]].tobytes(), "little")
             return {"C": _set_of(C), "lhs": int(lhs[first]),
                     "rhs": alpha * int(rhs[first])}, exh
     return None, exh
@@ -365,9 +421,9 @@ def kneser_example_instance(n: int, k: int, ell: int,
         raise DomainError("need 1 <= k <= ell < n")
     action = action or natural_action(symmetric(n))
     Y = tuple(range(k))
-    inside = set(range(ell))
-    A = tuple(g for g in range(action.group.order)
-              if set(action.table[g][:k].tolist()) <= inside)
+    # g maps Y = {0..k-1} into {0..ell-1}
+    A = tuple(np.flatnonzero((action.table[:, :k] < ell).all(axis=1))
+              .tolist())
     expected = {
         "actor_size": math.factorial(ell) // math.factorial(ell - k)
         * math.factorial(n - k),
@@ -611,9 +667,11 @@ def find_petridis_witness(obj: GroupAction | Representation, A, Y, alpha,
     B = tuple(a for i, a in enumerate(A) if (wmask >> i) & 1)
     ratio = Fraction(p, q)
     BY = t.image(B, t.Y)
+    # the right side is G on itself: the translates cB, in one gather
     counterexample, exh = _forall_actor_sets(
         t.side(t.translates(BY)),
-        _Side([_mask_of(G.translate_set(c, B)) for c in range(G.order)]),
+        _Side([_mask_of(cB) for cB in
+               G._products(np.arange(G.order), B).tolist()]),
         alpha, seed)
     return _verdict(
         "petridis", {"forall_actor_sets": counterexample is None,
@@ -704,18 +762,21 @@ def find_taod_witness(obj: GroupAction | Representation, A, Y, alpha,
     else:
         _check_ground("MAX_EXHAUSTIVE_GROUND", len(t.Y),
                       "witness search enumerates subsets of Y")
-        p, q, wmask = _Side([_mask_of(obj.act_set(A, (pt,)))
-                             for pt in t.Y]).fold().min_ratio()
+        # the mask of A.y for each y in Y: a column of one gather
+        p, q, wmask = _Side([_mask_of(Ay) for Ay in obj.table[
+            np.ix_(A, t.Y)].T.tolist()]).fold().min_ratio()
         Z = frozenset(y for i, y in enumerate(t.Y) if (wmask >> i) & 1)
         ratio = Fraction(p, q)
-    CZ = t.translates(Z)
+    # G is Abelian, so A.(c.Z) = c.(A.Z): the left side is the
+    # translates of one image
     counterexample, exh = _forall_actor_sets(
-        t.side([t.image(A, cz) for cz in CZ]), t.side(CZ), alpha, seed)
+        t.side(t.translates(t.image(A, Z))), t.side(t.translates(Z)),
+        alpha, seed)
 
-    powers, Ak = {}, frozenset({G.identity_index})
+    powers, AkZ = {}, Z
     for k in range(1, n_max + 1):
-        Ak = G.product_set(Ak, A)  # A^k = A^(k-1) A
-        powers[k] = t.size(t.image(Ak, Z)) <= alpha ** k * t.size(Z)
+        AkZ = t.image(A, AkZ)  # A^k.Z = A.(A^(k-1).Z)
+        powers[k] = t.size(AkZ) <= alpha ** k * t.size(Z)
     return _verdict(
         "taod", counterexample is None and all(powers.values()), {"Z": Z},
         {"witness_ratio": ratio, "alpha": alpha, "power_checks": powers},

@@ -783,7 +783,8 @@ def test_subgroup_orders_divide():
 
 @pytest.mark.parametrize("block", [1, 7, 1 << 20])
 def test_subgroup_check_in_product_blocks(block, monkeypatch):
-    # blocks of one row of products up to the whole check at once
+    # the whole check in one block of products, or, past it, <S> grown
+    # from generators in blocks of one or a few rows of products
     monkeypatch.setattr(groups, "_PRODUCT_BLOCK", block)
     G = symmetric(4)
     for H in G.subgroups():
@@ -795,10 +796,41 @@ def test_subgroup_check_in_product_blocks(block, monkeypatch):
         Subgroup(G, bad)
 
 
+@pytest.mark.parametrize("build", [partial(symmetric, 4), partial(dihedral, 6),
+                                   partial(cyclic, 12),
+                                   partial(alternating, 4),
+                                   lambda: direct_product(cyclic(2),
+                                                          cyclic(6))])
+def test_subgroup_check_by_generators_matches_every_product(build,
+                                                            monkeypatch):
+    # past one block of 4 products, every set of 3 or more members is
+    # checked by growing <S> from generators; it must accept exactly the
+    # sets closed under all products: the subgroups, and subgroups with a
+    # member and its inverse taken out or put in
+    G = build()
+    subs = [H.members for H in G.subgroups()]
+    monkeypatch.setattr(groups, "_PRODUCT_BLOCK", 4)
+    inv = G.inv_table.tolist()
+    candidates = set(subs)
+    for H in subs:
+        for g in range(1, G.order):
+            candidates.add(frozenset(H ^ {g, inv[g]}))
+    for S in candidates:
+        closed = all(G.mul(a, b) in S for a in S for b in S)
+        try:
+            assert Subgroup(G, S).members == S
+        except InvariantError as e:
+            assert str(e) == "set is not product-closed"
+            assert not closed
+        else:
+            assert closed
+
+
 def test_subgroup_check_peak_memory_is_block_bounded():
     # the point stabilizer A7 inside A8, with no multiplication table:
-    # all 2520^2 products in one array peaked at 33.5 MB, and checking
-    # them in blocks of _PRODUCT_BLOCK products at 13.2 MB
+    # all 2520^2 products in one array peaked at 33.5 MB, checking them in
+    # blocks of _PRODUCT_BLOCK products at 13.2 MB, and growing <S> from
+    # generators at 2.3 MB
     G = alternating(8)
     assert G.mul_table is None
     members = frozenset(np.flatnonzero(G.images[:, 7] == 7).tolist())

@@ -1,4 +1,5 @@
-"""G-symmetry as an oracle for hamidoune, tao_doubling and mu.
+"""G-symmetry as an oracle for hamidoune, tao_doubling, mu, petridis and
+taod.
 
 c_Y(A) = |A.Y| - lam|A| is G-invariant: for h in G,
 (hAh^-1).(h.Y) = h.(A.Y), so moving the target Y to h.Y and the actor sets
@@ -6,20 +7,25 @@ A and A0 to hAh^-1 and hA0h^-1 keeps every size. The verdicts and every
 scalar in the details must then be equal, and the least minimiser
 containing e, unique by definition, must move to its conjugate. Unlike a
 brute-force oracle this holds at every size, so it also checks the point
-side and the cut of `actor_growth_cut` on S7 and A8 natural.
+side and the cut of `actor_growth_cut` on S7 and A8 natural. petridis is
+moved the same way, and taod by a relabelling of the domain, which keeps
+every size of its target side; their witnesses are tie-broken by index,
+so only their verdicts and scalar details must agree.
 """
 
 import functools
 import random
 
+import numpy as np
 import pytest
 
 from subaction import setfuncs
-from subaction.actions import natural_action
+from subaction.actions import GroupAction, natural_action
 from subaction.groups import alternating, symmetric
 from subaction.search import FAMILIES, _draw, _Pool
 from subaction.setfuncs import group_image_ratio, min_image_ratio
-from subaction.theorems import check_hamidoune, check_tao_small_doubling
+from subaction.theorems import (check_hamidoune, check_tao_small_doubling,
+                                find_petridis_witness, find_taod_witness)
 
 
 def _conjugate(G, h, A):
@@ -93,6 +99,43 @@ def test_search_draws_are_g_symmetric(family):
         h = rng.randrange(action.group.order)
         _check_tao_doubling(action, h, scenario["sets"],
                             scenario["tasks"][0]["epsilon"])
+
+
+def _relabelled(action, perm):
+    """The action whose point perm[x] plays the part of x."""
+    perm = np.asarray(perm)
+    table = np.empty_like(action.table)
+    table[:, perm] = perm[action.table]
+    return GroupAction(action.group, action.domain_size, table)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_petridis_and_taod_draws_are_symmetric(family):
+    # 60 petridis draws per family, A and Y moved by a random h, and 60
+    # taod draws on the Abelian entries, the domain relabelled; S4, S5, A5
+    # and Aff(5) draws run the sampled for-all-C stream
+    pool = _Pool(family)
+    for cursor in range(60):
+        rng = random.Random(f"symmetry:petridis:{family}:{cursor}")
+        action, scenario = _draw(rng, pool, "petridis")
+        h = rng.randrange(action.group.order)
+        sets, alpha = scenario["sets"], scenario["tasks"][0]["alpha"]
+        moved = _moved(action, h, sets)
+        rep = find_petridis_witness(action, sets["A"], sets["Y"], alpha)
+        rep_h = find_petridis_witness(action, moved["A"], moved["Y"], alpha)
+        _assert_same_verdict(rep, rep_h)
+        assert rep_h.exhaustiveness == rep.exhaustiveness
+
+        action, scenario = _draw(rng, pool, "taod")
+        if not action.group.is_abelian():
+            continue
+        perm = rng.sample(range(action.domain_size), action.domain_size)
+        sets, alpha = scenario["sets"], scenario["tasks"][0]["alpha"]
+        rep = find_taod_witness(action, sets["A"], sets["Y"], alpha)
+        rep_p = find_taod_witness(_relabelled(action, perm), sets["A"],
+                                  [perm[y] for y in sets["Y"]], alpha)
+        _assert_same_verdict(rep, rep_p)
+        assert rep_p.exhaustiveness == rep.exhaustiveness
 
 
 @functools.cache

@@ -98,6 +98,21 @@ def test_kneser_formula_grid():
                 assert rep.conclusion_holds == (ell == k)
 
 
+def test_kneser_example_actors_match_the_element_loop():
+    # A is every g with g({0..k-1}) inside {0..ell-1}, as the set test
+    # over each element of G reads it
+    for n in range(4, 8):
+        action = natural_action(symmetric(n))
+        for ell in range(1, n):
+            inside = set(range(ell))
+            for k in range(1, ell + 1):
+                loop = tuple(g for g in range(action.group.order)
+                             if set(action.table[g][:k].tolist()) <= inside)
+                _action, A, _Y, expected = kneser_example_instance(
+                    n, k, ell, action)
+                assert A == loop and len(A) == expected["actor_size"]
+
+
 def test_kneser_example_domain():
     with pytest.raises(DomainError):
         kneser_example_instance(4, 0, 2)
@@ -385,6 +400,24 @@ def test_hamidoune_past_the_lattice_cap():
         action.set_stabilizer((0, 1)).members
     assert rep.details["subgroup_order"] == 240
     assert rep.details["subgroup_growth"] == Fraction(11, 6)
+
+
+def test_hamidoune_verifies_the_whole_a8_by_generators(monkeypatch):
+    # at lambda = mu on A8 natural, H is all of A8: its check grows <S>
+    # from a few generators, not from all |H|^2 = 4 * 10^8 products
+    G = groups.alternating(8)
+    action = natural_action(G)
+    count = []
+    real = FiniteGroup._products
+
+    def counted(self, a, b):
+        out = real(self, a, b)
+        count.append(out.size)
+        return out
+    monkeypatch.setattr(FiniteGroup, "_products", counted)
+    rep = check_hamidoune(action, [0, 1], Fraction(8, G.order))
+    assert rep.conclusion_holds and rep.details["subgroup_order"] == G.order
+    assert sum(count) <= 16 * G.order
 
 
 def test_hamidoune_lambda_out_of_range():
@@ -859,9 +892,9 @@ def test_taod_witness_and_powers():
         Ak = G.product_set(Ak, A)
 
 
-def test_taod_builds_each_power_once(monkeypatch):
-    # A^k = A^(k-1) A: one product_set per k, and the same checks as the
-    # powers built here
+def test_taod_forms_no_product_set(monkeypatch):
+    # A^k.Z = A.(A^(k-1).Z): no power of A is formed, and the checks are
+    # those of the powers A^k built here
     G = cyclic(12)
     action = left_translation_action(G)
     A, Y, n_max = (0, 1, 5), (0, 2, 3, 7), 7
@@ -870,12 +903,12 @@ def test_taod_builds_each_power_once(monkeypatch):
     monkeypatch.setattr(type(G), "product_set",
                         lambda self, *args: calls.append(1) or real(self, *args))
     rep = find_taod_witness(action, A, Y, "3", n_max=n_max)
-    assert len(calls) == n_max
+    assert calls == []
     Z = sorted(rep.witnesses["Z"])
     checks, Ak = {}, frozenset(A)
     for k in range(1, n_max + 1):
         checks[k] = action.image_size(Ak, Z) <= 3 ** k * len(Z)
-        Ak = G.product_set(Ak, A)
+        Ak = real(G, Ak, A)
     assert rep.details["power_checks"] == checks
 
 
@@ -1113,15 +1146,16 @@ def test_forall_actor_sets_matches_brute_force(data):
         got = _forall(left, right, alpha, None)
         assert got == (expected, Exhaustiveness("exhaustive"))
         # every side, wide masks and subspaces included, is compared by the
-        # one comparator, in one chunk at this size
-        assert calls == [1]
+        # one comparator, in one chunk at this size, or not at all when
+        # counting settles every |C|
+        assert len(calls) <= 1
         masks = all(isinstance(m, int) and m < 1 << 64 for m in left + right)
         if masks and any(left + right):
             # the same sets 64 bits up, in the kernel's second word, must
-            # give the same answer
+            # give the same answer, from the same bounds
             wide = _forall([m << 64 for m in left],
                            [m << 64 for m in right], alpha, None)
-            assert calls == [1, 1] and wide == got
+            assert calls == 2 * calls[:1] and wide == got
 
     samples, seed = data.draw(st.integers(1, 40)), data.draw(st.integers(0, 99))
     rows = data.draw(st.integers(1, 3))
@@ -1133,6 +1167,144 @@ def test_forall_actor_sets_matches_brute_force(data):
     exh = Exhaustiveness("sampled", samples, seed)
     assert got == (_brute_first_violation(
         left, right, alpha, _reference_stream(n, samples, seed)), exh)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_side_bounds_hold_for_every_c(data):
+    # lo[|C|] <= |join(C)| <= hi[|C|] for every C, on narrow masks, masks
+    # across the 64-bit boundary and subspaces of F_2^3 and F_3^3, whose
+    # entries differ in size
+    n = data.draw(st.integers(1, 7))
+    table = _verifier_table(data, n)
+    side = theorems._Side(basis_table(table), table[0].p) \
+        if isinstance(table[0], Subspace) else theorems._Side(table)
+    lo, hi = side.bounds()
+    assert lo[0] == hi[0] == 0 and len(lo) == len(hi) == n + 1
+    for m in range(1, 1 << n):
+        C = [c for c in range(n) if m >> c & 1]
+        assert lo[len(C)] <= _brute_size(table, C) <= hi[len(C)]
+
+
+def test_side_bounds_of_a_group_on_itself():
+    # each element lies in exactly |B| translates cB, so lo[k] is
+    # max(|B|, k), reached by C = B^-1 for k = |B|; hi[k] is min(|G|, k|B|)
+    G = dihedral(5)
+    for B in ((0,), (0, 3), (1, 2, 7), tuple(range(10))):
+        lo, hi = theorems._Side([setfuncs._mask_of(G.translate_set(c, B))
+                                 for c in range(G.order)]).bounds()
+        assert lo == [0] + [max(len(B), k) for k in range(1, 11)]
+        assert hi == [min(10, k * len(B)) for k in range(11)]
+
+
+def _counted(mp, owner, name):
+    """The list that grows by one entry per call of owner.name."""
+    calls = []
+    real = getattr(owner, name)
+    mp.setattr(owner, name,
+               lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def test_settled_sizes_build_no_fold_and_read_no_join(monkeypatch):
+    # C8 on itself with A = Y = {0} and alpha = 1: B = {0}, and
+    # |C.BY| = |CB| = |C| meets the bound with equality at every size, so
+    # counting settles every C: no fold past the witness search over A, no
+    # comparison, and above the cap no chunk reader, every chunk drawn
+    folds = _counted(monkeypatch, theorems._Side, "fold")
+    readers = _counted(monkeypatch, theorems._Side, "chunk_sizes")
+    ratios = _counted(monkeypatch, theorems, "check_pair_ratio")
+    rep = find_petridis_witness(left_translation_action(cyclic(8)), (0,),
+                                (0,), "1")
+    assert rep.conclusion_holds and rep.exhaustiveness.kind == "exhaustive"
+    assert len(folds) == 1 and ratios == []
+    drawn = []
+    real = theorems._sampled_sets
+
+    def sampled_sets(n, seed):
+        chunks, exh = real(n, seed)
+        return (drawn.append(len(c)) or c for c in chunks), exh
+    monkeypatch.setattr(theorems, "_sampled_sets", sampled_sets)
+    with config.overrides({"SAMPLE_COUNT": 3000}):
+        rep = find_petridis_witness(left_translation_action(cyclic(20)),
+                                    (0,), (0,), "1", seed=4)
+    assert rep.conclusion_holds
+    assert rep.exhaustiveness == Exhaustiveness("sampled", 3000, 4)
+    assert len(folds) == 2 and ratios == [] and readers == []
+    assert sum(drawn) == 3000
+
+
+def test_sampled_petridis_on_s5_reads_no_join(monkeypatch):
+    # |C.BY| <= |G.Y| = 5 while |CB| >= max(|B|, |C|): on S5 natural no
+    # draw of the sampled stream reaches a join
+    readers = _counted(monkeypatch, theorems._Side, "chunk_sizes")
+    action = natural_action(symmetric(5))
+    A = sorted(action.set_stabilizer([0]).members)[:8]
+    rep = find_petridis_witness(action, A, (0,), "1/4")
+    assert rep.hypotheses_hold and rep.conclusion_holds
+    assert rep.exhaustiveness == Exhaustiveness(
+        "sampled", config.cap("SAMPLE_COUNT"), config.cap("DEFAULT_SEED"))
+    assert rep.details["witness_size"] == 8 and readers == []
+
+
+def _taod_sides_by_element(t, A, Z):
+    """taod's for-all-C tables as built one group element at a time:
+    A.(c.Z) and c.Z for every c."""
+    CZ = t.translates(Z)
+    return t.side([t.image(A, cz) for cz in CZ]), t.side(CZ)
+
+
+def _taod_cases():
+    """(object, A, Y, alpha): draws on every Abelian pool action, and
+    permutation representations of C_n, sampled past n = 14."""
+    for family in sorted(FAMILIES):
+        pool = _Pool(family)
+        for cursor in range(40):
+            rng = random.Random(f"taod-sides:{family}:{cursor}")
+            action, scenario = _draw(rng, pool, "taod")
+            if action.group.is_abelian():
+                sets = scenario["sets"]
+                yield (action, sets["A"], sets["Y"],
+                       scenario["tasks"][0]["alpha"])
+    for n, p, W, A, alpha in ((5, 2, [[1, 1, 0, 0, 0]], (0, 1), "2"),
+                              (8, 3, [[1, 2] + [0] * 6], (0, 3), "3/2"),
+                              (15, 2, [[1] + [0] * 14, [0, 0, 0, 1] + [0] * 11],
+                               (0, 1, 4), "3")):
+        rep = permutation_representation(left_translation_action(cyclic(n)),
+                                         p)
+        yield rep, A, Subspace.from_vectors(p, n, W), alpha
+
+
+def test_taod_sides_and_powers_match_the_per_element_construction(
+        monkeypatch):
+    seen = []
+    real = theorems._forall_actor_sets
+    monkeypatch.setattr(theorems, "_forall_actor_sets",
+                        lambda *args: seen.append(args[:2]) or real(*args))
+    checked = 0
+    with config.overrides({"SAMPLE_COUNT": 200}):
+        for obj, A, Y, alpha in _taod_cases():
+            rep = find_taod_witness(obj, A, Y, alpha, n_max=4)
+            if not rep.hypotheses_hold:
+                continue
+            checked += 1
+            t, Z = theorems._Target(obj, Y), rep.witnesses["Z"]
+            if not t.linear:
+                # Z from the masks of A.y built one point at a time
+                _p, _q, wmask = theorems._Side([
+                    setfuncs._mask_of(obj.act_set(A, (y,))) for y in t.Y
+                ]).fold().min_ratio()
+                assert Z == {y for i, y in enumerate(t.Y) if wmask >> i & 1}
+            for got, want in zip(seen.pop(), _taod_sides_by_element(t, A, Z)):
+                assert got.p == want.p
+                assert np.array_equal(np.asarray(got.table),
+                                      np.asarray(want.table))
+            G, alpha, Ak, powers = obj.group, Fraction(alpha), A, {}
+            for k in range(1, 5):
+                powers[k] = t.size(t.image(Ak, Z)) <= alpha ** k * t.size(Z)
+                Ak = G.product_set(Ak, A)
+            assert rep.details["power_checks"] == powers
+    assert checked >= 40
 
 
 @pytest.mark.parametrize("alpha", [Fraction(2 ** 70 + 1, 2 ** 70),

@@ -16,7 +16,9 @@ scenarios of `PATHS`, which reach what no other request does: the
 `matrices` and `swap` representations, a generated set, lambdas whose
 denominators pass 2^40, exits 2 and 3, and D70xD72, whose base-key
 table would pass 2^22 entries, so that its closure, lookups and products
-fall back to row bytes, and `report --format csv` over the reports of the
+fall back to row bytes, hamidoune at lambda = mu on A8, whose subgroup is
+the whole group, and a petridis for-all-C check that counting settles at
+every size, and `report --format csv` over the reports of the
 requests named in `CSV`, a run and a search, whose csv text is recorded
 as is. The first form runs each request through
 CHECKOUT's `subaction.cli.main` and writes its exit code, stderr and report, without `elapsed_seconds`; an exception that
@@ -151,6 +153,14 @@ PATHS = {
     "byte_keys_murphy": _scenario(
         _D70xD72, {"task": "murphy", "A": "A", "Y": "Y"},
         action={"kind": "natural"}, sets={"A": [0], "Y": [0, 1, 70]}),
+    "hamidoune_a8_whole_group": _scenario(
+        {"kind": "alternating", "n": 8},
+        {"task": "hamidoune", "Y": "Y", "lambda": "1/2520"},
+        action={"kind": "natural"}, sets={"Y": [0, 1]}),
+    "petridis_all_settled": _scenario(
+        {"kind": "cyclic", "n": 8},
+        {"task": "petridis", "A": "A", "Y": "Y", "alpha": "1"},
+        action=_LEFT, sets={"A": [0], "Y": [0]}),
 }
 
 
