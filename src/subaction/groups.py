@@ -503,18 +503,29 @@ class FiniteGroup:
 
     def generated_set(self, S: Iterable[int]) -> frozenset[int]:
         """Element set of the subgroup generated by S (empty S gives trivial)."""
-        gens = self._as_indices(S)
-        member = np.zeros(self.order, dtype=bool)
-        member[0] = True
-        if gens.size == 0:
-            return frozenset({0})
-        frontier = np.array([0], dtype=np.int64)
-        while frontier.size:
-            prods = np.unique(self._products(frontier, gens))
-            new = prods[~member[prods]]
-            member[new] = True
-            frontier = new
+        member = _membership(self.order, [0])
+        self._grow(member, np.zeros(1, dtype=np.int64), self._as_indices(S))
         return frozenset(np.flatnonzero(member).tolist())
+
+    def _grow(self, member: np.ndarray, frontier: np.ndarray, gens,
+              inside: np.ndarray | None = None) -> None:
+        """Close the membership array `member`, which holds the distinct
+        elements `frontier`, under right multiplication by `gens`, one
+        level of new products at a time; InvariantError as soon as a
+        product falls outside the membership array `inside`."""
+        first = np.empty(self.order, dtype=np.int32)  # scatter, one per call
+        while True:
+            prods = self._products(frontier, gens).ravel()
+            if inside is not None and not inside[prods].all():
+                raise InvariantError("set is not product-closed")
+            frontier = prods[~member[prods]]
+            if frontier.size > 1:
+                at = np.arange(frontier.size, dtype=np.int32)
+                first[frontier[::-1]] = at[::-1]  # reversed: the first wins
+                frontier = frontier[first[frontier] == at]
+            elif not frontier.size:
+                return
+            member[frontier] = True
 
     def generated_subgroup(self, S: Iterable[int]) -> "Subgroup":
         return Subgroup(self, self.generated_set(S), _verified=True)
@@ -603,17 +614,14 @@ class FiniteGroup:
         harr = np.fromiter(H.member_tuple, dtype=np.int64)
         rep_of = np.full(n, -1, dtype=np.int32)
         reps: list[int] = []
-        cosets: list[frozenset[int]] = []
         for g in range(n):
             if rep_of[g] >= 0:
                 continue
-            coset = self._products([g], harr)[0]
-            rep_of[coset] = len(reps)
+            rep_of[self._products([g], harr)[0]] = len(reps)
             reps.append(g)
-            cosets.append(frozenset(coset.tolist()))
         if len(reps) * H.order != n:
             raise InvariantError("cosets do not partition the group")
-        return CosetDecomposition(self, H, tuple(reps), rep_of, cosets)
+        return CosetDecomposition(self, H, tuple(reps), rep_of)
 
 
 @dataclass(frozen=True)
@@ -654,24 +662,12 @@ def _verify_subgroup(G: FiniteGroup, members: frozenset[int]) -> None:
     # H is product-closed exactly when it is the subgroup its members
     # generate. Each generator is the least member outside the subgroup
     # <S> of those before it, so it at least doubles <S>: at most
-    # log2 |H| generators, and <S> grows by multiplying each element by
-    # each generator once, refused as soon as a product leaves H
-    reached = _membership(G.order, [0])
-    gens: list[int] = []
-    while True:
-        missing = arr[~reached[arr]]
-        if not missing.size:
-            return
+    # log2 |H| generators, each growing <S> from its elements, refused as
+    # soon as a product leaves H
+    reached, gens = _membership(G.order, [0]), []
+    while (missing := np.flatnonzero(member & ~reached)).size:
         gens.append(int(missing[0]))
-        # the old elements need only the new generator
-        new, by = np.flatnonzero(reached), gens[-1:]
-        while new.size:
-            prods = G._products(new, by).ravel()
-            if not member[prods].all():
-                raise InvariantError("set is not product-closed")
-            new = np.unique(prods[~reached[prods]])
-            reached[new] = True
-            by = gens
+        G._grow(reached, np.flatnonzero(reached), gens, inside=member)
 
 
 @dataclass(frozen=True)
@@ -680,7 +676,6 @@ class CosetDecomposition:
     subgroup: Subgroup
     representatives: tuple[int, ...]
     rep_position: np.ndarray  # element index -> position in representatives
-    cosets: list[frozenset[int]]
 
     @property
     def index(self) -> int:

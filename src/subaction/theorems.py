@@ -41,7 +41,7 @@ from . import config
 from ._kernels import SubsetFold, check_pair_ratio, words
 from .actions import GroupAction, natural_action
 from .errors import DomainError, InvariantError, StructuralError
-from .groups import Subgroup, _membership, symmetric
+from .groups import Subgroup, _membership, _orbits, symmetric
 from .linalg import (Representation, Subspace, _rref, basis_table,
                      enumerate_subspaces, span_dims)
 from .rationals import exact_fraction, format_fraction
@@ -455,14 +455,13 @@ def check_murphy(obj: GroupAction | Representation, A: Iterable[int],
     if t.linear:
         witnesses["module_span"] = AY
     else:
-        # the H-orbits partition Y
-        orbits: list[frozenset[int]] = []
-        seen: set[int] = set()
-        for y in t.Y:
-            if y not in seen:
-                orbits.append(obj.act_set(H.member_tuple, (y,)))
-                seen |= orbits[-1]
-        witnesses["orbits"] = tuple(orbits)
+        # the orbits of the quotient set's rows are the H-orbits; as
+        # a.Y = b.Y for all a, b in A, H fixes Y, and those that meet Y
+        # partition it, in order of least point
+        points = set(t.Y)
+        orbits = tuple(frozenset(o) for o in _orbits(
+            obj.table[sorted(quotient)]) if not points.isdisjoint(o))
+        witnesses["orbits"] = orbits
         details["orbit_count"] = len(orbits)
     return _verdict("murphy", not outside, witnesses, details,
                     {"element": outside[0]} if outside else None)

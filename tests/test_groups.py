@@ -1,6 +1,7 @@
 """Group constructors, multiplication tables, and subset algebra."""
 
 import math
+import random
 import tracemalloc
 from functools import partial
 
@@ -646,6 +647,40 @@ def test_generated_set_is_closure():
     assert G.generated_set([G.identity_index]) == frozenset({0})
 
 
+def _scalar_closure(mul, S) -> frozenset[int]:
+    """<S> as a Python set: {e} closed under right multiplication by each
+    member of S, one product mul(x, s) at a time."""
+    S = sorted(set(S))
+    reached, todo = {0}, [0]
+    for x in todo:
+        for s in S:
+            y = mul(x, s)
+            if y not in reached:
+                reached.add(y)
+                todo.append(y)
+    return frozenset(reached)
+
+
+# every pool group of the search families, and the tableless S7 and A8
+_CLOSURE_CASES = sorted({build_group(g).name for specs in FAMILIES.values()
+                         for g, _a in specs}) + ["S7", "A8"]
+
+
+@pytest.mark.parametrize("name", _CLOSURE_CASES)
+def test_generated_set_matches_the_scalar_closure(name):
+    G = _ORDER_CASES[name]()
+    rng = random.Random(name)
+    g, h = rng.randrange(G.order), rng.randrange(G.order)
+    whole = list(G.generator_indices)
+    if name == "A8":  # two of its six closure generators suffice
+        whole = [G.element_index(from_cycles(8, [(0, 1, 2)])),
+                 G.element_index(from_cycles(8, [tuple(range(1, 8))]))]
+    cases = [[], [0], [g, g, 0, g], [g], [g, h], whole, whole[::-1] + whole]
+    for S in cases:
+        assert G.generated_set(S) == _scalar_closure(G.mul, S), S
+    assert len(G.generated_set(whole)) == G.order
+
+
 def test_generated_subgroup_properties():
     G = symmetric(4)
     r = G.element_index(from_cycles(4, [(0, 1, 2)]))
@@ -671,7 +706,8 @@ def _oracle_subgroups(G: FiniteGroup) -> list[tuple[int, tuple[int, ...]]]:
     """Every subgroup as (order, member tuple), sorted, by the plain
     lattice search: every subgroup found, not one per conjugacy class, is
     extended by one element g of each double coset HgH outside it, and
-    <H, g> is closed breadth-first by generated_set."""
+    <H, g> is closed by _scalar_closure over a table of G.mul."""
+    table = [[G.mul(a, b) for b in range(G.order)] for a in range(G.order)]
     seen = {frozenset({0})}
     queue = [frozenset({0})]
     while queue:
@@ -684,7 +720,7 @@ def _oracle_subgroups(G: FiniteGroup) -> list[tuple[int, tuple[int, ...]]]:
                 continue
             gH = G._products([g], harr)[0]
             covered[G._products(harr, gH)] = True
-            K = G.generated_set(list(H) + [g])
+            K = _scalar_closure(lambda x, y: table[x][y], list(H) + [g])
             if K not in seen:
                 seen.add(K)
                 queue.append(K)

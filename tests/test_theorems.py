@@ -32,7 +32,7 @@ from subaction.linalg import (Representation, Subspace, actor_growth_linear,
                               permutation_representation,
                               representation_from_generator_matrices)
 from subaction.search import (FAMILIES, _draw, _Pool, _run_drawn,
-                              build_group, search)
+                              build_action, build_group, search)
 from subaction.setfuncs import Exhaustiveness, identity_atom
 from subaction.theorems import (STATEMENT_IDS, check_fragment_bounds,
                                 check_freiman, check_hamidoune, check_kneser,
@@ -171,6 +171,57 @@ def test_murphy_orbit_partition():
     assert frozenset().union(*orbits) == frozenset(Y)
     for o1, o2 in itertools.combinations(orbits, 2):
         assert not (o1 & o2)
+
+
+def _orbits_by_point(action, H, Y) -> tuple[frozenset[int], ...]:
+    """The H-orbits that meet Y, one act_set of H per orbit, from each
+    point of Y that no earlier orbit holds."""
+    orbits: list[frozenset[int]] = []
+    seen: set[int] = set()
+    for y in sorted(Y):
+        if y not in seen:
+            orbits.append(action.act_set(H.member_tuple, (y,)))
+            seen |= orbits[-1]
+    return tuple(orbits)
+
+
+def test_murphy_orbits_match_the_per_point_walk():
+    # murphy draws of every search family, and the scenario_mix pools'
+    # murphy_s7 and murphy_a8 requests
+    cases = []
+    for family in FAMILIES:
+        pool = _Pool(family)
+        for cursor in range(40):
+            action, sc = _draw(random.Random(f"orbits:{family}:{cursor}"),
+                               pool, "murphy")
+            cases.append((action, sc["sets"]["A"], sc["sets"]["Y"]))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "data",
+                           "scenario_mix.json")) as f:
+        slots = json.load(f)["slots"]
+    for slot in ("murphy_s7", "murphy_a8"):
+        pool = [item["request"]["scenario"] for item in slots[slot]["pool"]]
+        gspec, aspec = pool[0]["group"], pool[0]["action"]
+        assert all(sc["group"] == gspec and sc["action"] == aspec
+                   for sc in pool)
+        action = build_action(build_group(gspec), aspec)
+        cases += [(action, sc["sets"]["A"], sc["sets"]["Y"]) for sc in pool]
+    held = differ = 0
+    for action, A, Y in cases:
+        rep = check_murphy(action, A, Y)
+        if not rep.hypotheses_hold:
+            continue
+        G = action.group
+        H = G.generated_subgroup(G.product_set(G.inverse_set(A), A))
+        assert rep.witnesses["generated_subgroup"].members == H.members
+        orbits = _orbits_by_point(action, H, Y)
+        assert rep.witnesses["orbits"] == orbits
+        assert rep.details["orbit_count"] == len(orbits)
+        held += 1
+        # the orbits of <A> differ from those of <A^-1 A> on some draws
+        differ += _orbits_by_point(action, G.generated_subgroup(A), Y) \
+            != orbits
+    assert held > 100 and differ > 0
 
 
 def test_murphy_linear():
@@ -786,11 +837,21 @@ def test_hamidoune_saturated_set_is_the_loop(family):
             assert rep.details["saturated_actor_size"] == len(loop)
 
 
+def _masked_arrays_imported(code: str) -> str:
+    """What a fresh interpreter prints for 'numpy.ma' in sys.modules once
+    it has run `code`."""
+    src = os.path.dirname(os.path.dirname(theorems.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code += "import sys\nprint('numpy.ma' in sys.modules)\n"
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
 def test_hamidoune_imports_no_masked_arrays():
     # the set-side route finds G.Y from a hit array, not np.unique, whose
     # first call imports numpy.ma
     code = (
-        "import sys\n"
         "from subaction.actions import left_translation_action, "
         "natural_action\n"
         "from subaction.groups import cyclic, symmetric\n"
@@ -798,14 +859,29 @@ def test_hamidoune_imports_no_masked_arrays():
         "assert check_hamidoune(natural_action(symmetric(4)), (0, 1), "
         "'1/12', (1, 2)).conclusion_holds\n"
         "assert check_hamidoune(left_translation_action(cyclic(12)), (0,), "
-        "'1/2', (1, 2)).conclusion_holds\n"
-        "print('numpy.ma' in sys.modules)\n")
-    src = os.path.dirname(os.path.dirname(theorems.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+        "'1/2', (1, 2)).conclusion_holds\n")
+    assert _masked_arrays_imported(code) == "False\n"
+
+
+def test_subgroup_growth_imports_no_masked_arrays():
+    # generated_set (behind murphy's H and the search's biased actors)
+    # and the subgroup check past one block of products drop repeated
+    # elements by a scatter, not by np.unique
+    code = (
+        "from subaction.actions import natural_action\n"
+        "from subaction.groups import Subgroup, alternating, symmetric\n"
+        "from subaction.search import search\n"
+        "from subaction.theorems import check_murphy\n"
+        "assert len(symmetric(5).generated_set([1, 2])) == 120\n"
+        "A8 = alternating(8)\n"
+        "assert A8.mul_table is None\n"
+        "A7 = [i for i, r in enumerate(A8.images.tolist()) if r[7] == 7]\n"
+        "assert Subgroup(A8, frozenset(A7)).order == 2520\n"
+        "assert check_murphy(natural_action(symmetric(7)), [0, 1], "
+        "[0, 1]).conclusion_holds\n"
+        "assert search('cyclic_translation', 'murphy', 30, 7).instances "
+        "== 30\n")
+    assert _masked_arrays_imported(code) == "False\n"
 
 
 def test_tao_doubling_epsilon_positive():

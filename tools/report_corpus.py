@@ -17,10 +17,11 @@ scenarios of `PATHS`, which reach what no other request does: the
 denominators pass 2^40, exits 2 and 3, and D70xD72, whose base-key
 table would pass 2^22 entries, so that its closure, lookups and products
 fall back to row bytes, hamidoune at lambda = mu on A8, whose subgroup is
-the whole group, and a petridis for-all-C check that counting settles at
-every size, and `report --format csv` over the reports of the
-requests named in `CSV`, a run and a search, whose csv text is recorded
-as is. The first form runs each request through
+the whole group, a petridis for-all-C check that counting settles at
+every size, and murphy on a generated subgroup of order 120 in S7, which
+has no multiplication table, and `report --format csv` over the reports
+of the requests named in `CSV`, a run and a search, whose csv text is
+recorded as is. The first form runs each request through
 CHECKOUT's `subaction.cli.main` and writes its exit code, stderr and report, without `elapsed_seconds`; an exception that
 escapes `main` is recorded as the exit "crash", and the first form then
 names every such request and exits 1. A report whose text is not byte for
@@ -161,6 +162,12 @@ PATHS = {
         {"kind": "cyclic", "n": 8},
         {"task": "petridis", "A": "A", "Y": "Y", "alpha": "1"},
         action=_LEFT, sets={"A": [0], "Y": [0]}),
+    # <(0 1), (0 1 2 3 4)>, S5 on {0..4}, grown in S7 with no
+    # multiplication table; its orbits on Y are {0..4} and {5}
+    "generate_murphy_s7": _scenario(
+        {"kind": "symmetric", "n": 7}, {"task": "murphy", "A": "A", "Y": "Y"},
+        action={"kind": "natural"},
+        sets={"A": {"generate": [1, 465]}, "Y": [0, 1, 2, 3, 4, 5]}),
 }
 
 
