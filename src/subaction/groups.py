@@ -10,12 +10,16 @@ and representations are built from those rows and look nothing up.
 
 The closure runs one level at a time, on one of two paths chosen by the
 level's size. A level with fewer than 512 products (``_NUMPY_LEVEL``)
-looks each product's image row up by its bytes in a dict. From the first
-level that reaches 512 products, the rest runs in numpy: each product's
-key is read from its images of a base (an element of a permutation group
-is determined by them), and a dense table maps the key to the one kept
-row that may equal the product. Every match is compared with that row, so
-the key only speeds lookups: the base starts empty and grows by a point
+looks each product's image row up by its bytes in a dict. While every
+point fits in a byte (degree at most 256), a row's bytes hold one byte per
+point and s * f is f's bytes passed through ``bytes.translate`` with s's
+row as the table, so such a level makes no numpy call; past 256 points
+they hold int32 entries, composed in numpy. From the first level that
+reaches 512 products, the rest runs in numpy: each product's key is read
+from its images of a base (an element of a permutation group is
+determined by them), and a dense table maps the key to the one kept row
+that may equal the product. Every match is compared with that row, so the
+key only speeds lookups: the base starts empty and grows by a point
 wherever two distinct rows share a key, and if the table would pass
 ``_KEY_TABLE_ENTRIES`` entries the closure rebuilds the dict and finishes
 on it. Both paths give the same elements in the same order.
@@ -34,7 +38,9 @@ closure hands back to the dict, rows are found by their bytes instead:
 the image rows, viewed as fixed-width byte strings, are sorted on the
 first such lookup and searched with ``np.searchsorted``, and products
 are composed and looked up. Multiplication tables are materialised only
-up to a size cap; larger groups find products in blocks."""
+up to a size cap, row by row along the closure's factorisation, as bytes
+through ``bytes.translate`` while the indices fit in a byte (order at most
+256); larger groups find products in blocks."""
 
 from __future__ import annotations
 
@@ -229,6 +235,12 @@ def _grown(rows: np.ndarray, kept: int, need: int, limit: int) -> np.ndarray:
     return out
 
 
+def _translate_tables(rows: np.ndarray) -> list[bytes]:
+    """For each row, whose entries fit in a byte, the ``bytes.translate``
+    table that maps each byte x to the row's entry at x."""
+    return [bytes(row).ljust(256, b"\0") for row in rows.tolist()]
+
+
 def _closure(gens: np.ndarray, order_cap: int, table_cap: int):
     """Breadth-first closure of the generator rows `gens`, one frontier
     level at a time: the image rows, every product's element index
@@ -242,41 +254,72 @@ def _closure(gens: np.ndarray, order_cap: int, table_cap: int):
     _BaseKeys, until its table would pass its bound: then the dict is
     rebuilt from the kept rows and the closure finishes on it. The last
     value returned is the _BaseKeys the closure finished on, its dense
-    table freed, or None if it finished on the dict."""
+    table freed, or None if it finished on the dict.
+
+    The dict's keys are the rows as bytes, in element order, so they are
+    the rows until the closure switches to numpy. While every point fits
+    in a byte they hold one byte per point, and s * f is f's bytes
+    translated by s's row, since (s * f)(x) = s(f(x)), with no numpy call;
+    past 256 points they hold int32 entries, composed in numpy."""
     m, degree = gens.shape
-    key = np.dtype((np.void, 4 * degree))  # an image row as bytes
+    # a row's dict key: its entries' bytes, one per point while they fit
+    dtype = np.dtype(np.uint8 if degree <= 256 else np.int32)
+    key = np.dtype((np.void, dtype.itemsize * degree))
     limit = min(order_cap, table_cap // degree)  # the rows the caps admit
     gens_t = np.ascontiguousarray(gens.T)
-    frontier = rows = np.arange(degree, dtype=np.int32)[None]
-    index: dict | None = {frontier.tobytes(): 0}
-    base = None
+
+    def products(frontier: np.ndarray) -> np.ndarray:
+        # gens_t[y, s] = gens[s, y]: row f * m + s is s * f
+        return np.ascontiguousarray(gens_t.take(frontier, axis=0).swapaxes(
+            1, 2)).reshape(-1, degree)
+
+    def rows_of(keys) -> np.ndarray:
+        rows = np.fromiter(keys, key, len(keys)).view(dtype)
+        return rows.reshape(-1, degree).astype(np.int32, copy=False)
+
+    def keys_of(rows: np.ndarray) -> list[bytes]:
+        return rows.astype(dtype).view(key)[:, 0].tolist()
+
+    if degree <= 256:
+        tables = _translate_tables(gens)
+
+        def compose(frontier: list[bytes]) -> list[bytes]:
+            return [f.translate(t) for f in frontier for t in tables]
+    else:
+        def compose(frontier: list[bytes]) -> list[bytes]:
+            rows = np.frombuffer(b"".join(frontier), np.int32)
+            return products(rows.reshape(-1, degree)).view(key)[:, 0].tolist()
+
+    frontier = [np.arange(degree, dtype=dtype).tobytes()]
+    index: dict | None = {frontier[0]: 0}
+    rows = base = None
     switch = _NUMPY_LEVEL  # never again once the closure has switched
     edges, gen_of, parent_of = array("i"), array("i", [-1]), array("i", [-1])
     starts = [0, 1]  # the index of each level's first element, and the end
     first, order = 0, 1  # the index of frontier[0], the elements so far
     while len(frontier):
-        prods = np.ascontiguousarray(  # gens_t[y, s] = gens[s, y]
-            gens_t.take(frontier, axis=0).swapaxes(1, 2)).reshape(-1, degree)
-        if len(prods) >= switch:
-            switch, index, base = math.inf, None, _BaseKeys(gens)
+        if len(frontier) * m >= switch:
+            switch, base = math.inf, _BaseKeys(gens)
+            rows, frontier, index = rows_of(index), rows_of(frontier), None
         if base is not None:
+            prods = products(frontier)
             step = base.level(prods, rows[:order])
             if step is None:  # the key table would pass its bound
                 base = None
-                index = dict(zip(rows[:order].view(key)[:, 0].tolist(),
-                                 range(order)))
+                index = dict(zip(keys_of(rows[:order]), range(order)))
+                frontier = keys_of(frontier)
         if base is None:
-            at = []
-            nxt = order
+            new, nxt = [], order
             setdefault, record = index.setdefault, edges.append
-            for i, k in enumerate(prods.view(key)[:, 0].tolist()):
+            for i, k in enumerate(compose(frontier)):
                 j = setdefault(k, nxt)
                 record(j)
                 if j == nxt:
                     nxt += 1
-                    at.append(i)
+                    new.append(k)
                     gen_of.append(i % m)
                     parent_of.append(i // m + first)
+            frontier = new
         else:
             found, at = step
             nxt = order + len(at)
@@ -290,16 +333,18 @@ def _closure(gens: np.ndarray, order_cap: int, table_cap: int):
             raise CapacityError("MAX_ACT_TABLE_ENTRIES", table_cap,
                                 nxt * degree,
                                 hint="image rows, closure still growing")
-        frontier = prods.take(at, axis=0)
-        rows = _grown(rows, order, nxt, limit)
-        rows[order:nxt] = frontier
+        if base is not None:
+            frontier = prods.take(at, axis=0)
+            rows = _grown(rows, order, nxt, limit)
+            rows[order:nxt] = frontier
         first, order = order, nxt
         starts.append(order)
-    del index  # freed before the element list is built, as is the key table
-    if base is not None:
-        base._table = None
-    if len(rows) > order:
-        rows = rows[:order].copy()
+    if base is None:
+        rows = rows_of(index)  # the keys are the rows, in element order
+    else:
+        base._table = None  # freed, as the dict is
+        if len(rows) > order:
+            rows = rows[:order].copy()
     return rows, edges, gen_of, parent_of, starts, base
 
 
@@ -415,39 +460,56 @@ class FiniteGroup:
         bad = Permutation(tuple(rows.reshape(-1, rows.shape[-1])[0].tolist()))
         raise DomainError(f"{bad} is not an element of {self.name}")
 
-    def _products(self, a, b) -> np.ndarray:
+    def _right(self, b) -> np.ndarray | None:
+        """What tableless products read of their right factors `b`: the
+        images of the key's base points, or past _KEY_TABLE_ENTRIES the
+        image rows; None with a table."""
+        if self.mul_table is not None:
+            return None
+        index, rows = self._key_index, self.images.take(b, axis=0)
+        return rows if index is None else rows.take(index.points, axis=1)
+
+    def _products(self, a, b, right=None) -> np.ndarray:
         """The |a| x |b| array of element indices ``a[i] * b[j]``; without
         a table, in blocks of at most _PRODUCT_BLOCK // (|b| * degree) rows
-        of a."""
+        of a, from ``_right(b)``, or `right` if a caller that multiplies by
+        the same b again and again has read it once."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if self.mul_table is not None:
             return self.mul_table.take(a, axis=0).take(b, axis=1)
+        if right is None:
+            right = self._right(b)
         out = np.empty((a.size, b.size), dtype=np.int32)
         step = max(1, _PRODUCT_BLOCK // max(1, b.size * self.degree))
         index = self._key_index
-        if index is not None:
-            right = self.images.take(b, axis=0).take(index.points, axis=1)
-            for lo in range(0, a.size, step):
-                out[lo:lo + step] = index.products(
-                    self.images.take(a[lo:lo + step], axis=0), right)
-            return out
-        right = self.images.take(b, axis=0)
         for lo in range(0, a.size, step):
-            out[lo:lo + step] = self._lookup(self.images.take(
-                a[lo:lo + step], axis=0).take(right, axis=1))
+            left = self.images.take(a[lo:lo + step], axis=0)
+            out[lo:lo + step] = self._lookup(left.take(right, axis=1)) \
+                if index is None else index.products(left, right)
         return out
 
     def _build_mul_table(self) -> None:
-        n = self.order
-        table = np.empty((n, n), dtype=np.int32)
-        table[0] = np.arange(n, dtype=np.int32)
         # every row by left-translation composition along the closure
-        # factorisation g = s * parent, from the generator rows it recorded
-        rows = self._gen_rows
-        for g, s, f in zip(range(1, n), self._gen_of[1:].tolist(),
-                           self._parent_of[1:].tolist()):
-            rows[s].take(table[f], out=table[g])
+        # factorisation g = s * parent, from the generator rows it recorded:
+        # row g is row f mapped through generator row s; while the indices
+        # fit in a byte, as bytes translated by that row
+        n = self.order
+        gen_of = self._gen_of[1:].tolist()
+        parent_of = self._parent_of[1:].tolist()
+        if n <= 256:
+            tables = _translate_tables(self._gen_rows)
+            rows = [bytes(range(n))]
+            for s, f in zip(gen_of, parent_of):
+                rows.append(rows[f].translate(tables[s]))
+            table = np.frombuffer(b"".join(rows), np.uint8).reshape(
+                n, n).astype(np.int32)
+        else:
+            table = np.empty((n, n), dtype=np.int32)
+            table[0] = np.arange(n, dtype=np.int32)
+            rows = self._gen_rows
+            for g, s, f in zip(range(1, n), gen_of, parent_of):
+                rows[s].take(table[f], out=table[g])
         self.mul_table = table
 
     # -- element arithmetic ------------------------------------------------
@@ -514,8 +576,9 @@ class FiniteGroup:
         level of new products at a time; InvariantError as soon as a
         product falls outside the membership array `inside`."""
         first = np.empty(self.order, dtype=np.int32)  # scatter, one per call
+        right = self._right(gens)  # the same at every level
         while True:
-            prods = self._products(frontier, gens).ravel()
+            prods = self._products(frontier, gens, right).ravel()
             if inside is not None and not inside[prods].all():
                 raise InvariantError("set is not product-closed")
             frontier = prods[~member[prods]]
@@ -660,14 +723,19 @@ def _verify_subgroup(G: FiniteGroup, members: frozenset[int]) -> None:
             raise InvariantError("set is not product-closed")
         return
     # H is product-closed exactly when it is the subgroup its members
-    # generate. Each generator is the least member outside the subgroup
+    # generate. Each generator g is the least member outside the subgroup
     # <S> of those before it, so it at least doubles <S>: at most
-    # log2 |H| generators, each growing <S> from its elements, refused as
-    # soon as a product leaves H
+    # log2 |H| generators, refused as soon as a product leaves H. <S> is
+    # closed under S, so only its coset <S> g, which lies outside it, is
+    # new; <S, g> grows from that coset
     reached, gens = _membership(G.order, [0]), []
     while (missing := np.flatnonzero(member & ~reached)).size:
         gens.append(int(missing[0]))
-        G._grow(reached, np.flatnonzero(reached), gens, inside=member)
+        coset = G._products(np.flatnonzero(reached), gens[-1:]).ravel()
+        if not member[coset].all():
+            raise InvariantError("set is not product-closed")
+        reached[coset] = True
+        G._grow(reached, coset, gens, inside=member)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Group constructors, multiplication tables, and subset algebra."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -79,9 +80,23 @@ _PAIRS = {name: (_tabled(build), _tableless(build))
           for name, build in _BUILDERS.items()}
 
 
+# tabled groups on both sides of 256 elements, where rows stop being
+# composed as bytes: C256 and the non-abelian groups below it on byte rows,
+# C257 and Aff(17), of order 272, by a gather per row
+_TABLE_BUILDERS = (partial(symmetric, 4), partial(dihedral, 5),
+                   partial(affine_gl1, 5),
+                   partial(cyclic, 256), partial(cyclic, 257),
+                   partial(affine_gl1, 17))
+
+
 def test_mul_table_matches_composition():
-    tabled = (symmetric(4), dihedral(5), affine_gl1(5))
-    for G in tabled + tuple(_tableless(b) for b in _BUILDERS.values()):
+    for G in map(_tabled, _TABLE_BUILDERS):
+        # the image rows of g * h for every h, against g's composed with
+        # each of theirs: (g * h)(x) = g(h(x))
+        for g, row in enumerate(G.mul_table):
+            assert np.array_equal(G.images[row], G.images[g][G.images]), \
+                (G.name, g)
+    for G in map(_tableless, _BUILDERS.values()):
         for i in range(G.order):
             for j in range(G.order):
                 assert G.elements[G.mul(i, j)] == G.elements[i] * G.elements[j]
@@ -287,7 +302,11 @@ _ORDER_CASES.update({
     "C2^4": lambda: direct_product(direct_product(cyclic(2), cyclic(2)),
                                    direct_product(cyclic(2), cyclic(2))),
     "D8xC9": lambda: direct_product(dihedral(8), cyclic(9)),
-    "Aff(31)": lambda: affine_gl1(31)})
+    "Aff(31)": lambda: affine_gl1(31),
+    # on either side of 256 points, where the dict's keys stop being one
+    # byte per point and products stop being composed by bytes.translate
+    "C256": lambda: cyclic(256), "C257": lambda: cyclic(257),
+    "Aff(17)": lambda: affine_gl1(17)})
 _ORACLES: dict[str, tuple[list, dict]] = {}
 
 
@@ -325,14 +344,52 @@ def test_each_closure_path_matches_reference_closure(case, switch,
     _assert_closure(*_closed_with_oracle(case, monkeypatch))
 
 
-@pytest.mark.parametrize("bound", [8, 100, 4096])
-@pytest.mark.parametrize("switch", ["default", "numpy"])
-@pytest.mark.parametrize("case", ["S7", "A8", "S4xA5"])
+@st.composite
+def _embedded_generators(draw) -> list[Permutation]:
+    """One to three random permutations of the same k <= 5 points, drawn
+    anywhere in 0..d-1 for a degree d on either side of 256, so the group
+    has order at most 120; the identity and a repeat of the first may be
+    added. All but the degree come from one seeded Random, whose draws
+    are uniform, so most groups of two or more generators are not
+    abelian."""
+    degree = draw(st.one_of(st.integers(1, 10), st.integers(250, 260)))
+    rnd = draw(st.randoms(use_true_random=False))
+    points = rnd.sample(range(degree), min(5, degree))
+    gens = []
+    for _ in range(rnd.randint(1, 3)):
+        images = list(range(degree))
+        for x, y in zip(points, rnd.sample(points, len(points))):
+            images[x] = y
+        gens.append(Permutation(tuple(images)))
+    if rnd.random() < 0.5:
+        gens.insert(rnd.randint(0, len(gens)), identity(degree))
+    return gens + gens[:rnd.randint(0, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_embedded_generators(), st.sampled_from(sorted(_SWITCHES)))
+def test_random_generators_match_reference_closure(gens, switch):
+    # the dict path's keys are one byte per point up to 256 points and
+    # int32 entries past it, and the numpy path takes their rows over
+    try:
+        groups._NUMPY_LEVEL = _SWITCHES[switch]
+        G = from_generators(gens)
+    finally:
+        groups._NUMPY_LEVEL = _SWITCHES["default"]
+    _assert_closure(G, _oracle_closure(gens))
+
+
+@pytest.mark.parametrize("case,switch,bound", [
+    *itertools.product(["S7", "A8", "S4xA5"], ["default", "numpy"],
+                       [8, 100, 4096]),
+    *itertools.product(["C256", "C257", "Aff(17)"], ["numpy"], [8, 100])])
 def test_closure_hands_back_to_byte_keys_past_the_key_table_bound(
         case, switch, bound, monkeypatch):
     # S7, A8 and S4xA5 need 6 base points, for 7^6, 8^6 and 4^3 * 5^3
     # table entries, so every bound here stops the numpy path and the dict
-    # finishes the closure
+    # finishes the closure; C256 and C257 need 256 and 257 entries, and
+    # Aff(17) 17^2, which 100 stops. Those three reach numpy only from
+    # the first level
     calls = []  # per closure, what each numpy level returned
     closure, level = groups._closure, groups._BaseKeys.level
 
@@ -860,6 +917,25 @@ def test_subgroup_check_by_generators_matches_every_product(build,
             assert not closed
         else:
             assert closed
+
+
+def test_subgroup_check_multiplies_each_member_by_each_generator_once(
+        monkeypatch):
+    # the whole A8 is checked from 6 generators. <S> is closed under the
+    # generators before g, so when g joins only <S> g is formed from <S>,
+    # and each new element meets every generator once it is reached:
+    # 6 * 20160 products
+    G = alternating(8)
+    count, real = [], FiniteGroup._products
+
+    def counted(self, a, b, *right):
+        out = real(self, a, b, *right)
+        count.append(out.size)
+        return out
+
+    monkeypatch.setattr(FiniteGroup, "_products", counted)
+    assert Subgroup(G, frozenset(range(G.order))).order == G.order
+    assert sum(count) == 6 * G.order
 
 
 def test_subgroup_check_peak_memory_is_block_bounded():

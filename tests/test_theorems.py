@@ -461,8 +461,8 @@ def test_hamidoune_verifies_the_whole_a8_by_generators(monkeypatch):
     count = []
     real = FiniteGroup._products
 
-    def counted(self, a, b):
-        out = real(self, a, b)
+    def counted(self, a, b, *right):
+        out = real(self, a, b, *right)
         count.append(out.size)
         return out
     monkeypatch.setattr(FiniteGroup, "_products", counted)

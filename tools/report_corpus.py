@@ -18,8 +18,10 @@ denominators pass 2^40, exits 2 and 3, and D70xD72, whose base-key
 table would pass 2^22 entries, so that its closure, lookups and products
 fall back to row bytes, hamidoune at lambda = mu on A8, whose subgroup is
 the whole group, a petridis for-all-C check that counting settles at
-every size, and murphy on a generated subgroup of order 120 in S7, which
-has no multiplication table, and `report --format csv` over the reports
+every size, murphy on a generated subgroup of order 120 in S7, which
+has no multiplication table, and kneser on C256 and C257, on either side
+of the 256 points and elements up to which rows are composed as bytes,
+and `report --format csv` over the reports
 of the requests named in `CSV`, a run and a search, whose csv text is
 recorded as is. The first form runs each request through
 CHECKOUT's `subaction.cli.main` and writes its exit code, stderr and report, without `elapsed_seconds`; an exception that
@@ -168,6 +170,13 @@ PATHS = {
         {"kind": "symmetric", "n": 7}, {"task": "murphy", "A": "A", "Y": "Y"},
         action={"kind": "natural"},
         sets={"A": {"generate": [1, 465]}, "Y": [0, 1, 2, 3, 4, 5]}),
+    # C256, the largest group whose closure and multiplication table
+    # compose rows as bytes (256 points, 256 elements), and C257, the
+    # smallest past both
+    **{f"kneser_c{n}": _scenario(
+        {"kind": "cyclic", "n": n}, {"task": "kneser", "A": "A", "Y": "Y"},
+        action={"kind": "natural"},
+        sets={"A": {"generate": [16]}, "Y": [0, 1, 2]}) for n in (256, 257)},
 }
 
 
